@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 
 from mrcpp import (PlannerConfig, Scene, build_covering_graph,
-                   build_spanning_graph, loop_weight, minimum_spanning_tree,
-                   plan_document, render_plan_svg, spiral_stc_loop)
+                   build_spanning_graph, minimum_spanning_tree, plan_document,
+                   render_plan_svg, spiral_stc_loop)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.stc import SpanningTree
 from mrcpp.terrain import _canon, build_traversability
@@ -29,7 +29,7 @@ print(f"spanning graph: {len(h)} blocks, {len(h.edges)} edges")
 mst = minimum_spanning_tree(h, h.cover_map[(0, 0)])
 loop = spiral_stc_loop(g, mst, (0, 0))
 print(f"loop visits {len(loop)} cells (= 4 x {len(mst)} blocks), "
-      f"weight {loop_weight(loop):.2f}")
+      f"weight {loop.total_weight:.2f}")
 
 
 def first_neighbor_tree(h, root):
@@ -52,8 +52,8 @@ def first_neighbor_tree(h, root):
 blind = first_neighbor_tree(h, h.cover_map[(0, 0)])
 blind_loop = spiral_stc_loop(g, blind, (0, 0))
 print(f"MST tree weight {mst.total_weight:.2f} vs weight-blind {blind.total_weight:.2f}")
-print(f"MST loop weight {loop_weight(loop):.2f} vs weight-blind "
-      f"{loop_weight(blind_loop):.2f}")
+print(f"MST loop weight {loop.total_weight:.2f} vs weight-blind "
+      f"{blind_loop.total_weight:.2f}")
 
 # render the single-robot plan
 planner = ScenePlanner(scene, config)

@@ -3,17 +3,16 @@
 from .baselines import (ComparisonReport, format_comparison_table, mstc_bo,
                         mstc_nb, reduction_ratio)
 from .graphs import (CoveringGraph, PlannerConfig, SpanningGraph,
-                     build_covering_graph, build_spanning_graph, edge_weight,
-                     shortest_path)
+                     build_covering_graph, build_spanning_graph, edge_weight)
 from .partition import (CapacityPlan, PartitionSet, PlanOutcome, RobotPlan,
                         balanced_cut, balanced_mstc, capacity_partition,
-                        max_weight, naive_mstc, naive_partition, segment_cost)
+                        max_weight, naive_mstc, naive_partition)
 from .pipeline import PlanResult, ScenePlanner, plan_document, write_json_atomic
 from .render import render_plan_svg, save_plan_svg
 from .scene import Scene, SceneError, load_scene, save_scene
 from .scenegen import generate_scene
-from .stc import (CoverageLoop, SpanningTree, loop_weight,
-                  minimum_spanning_tree, spiral_stc_loop)
+from .stc import (CoverageLoop, SpanningTree, minimum_spanning_tree,
+                  spiral_stc_loop)
 from .terrain import (TraversabilityMap, build_traversability,
                       compute_edge_slope, merge_masks, remove_isolated,
                       steepness_filter)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .graphs import CoveringGraph
-from .partition import (LoopCostModel, PartitionError, PartitionSet, PlanOutcome,
-                        _refill_offsets, build_robot_plan, trips_required)
+from .partition import (LoopCostModel, PartitionSet, PlanOutcome,
+                        _plans_from_partition, build_robot_plan)
 from .scene import Cell
 from .stc import CoverageLoop
 
@@ -40,60 +40,15 @@ def mstc_nb(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
             capacity: float = math.inf) -> PlanOutcome:
     """Non-backtracking baseline: key nodes are the depot positions."""
     entries = _depot_arcs(loop, depots)
-    k, length = len(entries), len(loop)
-    keys = [pos for pos, _ in entries]
     binding = [robot for _, robot in entries]
-    pset = PartitionSet(keys=keys, loop_length=length)
-    plans = []
-    for j, (pos, robot) in enumerate(entries):
-        nodes = pset.segment_nodes(loop, j)
-        plans.append(build_robot_plan(robot, depots[robot], [nodes], capacity, g))
-    plans.sort(key=lambda p: p.robot)
-    pset.weights = [plans[binding[j]].weight for j in range(k)]
+    pset = PartitionSet(keys=[pos for pos, _ in entries], loop_length=len(loop))
+    plans = _plans_from_partition(loop, pset, binding, depots, capacity, g)
+    pset.weights = [plans[robot].weight for robot in binding]
     return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=0)
 
 
-class _BoCosts:
-    """Fast full-cost evaluation for backtracking candidates."""
-
-    def __init__(self, g: CoveringGraph, loop: CoverageLoop,
-                 entries: list[tuple[int, int]], depots: list[Cell], capacity: float):
-        order = [robot for _, robot in entries]
-        self.positions = [pos for pos, _ in entries]
-        self.model = LoopCostModel(loop, g, [depots[r] for r in order], capacity)
-        self.length = len(loop)
-        self.capacity = capacity
-        k = len(entries)
-        self.arc_len = [(self.positions[(j + 1) % k] - self.positions[j]) % self.length
-                        for j in range(k)]
-        if k == 1:
-            self.arc_len = [self.length]
-
-    def robot_cost(self, j: int, t_behind: int, t_own: int) -> float:
-        pos = self.positions[j]
-        length = self.length
-        d = self.model.depot_dist[j]
-        fwd = self.arc_len[j] - t_own
-        total = t_behind + fwd
-        cost = 0.0
-        if t_behind > 0:
-            cost += d[(pos - 1) % length]                      # approach to behind-cell
-            cost += self.model.coverage_cost((pos - t_behind) % length, t_behind)
-            cost += d[(pos - t_behind) % length]               # travel back to depot
-        cost += self.model.coverage_cost(pos, fwd)
-        cost += d[(pos + fwd - 1) % length]                    # final return
-        for off in _refill_offsets(total, self.capacity):
-            serviced = off + 1
-            if serviced <= t_behind:
-                cell_pos = (pos - serviced) % length
-            else:
-                cell_pos = (pos + (serviced - t_behind) - 1) % length
-            cost += 2.0 * d[cell_pos]
-        return float(cost)
-
-
 def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
-            capacity: float = math.inf, max_passes: int = 8) -> PlanOutcome:
+            capacity: float = math.inf) -> PlanOutcome:
     """Backtracking-optimized baseline.
 
     Each arc's tail may be handed to the following robot, which services
@@ -103,53 +58,48 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
     """
     entries = _depot_arcs(loop, depots)
     k, length = len(entries), len(loop)
-    costs = _BoCosts(g, loop, entries, depots, capacity)
+    binding = [robot for _, robot in entries]
+    pset = PartitionSet(keys=[pos for pos, _ in entries], loop_length=length)
+    keys, arc_len = pset.keys, pset.sizes()
+    model = LoopCostModel(loop, g, [depots[r] for r in binding], capacity)
     splits = [0] * k
 
-    def all_costs(split_vec: list[int]) -> list[float]:
-        return [costs.robot_cost(j, split_vec[(j - 1) % k], split_vec[j])
-                for j in range(k)]
+    def robot_cost(j: int, split_vec: list[int]) -> float:
+        # robot j services the tail split off the arc behind it, then its own arc
+        return model.segment_cost_at(keys[j], arc_len[j] - split_vec[j], j,
+                                     behind=split_vec[(j - 1) % k])
 
     if k > 1:
-        current = all_costs(splits)
-        for _ in range(max_passes):
+        current = [robot_cost(j, splits) for j in range(k)]
+        for _ in range(8):
             changed = False
             for j in range(k):
                 nxt = (j + 1) % k
                 best_t, best_max = splits[j], max(current)
-                for t in range(costs.arc_len[j]):
+                for t in range(arc_len[j]):
                     if t == splits[j]:
                         continue
                     trial = list(splits)
                     trial[j] = t
-                    cost_j = costs.robot_cost(j, trial[(j - 1) % k], trial[j])
-                    cost_n = costs.robot_cost(nxt, trial[(nxt - 1) % k], trial[nxt])
-                    trial_max = max(cost_j, cost_n,
+                    trial_max = max(robot_cost(j, trial), robot_cost(nxt, trial),
                                     *(current[i] for i in range(k) if i not in (j, nxt)))
                     if trial_max < best_max - 1e-12:
                         best_t, best_max = t, trial_max
                 if best_t != splits[j]:
                     splits[j] = best_t
-                    current = all_costs(splits)
+                    current = [robot_cost(j, splits) for j in range(k)]
                     changed = True
             if not changed:
                 break
 
     plans = []
     for j, (pos, robot) in enumerate(entries):
-        t_behind = splits[(j - 1) % k] if k > 1 else 0
-        fwd_size = costs.arc_len[j] - (splits[j] if k > 1 else 0)
-        fwd = [loop.nodes[(pos + i) % length] for i in range(fwd_size)]
-        runs = []
-        if t_behind > 0:
-            runs.append([loop.nodes[(pos - 1 - i) % length] for i in range(t_behind)])
-        runs.append(fwd)
+        behind = splits[(j - 1) % k]
+        runs = [[loop.nodes[(pos - 1 - i) % length] for i in range(behind)],
+                [loop.nodes[(pos + i) % length] for i in range(arc_len[j] - splits[j])]]
         plans.append(build_robot_plan(robot, depots[robot], runs, capacity, g))
     plans.sort(key=lambda p: p.robot)
-    keys = [pos for pos, _ in entries]
-    binding = [robot for _, robot in entries]
-    pset = PartitionSet(keys=keys, loop_length=length,
-                        weights=[p.weight for p in plans])
+    pset.weights = [p.weight for p in plans]
     return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=0)
 
 

@@ -14,7 +14,7 @@ from .graphs import PlannerConfig
 from .pipeline import (ALGORITHMS, ScenePlanner, capacity_label, plan_document,
                        write_json_atomic)
 from .render import save_plan_svg
-from .scene import Scene, load_scene, save_scene
+from .scene import load_scene, save_scene
 
 
 @dataclass
@@ -38,8 +38,7 @@ class RunSpec:
 
     def config(self) -> PlannerConfig:
         return PlannerConfig(alpha=self.alpha, beta=self.beta,
-                             slope_threshold=self.slope_threshold,
-                             robots=max(self.robots))
+                             slope_threshold=self.slope_threshold)
 
 
 def _parse_capacity(text: str) -> float:

@@ -15,7 +15,6 @@ the slope is normalized against the retained-slope bounds of the map.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -37,20 +36,14 @@ class GraphError(ValueError):
 
 @dataclass
 class PlannerConfig:
-    """Weighting and fleet parameters for the planning pipeline."""
+    """Edge weighting and slope filter parameters for the planning pipeline."""
     alpha: float = 1.0 / 3.0
     beta: float = 2.0 / 3.0
     slope_threshold: float = 25.0
-    robots: int = 1
-    capacity: float = math.inf  # serviced cells per load; math.inf = unbounded
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
             raise GraphError("need alpha >= 0, beta >= 0, alpha + beta > 0")
-        if self.robots < 1:
-            raise GraphError("robot count must be >= 1")
-        if self.capacity != math.inf and (int(self.capacity) != self.capacity or self.capacity < 1):
-            raise GraphError("capacity must be a positive integer or unbounded")
 
 
 def edge_weight(length: float, slope: float, bounds: tuple[float, float],
@@ -92,9 +85,7 @@ class CoveringGraph:
     height: int
     cells: list[Cell]                       # row-major order
     index: dict[Cell, int]
-    adjacency: list[list[tuple[int, float]]]
     weights: dict[tuple[int, int], float]   # keyed by (min(idx), max(idx))
-    depot_nodes: list[int] = field(default_factory=list)
     _csr: csr_matrix | None = field(default=None, repr=False)
     _sssp_cache: dict = field(default_factory=dict, repr=False)
 
@@ -183,22 +174,11 @@ def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig,
         add((x, y), (x + 1, y + 1), SQRT2, slope)
         add((x + 1, y), (x, y + 1), SQRT2, slope)
 
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in cells]
-    for (i, j), w in weights.items():
-        adjacency[i].append((j, w))
-        adjacency[j].append((i, w))
-    for lst in adjacency:
-        lst.sort()
-
-    depot_nodes = []
-    for d in depots:
-        d = tuple(d)
+    for d in map(tuple, depots):
         if d not in index:
             raise GraphError(f"depot {d} is not a free cell of the covering graph")
-        depot_nodes.append(index[d])
     return CoveringGraph(width=tmap.width, height=tmap.height, cells=cells,
-                         index=index, adjacency=adjacency, weights=weights,
-                         depot_nodes=depot_nodes)
+                         index=index, weights=weights)
 
 
 @dataclass
@@ -269,35 +249,3 @@ def build_spanning_graph(tmap: TraversabilityMap, config: PlannerConfig) -> Span
         for cell in g.block_cells(block):
             cover_map[cell] = block
     return g
-
-
-def shortest_path(g: CoveringGraph, start: Cell, goal: Cell) -> tuple[list[Cell], float]:
-    """Minimum-weight path in G with deterministic (row-major id) tie-breaking."""
-    if start not in g.index or goal not in g.index:
-        raise GraphError("shortest_path endpoints must be graph nodes")
-    src, dst = g.index[start], g.index[goal]
-    if src == dst:
-        return [start], 0.0
-    dist = {src: 0.0}
-    pred: dict[int, int] = {}
-    heap = [(0.0, src)]
-    done = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        if node == dst:
-            break
-        done.add(node)
-        for nbr, w in g.adjacency[node]:
-            nd = d + w
-            if nd < dist.get(nbr, math.inf) - 1e-15:
-                dist[nbr] = nd
-                pred[nbr] = node
-                heapq.heappush(heap, (nd, nbr))
-    if dst not in dist:
-        raise GraphError(f"nodes {start} and {goal} are not connected")
-    path = [dst]
-    while path[-1] != src:
-        path.append(pred[path[-1]])
-    return [g.cells[i] for i in reversed(path)], dist[dst]

@@ -15,11 +15,11 @@ non-increasing across iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CoveringGraph, PlannerConfig
+from .graphs import CoveringGraph
 from .scene import Cell
 from .stc import CoverageLoop
 
@@ -150,8 +150,7 @@ def build_robot_plan(robot: int, depot: Cell, runs: list[list[Cell]],
     prev_cell = None
     for run in runs:
         if prev_cell is not None:
-            _, leg = _travel(g, prev_cell, run[0])
-            weight += leg
+            weight += g.distance(prev_cell, run[0])
         for i, cell in enumerate(run):
             if i > 0:
                 weight += g.weight(run[i - 1], cell)
@@ -166,20 +165,10 @@ def build_robot_plan(robot: int, depot: Cell, runs: list[list[Cell]],
         prev_cell = run[-1]
     weight += from_depot(prev_cell)
     trips = trips_required(total, capacity)
-    assert len(refills) == trips - 1
+    if len(refills) != trips - 1:
+        raise PartitionError(f"{len(refills)} refills for {trips} trips")
     return RobotPlan(robot=robot, depot=depot, runs=runs, refills=refills,
                      trips=trips, weight=weight)
-
-
-def _travel(g: CoveringGraph, a: Cell, b: Cell) -> tuple[list[Cell], float]:
-    dist, _ = g.sssp(a)
-    return g.path(a, b), float(dist[g.index[b]])
-
-
-def segment_cost(segment: list[Cell], depot: Cell, capacity: float,
-                 g: CoveringGraph) -> float:
-    """Full cost of covering one contiguous loop segment from a depot."""
-    return build_robot_plan(0, depot, [segment], capacity, g).weight
 
 
 class LoopCostModel:
@@ -205,12 +194,21 @@ class LoopCostModel:
     def coverage_cost(self, start: int, size: int) -> float:
         return float(self.prefix[start + size - 1] - self.prefix[start])
 
-    def segment_cost_at(self, start: int, size: int, depot_idx: int) -> float:
-        d = self.depot_dist[depot_idx]
-        cost = d[start] + self.coverage_cost(start, size)
-        cost += d[(start + size - 1) % self.length]
-        for off in _refill_offsets(size, self.capacity):
-            cost += 2.0 * d[(start + off) % self.length]
+    def segment_cost_at(self, start: int, size: int, depot_idx: int,
+                        behind: int = 0) -> float:
+        """Full cost of servicing ``behind`` cells walking backward from
+        ``start - 1``, then the ``size`` cells from ``start`` forward."""
+        d, length = self.depot_dist[depot_idx], self.length
+        cost = 0.0
+        if behind:
+            tail = (start - behind) % length
+            cost += d[(start - 1) % length] + self.coverage_cost(tail, behind) + d[tail]
+        cost += d[start]
+        cost += self.coverage_cost(start, size)
+        cost += d[(start + size - 1) % length]
+        for off in _refill_offsets(behind + size, self.capacity):
+            pos = start - off - 1 if off < behind else start + off - behind
+            cost += 2.0 * d[pos % length]
         return float(cost)
 
     def greedy_binding(self, starts: list[int]) -> list[int]:
@@ -423,8 +421,7 @@ def _refine(model: LoopCostModel, current: PartitionSet, size_cap: int | None,
 
 
 def optimize_partition(model: LoopCostModel, initial: PartitionSet,
-                       max_iters: int, size_cap: int | None = None,
-                       refine_budget: int | None = None
+                       max_iters: int, size_cap: int | None = None
                        ) -> tuple[PartitionSet, int]:
     """Balance a partition: greedy binary-search cuts plus bounded refinement.
 
@@ -441,9 +438,7 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
     current = PartitionSet(keys=list(initial.keys), loop_length=length, weights=costs)
     if k == 1:
         return current, 0
-    if refine_budget is None:
-        refine_budget = max(2000, min(50_000, 400_000 // (k * max(1, length // 8))))
-    budget = _EvalBudget(refine_budget)
+    budget = _EvalBudget(max(2000, min(50_000, 400_000 // (k * max(1, length // 8)))))
 
     best, iterations = _greedy_pass(model, current, max_iters, size_cap)
     best = _refine(model, best, size_cap, budget)
@@ -476,45 +471,33 @@ def _plans_from_partition(loop: CoverageLoop, pset: PartitionSet, binding: list[
     return plans
 
 
-def _fleet_depots(g: CoveringGraph, k: int) -> list[Cell]:
-    if len(g.depot_nodes) < k:
-        raise PartitionError(f"scene provides {len(g.depot_nodes)} depots, need {k}")
-    return [g.cells[i] for i in g.depot_nodes[:k]]
-
-
-def naive_mstc(g: CoveringGraph, loop: CoverageLoop, k: int,
+def naive_mstc(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
                capacity: float = math.inf) -> PlanOutcome:
     """Equal-count partition with greedy depot binding; no rebalancing."""
-    depots = _fleet_depots(g, k)
     model = LoopCostModel(loop, g, depots, capacity)
-    pset = naive_partition(loop, k)
+    pset = naive_partition(loop, len(depots))
     costs, binding = model.placement_costs(pset.keys)
     pset.weights = costs
     plans = _plans_from_partition(loop, pset, binding, depots, capacity, g)
     return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=0)
 
 
-def balanced_mstc(g: CoveringGraph, h, loop: CoverageLoop, k: int,
-                  config: PlannerConfig | None = None,
-                  max_iters: int | None = None,
+def balanced_mstc(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
                   capacity: float = math.inf,
                   size_cap: int | None = None) -> PlanOutcome:
     """Balanced min-max partition of the loop for k robots (one load each)."""
-    depots = _fleet_depots(g, k)
+    k = len(depots)
     model = LoopCostModel(loop, g, depots, capacity)
-    if max_iters is None:
-        max_iters = 64 * k
     final, iterations = optimize_partition(model, naive_partition(loop, k),
-                                           max_iters, size_cap)
+                                           64 * k, size_cap)
     _, binding = model.placement_costs(final.keys)
     plans = _plans_from_partition(loop, final, binding, depots, capacity, g)
     return PlanOutcome(plans=plans, partition=final, binding=binding,
                        iterations=iterations)
 
 
-def capacity_partition(g: CoveringGraph, loop: CoverageLoop, k: int,
-                       capacity: float, config: PlannerConfig | None = None,
-                       max_iters: int | None = None) -> PlanOutcome:
+def capacity_partition(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
+                       capacity: float = math.inf) -> PlanOutcome:
     """Balanced partition under a finite workload capacity.
 
     When one load per robot suffices this is the plain balanced partition
@@ -527,21 +510,16 @@ def capacity_partition(g: CoveringGraph, loop: CoverageLoop, k: int,
     if capacity != math.inf and capacity < 1:
         raise PartitionError("capacity must be >= 1")
     if capacity == math.inf:
-        return balanced_mstc(g, None, loop, k, config, max_iters)
-    c = int(capacity)
-    length = len(loop)
+        return balanced_mstc(g, loop, depots)
+    k, c, length = len(depots), int(capacity), len(loop)
     if c >= -(-length // k):
-        return balanced_mstc(g, None, loop, k, config, max_iters,
-                             capacity=capacity, size_cap=c)
+        return balanced_mstc(g, loop, depots, capacity, size_cap=c)
 
-    depots = _fleet_depots(g, k)
     naive_sizes = naive_partition(loop, k).sizes()
     n = sum(trips_required(s, c) for s in naive_sizes)
     virtual_model = LoopCostModel(loop, capacity=math.inf)
-    if max_iters is None:
-        max_iters = 64 * n
     virtual, iterations = optimize_partition(virtual_model, naive_partition(loop, n),
-                                             max_iters, size_cap=c)
+                                             64 * n, size_cap=c)
 
     counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
     merged_keys, assignment = [], []
@@ -555,7 +533,7 @@ def capacity_partition(g: CoveringGraph, loop: CoverageLoop, k: int,
     # refill excursions (which dominate at small capacities) are part of
     # the objective, not just the coverage hops
     model = LoopCostModel(loop, g, depots, capacity)
-    merged, more = optimize_partition(model, merged, max_iters=64 * k)
+    merged, more = optimize_partition(model, merged, 64 * k)
     iterations += more
     _, binding = model.placement_costs(merged.keys)
     plans = _plans_from_partition(loop, merged, binding, depots, capacity, g)

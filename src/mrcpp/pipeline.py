@@ -18,11 +18,21 @@ from pathlib import Path
 from . import baselines, partition
 from .graphs import (CoveringGraph, PlannerConfig, SpanningGraph,
                      build_covering_graph, build_spanning_graph)
-from .scene import Scene, SceneError
+from .scene import Scene
 from .stc import CoverageLoop, SpanningTree, minimum_spanning_tree, spiral_stc_loop
 from .terrain import build_traversability
 
-ALGORITHMS = ("mstc-nb", "mstc-bo", "naive", "balanced")
+# algorithm -> (module, strategy name); every strategy is called as
+# f(g, loop, depots, capacity) -> PlanOutcome.  Names are looked up at call
+# time so that a wrapper installed on the module, such as the benchmark's
+# layer probes, is the function called.
+STRATEGIES = {
+    "mstc-nb": (baselines, "mstc_nb"),
+    "mstc-bo": (baselines, "mstc_bo"),
+    "naive": (partition, "naive_mstc"),
+    "balanced": (partition, "capacity_partition"),
+}
+ALGORITHMS = tuple(STRATEGIES)
 
 
 class PlanningError(RuntimeError):
@@ -105,18 +115,18 @@ class ScenePlanner:
 
     def plan(self, algorithm: str, robots: int,
              capacity: float = math.inf) -> PlanResult:
-        if algorithm not in ALGORITHMS:
+        if algorithm not in STRATEGIES:
             raise PlanningError(f"unknown algorithm '{algorithm}'")
-        depots = self.depots(robots)
-        if algorithm == "mstc-nb":
-            outcome = baselines.mstc_nb(self.graph, self.loop, depots, capacity)
-        elif algorithm == "mstc-bo":
-            outcome = baselines.mstc_bo(self.graph, self.loop, depots, capacity)
-        elif algorithm == "naive":
-            outcome = partition.naive_mstc(self.graph, self.loop, robots, capacity)
-        else:
-            outcome = partition.capacity_partition(self.graph, self.loop, robots,
-                                                   capacity, self.config)
+        if isinstance(robots, bool) or not isinstance(robots, int) or robots < 1:
+            raise PlanningError(f"robots must be a positive integer, got {robots!r}")
+        if capacity != math.inf and not (isinstance(capacity, (int, float))
+                                         and capacity >= 1
+                                         and float(capacity).is_integer()):
+            raise PlanningError(
+                f"capacity must be a positive integer or inf, got {capacity!r}")
+        module, name = STRATEGIES[algorithm]
+        outcome = getattr(module, name)(self.graph, self.loop, self.depots(robots),
+                                        capacity)
         return PlanResult(algorithm=algorithm, robots=robots, capacity=capacity,
                           outcome=outcome, coverage=self.coverage)
 

@@ -69,6 +69,14 @@ class Scene:
                 raise SceneError(f"depot {d} lies in a non-working region")
 
 
+def _cell_entry(path: Path, key: str, item) -> Cell:
+    """One ``[x, y]`` entry of a scene document's cell list."""
+    if not (isinstance(item, list) and len(item) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in item)):
+        raise SceneError(f"{path}: '{key}' entry {item!r} is not a pair of integers")
+    return item[0], item[1]
+
+
 def load_scene(path) -> Scene:
     """Load and validate a scene JSON document.
 
@@ -89,7 +97,7 @@ def load_scene(path) -> Scene:
     cell_size = float(doc.get("cell_size", 1.0))
     blocked = np.zeros((height, width), dtype=bool)
     for item in doc.get("blocked", []):
-        x, y = int(item[0]), int(item[1])
+        x, y = _cell_entry(path, "blocked", item)
         if not (0 <= x < width and 0 <= y < height):
             raise SceneError(f"{path}: blocked cell ({x}, {y}) outside the grid")
         blocked[y, x] = True
@@ -113,7 +121,7 @@ def load_scene(path) -> Scene:
         if landclass.shape != (height, width):
             raise SceneError(f"{mask_path}: land-class raster size mismatch")
 
-    depots = [(int(d[0]), int(d[1])) for d in doc.get("depots", [])]
+    depots = [_cell_entry(path, "depots", d) for d in doc.get("depots", [])]
     scene = Scene(width=width, height=height, cell_size=cell_size,
                   elevation=elevation, blocked=blocked,
                   landclass=landclass, depots=depots)

@@ -22,8 +22,7 @@ from scipy.ndimage import uniform_filter
 
 from .graphs import PlannerConfig, build_spanning_graph
 from .scene import Scene, SceneError
-from .terrain import (DEFAULT_SLOPE_THRESHOLD, TraversabilityMap, _components,
-                      merge_masks, steepness_filter)
+from .terrain import DEFAULT_SLOPE_THRESHOLD, merge_masks, steepness_filter
 
 KINDS = ("blocked", "random", "field")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Block, CoveringGraph, GraphError, SpanningGraph
+from .graphs import Block, CoveringGraph, SpanningGraph
 from .scene import Cell
 from .terrain import _canon
 
@@ -181,8 +181,3 @@ def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> Covera
         hop_weights.append(g.weight(cell, nxt))
     return CoverageLoop(nodes=cycle, edge_weights=hop_weights,
                         total_weight=sum(hop_weights))
-
-
-def loop_weight(loop: CoverageLoop) -> float:
-    """Accumulated weight of the cyclic hop sequence."""
-    return sum(loop.edge_weights)

@@ -149,29 +149,6 @@ def merge_masks(tmap: TraversabilityMap, landclass: np.ndarray) -> Traversabilit
     return TraversabilityMap(free=free, edge_slopes=edges, slope_bounds=tmap.slope_bounds)
 
 
-def _components(tmap: TraversabilityMap) -> list[set[Cell]]:
-    adjacency: dict[Cell, list[Cell]] = {}
-    for (a, b) in tmap.edge_slopes:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    seen: set[Cell] = set()
-    comps = []
-    for start in sorted(adjacency, key=lambda c: (c[1], c[0])):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            cell = queue.popleft()
-            for nbr in adjacency.get(cell, ()):
-                if nbr not in comp:
-                    comp.add(nbr)
-                    queue.append(nbr)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def build_traversability(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -> TraversabilityMap:
     """Full traversability pipeline: threshold, mask merge, isolation pruning.
 
@@ -184,7 +161,7 @@ def build_traversability(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOL
     for d in scene.depots:
         if not tmap.is_free(d):
             raise SceneError(f"depot {d} is not traversable after filtering")
-    tmap = remove_isolated(tmap, scene.depots)
-    if len(_components(tmap)) > 1:
+    tmap = remove_isolated(tmap, scene.depots[:1])
+    if not all(tmap.is_free(d) for d in scene.depots):
         raise SceneError("depots lie in disconnected traversable regions")
     return tmap

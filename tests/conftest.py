@@ -1,9 +1,13 @@
 """Shared fixtures and instance builders for the test suite."""
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 import pytest
 
+from mrcpp.graphs import CoveringGraph, GraphError
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -21,6 +25,48 @@ def ramp_scene(width: int, height: int, depots, slope_per_cell: float = 0.2) -> 
     """Elevation increasing along x: gentle uniform slope."""
     elev = np.tile(np.arange(width, dtype=float) * slope_per_cell, (height, 1))
     return Scene(width=width, height=height, depots=list(depots), elevation=elev)
+
+
+def shortest_path(g: CoveringGraph, start, goal) -> tuple[list, float]:
+    """Minimum-weight path in G with deterministic (row-major id) tie-breaking.
+
+    A heap Dijkstra over adjacency lists built from ``g.weights``: the
+    oracle the tests hold ``CoveringGraph.sssp`` and the plan costs to.
+    """
+    if start not in g.index or goal not in g.index:
+        raise GraphError("shortest_path endpoints must be graph nodes")
+    src, dst = g.index[start], g.index[goal]
+    if src == dst:
+        return [start], 0.0
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in g.cells]
+    for (i, j), w in g.weights.items():
+        adjacency[i].append((j, w))
+        adjacency[j].append((i, w))
+    for lst in adjacency:
+        lst.sort()
+    dist = {src: 0.0}
+    pred: dict[int, int] = {}
+    heap = [(0.0, src)]
+    done = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        if node == dst:
+            break
+        done.add(node)
+        for nbr, w in adjacency[node]:
+            nd = d + w
+            if nd < dist.get(nbr, math.inf) - 1e-15:
+                dist[nbr] = nd
+                pred[nbr] = node
+                heapq.heappush(heap, (nd, nbr))
+    if dst not in dist:
+        raise GraphError(f"nodes {start} and {goal} are not connected")
+    path = [dst]
+    while path[-1] != src:
+        path.append(pred[path[-1]])
+    return [g.cells[i] for i in reversed(path)], dist[dst]
 
 
 def loop_instance(seed: int, k: int, width: int = 14, height: int = 14) -> ScenePlanner:

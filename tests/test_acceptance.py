@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mrcpp.graphs import (PlannerConfig, SpanningGraph, build_covering_graph,
-                          build_spanning_graph, edge_weight, shortest_path)
+                          build_spanning_graph, edge_weight)
 from mrcpp.partition import balanced_mstc, capacity_partition, naive_mstc
 from mrcpp.baselines import mstc_nb
 from mrcpp.pipeline import ScenePlanner, plan_document
@@ -24,7 +24,7 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import _canon, remove_isolated, steepness_filter
 
-from conftest import loop_instance, tiny_loop_instances
+from conftest import loop_instance, shortest_path, tiny_loop_instances
 
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3, slope_threshold=25.0)
 
@@ -149,8 +149,9 @@ def test_criterion_3_balanced_dominance():
     for seed in range(100):
         k = (2, 4, 8)[seed % 3]
         planner = loop_instance(seed, k)
-        balanced = balanced_mstc(planner.graph, None, planner.loop, k).max_weight
-        naive = naive_mstc(planner.graph, planner.loop, k).max_weight
+        depots = planner.depots(k)
+        balanced = balanced_mstc(planner.graph, planner.loop, depots).max_weight
+        naive = naive_mstc(planner.graph, planner.loop, depots).max_weight
         nb = mstc_nb(planner.graph, planner.loop, planner.scene.depots).max_weight
         assert balanced <= naive + 1e-9, f"seed {seed}: balanced > naive"
         assert naive <= nb + 1e-9, f"seed {seed}: naive > mstc-nb"
@@ -167,7 +168,7 @@ def test_criterion_4_near_optimal_on_small_loops():
 
     worst = 1.0
     for planner, k in tiny_loop_instances(200):
-        outcome = balanced_mstc(planner.graph, None, planner.loop, k)
+        outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(k))
         model = LoopCostModel(planner.loop, planner.graph, planner.scene.depots[:k])
         best = min(max(model.placement_costs(list(combo))[0])
                    for combo in itertools.combinations(range(len(planner.loop)), k))
@@ -212,7 +213,7 @@ def test_criterion_5_capacity_law():
         k = (2, 3, 4)[seed % 3]
         c = (3.0, 5.0, 8.0, 12.0)[seed % 4]
         planner = loop_instance(seed, k, width=10, height=10)
-        outcome = capacity_partition(planner.graph, planner.loop, k, c)
+        outcome = capacity_partition(planner.graph, planner.loop, planner.depots(k), c)
         for plan in outcome.plans:
             size = len(plan.segment)
             assert plan.trips == math.ceil(size / c)
@@ -226,7 +227,8 @@ def test_criterion_5_capacity_law():
             assert sim_refills == len(plan.refills)
         # one load per robot once capacity covers an even share
         big_c = float(-(-len(planner.loop) // k))
-        relaxed = capacity_partition(planner.graph, planner.loop, k, big_c)
+        relaxed = capacity_partition(planner.graph, planner.loop, planner.depots(k),
+                                     big_c)
         assert all(p.trips == 1 for p in relaxed.plans)
         checked += 1
     _ok(5, "50 instances: trips = ceil(size/c), refill runs <= c, "
@@ -239,8 +241,8 @@ def test_criterion_6_unbounded_capacity_reduction():
     for seed in range(50):
         k = (2, 3, 4)[seed % 3]
         planner = loop_instance(seed + 500, k, width=10, height=10)
-        a = capacity_partition(planner.graph, planner.loop, k, math.inf)
-        b = balanced_mstc(planner.graph, None, planner.loop, k)
+        a = capacity_partition(planner.graph, planner.loop, planner.depots(k), math.inf)
+        b = balanced_mstc(planner.graph, planner.loop, planner.depots(k))
         assert a.partition.keys == b.partition.keys
         assert [p.segment for p in a.plans] == [p.segment for p in b.plans]
     gaps_shrink = 0

@@ -140,8 +140,9 @@ def test_balanced_ratio_at_least_naive_ratio():
     for seed in (1, 6, 9):
         planner = loop_instance(seed, 4)
         base = mstc_nb(planner.graph, planner.loop, planner.scene.depots).max_weight
-        naive = naive_mstc(planner.graph, planner.loop, 4).max_weight
-        balanced = balanced_mstc(planner.graph, None, planner.loop, 4).max_weight
+        depots = planner.depots(4)
+        naive = naive_mstc(planner.graph, planner.loop, depots).max_weight
+        balanced = balanced_mstc(planner.graph, planner.loop, depots).max_weight
         assert reduction_ratio(base, balanced) >= reduction_ratio(base, naive) - 1e-12
 
 

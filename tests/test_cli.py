@@ -6,13 +6,13 @@ import pytest
 
 from mrcpp.cli import main
 from mrcpp.graphs import PlannerConfig
-from mrcpp.pipeline import PlanningError, ScenePlanner, plan_document, \
+from mrcpp.pipeline import ALGORITHMS, PlanningError, ScenePlanner, plan_document, \
     write_json_atomic
 from mrcpp.render import RenderError, render_plan_svg
 from mrcpp.scene import load_scene, save_scene
 from mrcpp.scenegen import generate_scene
 
-from conftest import flat_scene
+from conftest import flat_scene, loop_instance, shortest_path
 
 
 def test_gen_scene_kinds_are_loadable(tmp_path):
@@ -64,8 +64,6 @@ def test_plan_sweep_writes_one_file_per_cell(tmp_path):
 
 
 def test_plan_metrics_match_recomputation(tmp_path):
-    from mrcpp.graphs import shortest_path
-
     scene_path = tmp_path / "scene.json"
     main(["gen-scene", "--kind", "random", "--seed", "2", "--out", str(scene_path)])
     out = tmp_path / "plans"
@@ -99,6 +97,14 @@ def test_plan_errors_on_too_many_robots(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "depots" in capsys.readouterr().err
+
+
+def test_plan_rejects_zero_robots(tmp_path, capsys):
+    scene_path = save_scene(flat_scene(4, 4, depots=[(0, 0)]), tmp_path / "s.json")
+    code = main(["plan", "--scene", str(scene_path), "--robots", "0",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "robots must be a positive integer" in capsys.readouterr().err
 
 
 def test_compare_reports_and_table(tmp_path, capsys):
@@ -205,9 +211,24 @@ def test_pipeline_rejects_uncovered_first_depot():
         ScenePlanner(scene)
 
 
+@pytest.fixture(scope="module")
+def two_depot_planner():
+    return loop_instance(21, 2)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("robots, capacity, field", [
+    (0, math.inf, "robots"), (-1, math.inf, "robots"), (1.5, math.inf, "robots"),
+    (2, 0, "capacity"), (2, 0.5, "capacity"), (2, -3, "capacity"),
+    (2, math.nan, "capacity"), (2, 2.5, "capacity"), (2, -math.inf, "capacity"),
+])
+def test_plan_rejects_bad_request(two_depot_planner, algorithm, robots, capacity, field):
+    with pytest.raises(PlanningError, match=f"^{field} must be"):
+        two_depot_planner.plan(algorithm, robots, capacity)
+
+
 def test_planner_config_defaults_match_cli():
     cfg = PlannerConfig()
     assert cfg.alpha == pytest.approx(1 / 3)
     assert cfg.beta == pytest.approx(2 / 3)
     assert cfg.slope_threshold == 25.0
-    assert cfg.capacity == math.inf

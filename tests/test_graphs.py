@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrcpp.graphs import (GraphError, PlannerConfig, build_covering_graph,
-                          build_spanning_graph, edge_weight, shortest_path)
+                          build_spanning_graph, edge_weight)
 from mrcpp.scene import Scene
 from mrcpp.terrain import build_traversability, steepness_filter
 
-from conftest import flat_scene
+from conftest import flat_scene, shortest_path
 
 SQRT2 = math.sqrt(2.0)
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3)

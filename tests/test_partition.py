@@ -3,18 +3,17 @@ import math
 
 import pytest
 
-from mrcpp.graphs import PlannerConfig, build_covering_graph, build_spanning_graph, \
-    shortest_path
+from mrcpp.graphs import PlannerConfig, build_covering_graph, build_spanning_graph
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet,
                              balanced_cut, balanced_mstc, build_robot_plan,
                              capacity_partition, max_weight, naive_mstc,
-                             naive_partition, segment_cost, trips_required)
+                             naive_partition, trips_required)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import build_traversability
 
-from conftest import flat_scene, loop_instance, tiny_loop_instances
+from conftest import flat_scene, loop_instance, shortest_path, tiny_loop_instances
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -51,7 +50,7 @@ def simulate_segment(segment, depot, capacity, g):
 
 def test_segment_cost_degenerate_depot_only(small_planner):
     g = small_planner.graph
-    assert segment_cost([(0, 0)], (0, 0), math.inf, g) == 0.0
+    assert build_robot_plan(0, (0, 0), [[(0, 0)]], math.inf, g).weight == 0.0
 
 
 def test_segment_cost_unbounded_is_approach_coverage_return(small_planner):
@@ -61,7 +60,7 @@ def test_segment_cost_unbounded_is_approach_coverage_return(small_planner):
     expected = shortest_path(g, depot, segment[0])[1]
     expected += sum(g.weight(a, b) for a, b in zip(segment, segment[1:]))
     expected += shortest_path(g, segment[-1], depot)[1]
-    assert segment_cost(segment, depot, math.inf, g) == pytest.approx(expected)
+    assert build_robot_plan(0, depot, [segment], math.inf, g).weight == pytest.approx(expected)
 
 
 def test_segment_cost_seven_nodes_capacity_three(small_planner):
@@ -81,7 +80,7 @@ def test_segment_cost_matches_simulation_on_weighted_instances():
     depot = planner.scene.depots[1]
     for size, cap in ((9, 4.0), (12, math.inf), (5, 2.0)):
         segment = loop.nodes[4:4 + size]
-        got = segment_cost(segment, depot, cap, g)
+        got = build_robot_plan(0, depot, [segment], cap, g).weight
         assert got == pytest.approx(simulate_segment(segment, depot, cap, g))
 
 
@@ -106,7 +105,7 @@ def test_naive_partition_rejects_bad_k():
 
 def test_naive_equal_counts_unequal_weights_on_weighted_loop():
     planner = loop_instance(3, 4)
-    outcome = naive_mstc(planner.graph, planner.loop, 4)
+    outcome = naive_mstc(planner.graph, planner.loop, planner.depots(4))
     sizes = outcome.partition.sizes()
     assert max(sizes) - min(sizes) <= 1
     weights = outcome.partition.weights
@@ -164,7 +163,7 @@ def test_balanced_cut_never_worse_and_conserves_nodes():
 
 def test_balanced_mstc_single_robot():
     planner = loop_instance(2, 1)
-    outcome = balanced_mstc(planner.graph, None, planner.loop, 1)
+    outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(1))
     assert outcome.iterations == 0
     assert len(outcome.plans) == 1
     assert outcome.plans[0].segment == planner.loop.nodes
@@ -183,7 +182,7 @@ def test_balanced_mstc_symmetric_uniform_loop():
 
 def test_balanced_mstc_near_optimal_on_tiny_loops():
     for planner, k in tiny_loop_instances(20):
-        outcome = balanced_mstc(planner.graph, None, planner.loop, k)
+        outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(k))
         model = LoopCostModel(planner.loop, planner.graph, planner.scene.depots[:k])
         best = min(max(model.placement_costs(list(combo))[0])
                    for combo in itertools.combinations(range(len(planner.loop)), k))
@@ -193,15 +192,15 @@ def test_balanced_mstc_near_optimal_on_tiny_loops():
 def test_balanced_dominates_naive():
     for seed in (1, 2, 3, 4, 5):
         planner = loop_instance(seed, 4)
-        balanced = balanced_mstc(planner.graph, None, planner.loop, 4)
-        naive = naive_mstc(planner.graph, planner.loop, 4)
+        balanced = balanced_mstc(planner.graph, planner.loop, planner.depots(4))
+        naive = naive_mstc(planner.graph, planner.loop, planner.depots(4))
         assert balanced.max_weight <= naive.max_weight + 1e-9
 
 
 def test_capacity_partition_unbounded_reduces_to_balanced():
     planner = loop_instance(6, 3)
-    a = capacity_partition(planner.graph, planner.loop, 3, math.inf)
-    b = balanced_mstc(planner.graph, None, planner.loop, 3)
+    a = capacity_partition(planner.graph, planner.loop, planner.depots(3), math.inf)
+    b = balanced_mstc(planner.graph, planner.loop, planner.depots(3))
     assert a.partition.keys == b.partition.keys
     assert [p.segment for p in a.plans] == [p.segment for p in b.plans]
     assert a.max_weight == pytest.approx(b.max_weight)
@@ -210,7 +209,7 @@ def test_capacity_partition_unbounded_reduces_to_balanced():
 def test_capacity_partition_24_nodes_two_robots_cap_4():
     planner = uniform_planner(6, 4, [0, 12])
     assert len(planner.loop) == 24
-    outcome = capacity_partition(planner.graph, planner.loop, 2, 4.0)
+    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(2), 4.0)
     assert outcome.capacity_detail.n == 6
     assert [len(a) for a in outcome.capacity_detail.assignment] == [3, 3]
     for plan in outcome.plans:
@@ -219,7 +218,7 @@ def test_capacity_partition_24_nodes_two_robots_cap_4():
 
 def test_capacity_law_and_refill_runs():
     planner = loop_instance(8, 2)
-    outcome = capacity_partition(planner.graph, planner.loop, 2, 5.0)
+    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(2), 5.0)
     for plan in outcome.plans:
         assert plan.trips == math.ceil(len(plan.segment) / 5)
         assert len(plan.refills) == plan.trips - 1
@@ -235,7 +234,7 @@ def test_capacity_at_least_even_share_means_single_trip():
     planner = loop_instance(10, 4)
     length = len(planner.loop)
     cap = float(-(-length // 4))
-    outcome = capacity_partition(planner.graph, planner.loop, 4, cap)
+    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(4), cap)
     assert all(p.trips == 1 for p in outcome.plans)
     assert all(len(p.segment) <= cap for p in outcome.plans)
     assert all(not p.refills for p in outcome.plans)
@@ -243,7 +242,7 @@ def test_capacity_at_least_even_share_means_single_trip():
 
 def test_capacity_sub_partitions_cover_loop_once():
     planner = uniform_planner(6, 4, [0, 12])
-    outcome = capacity_partition(planner.graph, planner.loop, 2, 4.0)
+    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(2), 4.0)
     detail = outcome.capacity_detail
     assert sum(detail.sub_sizes) == len(planner.loop)
     assigned = sorted(j for group in detail.assignment for j in group)
@@ -252,7 +251,7 @@ def test_capacity_sub_partitions_cover_loop_once():
 
 def test_max_weight():
     planner = loop_instance(4, 3)
-    outcome = balanced_mstc(planner.graph, None, planner.loop, 3)
+    outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(3))
     assert max_weight(outcome.plans) == max(p.weight for p in outcome.plans)
     assert max_weight([outcome.plans[0]]) == outcome.plans[0].weight
     with pytest.raises(PartitionError):
@@ -261,28 +260,45 @@ def test_max_weight():
 
 def test_partition_conservation_and_disjoint_union():
     planner = loop_instance(12, 4)
-    outcome = balanced_mstc(planner.graph, None, planner.loop, 4)
+    outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(4))
     nodes = [c for p in outcome.plans for c in p.segment]
     assert len(nodes) == len(planner.loop)
     assert set(nodes) == set(planner.loop.nodes)
 
 
 def test_plans_deterministic_across_runs():
-    a = balanced_mstc(loop_instance(7, 4).graph, None, loop_instance(7, 4).loop, 4)
-    b = balanced_mstc(loop_instance(7, 4).graph, None, loop_instance(7, 4).loop, 4)
+    a, b = (balanced_mstc(p.graph, p.loop, p.depots(4))
+            for p in (loop_instance(7, 4), loop_instance(7, 4)))
     assert a.partition.keys == b.partition.keys
     assert [p.segment for p in a.plans] == [p.segment for p in b.plans]
     assert [p.weight for p in a.plans] == [p.weight for p in b.plans]
 
 
-def test_model_costs_match_segment_cost():
-    planner = loop_instance(13, 3)
-    g, loop = planner.graph, planner.loop
-    depots = planner.scene.depots[:3]
-    model = LoopCostModel(loop, g, depots, 6.0)
-    keys = [0, 9, 20]
-    costs, binding = model.placement_costs(keys)
-    pset = PartitionSet(keys=keys, loop_length=len(loop))
-    for j in range(3):
-        nodes = pset.segment_nodes(loop, j)
-        assert costs[j] == pytest.approx(segment_cost(nodes, depots[binding[j]], 6.0, g))
+@pytest.mark.parametrize("seed, k", [(13, 3), (5, 4), (41, 3)])
+@pytest.mark.parametrize("capacity", [math.inf, 3.0])
+def test_cost_kernel_matches_built_plans(seed, k, capacity):
+    """``segment_cost_at``, the cost every strategy searches with, equals
+    the weight of the plan built for the same cells."""
+    planner = loop_instance(seed, k)
+    g, loop, depots = planner.graph, planner.loop, planner.depots(k)
+    model = LoopCostModel(loop, g, depots, capacity)
+
+    def check(start, size, robot, behind, weight):
+        assert abs(model.segment_cost_at(start, size, robot, behind) - weight) <= 1e-9
+
+    for algo in ("naive", "balanced", "mstc-bo"):
+        outcome = planner.plan(algo, k, capacity).outcome
+        for key, robot in zip(outcome.partition.keys, outcome.binding):
+            plan = outcome.plans[robot]
+            assert plan.runs[-1][0] == loop.nodes[key]
+            behind = len(plan.runs[0]) if len(plan.runs) == 2 else 0
+            check(key, len(plan.runs[-1]), robot, behind, plan.weight)
+    # a backtracked tail behind robot 0's depot, with refill breaks both
+    # inside the tail and in the forward run when the capacity is finite
+    start = loop.position(depots[0])
+    for behind in (1, 4, 7):
+        for size in (1, 5):
+            tail = [loop.nodes[(start - 1 - i) % len(loop)] for i in range(behind)]
+            fwd = [loop.nodes[(start + i) % len(loop)] for i in range(size)]
+            plan = build_robot_plan(0, depots[0], [tail, fwd], capacity, g)
+            check(start, size, 0, behind, plan.weight)

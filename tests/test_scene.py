@@ -82,6 +82,17 @@ def test_load_scene_rejects_duplicate_depots(tmp_path):
         load_scene(path)
 
 
+@pytest.mark.parametrize("key", ["blocked", "depots"])
+@pytest.mark.parametrize("entry", [[1], ["a", 2]])
+def test_load_scene_rejects_malformed_cell_entry(tmp_path, key, entry):
+    doc = {"width": 4, "height": 4, "depots": [[0, 0]]}
+    doc[key] = doc.get(key, []) + [entry]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SceneError, match=f"'{key}' entry .* not a pair of integers"):
+        load_scene(path)
+
+
 def test_save_scene_round_trip(tmp_path):
     elev = np.linspace(0.0, 1.0, 16).reshape(4, 4)
     mask = np.ones((4, 4), dtype=bool)

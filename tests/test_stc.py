@@ -7,7 +7,7 @@ import pytest
 from mrcpp.graphs import PlannerConfig, SpanningGraph, build_covering_graph, \
     build_spanning_graph
 from mrcpp.scene import Scene
-from mrcpp.stc import (CoverageLoop, SpanningTree, StcError, loop_weight,
+from mrcpp.stc import (CoverageLoop, SpanningTree, StcError,
                        minimum_spanning_tree, spiral_stc_loop)
 from mrcpp.terrain import _canon, build_traversability
 
@@ -171,7 +171,7 @@ def test_loop_single_block():
     loop = spiral_stc_loop(g, tree, (0, 0))
     assert len(loop) == 4
     assert set(loop.nodes) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert loop_weight(loop) == pytest.approx(4.0)
+    assert loop.total_weight == pytest.approx(4.0)
 
 
 def test_loop_counter_clockwise_start_at_depot():
@@ -229,7 +229,7 @@ def test_loop_reversal_preserves_node_set():
     loop = spiral_stc_loop(g, tree, (0, 0))
     reversed_nodes = [loop.nodes[0]] + loop.nodes[:0:-1]
     assert set(reversed_nodes) == set(loop.nodes)
-    assert loop_weight(loop) == pytest.approx(sum(loop.edge_weights))
+    assert loop.total_weight == pytest.approx(sum(loop.edge_weights))
 
 
 def test_loop_rejects_uncovered_start():
@@ -246,7 +246,7 @@ def test_loop_weight_hand_built_corner_cut_loop():
     nodes = [(0, 0), (1, 0), (2, 0), (3, 1), (3, 0), (2, 1), (1, 1), (0, 1)]
     weights = [g.weight(a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])]
     loop = CoverageLoop(nodes=nodes, edge_weights=weights, total_weight=sum(weights))
-    assert loop_weight(loop) == pytest.approx(6 + 2 * SQRT2)
+    assert loop.total_weight == pytest.approx(6 + 2 * SQRT2)
 
 
 def test_mst_loop_cheaper_than_arbitrary_tree_loop():
@@ -260,4 +260,4 @@ def test_mst_loop_cheaper_than_arbitrary_tree_loop():
     assert mst.total_weight <= arbitrary.total_weight + 1e-12
     mst_loop = spiral_stc_loop(g, mst, (0, 0))
     dfs_loop = spiral_stc_loop(g, arbitrary, (0, 0))
-    assert loop_weight(mst_loop) < loop_weight(dfs_loop)
+    assert mst_loop.total_weight < dfs_loop.total_weight
