@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .scene import Cell
-from .terrain import TraversabilityMap, _canon
+from .terrain import TraversabilityMap, _canon, component_labels
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,37 +46,27 @@ class PlannerConfig:
             raise GraphError("need alpha >= 0, beta >= 0, alpha + beta > 0")
 
 
-def edge_weight(length: float, slope: float, bounds: tuple[float, float],
-                config: PlannerConfig) -> float:
-    """Weight of an edge of the given length (cells) and slope (degrees)."""
+def edge_weight(length: float, slope, bounds: tuple[float, float],
+                config: PlannerConfig) -> float | np.ndarray:
+    """Weight of edges of the given length (cells) and slope (degrees): a number or an array."""
     lo, hi = bounds
-    if slope < lo - 1e-9 or slope > hi + 1e-9:
-        raise GraphError(f"slope {slope} outside bounds [{lo}, {hi}]")
-    normalized = 0.0 if hi <= lo else (slope - lo) / (hi - lo)
+    slope = np.asarray(slope, dtype=float)
+    outside = (slope < lo - 1e-9) | (slope > hi + 1e-9)
+    if outside.any():
+        raise GraphError(f"slope {slope[outside][0]} outside bounds [{lo}, {hi}]")
+    normalized = np.zeros_like(slope) if hi <= lo else (slope - lo) / (hi - lo)
     return config.alpha * length + config.beta * normalized
 
 
-def iter_intact_blocks(tmap: TraversabilityMap):
-    """Yield ``(block, internal_slopes)`` for every intact 2x2 block.
-
-    ``internal_slopes`` are the four retained internal edge slopes
-    (bottom, top, left, right).
-    """
-    edges = tmap.edge_slopes
-    for by in range(tmap.height // 2):
-        for bx in range(tmap.width // 2):
-            x, y = 2 * bx, 2 * by
-            cells = ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
-            if not all(tmap.is_free(c) for c in cells):
-                continue
-            internal = (
-                _canon((x, y), (x + 1, y)),          # bottom
-                _canon((x, y + 1), (x + 1, y + 1)),  # top
-                _canon((x, y), (x, y + 1)),          # left
-                _canon((x + 1, y), (x + 1, y + 1)),  # right
-            )
-            if all(e in edges for e in internal):
-                yield (bx, by), tuple(edges[e] for e in internal)
+def intact_blocks(tmap: TraversabilityMap) -> tuple[np.ndarray, np.ndarray]:
+    """Intact-block mask ``[by, bx]`` and each block's internal slopes ``[:, by, bx]``
+    (bottom, top, left, right)."""
+    h, w = 2 * (tmap.height // 2), 2 * (tmap.width // 2)
+    internal = np.stack([tmap.slope_x[0:h:2, 0:w:2],   # bottom
+                         tmap.slope_x[1:h:2, 0:w:2],   # top
+                         tmap.slope_y[0:h:2, 0:w:2],   # left
+                         tmap.slope_y[0:h:2, 1:w:2]])  # right
+    return ~np.isnan(internal).any(axis=0), internal
 
 
 @dataclass
@@ -86,14 +76,11 @@ class CoveringGraph:
     cells: list[Cell]                       # row-major order
     index: dict[Cell, int]
     weights: dict[tuple[int, int], float]   # keyed by (min(idx), max(idx))
-    _csr: csr_matrix | None = field(default=None, repr=False)
+    matrix: csr_matrix = field(repr=False)  # symmetric weights, for dijkstra
     _sssp_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def has_cell(self, cell: Cell) -> bool:
-        return cell in self.index
 
     def weight(self, a: Cell, b: Cell) -> float:
         i, j = self.index[a], self.index[b]
@@ -105,22 +92,11 @@ class CoveringGraph:
             return False
         return ((i, j) if i < j else (j, i)) in self.weights
 
-    def _matrix(self) -> csr_matrix:
-        if self._csr is None:
-            n = len(self.cells)
-            rows, cols, data = [], [], []
-            for (i, j), w in self.weights.items():
-                rows += [i, j]
-                cols += [j, i]
-                data += [w, w]
-            self._csr = csr_matrix((data, (rows, cols)), shape=(n, n))
-        return self._csr
-
     def sssp(self, source: Cell) -> tuple[np.ndarray, np.ndarray]:
         """Single-source shortest-path distances and predecessors (cached)."""
         src = self.index[source]
         if src not in self._sssp_cache:
-            dist, pred = dijkstra(self._matrix(), directed=False,
+            dist, pred = dijkstra(self.matrix, directed=False,
                                   indices=src, return_predecessors=True)
             self._sssp_cache[src] = (dist, pred)
         return self._sssp_cache[src]
@@ -152,33 +128,33 @@ class CoveringGraph:
 def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig,
                          depots: list[Cell] = ()) -> CoveringGraph:
     """Build G: orthogonal unit edges plus intact-block diagonals."""
-    if not tmap.edge_slopes:
+    a, b, slopes = tmap.edges()
+    if not slopes.size:
         raise GraphError("traversability map has no edges")
     cells = tmap.free_cells()
-    index = {c: i for i, c in enumerate(cells)}
-    weights: dict[tuple[int, int], float] = {}
+    n, w = len(cells), tmap.width
+    node = np.full(tmap.free.size, -1)
+    node[tmap.free.ravel()] = np.arange(n)
     bounds = tmap.slope_bounds
-
-    def add(a: Cell, b: Cell, length: float, slope: float):
-        i, j = index[a], index[b]
-        key = (i, j) if i < j else (j, i)
-        weights[key] = edge_weight(length, slope, bounds, config)
-
-    for (a, b), slope in tmap.edge_slopes.items():
-        add(a, b, 1.0, slope)
     # corner-shortcut diagonals inherit the steepest internal edge of
     # their block (a diagonal replaces two of those edges)
-    for (bx, by), internal in iter_intact_blocks(tmap):
-        x, y = 2 * bx, 2 * by
-        slope = max(internal)
-        add((x, y), (x + 1, y + 1), SQRT2, slope)
-        add((x + 1, y), (x, y + 1), SQRT2, slope)
+    intact, internal = intact_blocks(tmap)
+    by, bx = np.nonzero(intact)
+    diagonal = edge_weight(SQRT2, internal[:, by, bx].max(axis=0), bounds, config)
+    sw = 2 * by * w + 2 * bx   # flat index of each block's lower-left cell
+    i = node[np.concatenate([a, sw, sw + 1])]
+    j = node[np.concatenate([b, sw + w + 1, sw + w])]
+    weight = np.concatenate([edge_weight(1.0, slopes, bounds, config), diagonal, diagonal])
+    matrix = csr_matrix((np.concatenate([weight, weight]),
+                         (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
 
+    index = {c: k for k, c in enumerate(cells)}
     for d in map(tuple, depots):
         if d not in index:
             raise GraphError(f"depot {d} is not a free cell of the covering graph")
-    return CoveringGraph(width=tmap.width, height=tmap.height, cells=cells,
-                         index=index, weights=weights)
+    return CoveringGraph(width=tmap.width, height=tmap.height, cells=cells, index=index,
+                         weights=dict(zip(zip(i.tolist(), j.tolist()), weight.tolist())),
+                         matrix=matrix)
 
 
 @dataclass
@@ -186,7 +162,10 @@ class SpanningGraph:
     blocks: list[Block]                       # row-major order
     edges: dict[tuple[Block, Block], float]   # canonical (row-major) key
     adjacency: dict[Block, list[Block]]
-    cover_map: dict[Cell, Block]
+    cover_map: dict[Cell, Block] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cover_map = {cell: b for b in self.blocks for cell in self.block_cells(b)}
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -198,6 +177,20 @@ class SpanningGraph:
     def weight(self, a: Block, b: Block) -> float:
         return self.edges[_canon(a, b)]
 
+    def components(self) -> list[list[Block]]:
+        """Blocks grouped by connected component, each group row-major.
+
+        Larger groups come first; groups of equal size keep the row-major
+        order of their first block.
+        """
+        pos = {b: k for k, b in enumerate(self.blocks)}
+        ends = np.array([(pos[a], pos[b]) for a, b in self.edges], dtype=int).reshape(-1, 2)
+        groups: dict[int, list[Block]] = {}
+        for block, label in zip(self.blocks,
+                                component_labels(len(self.blocks), ends[:, 0], ends[:, 1])):
+            groups.setdefault(label, []).append(block)
+        return sorted(groups.values(), key=len, reverse=True)
+
     def debug_dump(self) -> dict:
         return {
             "nodes": [list(b) for b in self.blocks],
@@ -207,45 +200,27 @@ class SpanningGraph:
 
 def build_spanning_graph(tmap: TraversabilityMap, config: PlannerConfig) -> SpanningGraph:
     """Build H over intact 2x2 blocks; odd trailing rows/columns stay uncovered."""
-    intact = dict(iter_intact_blocks(tmap))
-    bounds = tmap.slope_bounds
+    intact, _ = intact_blocks(tmap)
+    bh, bw = intact.shape
     edges: dict[tuple[Block, Block], float] = {}
-    adjacency: dict[Block, list[Block]] = {b: [] for b in intact}
-    cov = tmap.edge_slopes
+    # a block and its right (upper) neighbour are joined when both are
+    # intact and both covering edges crossing their boundary are retained
+    for dx, dy, raster in ((1, 0, tmap.slope_x), (0, 1, tmap.slope_y)):
+        by, bx = np.nonzero(intact[:bh - dy, :bw - dx] & intact[dy:, dx:])
+        y, x = 2 * by + dy, 2 * bx + dx
+        s0, s1 = raster[y, x], raster[y + dx, x + dy]
+        kept = ~np.isnan(s0) & ~np.isnan(s1)
+        mean = (s0[kept] + s1[kept]) / 2.0
+        for ax, ay, wt in zip(bx[kept].tolist(), by[kept].tolist(),
+                              edge_weight(2.0, mean, tmap.slope_bounds, config).tolist()):
+            edges[((ax, ay), (ax + dx, ay + dy))] = wt
 
-    def crossing(a: Block, b: Block) -> tuple | None:
-        # the two parallel covering edges crossing the shared boundary
-        if b == (a[0] + 1, a[1]):
-            x, y = 2 * a[0] + 1, 2 * a[1]
-            pairs = (((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1)))
-        elif b == (a[0], a[1] + 1):
-            x, y = 2 * a[0], 2 * a[1] + 1
-            pairs = (((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1)))
-        else:
-            return None
-        keys = [_canon(*p) for p in pairs]
-        if all(k in cov for k in keys):
-            return tuple(cov[k] for k in keys)
-        return None
-
-    for block in intact:
-        for nbr in ((block[0] + 1, block[1]), (block[0], block[1] + 1)):
-            if nbr not in intact:
-                continue
-            slopes = crossing(block, nbr)
-            if slopes is None:
-                continue
-            mean_slope = (slopes[0] + slopes[1]) / 2.0
-            edges[_canon(block, nbr)] = edge_weight(2.0, mean_slope, bounds, config)
-            adjacency[block].append(nbr)
-            adjacency[nbr].append(block)
-
-    blocks = sorted(intact, key=lambda b: (b[1], b[0]))
+    by, bx = np.nonzero(intact)
+    blocks = list(zip(bx.tolist(), by.tolist()))   # row-major
+    adjacency: dict[Block, list[Block]] = {b: [] for b in blocks}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
     for lst in adjacency.values():
         lst.sort(key=lambda b: (b[1], b[0]))
-    cover_map = {}
-    g = SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency, cover_map=cover_map)
-    for block in blocks:
-        for cell in g.block_cells(block):
-            cover_map[cell] = block
-    return g
+    return SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency)

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import tempfile
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,24 +39,13 @@ class PlanningError(RuntimeError):
 
 
 def _component_subgraph(h: SpanningGraph, root) -> SpanningGraph:
-    keep = {root}
-    queue = deque([root])
-    while queue:
-        block = queue.popleft()
-        for nbr in h.adjacency[block]:
-            if nbr not in keep:
-                keep.add(nbr)
-                queue.append(nbr)
+    keep = next(set(c) for c in h.components() if root in c)
     if len(keep) == len(h.blocks):
         return h
     blocks = [b for b in h.blocks if b in keep]
-    edges = {e: w for e, w in h.edges.items() if e[0] in keep}
-    adjacency = {b: h.adjacency[b] for b in keep}
-    sub = SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency, cover_map={})
-    for block in blocks:
-        for cell in sub.block_cells(block):
-            sub.cover_map[cell] = block
-    return sub
+    return SpanningGraph(blocks=blocks,
+                         edges={e: w for e, w in h.edges.items() if e[0] in keep},
+                         adjacency={b: h.adjacency[b] for b in blocks})
 
 
 @dataclass

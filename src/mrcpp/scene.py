@@ -8,6 +8,7 @@ at the south-west corner; rasters are numpy arrays indexed ``[y, x]``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,12 +70,24 @@ class Scene:
                 raise SceneError(f"depot {d} lies in a non-working region")
 
 
-def _cell_entry(path: Path, key: str, item) -> Cell:
-    """One ``[x, y]`` entry of a scene document's cell list."""
-    if not (isinstance(item, list) and len(item) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in item)):
-        raise SceneError(f"{path}: '{key}' entry {item!r} is not a pair of integers")
-    return item[0], item[1]
+def _positive(path: Path, key: str, value, kind: str):
+    """A positive ``integer`` or finite ``number`` field of a scene document."""
+    types = int if kind == "integer" else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types) or not 0 < value < math.inf:
+        raise SceneError(f"{path}: '{key}' must be a positive {kind}, got {value!r}")
+    return value
+
+
+def _cells(path: Path, doc: dict, key: str) -> list[Cell]:
+    """The ``[x, y]`` entries of a scene document's cell list."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise SceneError(f"{path}: '{key}' must be a list of [x, y] pairs, got {items!r}")
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in item)):
+            raise SceneError(f"{path}: '{key}' entry {item!r} is not a pair of integers")
+    return [(x, y) for x, y in items]
 
 
 def load_scene(path) -> Scene:
@@ -88,16 +101,17 @@ def load_scene(path) -> Scene:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SceneError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise SceneError(f"{path}: not a scene document (a JSON object)")
     for key in ("width", "height"):
         if key not in doc:
             raise SceneError(f"{path}: missing required field '{key}'")
 
-    width = int(doc["width"])
-    height = int(doc["height"])
-    cell_size = float(doc.get("cell_size", 1.0))
+    width = _positive(path, "width", doc["width"], "integer")
+    height = _positive(path, "height", doc["height"], "integer")
+    cell_size = float(_positive(path, "cell_size", doc.get("cell_size", 1.0), "number"))
     blocked = np.zeros((height, width), dtype=bool)
-    for item in doc.get("blocked", []):
-        x, y = _cell_entry(path, "blocked", item)
+    for x, y in _cells(path, doc, "blocked"):
         if not (0 <= x < width and 0 <= y < height):
             raise SceneError(f"{path}: blocked cell ({x}, {y}) outside the grid")
         blocked[y, x] = True
@@ -121,10 +135,9 @@ def load_scene(path) -> Scene:
         if landclass.shape != (height, width):
             raise SceneError(f"{mask_path}: land-class raster size mismatch")
 
-    depots = [_cell_entry(path, "depots", d) for d in doc.get("depots", [])]
     scene = Scene(width=width, height=height, cell_size=cell_size,
                   elevation=elevation, blocked=blocked,
-                  landclass=landclass, depots=depots)
+                  landclass=landclass, depots=_cells(path, doc, "depots"))
     scene.validate()
     return scene
 

@@ -33,28 +33,7 @@ def _covered_cells_by_component(scene: Scene, threshold: float) -> list[list]:
     if scene.landclass is not None:
         tmap = merge_masks(tmap, scene.landclass)
     h = build_spanning_graph(tmap, PlannerConfig(slope_threshold=threshold))
-    if not h.blocks:
-        return []
-    seen = set()
-    groups = []
-    for block in h.blocks:
-        if block in seen:
-            continue
-        comp = {block}
-        stack = [block]
-        while stack:
-            b = stack.pop()
-            for nbr in h.adjacency[b]:
-                if nbr not in comp:
-                    comp.add(nbr)
-                    stack.append(nbr)
-        seen |= comp
-        cells = []
-        for b in sorted(comp, key=lambda b: (b[1], b[0])):
-            cells.extend(h.block_cells(b))
-        groups.append(cells)
-    groups.sort(key=len, reverse=True)
-    return groups
+    return [[cell for b in comp for cell in h.block_cells(b)] for comp in h.components()]
 
 
 def _pick_depots(cells: list, k: int, style: str, rng: np.random.Generator,

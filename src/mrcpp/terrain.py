@@ -8,12 +8,13 @@ retained slope.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .scene import Cell, Scene, SceneError
 
@@ -33,9 +34,14 @@ def _canon(a: Cell, b: Cell) -> Edge:
 
 @dataclass
 class TraversabilityMap:
-    free: np.ndarray                    # bool, shape (height, width)
-    edge_slopes: dict[Edge, float]      # degrees, keyed by _canon(a, b)
-    slope_bounds: tuple[float, float]   # (min retained slope, threshold)
+    """Free cells and retained edge slopes (degrees); a dropped edge is nan.
+
+    An edge is retained only between two free cells.
+    """
+    free: np.ndarray       # bool, shape (height, width)
+    slope_x: np.ndarray    # [y, x]: edge (x, y)-(x+1, y); shape (height, width - 1)
+    slope_y: np.ndarray    # [y, x]: edge (x, y)-(x, y+1); shape (height - 1, width)
+    slope_bounds: tuple[float, float]  # (min retained slope, threshold)
 
     @property
     def width(self) -> int:
@@ -45,12 +51,25 @@ class TraversabilityMap:
     def height(self) -> int:
         return self.free.shape[0]
 
+    @property
+    def edge_slopes(self) -> dict[Edge, float]:
+        """Retained edges keyed by ``_canon(a, b)``, rebuilt from the rasters on each access."""
+        a, b, slopes = self.edges()
+        w = self.width
+        return {((i % w, i // w), (j % w, j // w)): s
+                for i, j, s in zip(a.tolist(), b.tolist(), slopes.tolist())}
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Retained edges as row-major flat cell indices ``a < b``, and their slopes."""
+        ids = np.arange(self.free.size).reshape(self.free.shape)
+        kx, ky = ~np.isnan(self.slope_x), ~np.isnan(self.slope_y)
+        return (np.concatenate([ids[:, :-1][kx], ids[:-1, :][ky]]),
+                np.concatenate([ids[:, 1:][kx], ids[1:, :][ky]]),
+                np.concatenate([self.slope_x[kx], self.slope_y[ky]]))
+
     def is_free(self, cell: Cell) -> bool:
         x, y = cell
         return bool(self.free[y, x])
-
-    def slope(self, a: Cell, b: Cell) -> float:
-        return self.edge_slopes[_canon(a, b)]
 
     def free_cells(self) -> list[Cell]:
         ys, xs = np.nonzero(self.free)
@@ -71,12 +90,22 @@ def compute_edge_slope(scene: Scene, a: Cell, b: Cell) -> float:
     return math.degrees(math.atan2(rise, run))
 
 
-def _drop_edgeless_cells(free: np.ndarray, edges: dict[Edge, float]) -> np.ndarray:
-    keep = np.zeros_like(free)
-    for (a, b) in edges:
-        keep[a[1], a[0]] = True
-        keep[b[1], b[0]] = True
-    return free & keep
+# math.atan2 elementwise: np.arctan2 may differ from it in the last bit,
+# and compute_edge_slope is the reference every edge must equal
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _free_edges(free: np.ndarray, slope_x: np.ndarray,
+                slope_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slope rasters with every edge not between two free cells dropped."""
+    return (np.where(free[:, :-1] & free[:, 1:], slope_x, np.nan),
+            np.where(free[:-1, :] & free[1:, :], slope_y, np.nan))
+
+
+def component_labels(n: int, rows, cols) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes joined by edges rows[k]-cols[k]."""
+    adjacency = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    return connected_components(adjacency, directed=False)[1]
 
 
 def steepness_filter(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -> TraversabilityMap:
@@ -88,24 +117,23 @@ def steepness_filter(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -
     """
     if threshold <= 0:
         raise TerrainError("slope threshold must be positive")
+    elevation = (np.zeros(scene.blocked.shape) if scene.elevation is None
+                 else np.asarray(scene.elevation, dtype=float))
+    slopes = []
+    for axis in (1, 0):  # slope_x, then slope_y
+        rise = np.abs(np.diff(elevation, axis=axis))
+        s = np.degrees(_atan2(rise, scene.cell_size).astype(float))
+        slopes.append(np.where(s <= threshold, s, np.nan))
     free = ~scene.blocked
-    edges: dict[Edge, float] = {}
-    for y in range(scene.height):
-        for x in range(scene.width):
-            if not free[y, x]:
-                continue
-            if x + 1 < scene.width and free[y, x + 1]:
-                s = compute_edge_slope(scene, (x, y), (x + 1, y))
-                if s <= threshold:
-                    edges[_canon((x, y), (x + 1, y))] = s
-            if y + 1 < scene.height and free[y + 1, x]:
-                s = compute_edge_slope(scene, (x, y), (x, y + 1))
-                if s <= threshold:
-                    edges[_canon((x, y), (x, y + 1))] = s
-    free = _drop_edgeless_cells(free, edges)
-    min_slope = min(edges.values()) if edges else 0.0
-    return TraversabilityMap(free=free, edge_slopes=edges,
-                             slope_bounds=(min_slope, float(threshold)))
+    tmap = TraversabilityMap(free, *_free_edges(free, *slopes),
+                             slope_bounds=(0.0, float(threshold)))
+    a, b, retained = tmap.edges()
+    has_edge = np.zeros(free.size, dtype=bool)
+    has_edge[a] = has_edge[b] = True
+    tmap.free = free & has_edge.reshape(free.shape)
+    if retained.size:
+        tmap.slope_bounds = (float(retained.min()), float(threshold))
+    return tmap
 
 
 def remove_isolated(tmap: TraversabilityMap, depots: list[Cell]) -> TraversabilityMap:
@@ -113,23 +141,11 @@ def remove_isolated(tmap: TraversabilityMap, depots: list[Cell]) -> Traversabili
     for d in depots:
         if not tmap.is_free(d):
             raise TerrainError(f"depot {d} is not free in the traversability map")
-    adjacency: dict[Cell, list[Cell]] = {}
-    for (a, b) in tmap.edge_slopes:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    seen = set(depots)
-    queue = deque(depots)
-    while queue:
-        cell = queue.popleft()
-        for nbr in adjacency.get(cell, ()):
-            if nbr not in seen:
-                seen.add(nbr)
-                queue.append(nbr)
-    free = np.zeros_like(tmap.free)
-    for (x, y) in seen:
-        free[y, x] = True
-    edges = {e: s for e, s in tmap.edge_slopes.items() if e[0] in seen and e[1] in seen}
-    return TraversabilityMap(free=free, edge_slopes=edges, slope_bounds=tmap.slope_bounds)
+    a, b, _ = tmap.edges()
+    labels = component_labels(tmap.free.size, a, b).reshape(tmap.free.shape)
+    free = np.isin(labels, [labels[y, x] for x, y in depots])
+    return TraversabilityMap(free, *_free_edges(free, tmap.slope_x, tmap.slope_y),
+                             slope_bounds=tmap.slope_bounds)
 
 
 def merge_masks(tmap: TraversabilityMap, landclass: np.ndarray) -> TraversabilityMap:
@@ -142,11 +158,8 @@ def merge_masks(tmap: TraversabilityMap, landclass: np.ndarray) -> Traversabilit
     if landclass.shape != tmap.free.shape:
         raise TerrainError("land-class mask dimensions do not match the map")
     free = tmap.free & landclass
-    edges = {
-        e: s for e, s in tmap.edge_slopes.items()
-        if free[e[0][1], e[0][0]] and free[e[1][1], e[1][0]]
-    }
-    return TraversabilityMap(free=free, edge_slopes=edges, slope_bounds=tmap.slope_bounds)
+    return TraversabilityMap(free, *_free_edges(free, tmap.slope_x, tmap.slope_y),
+                             slope_bounds=tmap.slope_bounds)
 
 
 def build_traversability(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -> TraversabilityMap:

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from mrcpp.graphs import CoveringGraph, GraphError
+from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -67,6 +68,32 @@ def shortest_path(g: CoveringGraph, start, goal) -> tuple[list, float]:
     while path[-1] != src:
         path.append(pred[path[-1]])
     return [g.cells[i] for i in reversed(path)], dist[dst]
+
+
+def bfs_components(h: SpanningGraph) -> list[list]:
+    """Blocks of H grouped by connected component, by breadth-first search.
+
+    Each group is row-major; larger groups come first, and groups of equal
+    size keep the row-major order of their first block.  The oracle the
+    tests hold ``SpanningGraph.components`` to.
+    """
+    seen = set()
+    groups = []
+    for block in h.blocks:
+        if block in seen:
+            continue
+        comp = {block}
+        queue = deque([block])
+        while queue:
+            b = queue.popleft()
+            for nbr in h.adjacency[b]:
+                if nbr not in comp:
+                    comp.add(nbr)
+                    queue.append(nbr)
+        seen |= comp
+        groups.append(sorted(comp, key=lambda b: (b[1], b[0])))
+    groups.sort(key=len, reverse=True)
+    return groups
 
 
 def loop_instance(seed: int, k: int, width: int = 14, height: int = 14) -> ScenePlanner:

@@ -98,7 +98,7 @@ def _random_h(seed: int) -> SpanningGraph:
                 edges[_canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
                 adjacency[b].append(nbr)
                 adjacency[nbr].append(b)
-    return SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency, cover_map={})
+    return SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency)
 
 
 def _exhaustive_mst(h: SpanningGraph) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from mrcpp.graphs import (GraphError, PlannerConfig, build_covering_graph,
                           build_spanning_graph, edge_weight)
-from mrcpp.scene import Scene
-from mrcpp.terrain import build_traversability, steepness_filter
+from mrcpp.scene import Scene, SceneError
+from mrcpp.scenegen import generate_scene
+from mrcpp.terrain import build_traversability, compute_edge_slope, steepness_filter
 
-from conftest import flat_scene, shortest_path
+from conftest import bfs_components, flat_scene, shortest_path
 
 SQRT2 = math.sqrt(2.0)
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3)
@@ -72,12 +74,21 @@ def test_covering_graph_unweighted_mode_weights():
     assert set(round(w, 12) for w in g.weights.values()) == {1.0, round(SQRT2, 12)}
 
 
+# grid shapes (width, height) the brute-force tests run on, degenerate ones included
+SHAPES = [(8, 8), (1, 9), (9, 1), (1, 1), (2, 1), (7, 5), (13, 11)]
+
+
 def test_covering_graph_weights_match_recomputation():
-    tmap = weighted_map(3)
-    g = build_covering_graph(tmap, PAPER_CFG)
-    for (a, b), slope in tmap.edge_slopes.items():
-        expected = edge_weight(1.0, slope, tmap.slope_bounds, PAPER_CFG)
-        assert g.weight(a, b) == pytest.approx(expected)
+    for shape in SHAPES:
+        tmap = weighted_map(3, *shape)
+        if not tmap.edge_slopes:
+            with pytest.raises(GraphError, match="no edges"):
+                build_covering_graph(tmap, PAPER_CFG)
+            continue
+        g = build_covering_graph(tmap, PAPER_CFG)
+        for (a, b), slope in tmap.edge_slopes.items():
+            expected = edge_weight(1.0, slope, tmap.slope_bounds, PAPER_CFG)
+            assert g.weight(a, b) == pytest.approx(expected)
 
 
 def test_spanning_graph_full_4x4():
@@ -97,15 +108,15 @@ def test_spanning_graph_blocked_cell_kills_block():
 
 
 def test_spanning_graph_matches_all_free_block_scan_on_flat_maps():
-    for seed in range(8):
+    for seed, (width, height) in itertools.product(range(8), [(10, 10)] + SHAPES):
         rng = np.random.default_rng(seed)
-        blocked = rng.random((10, 10)) < 0.2
-        scene = Scene(width=10, height=10, blocked=blocked, depots=[])
+        blocked = rng.random((height, width)) < 0.2
+        scene = Scene(width=width, height=height, blocked=blocked, depots=[])
         tmap = steepness_filter(scene, 25.0)
         h = build_spanning_graph(tmap, PAPER_CFG)
         expected = set()
-        for by in range(5):
-            for bx in range(5):
+        for by in range(height // 2):
+            for bx in range(width // 2):
                 cells = [(2 * bx + dx, 2 * by + dy) for dx in (0, 1) for dy in (0, 1)]
                 if all(tmap.is_free(c) for c in cells):
                     expected.add((bx, by))
@@ -120,6 +131,75 @@ def test_spanning_graph_excludes_internally_broken_blocks():
     tmap = steepness_filter(scene, 25.0)
     h = build_spanning_graph(tmap, PAPER_CFG)
     assert (0, 0) in h.adjacency and (1, 0) not in h.adjacency
+
+
+def _scalar_weight(length, slope, bounds, config):
+    lo, hi = bounds
+    return config.alpha * length + config.beta * (0.0 if hi <= lo else (slope - lo) / (hi - lo))
+
+
+def test_slopes_and_weights_equal_scalar_formulas_bit_for_bit():
+    # exact equality: a vectorised slope or weight that drifts by one ulp
+    # from compute_edge_slope changes shortest paths and plan bytes
+    rng = np.random.default_rng(5)
+    ragged = Scene(width=13, height=9, cell_size=0.7, depots=[(0, 0)],
+                   blocked=rng.random((9, 13)) < 0.1,
+                   elevation=rng.normal(0.0, 0.4, (9, 13)).cumsum(axis=1))
+    ragged.blocked[0, 0] = False
+    scenes = [generate_scene("random", seed) for seed in range(4)]
+    scenes += [generate_scene("field", seed=0, width=64, height=64), ragged]
+    for scene in scenes:
+        free = ~scene.blocked
+        slopes = {}
+        for y in range(scene.height):
+            for x in range(scene.width):
+                for b in ((x + 1, y), (x, y + 1)):
+                    if b[0] < scene.width and b[1] < scene.height and free[y, x] \
+                            and free[b[1], b[0]]:
+                        slopes[((x, y), b)] = compute_edge_slope(scene, (x, y), b)
+        retained = {e: s for e, s in slopes.items() if s <= 25.0}
+        tmap = steepness_filter(scene, 25.0)
+        assert tmap.edge_slopes == retained
+        assert tmap.slope_bounds == (min(retained.values()), 25.0)
+
+        try:
+            tmap = build_traversability(scene, 25.0)
+        except SceneError:
+            continue
+        g = build_covering_graph(tmap, PAPER_CFG)
+        bounds, expected = tmap.slope_bounds, {}
+        for (a, b), s in retained.items():
+            if tmap.is_free(a) and tmap.is_free(b):
+                expected[(g.index[a], g.index[b])] = _scalar_weight(1.0, s, bounds, PAPER_CFG)
+        for by in range(scene.height // 2):
+            for bx in range(scene.width // 2):
+                x, y = 2 * bx, 2 * by
+                internal = [((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1)),
+                            ((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1))]
+                if all(e in retained and tmap.is_free(e[0]) and tmap.is_free(e[1])
+                       for e in internal):
+                    w = _scalar_weight(SQRT2, max(retained[e] for e in internal),
+                                       bounds, PAPER_CFG)
+                    expected[(g.index[(x, y)], g.index[(x + 1, y + 1)])] = w
+                    expected[(g.index[(x + 1, y)], g.index[(x, y + 1)])] = w
+        assert g.weights == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_match_bfs_oracle(seed):
+    # walls at x = 4-5 and 10-11 (and, for odd seeds, y = 6-7) cut the
+    # grid into equal-size regions; scattered blocked cells add singletons
+    rng = np.random.default_rng(seed)
+    blocked = rng.random((14, 16)) < 0.08 * (seed % 3)
+    blocked[:, 4:6] = blocked[:, 10:12] = True
+    if seed % 2:
+        blocked[6:8, :] = True
+    scene = Scene(width=16, height=14, blocked=blocked, depots=[])
+    h = build_spanning_graph(steepness_filter(scene, 25.0), PAPER_CFG)
+    groups = h.components()
+    assert groups == bfs_components(h)
+    assert sorted(b for group in groups for b in group) == sorted(h.blocks)
+    assert len({len(group) for group in groups}) < len(groups)  # some sizes tie
 
 
 def test_cover_map_is_total_and_unique():

@@ -93,6 +93,33 @@ def test_load_scene_rejects_malformed_cell_entry(tmp_path, key, entry):
         load_scene(path)
 
 
+@pytest.mark.parametrize("override, key", [
+    ({"blocked": 5}, "blocked"),
+    ({"depots": 7}, "depots"),
+    ({"width": "a"}, "width"),
+    ({"cell_size": "x"}, "cell_size"),
+    ({"width": -2}, "width"),
+    ({"width": 2.5}, "width"),
+    ({"width": True}, "width"),
+    ({"height": 0}, "height"),
+    ({"height": None}, "height"),
+    ({"cell_size": 0}, "cell_size"),
+    ({"cell_size": float("nan")}, "cell_size"),
+])
+def test_load_scene_rejects_malformed_field(tmp_path, override, key):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"width": 4, "height": 4, "depots": [[0, 0]], **override}))
+    with pytest.raises(SceneError, match=f"'{key}'"):
+        load_scene(path)
+
+
+def test_load_scene_rejects_non_object_document(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text("5")
+    with pytest.raises(SceneError, match="JSON object"):
+        load_scene(path)
+
+
 def test_save_scene_round_trip(tmp_path):
     elev = np.linspace(0.0, 1.0, 16).reshape(4, 4)
     mask = np.ones((4, 4), dtype=bool)

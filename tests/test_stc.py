@@ -63,7 +63,7 @@ def random_spanning_graph(seed: int, max_nodes: int = 12) -> SpanningGraph:
                 edges[_canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
                 adjacency[b].append(nbr)
                 adjacency[nbr].append(b)
-    return SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency, cover_map={})
+    return SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency)
 
 
 def exhaustive_mst_weight(h: SpanningGraph) -> float:
@@ -133,7 +133,7 @@ def test_mst_excludes_heavy_edge():
     for (a, b) in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    h = SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency, cover_map={})
+    h = SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency)
     tree = minimum_spanning_tree(h, (0, 0))
     assert not tree.has_edge((0, 1), (1, 1))
     assert tree.total_weight == pytest.approx(3.0)
@@ -150,8 +150,7 @@ def test_mst_matches_exhaustive_enumeration():
 
 def test_mst_rejects_disconnected_graph():
     blocks = [(0, 0), (2, 0)]
-    h = SpanningGraph(blocks=blocks, edges={}, adjacency={b: [] for b in blocks},
-                      cover_map={})
+    h = SpanningGraph(blocks=blocks, edges={}, adjacency={b: [] for b in blocks})
     with pytest.raises(StcError, match="disconnected"):
         minimum_spanning_tree(h, (0, 0))
 

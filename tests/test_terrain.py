@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import deque
 
@@ -43,9 +44,9 @@ def brute_force_edges(scene: Scene, threshold: float):
     return out
 
 
-def flood_fill(tmap, seeds):
+def flood_fill(edges, seeds):
     adjacency = {}
-    for (a, b) in tmap.edge_slopes:
+    for (a, b) in edges:
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
     seen = set(seeds)
@@ -101,9 +102,13 @@ def test_steepness_filter_drops_steep_edge():
     assert ((0, 0), (1, 0)) in tmap.edge_slopes
 
 
+# grid shapes (width, height) the brute-force tests run on, degenerate ones included
+SHAPES = [(12, 12), (1, 9), (9, 1), (1, 1), (2, 1), (7, 5), (13, 11)]
+
+
 def test_steepness_filter_matches_brute_force_scan():
-    for seed in range(10):
-        scene = random_scene(seed)
+    for seed, shape in itertools.product(range(10), SHAPES):
+        scene = random_scene(seed, *shape)
         tmap = steepness_filter(scene, 25.0)
         oracle = brute_force_edges(scene, 25.0)
         got = {frozenset(e): s for e, s in tmap.edge_slopes.items()}
@@ -167,17 +172,17 @@ def test_remove_isolated_rejects_nonfree_depot():
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10_000))
-def test_remove_isolated_matches_flood_fill(seed):
+@given(st.integers(0, 10_000), st.sampled_from([(20, 20)] + SHAPES))
+def test_remove_isolated_matches_flood_fill(seed, shape):
     rng = np.random.default_rng(seed)
-    scene = random_scene(seed, width=20, height=20, block_p=0.3)
+    scene = random_scene(seed, *shape, block_p=0.3)
     tmap = steepness_filter(scene, 25.0)
     free_cells = tmap.free_cells()
     if not free_cells:
         return
     depots = [free_cells[int(rng.integers(len(free_cells)))] for _ in range(3)]
     pruned = remove_isolated(tmap, depots)
-    expected = flood_fill(tmap, depots)
+    expected = flood_fill(brute_force_edges(scene, 25.0), depots)
     assert set(pruned.free_cells()) == expected
 
 
@@ -215,14 +220,18 @@ def test_merge_masks_dimension_mismatch():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000))
-def test_merge_masks_intersection_property(seed):
+@given(st.integers(0, 10_000), st.sampled_from([(8, 8)] + SHAPES))
+def test_merge_masks_intersection_property(seed, shape):
     rng = np.random.default_rng(seed)
-    scene = random_scene(seed, width=8, height=8)
+    scene = random_scene(seed, *shape)
     tmap = steepness_filter(scene, 25.0)
-    mask = rng.random((8, 8)) < 0.7
+    mask = rng.random(shape[::-1]) < 0.7
     merged = merge_masks(tmap, mask)
     assert np.array_equal(merged.free, tmap.free & mask)
+    # the merged edges are the map's edges between two cells left free
+    assert merged.edge_slopes == {
+        (a, b): s for (a, b), s in tmap.edge_slopes.items()
+        if mask[a[1], a[0]] and mask[b[1], b[0]]}
 
 
 def test_build_traversability_rejects_split_depots():
