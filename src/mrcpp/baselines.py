@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import CoveringGraph
 from .partition import (LoopCostModel, PartitionSet, PlanOutcome,
                         _plans_from_partition, build_robot_plan)
@@ -75,15 +77,20 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
             changed = False
             for j in range(k):
                 nxt = (j + 1) % k
+                # every split t of arc j at once: robot j keeps arc_len[j] - t
+                # cells, robot nxt services the t cells behind its depot
+                t = np.arange(arc_len[j])
+                trial = np.maximum(
+                    model.segment_costs(keys[j], arc_len[j] - t, j,
+                                        behind=splits[(j - 1) % k]),
+                    model.segment_costs(keys[nxt], arc_len[nxt] - splits[nxt], nxt,
+                                        behind=t))
+                others = [current[i] for i in range(k) if i not in (j, nxt)]
+                if others:
+                    trial = np.maximum(trial, max(others))
                 best_t, best_max = splits[j], max(current)
-                for t in range(arc_len[j]):
-                    if t == splits[j]:
-                        continue
-                    trial = list(splits)
-                    trial[j] = t
-                    trial_max = max(robot_cost(j, trial), robot_cost(nxt, trial),
-                                    *(current[i] for i in range(k) if i not in (j, nxt)))
-                    if trial_max < best_max - 1e-12:
+                for t, trial_max in enumerate(trial.tolist()):
+                    if t != splits[j] and trial_max < best_max - 1e-12:
                         best_t, best_max = t, trial_max
                 if best_t != splits[j]:
                     splits[j] = best_t

@@ -15,6 +15,7 @@ non-increasing across iterations.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,12 +114,12 @@ def max_weight(plans) -> float:
     return max(p.weight for p in plans)
 
 
-def _refill_offsets(size: int, capacity: float) -> list[int]:
+def _refill_offsets(size: int, capacity: float) -> range:
     # break after every `capacity` serviced cells, unless the segment ends there
     if capacity == math.inf:
-        return []
+        return range(0)
     c = int(capacity)
-    return [j * c - 1 for j in range(1, (size + c - 1) // c) ]
+    return range(c - 1, size - 1, c)
 
 
 def trips_required(size: int, capacity: float) -> int:
@@ -177,6 +178,12 @@ class LoopCostModel:
     With depots, a segment's cost includes approach/return legs and refill
     excursions against the greedily bound depot; without depots (the
     virtual-robot mode used under finite capacity) costs are coverage-only.
+
+    ``segment_cost_at`` prices one segment; ``segment_costs`` is the same
+    formula over arrays of sizes and tails, for scans over many splits.
+    The scalar methods read the arrays through memoryviews, which share
+    their memory and index to Python floats: numpy scalars, which indexing
+    the arrays gives, make the scalar arithmetic several times slower.
     """
 
     def __init__(self, loop: CoverageLoop, g: CoveringGraph | None = None,
@@ -186,19 +193,21 @@ class LoopCostModel:
         self.capacity = capacity
         hops = np.asarray(loop.edge_weights, dtype=np.float64)
         self.prefix = np.concatenate(([0.0], np.cumsum(np.concatenate((hops, hops)))))
+        self._prefix = memoryview(self.prefix)
         self.depots = list(depots) if depots else None
         if self.depots is not None:
             ids = np.array([g.index[c] for c in loop.nodes])
             self.depot_dist = [g.sssp(d)[0][ids] for d in self.depots]
+            self._depot_dist = [memoryview(d) for d in self.depot_dist]
 
     def coverage_cost(self, start: int, size: int) -> float:
-        return float(self.prefix[start + size - 1] - self.prefix[start])
+        return self._prefix[start + size - 1] - self._prefix[start]
 
     def segment_cost_at(self, start: int, size: int, depot_idx: int,
                         behind: int = 0) -> float:
         """Full cost of servicing ``behind`` cells walking backward from
         ``start - 1``, then the ``size`` cells from ``start`` forward."""
-        d, length = self.depot_dist[depot_idx], self.length
+        d, length = self._depot_dist[depot_idx], self.length
         cost = 0.0
         if behind:
             tail = (start - behind) % length
@@ -209,15 +218,35 @@ class LoopCostModel:
         for off in _refill_offsets(behind + size, self.capacity):
             pos = start - off - 1 if off < behind else start + off - behind
             cost += 2.0 * d[pos % length]
-        return float(cost)
+        return cost
+
+    def segment_costs(self, start: int, size, depot_idx: int, behind=0) -> np.ndarray:
+        """``segment_cost_at`` for arrays of ``size`` and ``behind``.
+
+        The terms are added in the scalar order, and a masked-out tail or
+        refill term adds 0.0, so every entry equals the scalar cost bit
+        for bit.
+        """
+        d, length, prefix = self.depot_dist[depot_idx], self.length, self.prefix
+        size, behind = np.asarray(size), np.asarray(behind)
+        tail = (start - behind) % length
+        tail_cost = (d[(start - 1) % length] + (prefix[tail + behind - 1] - prefix[tail])
+                     + d[tail])
+        cost = np.where(behind > 0, tail_cost, 0.0)
+        cost = cost + d[start]
+        cost = cost + (prefix[start + size - 1] - prefix[start])
+        cost = cost + d[(start + size - 1) % length]
+        total = behind + size
+        for off in _refill_offsets(int(total.max()), self.capacity):
+            pos = np.where(off < behind, start - off - 1, start + off - behind)
+            cost = cost + np.where(off < total - 1, 2.0 * d[pos % length], 0.0)
+        return cost
 
     def greedy_binding(self, starts: list[int]) -> list[int]:
         """Assign robots to segments greedily by cheapest approach leg."""
         k = len(starts)
-        pairs = sorted(
-            (float(self.depot_dist[r][s]), r, j)
-            for r in range(k) for j, s in enumerate(starts)
-        )
+        pairs = sorted([(dist[s], r, j) for r, dist in enumerate(self._depot_dist[:k])
+                        for j, s in enumerate(starts)])
         binding = [-1] * k
         used_robots = set()
         for _, r, j in pairs:
@@ -229,13 +258,16 @@ class LoopCostModel:
 
     def placement_costs(self, keys: list[int]) -> tuple[list[float], list[int] | None]:
         k, length = len(keys), self.length
+        if self.depots is None:
+            # coverage only: one prefix-sum difference per segment
+            ring = np.array(keys + keys[:1])
+            starts = ring[:-1]
+            sizes = (ring[1:] - starts) % length if k > 1 else length
+            return (self.prefix[starts + sizes - 1] - self.prefix[starts]).tolist(), None
         if k == 1:
             sizes = [length]
         else:
             sizes = [(keys[(i + 1) % k] - keys[i]) % length for i in range(k)]
-        if self.depots is None:
-            costs = [self.coverage_cost(keys[i], sizes[i]) for i in range(k)]
-            return costs, None
         binding = self.greedy_binding(keys)
         costs = [self.segment_cost_at(keys[i], sizes[i], binding[i]) for i in range(k)]
         return costs, binding
@@ -356,6 +388,35 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
     return current, iterations
 
 
+def _pairs_by_gap(weights: list[float]) -> Iterator[tuple[int, int]]:
+    """Every ordered segment pair (i, j), i != j, by cost gap
+    ``weights[i] - weights[j]``, ties broken by (i, j).
+
+    A scan rarely visits more than a few hundred of the k(k-1) pairs, so
+    the order is built lazily: each round sorts only the smallest gaps
+    left, every tie of the largest one included, and takes eight times
+    as many as the round before.
+    """
+    k = len(weights)
+    w = np.asarray(weights)
+    gaps = (w[:, None] - w).ravel()        # pair (i, j) at i * k + j
+    rest = np.arange(k * k)
+    take = 4 * k
+    while rest.size:
+        left = gaps[rest]
+        if take < rest.size:
+            head = left <= np.partition(left, take)[take]
+            batch, rest = rest[head], rest[~head]
+        else:
+            batch, rest = rest, rest[:0]
+        # a stable sort keeps equal gaps in (i, j) order
+        for idx in batch[np.argsort(gaps[batch], kind="stable")].tolist():
+            i, j = divmod(idx, k)
+            if i != j:
+                yield i, j
+        take *= 8
+
+
 def _scan_improvement(model: LoopCostModel, current: PartitionSet,
                       size_cap: int | None, budget: _EvalBudget
                       ) -> PartitionSet | None:
@@ -370,10 +431,8 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
     sizes = current.sizes()
     weights = current.weights
     cur_max = max(weights)
-    order = sorted(((i, j) for i in range(k) for j in range(k) if i != j),
-                   key=lambda p: (weights[p[0]] - weights[p[1]], p))
     best = None
-    for mn, mx in order:
+    for mn, mx in _pairs_by_gap(weights):
         for moving, sign in _chain_directions(k, mn, mx):
             lo, hi = _shift_bounds(sizes, mn, mx, size_cap)
             for t in range(lo, hi + 1):

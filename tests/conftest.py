@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph
+from mrcpp.partition import LoopCostModel, build_robot_plan
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -94,6 +95,67 @@ def bfs_components(h: SpanningGraph) -> list[list]:
         groups.append(sorted(comp, key=lambda b: (b[1], b[0])))
     groups.sort(key=len, reverse=True)
     return groups
+
+
+def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
+    """MSTC-BO's split search, one scalar ``segment_cost_at`` per robot and split.
+
+    Returns the depot keys in loop order, the split of each arc (the cells
+    handed to the next robot) and the plan weights by robot id.  The
+    oracle the tests hold ``mstc_bo``'s array scan to.
+    """
+    length = len(loop)
+    entries = sorted((loop.position(d), r) for r, d in enumerate(depots))
+    k = len(entries)
+    keys = [pos for pos, _ in entries]
+    arc_len = [(keys[(j + 1) % k] - keys[j]) % length or length for j in range(k)]
+    model = LoopCostModel(loop, g, [depots[r] for _, r in entries], capacity)
+    splits = [0] * k
+
+    def robot_cost(j, split_vec):
+        return model.segment_cost_at(keys[j], arc_len[j] - split_vec[j], j,
+                                     behind=split_vec[(j - 1) % k])
+
+    if k > 1:
+        current = [robot_cost(j, splits) for j in range(k)]
+        for _ in range(8):
+            changed = False
+            for j in range(k):
+                nxt = (j + 1) % k
+                best_t, best_max = splits[j], max(current)
+                for t in range(arc_len[j]):
+                    if t == splits[j]:
+                        continue
+                    trial = list(splits)
+                    trial[j] = t
+                    trial_max = max(robot_cost(j, trial), robot_cost(nxt, trial),
+                                    *(current[i] for i in range(k) if i not in (j, nxt)))
+                    if trial_max < best_max - 1e-12:
+                        best_t, best_max = t, trial_max
+                if best_t != splits[j]:
+                    splits[j] = best_t
+                    current = [robot_cost(j, splits) for j in range(k)]
+                    changed = True
+            if not changed:
+                break
+
+    weights = [0.0] * k
+    for j, (pos, robot) in enumerate(entries):
+        behind = splits[(j - 1) % k]
+        runs = [[loop.nodes[(pos - 1 - i) % length] for i in range(behind)],
+                [loop.nodes[(pos + i) % length] for i in range(arc_len[j] - splits[j])]]
+        weights[robot] = build_robot_plan(robot, depots[robot], runs, capacity, g).weight
+    return keys, splits, weights
+
+
+def sorted_pair_order(weights) -> list[tuple[int, int]]:
+    """Every ordered pair (i, j), i != j, sorted by (weights[i] - weights[j], (i, j)).
+
+    The oracle the tests hold the refinement's pair order to.
+    """
+    k = len(weights)
+    return sorted(((i, j) for i in range(k) for j in range(k) if i != j),
+                  key=lambda p: (weights[p[0]] - weights[p[1]], p))
 
 
 def loop_instance(seed: int, k: int, width: int = 14, height: int = 14) -> ScenePlanner:

@@ -9,8 +9,9 @@ from mrcpp.baselines import (BaselineError, ComparisonReport,
 from mrcpp.partition import balanced_mstc, build_robot_plan, naive_mstc
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.graphs import PlannerConfig
+from mrcpp.scenegen import generate_scene
 
-from conftest import flat_scene, loop_instance
+from conftest import flat_scene, loop_instance, scalar_mstc_bo
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -126,6 +127,30 @@ def test_mstc_bo_coverage_conservation_with_capacity():
     for plan in bo.plans:
         assert plan.trips == math.ceil(len(plan.segment) / 6)
         assert len(plan.refills) == plan.trips - 1
+
+
+@pytest.mark.parametrize("kind, seed, size", [("random", 4, 12), ("blocked", 3, 16),
+                                             ("field", 1, 14)])
+def test_mstc_bo_matches_scalar_split_scan(kind, seed, size):
+    """The array split scan picks the splits the scalar scan picks, and the
+    plans weigh exactly the same."""
+    planner = ScenePlanner(generate_scene(kind, seed=seed, width=size, height=size,
+                                          robots=4, depot_style="clustered"))
+    g, loop = planner.graph, planner.loop
+    moved = 0
+    for k in (2, 3, 4):
+        depots = planner.depots(k)
+        for capacity in (math.inf, 1.0, 3.0):
+            keys, splits, weights = scalar_mstc_bo(g, loop, depots, capacity)
+            bo = mstc_bo(g, loop, depots, capacity)
+            assert bo.partition.keys == keys
+            # the tail a robot walks backward is the split of the arc behind it
+            behind = [len(p.runs[0]) if len(p.runs) == 2 else 0
+                      for p in (bo.plans[r] for r in bo.binding)]
+            assert behind[1:] + behind[:1] == splits
+            assert [p.weight for p in bo.plans] == weights
+            moved += sum(splits)
+    assert moved > 0
 
 
 def test_reduction_ratio_basics():

@@ -1,19 +1,22 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mrcpp.graphs import PlannerConfig, build_covering_graph, build_spanning_graph
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet,
-                             balanced_cut, balanced_mstc, build_robot_plan,
-                             capacity_partition, max_weight, naive_mstc,
-                             naive_partition, trips_required)
+                             _pairs_by_gap, balanced_cut, balanced_mstc,
+                             build_robot_plan, capacity_partition, max_weight,
+                             naive_mstc, naive_partition, trips_required)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
+from mrcpp.scenegen import generate_scene
 from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import build_traversability
 
-from conftest import flat_scene, loop_instance, shortest_path, tiny_loop_instances
+from conftest import (flat_scene, loop_instance, shortest_path, sorted_pair_order,
+                      tiny_loop_instances)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -302,3 +305,57 @@ def test_cost_kernel_matches_built_plans(seed, k, capacity):
             fwd = [loop.nodes[(start + i) % len(loop)] for i in range(size)]
             plan = build_robot_plan(0, depots[0], [tail, fwd], capacity, g)
             check(start, size, 0, behind, plan.weight)
+
+
+@pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0])
+def test_segment_costs_equal_scalar_kernel_bit_for_bit(capacity):
+    """The array kernel equals ``segment_cost_at`` exactly, in both of the
+    broadcast forms MSTC-BO scans with: an array of sizes behind a fixed
+    tail, and an array of tails before a fixed size."""
+    planner = loop_instance(10, 3, width=6, height=6)   # a 20-node loop
+    loop, k = planner.loop, 3
+    model = LoopCostModel(loop, planner.graph, planner.depots(k), capacity)
+    length = len(loop)
+    for depot in range(k):
+        for start in range(length):
+            for behind in range(length):
+                sizes = np.arange(1, length - behind + 1)
+                got = model.segment_costs(start, sizes, depot, behind=behind).tolist()
+                assert got == [model.segment_cost_at(start, size, depot, behind)
+                               for size in range(1, length - behind + 1)]
+            for size in range(1, length + 1):
+                behinds = np.arange(length - size + 1)
+                got = model.segment_costs(start, size, depot, behind=behinds).tolist()
+                assert got == [model.segment_cost_at(start, size, depot, behind)
+                               for behind in range(length - size + 1)]
+
+
+def test_virtual_placement_costs_equal_prefix_differences():
+    planner = loop_instance(13, 3)
+    loop, length = planner.loop, len(planner.loop)
+    model = LoopCostModel(loop)
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 5, 17, length):
+        for _ in range(5):
+            keys = sorted(rng.choice(length, size=k, replace=False).tolist())
+            keys = keys[k // 2:] + keys[:k // 2]   # segments may wrap past 0
+            sizes = PartitionSet(keys=keys, loop_length=length).sizes()
+            costs, binding = model.placement_costs(keys)
+            assert binding is None
+            assert costs == [model.coverage_cost(keys[i], sizes[i]) for i in range(k)]
+
+
+def test_pair_order_matches_sorted_oracle_with_ties():
+    """The refinement visits segment pairs by cost gap, ties by (i, j)."""
+    blocked = ScenePlanner(generate_scene("blocked", seed=1))   # flat, walled
+    model = LoopCostModel(blocked.loop)
+    n = 40
+    equal_costs, _ = model.placement_costs(naive_partition(blocked.loop, n).keys)
+    assert len(set(equal_costs)) < n // 2          # many exact ties
+    rng = np.random.default_rng(3)
+    cases = [equal_costs, [1.0], [2.0, 2.0], [0.0, 1.0, 0.0, 1.0, 0.5],
+             rng.integers(0, 4, size=30).astype(float).tolist(),
+             (rng.integers(0, 8, size=40) * 0.1).tolist(),
+             rng.random(12).tolist()]
+    for weights in cases:
+        assert list(_pairs_by_gap(weights)) == sorted_pair_order(weights)
