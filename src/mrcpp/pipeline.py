@@ -7,14 +7,13 @@ it, which keeps parameter sweeps cheap.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import baselines, partition
+from . import baselines, jsontext, partition
 from .graphs import (CoveringGraph, PlannerConfig, SpanningGraph,
                      build_covering_graph, build_spanning_graph)
 from .scene import Scene
@@ -181,13 +180,20 @@ def plan_document(result: PlanResult, scene: Scene, scene_id: str = "scene",
 
 
 def write_json_atomic(path, doc: dict) -> Path:
-    """Serialize deterministically and rename into place."""
+    """Serialize deterministically and rename into place.
+
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the 0o600 of ``mkstemp``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = jsontext.dumps(doc)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
             fh.write("\n")
         os.replace(tmp, path)

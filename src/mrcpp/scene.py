@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rasters
+from . import jsontext, rasters
 
 Cell = tuple[int, int]
 
@@ -162,5 +162,5 @@ def save_scene(scene: Scene, path, name: str | None = None) -> Path:
         mask_name = f"{stem}_landclass.txt"
         rasters.write_mask_grid(path.parent / mask_name, scene.landclass)
         doc["landclass_file"] = mask_name
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    path.write_text(jsontext.dumps(doc))
     return path

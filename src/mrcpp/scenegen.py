@@ -70,18 +70,27 @@ def generate_scene(kind: str, seed: int, width: int | None = None,
                    height: int | None = None, robots: int | None = None,
                    depot_style: str | None = None,
                    threshold: float = DEFAULT_SLOPE_THRESHOLD) -> Scene:
-    """Generate a planner-ready scene; deterministic in (kind, seed, dims)."""
+    """Generate a planner-ready scene; deterministic in (kind, seed, dims).
+
+    Attempts first ask for four covered cells (one 2x2 block) per robot.
+    Only if none of them has that much room, as on a 5x5 grid with five
+    robots, are the same attempts retried asking for one distinct depot
+    cell per robot, so every scene the first pass yields is unchanged.
+    """
     if kind not in KINDS:
         raise SceneError(f"unknown scene kind '{kind}' (choose from {KINDS})")
-    for attempt in range(24):
-        rng = np.random.default_rng(int(seed) * 1000003 + attempt)
-        scene = _generate_once(kind, rng, width, height, robots, depot_style, threshold)
-        if scene is not None:
-            return scene
+    for cells_per_robot in (4, 1):
+        for attempt in range(24):
+            rng = np.random.default_rng(int(seed) * 1000003 + attempt)
+            scene = _generate_once(kind, rng, width, height, robots, depot_style,
+                                   threshold, cells_per_robot)
+            if scene is not None:
+                return scene
     raise SceneError(f"could not generate a valid '{kind}' scene from seed {seed}")
 
 
-def _generate_once(kind, rng, width, height, robots, depot_style, threshold):
+def _generate_once(kind, rng, width, height, robots, depot_style, threshold,
+                   cells_per_robot):
     if kind == "blocked":
         width = width or 16
         height = height or 16
@@ -123,7 +132,7 @@ def _generate_once(kind, rng, width, height, robots, depot_style, threshold):
     if not groups:
         return None
     cells = groups[0]
-    if len(cells) < 4 * robots:
+    if len(cells) < cells_per_robot * robots:
         return None
     anchor = None
     if kind == "field":

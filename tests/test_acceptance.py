@@ -5,8 +5,8 @@ failing criterion fails its test.  Expected values come from independent
 oracles computed inside this module: exhaustive enumeration, brute-force
 scans, flood fill, and event-by-event cost simulation.
 """
+import hashlib
 import itertools
-import json
 import math
 import time
 from collections import deque
@@ -18,7 +18,7 @@ from mrcpp.graphs import (PlannerConfig, SpanningGraph, build_covering_graph,
                           build_spanning_graph, edge_weight)
 from mrcpp.partition import balanced_mstc, capacity_partition, naive_mstc
 from mrcpp.baselines import mstc_nb
-from mrcpp.pipeline import ScenePlanner, plan_document
+from mrcpp.pipeline import ScenePlanner, plan_document, write_json_atomic
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
 from mrcpp.stc import minimum_spanning_tree, spiral_stc_loop
@@ -350,16 +350,17 @@ def test_criterion_9_field_scalability_trend():
 
 # --- criterion 10: determinism --------------------------------------------------
 
-def test_criterion_10_byte_identical_plans():
+def test_criterion_10_byte_identical_plans(tmp_path):
     specs = [("blocked", 1, 4), ("random", 2, 4), ("random", 3, 8)]
     for kind, seed, k in specs:
-        blobs = set()
-        for _ in range(10):
+        digests = set()
+        for run in range(10):
             scene = generate_scene(kind, seed=seed)
             planner = ScenePlanner(scene, PAPER_CFG)
             result = planner.plan("balanced", k, 25.0)
             doc = plan_document(result, scene, scene_id=f"{kind}{seed}",
                                 seed=seed, config=PAPER_CFG)
-            blobs.add(json.dumps(doc, indent=2, sort_keys=True))
-        assert len(blobs) == 1, f"{kind} seed {seed}: outputs differ across runs"
+            path = write_json_atomic(tmp_path / f"{kind}{seed}_{run}.json", doc)
+            digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert len(digests) == 1, f"{kind} seed {seed}: outputs differ across runs"
     _ok(10, "3 scenes x 10 repetitions: byte-identical plan JSON")

@@ -6,6 +6,7 @@ import pytest
 from mrcpp.rasters import (read_esri_ascii, read_mask_grid, write_esri_ascii,
                            write_mask_grid)
 from mrcpp.scene import Scene, SceneError, load_scene, save_scene
+from mrcpp.scenegen import generate_scene
 
 from conftest import flat_scene
 
@@ -147,3 +148,12 @@ def test_nodata_becomes_blocked(tmp_path):
 def test_scene_validate_out_of_bounds_depot():
     with pytest.raises(SceneError, match="outside"):
         flat_scene(4, 4, depots=[(5, 0)]).validate()
+
+
+@pytest.mark.parametrize("kind", ["random", "blocked", "field"])
+def test_generate_scene_fits_more_robots_than_blocks(kind):
+    """A 5x5 grid holds at most four 2x2 blocks; five robots still get
+    five distinct depot cells instead of a generation error."""
+    scene = generate_scene(kind, seed=0, width=5, height=5, robots=5)
+    assert len(set(scene.depots)) == 5
+    scene.validate()

@@ -13,3 +13,15 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, f"assert statements in mrcpp: {found}"
+
+
+def test_only_jsontext_writes_indented_json():
+    # json.dumps(indent=...) never runs CPython's C encoder; jsontext.dumps
+    # writes the same text quickly, so every writer goes through it
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "jsontext.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert not found, f"indented json.dump(s) outside jsontext: {found}"
