@@ -181,6 +181,8 @@ class LoopCostModel:
 
     ``segment_cost_at`` prices one segment; ``segment_costs`` is the same
     formula over arrays of sizes and tails, for scans over many splits.
+    ``placement_costs`` prices one placement of k keys, and
+    ``placement_cost_rows`` a whole matrix of placements at once.
     The scalar methods read the arrays through memoryviews, which share
     their memory and index to Python floats: numpy scalars, which indexing
     the arrays gives, make the scalar arithmetic several times slower.
@@ -197,7 +199,11 @@ class LoopCostModel:
         self.depots = list(depots) if depots else None
         if self.depots is not None:
             ids = np.array([g.index[c] for c in loop.nodes])
-            self.depot_dist = [g.sssp(d)[0][ids] for d in self.depots]
+            # depot r's distance to loop position p at [r, p]
+            self.depot_dist = np.stack([g.sssp(d)[0][ids] for d in self.depots])
+            if not np.isfinite(self.depot_dist).all():
+                # the row kernel's binding masks taken pairs with inf
+                raise PartitionError("a depot cannot reach every loop cell")
             self._depot_dist = [memoryview(d) for d in self.depot_dist]
 
     def coverage_cost(self, start: int, size: int) -> float:
@@ -272,6 +278,43 @@ class LoopCostModel:
         costs = [self.segment_cost_at(keys[i], sizes[i], binding[i]) for i in range(k)]
         return costs, binding
 
+    def placement_cost_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``placement_costs`` for every row of a (T, k) key matrix.
+
+        Row t equals ``placement_costs(keys[t].tolist())`` bit for bit.
+        The greedy binding is k rounds of ``argmin`` over each row's k * k
+        depot distances flattened in (robot, segment) order, so ties go
+        the way the sorted (distance, robot, segment) triples break them;
+        a taken robot's and a taken segment's pairs are masked with inf.
+        The cost terms are added in ``segment_cost_at``'s order, and a
+        masked-out refill term adds 0.0.
+        """
+        rows, k = keys.shape
+        length, prefix = self.length, self.prefix
+        if k == 1:
+            sizes = np.full_like(keys, length)
+        else:
+            sizes = (keys[:, list(range(1, k)) + [0]] - keys) % length
+        coverage = prefix[keys + sizes - 1] - prefix[keys]
+        if self.depots is None:
+            return coverage, None
+        d = self.depot_dist
+        pairs = d[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
+        flat = pairs.reshape(rows, k * k)
+        binding = np.empty_like(keys)
+        every = np.arange(rows)
+        for _ in range(k):
+            robot, segment = np.divmod(flat.argmin(axis=1), k)
+            binding[every, segment] = robot
+            pairs[every, robot, :] = np.inf
+            pairs[every, :, segment] = np.inf
+        cost = d[binding, keys] + coverage
+        cost = cost + d[binding, (keys + sizes - 1) % length]
+        for off in _refill_offsets(int(sizes.max()), self.capacity):
+            cost = cost + np.where(off < sizes - 1, 2.0 * d[binding, (keys + off) % length],
+                                   0.0)
+        return cost, binding
+
 
 def naive_partition(loop: CoverageLoop, k: int) -> PartitionSet:
     """Equal-count keys at floor(j * len / k) offsets from the loop start."""
@@ -298,12 +341,14 @@ def _chain_directions(k: int, min_idx: int, max_idx: int):
     return backward, forward
 
 
-def _shift_bounds(sizes: list[int], min_idx: int, max_idx: int,
-                  size_cap: int | None) -> tuple[int, int]:
-    lo, hi = 1 - sizes[min_idx], sizes[max_idx] - 1
+def _shift_bounds(min_size, max_size, size_cap: int | None):
+    """The shifts t that keep the min and max segments, t nodes moved from
+    the max one into the min one, non-empty and within ``size_cap``.
+    Elementwise over arrays of sizes."""
+    lo, hi = 1 - min_size, max_size - 1
     if size_cap is not None:
-        lo = max(lo, sizes[max_idx] - size_cap)
-        hi = min(hi, size_cap - sizes[min_idx])
+        lo = np.maximum(lo, max_size - size_cap)
+        hi = np.minimum(hi, size_cap - min_size)
     return lo, hi
 
 
@@ -322,7 +367,7 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     base = list(pset.keys)
     sizes = pset.sizes()
     (moving, sign), _ = _chain_directions(len(base), min_idx, max_idx)
-    lo, hi = _shift_bounds(sizes, min_idx, max_idx, size_cap)
+    lo, hi = map(int, _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap))
 
     def probe(shift: int) -> tuple[list[int], list[float]]:
         shift = min(max(shift, lo), hi)
@@ -358,21 +403,22 @@ class _EvalBudget:
     def charge(self, n: int = 1):
         self.used += n
 
+    def take(self, n: int) -> int:
+        """Charge ``n`` evaluations, or as many as are left; returns the number charged."""
+        n = max(0, min(n, self.limit - self.used))
+        self.used += n
+        return n
+
     @property
     def ok(self) -> bool:
         return self.used < self.limit
 
 
 def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
-                 size_cap: int | None,
-                 budget: _EvalBudget | None = None) -> tuple[PartitionSet, int]:
+                 size_cap: int | None) -> tuple[PartitionSet, int]:
     """The outer greedy loop: rebalance the heaviest/lightest pair until stuck."""
     iterations = 0
     while iterations < max_iters and len(current.keys) > 1:
-        if budget is not None:
-            if not budget.ok:
-                break
-            budget.charge(16)   # one binary-search cut ~ 16 placements
         weights = current.weights
         cur_max, cur_min = max(weights), min(weights)
         if cur_max - cur_min <= REL_IMPROVEMENT_EPS * max(cur_max, 1.0):
@@ -388,9 +434,9 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
     return current, iterations
 
 
-def _pairs_by_gap(weights: list[float]) -> Iterator[tuple[int, int]]:
-    """Every ordered segment pair (i, j), i != j, by cost gap
-    ``weights[i] - weights[j]``, ties broken by (i, j).
+def _pairs_by_gap(weights: list[float], feasible: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Every ordered segment pair (i, j), i != j, with ``feasible[i, j]``, by
+    cost gap ``weights[i] - weights[j]``, ties broken by (i, j).
 
     A scan rarely visits more than a few hundred of the k(k-1) pairs, so
     the order is built lazily: each round sorts only the smallest gaps
@@ -398,9 +444,10 @@ def _pairs_by_gap(weights: list[float]) -> Iterator[tuple[int, int]]:
     as many as the round before.
     """
     k = len(weights)
+    first, second = np.nonzero(feasible & ~np.eye(k, dtype=bool))   # in (i, j) order
     w = np.asarray(weights)
-    gaps = (w[:, None] - w).ravel()        # pair (i, j) at i * k + j
-    rest = np.arange(k * k)
+    gaps = w[first] - w[second]
+    rest = np.arange(gaps.size)
     take = 4 * k
     while rest.size:
         left = gaps[rest]
@@ -410,11 +457,14 @@ def _pairs_by_gap(weights: list[float]) -> Iterator[tuple[int, int]]:
         else:
             batch, rest = rest, rest[:0]
         # a stable sort keeps equal gaps in (i, j) order
-        for idx in batch[np.argsort(gaps[batch], kind="stable")].tolist():
-            i, j = divmod(idx, k)
-            if i != j:
-                yield i, j
+        batch = batch[np.argsort(gaps[batch], kind="stable")]
+        yield from zip(first[batch].tolist(), second[batch].tolist())
         take *= 8
+
+
+# a batched scan prices at most this many keys per ``placement_cost_rows``
+# call, which bounds the memory of its (rows, k, k) binding array
+SCAN_CHUNK_KEYS = 1 << 14
 
 
 def _scan_improvement(model: LoopCostModel, current: PartitionSet,
@@ -423,47 +473,57 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
     """Exhaustive chain scan over segment pairs, largest cost gap first.
 
     Returns the best strictly improving placement found before the budget
-    runs out, or None when the partition is pairwise optimal.
+    runs out, or None when the partition is pairwise optimal.  Both chain
+    directions of a pair, and the rotation sweep, are each one matrix of
+    placements priced by ``placement_cost_rows``; the first strictly
+    better placement is then found by replaying the rows in order, so the
+    result does not depend on the chunking.
     """
     k = len(current.keys)
     length = current.loop_length
-    base = list(current.keys)
-    sizes = current.sizes()
-    weights = current.weights
-    cur_max = max(weights)
-    best = None
-    for mn, mx in _pairs_by_gap(weights):
-        for moving, sign in _chain_directions(k, mn, mx):
-            lo, hi = _shift_bounds(sizes, mn, mx, size_cap)
-            for t in range(lo, hi + 1):
-                if t == 0:
-                    continue
-                if not budget.ok:
-                    return best and PartitionSet(keys=best[1], loop_length=length,
-                                                 weights=best[2])
-                budget.charge()
-                keys = list(base)
-                for idx in moving:
-                    keys[idx] = (base[idx] + sign * t) % length
-                if len(set(keys)) != k:
-                    continue
-                costs, _ = model.placement_costs(keys)
-                m = max(costs)
-                if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
-                    best = (m, keys, costs)
-        if best is not None:
+    base = np.array(current.keys)
+    sizes = np.array(current.sizes())
+    cur_max = max(current.weights)
+    best = None   # (max cost, keys, costs)
+
+    def scan(steps: np.ndarray, shifts: np.ndarray):
+        """Charge and price, as far as the budget goes, the placements
+        ``base + step * t``: for each row ``step`` of ``steps``, each t of
+        ``shifts`` in order."""
+        nonlocal best
+        n = len(shifts)
+        count = budget.take(len(steps) * n)
+        chunk = max(1, SCAN_CHUNK_KEYS // k)
+        for begin in range(0, count, chunk):
+            row = np.arange(begin, min(begin + chunk, count))
+            keys = (base + steps[row // n] * shifts[row % n, None]) % length
+            costs, _ = model.placement_cost_rows(keys)
+            top = costs.max(axis=1)
+            if not steps.all():
+                # keys that stay put can collide with moved ones: such a
+                # placement is charged but never taken
+                ordered = np.sort(keys, axis=1)
+                top[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)] = math.inf
+            tops = top.tolist()
+            for i in np.flatnonzero(top < cur_max - 1e-12).tolist():
+                if best is None or tops[i] < best[0] - 1e-15:
+                    best = (tops[i], keys[i].tolist(), costs[i].tolist())
+
+    # the bounds of pair (min, max) at [min, max]
+    lo, hi = np.broadcast_arrays(*_shift_bounds(sizes[:, None], sizes, size_cap))
+    feasible = (lo <= hi) & ((lo != 0) | (hi != 0))
+    for mn, mx in _pairs_by_gap(current.weights, feasible):
+        shifts = np.arange(lo[mn, mx], hi[mn, mx] + 1)
+        steps = np.zeros((2, k), dtype=base.dtype)
+        for step, (moving, sign) in zip(steps, _chain_directions(k, mn, mx)):
+            step[moving] = sign
+        scan(steps, shifts[shifts != 0])
+        if best is not None or not budget.ok:
             break
     if best is None:
-        # whole-partition rotations (size-preserving) as a plateau escape
-        for rot in range(1, length):
-            if not budget.ok:
-                break
-            budget.charge()
-            keys = [(p + rot) % length for p in base]
-            costs, _ = model.placement_costs(keys)
-            m = max(costs)
-            if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
-                best = (m, keys, costs)
+        # whole-partition rotations (size-preserving) as a plateau escape;
+        # a spent budget prices none of them
+        scan(np.ones((1, k), dtype=base.dtype), np.arange(1, length))
     if best is None:
         return None
     return PartitionSet(keys=best[1], loop_length=length, weights=best[2])
@@ -505,8 +565,6 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
         if not budget.ok:
             break
         keys = [(p + rot) % length for p in initial.keys]
-        if len(set(keys)) != k:
-            continue
         budget.charge(k)
         rc, _ = model.placement_costs(keys)
         cand = PartitionSet(keys=keys, loop_length=length, weights=rc)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph
-from mrcpp.partition import LoopCostModel, build_robot_plan
+from mrcpp.partition import LoopCostModel, PartitionSet, _chain_directions, build_robot_plan
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -156,6 +156,62 @@ def sorted_pair_order(weights) -> list[tuple[int, int]]:
     k = len(weights)
     return sorted(((i, j) for i in range(k) for j in range(k) if i != j),
                   key=lambda p: (weights[p[0]] - weights[p[1]], p))
+
+
+def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
+                            size_cap, budget) -> PartitionSet | None:
+    """The refinement scan, one scalar ``placement_costs`` call per placement.
+
+    Segment pairs by cost gap, then every shift of both key chains of a
+    pair, charging the budget one evaluation per shift and skipping
+    colliding keys; with no improving shift, every rotation.  The oracle
+    the tests hold the batched ``_scan_improvement`` to.
+    """
+    k = len(current.keys)
+    length = current.loop_length
+    base = list(current.keys)
+    sizes = current.sizes()
+    weights = current.weights
+    cur_max = max(weights)
+    best = None
+    for mn, mx in sorted_pair_order(weights):
+        for moving, sign in _chain_directions(k, mn, mx):
+            lo, hi = 1 - sizes[mn], sizes[mx] - 1
+            if size_cap is not None:
+                lo = max(lo, sizes[mx] - size_cap)
+                hi = min(hi, size_cap - sizes[mn])
+            for t in range(lo, hi + 1):
+                if t == 0:
+                    continue
+                if not budget.ok:
+                    return best and PartitionSet(keys=best[1], loop_length=length,
+                                                 weights=best[2])
+                budget.charge()
+                keys = list(base)
+                for idx in moving:
+                    keys[idx] = (base[idx] + sign * t) % length
+                if len(set(keys)) != k:
+                    continue
+                costs, _ = model.placement_costs(keys)
+                m = max(costs)
+                if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
+                    best = (m, keys, costs)
+        if best is not None:
+            break
+    if best is None:
+        # whole-partition rotations (size-preserving) as a plateau escape
+        for rot in range(1, length):
+            if not budget.ok:
+                break
+            budget.charge()
+            keys = [(p + rot) % length for p in base]
+            costs, _ = model.placement_costs(keys)
+            m = max(costs)
+            if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
+                best = (m, keys, costs)
+    if best is None:
+        return None
+    return PartitionSet(keys=best[1], loop_length=length, weights=best[2])
 
 
 def loop_instance(seed: int, k: int, width: int = 14, height: int = 14) -> ScenePlanner:

@@ -4,19 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from mrcpp import partition
 from mrcpp.graphs import PlannerConfig, build_covering_graph, build_spanning_graph
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet,
-                             _pairs_by_gap, balanced_cut, balanced_mstc,
-                             build_robot_plan, capacity_partition, max_weight,
-                             naive_mstc, naive_partition, trips_required)
+                             _EvalBudget, _pairs_by_gap, _scan_improvement,
+                             balanced_cut, balanced_mstc, build_robot_plan,
+                             capacity_partition, max_weight, naive_mstc,
+                             naive_partition, trips_required)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
 from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
-from mrcpp.terrain import build_traversability
+from mrcpp.terrain import build_traversability, steepness_filter
 
-from conftest import (flat_scene, loop_instance, shortest_path, sorted_pair_order,
-                      tiny_loop_instances)
+from conftest import (flat_scene, loop_instance, scalar_scan_improvement, shortest_path,
+                      sorted_pair_order, tiny_loop_instances)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -358,4 +360,105 @@ def test_pair_order_matches_sorted_oracle_with_ties():
              (rng.integers(0, 8, size=40) * 0.1).tolist(),
              rng.random(12).tolist()]
     for weights in cases:
-        assert list(_pairs_by_gap(weights)) == sorted_pair_order(weights)
+        k = len(weights)
+        masks = [np.ones((k, k), dtype=bool), np.zeros((k, k), dtype=bool),
+                 rng.random((k, k)) < 0.5, rng.random((k, k)) < 0.05]
+        for mask in masks:
+            assert list(_pairs_by_gap(weights, mask)) == [
+                (i, j) for i, j in sorted_pair_order(weights) if mask[i, j]]
+
+
+@pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0])
+def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
+    """Every row of the row kernel equals ``placement_costs`` of that row's
+    keys exactly, costs and depot binding both: on a weighted scene, and
+    on a flat walled scene where many depot distances tie."""
+    rng = np.random.default_rng(11)
+    for planner in (loop_instance(5, 1), ScenePlanner(generate_scene("blocked", seed=1))):
+        loop, length = planner.loop, len(planner.loop)
+        for k in (1, 2, 3, 5, 16):
+            depots = [loop.nodes[p] for p in rng.choice(length, size=k, replace=False)]
+            model = LoopCostModel(loop, planner.graph, depots, capacity)
+            keys = np.array([rng.choice(length, size=k, replace=False) for _ in range(40)])
+            keys[:20].sort(axis=1)               # half the rows in loop order
+            costs, binding = model.placement_cost_rows(keys)
+            for row, cost_row, binding_row in zip(keys.tolist(), costs.tolist(),
+                                                  binding.tolist()):
+                assert (cost_row, binding_row) == model.placement_costs(row)
+        virtual = LoopCostModel(loop)
+        keys = np.array([rng.choice(length, size=7, replace=False) for _ in range(20)])
+        costs, binding = virtual.placement_cost_rows(keys)
+        assert binding is None
+        assert costs.tolist() == [virtual.placement_costs(row)[0] for row in keys.tolist()]
+
+
+def test_depot_that_cannot_reach_the_loop_is_rejected():
+    # a wall splits G in two; the loop runs on the left side only
+    walled = flat_scene(6, 2, depots=[(0, 0)], blocked_cells=[(2, 0), (2, 1)])
+    g = build_covering_graph(steepness_filter(walled), UNWEIGHTED, depots=[(0, 0)])
+    loop = CoverageLoop(nodes=[(0, 0), (1, 0), (1, 1), (0, 1)], edge_weights=[1.0] * 4,
+                        total_weight=4.0)
+    LoopCostModel(loop, g, [(0, 0), (1, 1)])
+    with pytest.raises(PartitionError, match="cannot reach"):
+        LoopCostModel(loop, g, [(0, 0), (5, 1)])
+
+
+def scan_cases():
+    """(model, partition, size_cap) cases for the refinement scan: random
+    key sets, in loop order and not, under depot and virtual costs."""
+    rng = np.random.default_rng(5)
+    weighted = loop_instance(5, 4, width=8, height=8)
+    loop, length = weighted.loop, len(weighted.loop)
+    # hops of 0.1 give costs equal to within an ulp, below the 1e-15 margin
+    fine = fake_loop(30, 0.1)
+    models = [LoopCostModel(loop, weighted.graph, weighted.depots(2)),
+              LoopCostModel(loop, weighted.graph, weighted.depots(3), 3.0),
+              LoopCostModel(loop, weighted.graph, weighted.depots(4)),
+              LoopCostModel(loop), LoopCostModel(fine)]
+    for model in models:
+        k = len(model.depots) if model.depots else 5
+        for trial in range(4):
+            keys = rng.choice(model.length, size=k, replace=False).tolist()
+            if trial % 2:
+                keys.sort()
+            for size_cap in (None, 2, 5):
+                weights, _ = model.placement_costs(keys)
+                yield model, PartitionSet(keys, model.length, weights), size_cap
+
+
+@pytest.mark.parametrize("limit", [1, 2, 7, 50, 10_000])
+def test_batched_scan_matches_scalar_scan(limit):
+    """The batched refinement scan returns the scalar scan's placement and
+    spends the same budget, also when the budget runs out mid-matrix."""
+    for model, pset, size_cap in scan_cases():
+        scalar_budget, batched_budget = _EvalBudget(limit), _EvalBudget(limit)
+        want = scalar_scan_improvement(model, pset, size_cap, scalar_budget)
+        got = _scan_improvement(model, pset, size_cap, batched_budget)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert (got.keys, got.weights) == (want.keys, want.weights)
+        assert batched_budget.used == scalar_budget.used
+
+
+def test_scan_skips_pairs_with_no_feasible_shift(monkeypatch):
+    """With n * c = L every segment is at the size cap, so no pair has a
+    shift: the scan builds no key chain and goes straight to rotations."""
+    planner = loop_instance(5, 1)
+    length = len(planner.loop)
+    cap = next(c for c in range(3, length) if length % c == 0)
+    model = LoopCostModel(planner.loop)
+    keys = list(range(0, length, cap))
+    weights, _ = model.placement_costs(keys)
+    chains = []
+    real = partition._chain_directions
+    monkeypatch.setattr(partition, "_chain_directions",
+                        lambda *args: chains.append(args) or real(*args))
+    budget = _EvalBudget(10_000)
+    got = _scan_improvement(model, PartitionSet(keys, length, weights), cap, budget)
+    assert chains == []
+    assert budget.used == length - 1               # the rotation sweep alone
+    want = scalar_scan_improvement(model, PartitionSet(keys, length, weights), cap,
+                                   _EvalBudget(10_000))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.keys, got.weights) == (want.keys, want.weights)
