@@ -34,18 +34,17 @@ print(f"loop visits {len(loop)} cells (= 4 x {len(mst)} blocks), "
 
 def first_neighbor_tree(h, root):
     """Depth-first tree that ignores edge weights."""
-    parent, children, edges = {root: None}, {b: [] for b in h.blocks}, set()
+    seen, edges = {root}, set()
     total, stack = 0.0, [root]
     while stack:
         node = stack.pop()
         for nbr in h.adjacency[node]:
-            if nbr not in parent:
-                parent[nbr] = node
-                children[node].append(nbr)
+            if nbr not in seen:
+                seen.add(nbr)
                 edges.add(_canon(node, nbr))
                 total += h.weight(node, nbr)
                 stack.append(nbr)
-    return SpanningTree(root=root, parent=parent, children=children,
+    return SpanningTree(root=root, blocks=[b for b in h.blocks if b in seen],
                         edges=edges, total_weight=total)
 
 

@@ -138,24 +138,28 @@ def capacity_label(capacity: float) -> str:
 def plan_document(result: PlanResult, scene: Scene, scene_id: str = "scene",
                   seed: int | None = None,
                   config: PlannerConfig | None = None) -> dict:
-    """JSON-serializable plan document (schema used by render and tests)."""
+    """JSON-serializable plan document (schema used by render and tests).
+
+    Cells stay ``(x, y)`` tuples, which ``jsontext.dumps`` writes as lists;
+    every list is the document's own, so editing it leaves the plans intact.
+    """
     config = config or PlannerConfig()
     plans = []
     for p in result.outcome.plans:
         plans.append({
             "robot": p.robot,
-            "depot": list(p.depot),
-            "path": [list(c) for c in p.segment],
-            "runs": [[list(c) for c in run] for run in p.runs],
+            "depot": p.depot,
+            "path": p.segment,
+            "runs": [list(run) for run in p.runs],
             "trips": p.trips,
             "weight": p.weight,
             "refills": [
                 {
                     "index": t.serviced_index,
-                    "cell": list(t.break_cell),
+                    "cell": t.break_cell,
                     "cost": t.cost,
-                    "outbound": [list(c) for c in t.outbound],
-                    "inbound": [list(c) for c in t.inbound],
+                    "outbound": list(t.outbound),
+                    "inbound": list(t.inbound),
                 }
                 for t in p.refills
             ],

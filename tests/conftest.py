@@ -13,6 +13,7 @@ from mrcpp.partition import LoopCostModel, PartitionSet, _chain_directions, buil
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
+from mrcpp.stc import SpanningTree
 
 
 def flat_scene(width: int, height: int, depots, blocked_cells=()) -> Scene:
@@ -95,6 +96,79 @@ def bfs_components(h: SpanningGraph) -> list[list]:
         groups.append(sorted(comp, key=lambda b: (b[1], b[0])))
     groups.sort(key=len, reverse=True)
     return groups
+
+
+def kruskal_tree(h: SpanningGraph, root) -> SpanningTree:
+    """Kruskal's MST by union-find, edges taken in (weight, row-major ends) order.
+
+    The oracle the tests hold ``minimum_spanning_tree`` to, tie-break and
+    order of accumulating ``total_weight`` included.
+    """
+    parent = {b: b for b in h.blocks}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges, total = set(), 0.0
+    ranked = sorted(h.edges.items(), key=lambda kv: (kv[1], kv[0][0][1], kv[0][0][0],
+                                                     kv[0][1][1], kv[0][1][0]))
+    for (a, b), w in ranked:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            edges.add((a, b))
+            total += w
+    return SpanningTree(root=root, blocks=list(h.blocks), edges=edges, total_weight=total)
+
+
+def reference_stc_loop(g: CoveringGraph, tree: SpanningTree, start) -> tuple[list, list]:
+    """The coverage loop around ``tree``, found cell by cell.
+
+    A cell may step to a 4-neighbour only if the step neither crosses a
+    tree edge nor crosses a block boundary without one; every covered
+    cell has exactly two such moves.  The cycle is walked from ``start``
+    and turned counter-clockwise (positive signed area).  Returns the
+    loop's cells and hop weights: the oracle the tests hold
+    ``spiral_stc_loop`` to.
+    """
+    covered = {}
+    for bx, by in tree.blocks:
+        for dx in (0, 1):
+            for dy in (0, 1):
+                covered[(2 * bx + dx, 2 * by + dy)] = (bx, by)
+
+    def step_allowed(u, v):
+        bu, bv = covered[u], covered[v]
+        if bu != bv:
+            return tree.has_edge(bu, bv)
+        bx, by = bu
+        if u[1] == v[1]:
+            side = (bx, by - 1) if u[1] == 2 * by else (bx, by + 1)
+        else:
+            side = (bx - 1, by) if u[0] == 2 * bx else (bx + 1, by)
+        return not tree.has_edge(bu, side)
+
+    moves = {}
+    for cell in covered:
+        nbrs = [(cell[0] + dx, cell[1] + dy) for dx, dy in ((0, 1), (-1, 0), (0, -1), (1, 0))]
+        moves[cell] = [v for v in nbrs if v in covered and step_allowed(cell, v)]
+        if len(moves[cell]) != 2:
+            raise ValueError(f"cell {cell} has {len(moves[cell])} moves")
+    cycle, prev = [start], None
+    while True:
+        here = cycle[-1]
+        nxt = next(c for c in moves[here] if c != prev)
+        if nxt == start:
+            break
+        prev = here
+        cycle.append(nxt)
+    area = sum(x * ny - nx * y for (x, y), (nx, ny) in zip(cycle, cycle[1:] + cycle[:1]))
+    if area < 0:
+        cycle = [cycle[0]] + cycle[:0:-1]
+    return cycle, [g.weight(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
 
 
 def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):

@@ -57,7 +57,7 @@ def test_criterion_1_coverage_completeness():
         assert elapsed < 1.0, f"scene {seed}: pipeline took {elapsed:.2f}s"
         assert len(loop) == 4 * len(planner.tree)
         assert len(set(loop.nodes)) == len(loop)
-        covered = {c for b in planner.tree.parent
+        covered = {c for b in planner.tree.blocks
                    for c in planner.spanning.block_cells(b)}
         assert set(loop.nodes) == covered
         for i, cell in enumerate(loop.nodes):

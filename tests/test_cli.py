@@ -191,6 +191,23 @@ def test_plan_json_round_trips_through_render(tmp_path):
     assert "<svg" in svg
 
 
+def test_plan_document_shares_no_list_with_the_plans():
+    scene = generate_scene("random", seed=4)
+    result = ScenePlanner(scene).plan("balanced", 2, 5)
+
+    def lists(plans):
+        return [(p.runs, [(t.outbound, t.inbound) for t in p.refills]) for p in plans]
+
+    before = json.dumps(lists(result.outcome.plans))
+    doc = plan_document(result, scene)
+    assert any(plan["refills"] for plan in doc["plans"])
+    for plan in doc["plans"]:
+        for lst in [plan["path"], plan["runs"], *plan["runs"],
+                    *(trip[leg] for trip in plan["refills"] for leg in ("outbound", "inbound"))]:
+            lst.clear()
+    assert json.dumps(lists(result.outcome.plans)) == before
+
+
 def test_identical_runspec_byte_identical_output(tmp_path):
     scene_path = tmp_path / "scene.json"
     main(["gen-scene", "--kind", "random", "--seed", "6", "--out", str(scene_path)])

@@ -6,12 +6,14 @@ import pytest
 
 from mrcpp.graphs import PlannerConfig, SpanningGraph, build_covering_graph, \
     build_spanning_graph
+from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
+from mrcpp.scenegen import generate_scene
 from mrcpp.stc import (CoverageLoop, SpanningTree, StcError,
                        minimum_spanning_tree, spiral_stc_loop)
 from mrcpp.terrain import _canon, build_traversability
 
-from conftest import flat_scene
+from conftest import flat_scene, kruskal_tree, reference_stc_loop
 
 SQRT2 = math.sqrt(2.0)
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
@@ -95,21 +97,19 @@ def exhaustive_mst_weight(h: SpanningGraph) -> float:
 
 def dfs_tree(h: SpanningGraph, root) -> SpanningTree:
     """Arbitrary (weight-blind) depth-first spanning tree."""
-    parent = {root: None}
-    children = {b: [] for b in h.blocks}
+    seen = {root}
     edges = set()
     total = 0.0
     stack = [root]
     while stack:
         node = stack.pop()
         for nbr in h.adjacency[node]:
-            if nbr not in parent:
-                parent[nbr] = node
-                children[node].append(nbr)
+            if nbr not in seen:
+                seen.add(nbr)
                 edges.add(_canon(node, nbr))
                 total += h.weight(node, nbr)
                 stack.append(nbr)
-    return SpanningTree(root=root, parent=parent, children=children,
+    return SpanningTree(root=root, blocks=[b for b in h.blocks if b in seen],
                         edges=edges, total_weight=total)
 
 
@@ -156,12 +156,44 @@ def test_mst_rejects_disconnected_graph():
 
 
 def test_mst_deterministic_under_ties():
-    h1 = random_spanning_graph(4)
-    for key in h1.edges:
-        h1.edges[key] = 1.0
-    t1 = minimum_spanning_tree(h1, h1.blocks[0])
-    t2 = minimum_spanning_tree(h1, h1.blocks[0])
-    assert t1.edges == t2.edges
+    # all edges tie: Kruskal's row-major tie-break, whatever order H lists its edges in
+    rng = np.random.default_rng(4)
+    _, flat = build_pipeline(flat_scene(12, 10, depots=[(0, 0)]))
+    graphs = [flat]
+    for seed in range(6):
+        h = random_spanning_graph(seed)
+        keys = list(h.edges)
+        rng.shuffle(keys)
+        graphs.append(SpanningGraph(blocks=h.blocks, edges={k: 1.0 for k in keys},
+                                    adjacency=h.adjacency))
+    for h in graphs:
+        tree = minimum_spanning_tree(h, h.blocks[0])
+        expected = kruskal_tree(h, h.blocks[0])
+        assert tree.edges == minimum_spanning_tree(h, h.blocks[0]).edges == expected.edges
+        assert tree.total_weight == expected.total_weight
+
+
+def test_loop_order_matches_cell_by_cell_reference():
+    # exact node order and hop weights, for the MST and for a weight-blind
+    # tree, on generated scenes (field scenes carry a land-class mask)
+    for seed in range(1, 121):
+        kind = ("random", "blocked", "field")[seed % 3]
+        side = (8, 10, 13, 16, 20)[seed % 5]
+        planner = ScenePlanner(generate_scene(kind, seed=seed, width=side,
+                                              height=side + seed % 2))
+        g, h, start = planner.graph, planner.spanning, planner.scene.depots[0]
+        root = h.cover_map[start]
+        mst = minimum_spanning_tree(h, root)
+        reference = kruskal_tree(h, root)
+        assert mst.edges == reference.edges
+        assert mst.total_weight == reference.total_weight
+        blind = dfs_tree(h, root)
+        for tree, oracle in ((mst, reference), (blind, blind)):
+            loop = spiral_stc_loop(g, tree, start)
+            nodes, weights = reference_stc_loop(g, oracle, start)
+            assert loop.nodes == nodes
+            assert loop.edge_weights == weights
+            assert loop.total_weight == sum(weights)
 
 
 def test_loop_single_block():
@@ -206,7 +238,7 @@ def test_loop_node_set_equals_covered_cells():
         except Exception:
             continue
         loop = spiral_stc_loop(g, tree, (0, 0))
-        expected = {cell for b in tree.parent for cell in h.block_cells(b)}
+        expected = {cell for b in tree.blocks for cell in h.block_cells(b)}
         assert set(loop.nodes) == expected
         assert len(loop) == len(expected)
 
@@ -237,6 +269,22 @@ def test_loop_rejects_uncovered_start():
     tree = minimum_spanning_tree(h, (0, 0))
     with pytest.raises(StcError):
         spiral_stc_loop(g, tree, (9, 9))
+
+
+def test_loop_rejects_tree_it_cannot_close():
+    # two blocks without the edge that joins them: the walk closes after 4 cells
+    g, _ = build_pipeline(flat_scene(4, 2, depots=[(0, 0)]))
+    tree = SpanningTree(root=(0, 0), blocks=[(0, 0), (1, 0)], edges=set(), total_weight=0.0)
+    with pytest.raises(StcError, match="covered 4 of 8 cells"):
+        spiral_stc_loop(g, tree, (0, 0))
+
+
+def test_loop_rejects_hop_outside_covering_graph():
+    g, _ = build_pipeline(flat_scene(2, 2, depots=[(0, 0)]))
+    tree = SpanningTree(root=(0, 0), blocks=[(0, 0), (1, 0)],
+                        edges={((0, 0), (1, 0))}, total_weight=2.0)
+    with pytest.raises(StcError, match="not a covering-graph edge"):
+        spiral_stc_loop(g, tree, (0, 0))
 
 
 def test_loop_weight_hand_built_corner_cut_loop():
