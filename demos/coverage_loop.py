@@ -26,7 +26,7 @@ h = build_spanning_graph(tmap, config)
 print(f"covering graph: {len(g)} cells, {len(g.weights)} edges")
 print(f"spanning graph: {len(h)} blocks, {len(h.edges)} edges")
 
-mst = minimum_spanning_tree(h, h.cover_map[(0, 0)])
+mst = minimum_spanning_tree(h, h.block_of((0, 0)))
 loop = spiral_stc_loop(g, mst, (0, 0))
 print(f"loop visits {len(loop)} cells (= 4 x {len(mst)} blocks), "
       f"weight {loop.total_weight:.2f}")
@@ -34,21 +34,26 @@ print(f"loop visits {len(loop)} cells (= 4 x {len(mst)} blocks), "
 
 def first_neighbor_tree(h, root):
     """Depth-first tree that ignores edge weights."""
+    weights = h.edges
+    neighbours = {b: [] for b in h.blocks}
+    for a, b in weights:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
     seen, edges = {root}, set()
     total, stack = 0.0, [root]
     while stack:
         node = stack.pop()
-        for nbr in h.adjacency[node]:
+        for nbr in sorted(neighbours[node], key=lambda b: (b[1], b[0])):
             if nbr not in seen:
                 seen.add(nbr)
                 edges.add(_canon(node, nbr))
-                total += h.weight(node, nbr)
+                total += weights[_canon(node, nbr)]
                 stack.append(nbr)
     return SpanningTree(root=root, blocks=[b for b in h.blocks if b in seen],
                         edges=edges, total_weight=total)
 
 
-blind = first_neighbor_tree(h, h.cover_map[(0, 0)])
+blind = first_neighbor_tree(h, h.block_of((0, 0)))
 blind_loop = spiral_stc_loop(g, blind, (0, 0))
 print(f"MST tree weight {mst.total_weight:.2f} vs weight-blind {blind.total_weight:.2f}")
 print(f"MST loop weight {loop.total_weight:.2f} vs weight-blind "

@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .scene import Cell
-from .terrain import TraversabilityMap, _canon, component_labels
+from .terrain import TraversabilityMap, component_labels, edge_dict, grid_edges
 
 SQRT2 = math.sqrt(2.0)
 
@@ -128,7 +128,7 @@ class CoveringGraph:
 def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig,
                          depots: list[Cell] = ()) -> CoveringGraph:
     """Build G: orthogonal unit edges plus intact-block diagonals."""
-    a, b, slopes = tmap.edges()
+    a, b, slopes = grid_edges(tmap.slope_x, tmap.slope_y)
     if not slopes.size:
         raise GraphError("traversability map has no edges")
     cells = tmap.free_cells()
@@ -159,37 +159,46 @@ def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig,
 
 @dataclass
 class SpanningGraph:
-    blocks: list[Block]                       # row-major order
-    edges: dict[tuple[Block, Block], float]   # canonical (row-major) key
-    adjacency: dict[Block, list[Block]]
-    cover_map: dict[Cell, Block] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.cover_map = {cell: b for b in self.blocks for cell in self.block_cells(b)}
+    """H over the block grid: spanning nodes where ``intact``, edge weights in two
+    rasters laid out like the traversability map's slopes, nan where there is no edge."""
+    intact: np.ndarray   # bool [by, bx]
+    east: np.ndarray     # [y, x]: edge (x, y)-(x+1, y); shape (bh, bw - 1)
+    north: np.ndarray    # [y, x]: edge (x, y)-(x, y+1); shape (bh - 1, bw)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return int(np.count_nonzero(self.intact))
+
+    @property
+    def blocks(self) -> list[Block]:
+        """Spanning nodes in row-major order, rebuilt from the raster on each access."""
+        by, bx = np.nonzero(self.intact)
+        return list(zip(bx.tolist(), by.tolist()))
+
+    @property
+    def edges(self) -> dict[tuple[Block, Block], float]:
+        """Edges keyed by their row-major ends, rebuilt from the rasters on each access."""
+        return edge_dict(self.east, self.north)
 
     def block_cells(self, block: Block) -> list[Cell]:
         x, y = 2 * block[0], 2 * block[1]
         return [(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)]
 
-    def weight(self, a: Block, b: Block) -> float:
-        return self.edges[_canon(a, b)]
+    def block_of(self, cell: Cell) -> Block | None:
+        """The spanning node whose four cells include ``cell``, or None."""
+        (bh, bw), bx, by = self.intact.shape, cell[0] // 2, cell[1] // 2
+        return (bx, by) if 0 <= bx < bw and 0 <= by < bh and self.intact[by, bx] else None
 
-    def components(self) -> list[list[Block]]:
-        """Blocks grouped by connected component, each group row-major.
+    def labels(self) -> np.ndarray:
+        """Component label of every block ``[by, bx]``; one not intact is alone."""
+        a, b, _ = grid_edges(self.east, self.north)
+        return component_labels(self.intact.size, a, b).reshape(self.intact.shape)
 
-        Larger groups come first; groups of equal size keep the row-major
-        order of their first block.
-        """
-        pos = {b: k for k, b in enumerate(self.blocks)}
-        ends = np.array([(pos[a], pos[b]) for a, b in self.edges], dtype=int).reshape(-1, 2)
-        groups: dict[int, list[Block]] = {}
-        for block, label in zip(self.blocks,
-                                component_labels(len(self.blocks), ends[:, 0], ends[:, 1])):
-            groups.setdefault(label, []).append(block)
-        return sorted(groups.values(), key=len, reverse=True)
+    def component(self, block: Block) -> SpanningGraph:
+        """H masked to the connected component that holds ``block``."""
+        labels = self.labels()
+        keep = self.intact & (labels == labels[block[1], block[0]])
+        return SpanningGraph(keep, np.where(keep[:, :-1], self.east, np.nan),
+                             np.where(keep[:-1, :], self.north, np.nan))
 
     def debug_dump(self) -> dict:
         return {
@@ -202,25 +211,16 @@ def build_spanning_graph(tmap: TraversabilityMap, config: PlannerConfig) -> Span
     """Build H over intact 2x2 blocks; odd trailing rows/columns stay uncovered."""
     intact, _ = intact_blocks(tmap)
     bh, bw = intact.shape
-    edges: dict[tuple[Block, Block], float] = {}
-    # a block and its right (upper) neighbour are joined when both are
+    rasters = []
+    # a block and its east (north) neighbour are joined when both are
     # intact and both covering edges crossing their boundary are retained
     for dx, dy, raster in ((1, 0, tmap.slope_x), (0, 1, tmap.slope_y)):
-        by, bx = np.nonzero(intact[:bh - dy, :bw - dx] & intact[dy:, dx:])
+        joined = intact[:bh - dy, :bw - dx] & intact[dy:, dx:]
+        by, bx = np.indices(joined.shape)
         y, x = 2 * by + dy, 2 * bx + dx
-        s0, s1 = raster[y, x], raster[y + dx, x + dy]
-        kept = ~np.isnan(s0) & ~np.isnan(s1)
-        mean = (s0[kept] + s1[kept]) / 2.0
-        for ax, ay, wt in zip(bx[kept].tolist(), by[kept].tolist(),
-                              edge_weight(2.0, mean, tmap.slope_bounds, config).tolist()):
-            edges[((ax, ay), (ax + dx, ay + dy))] = wt
-
-    by, bx = np.nonzero(intact)
-    blocks = list(zip(bx.tolist(), by.tolist()))   # row-major
-    adjacency: dict[Block, list[Block]] = {b: [] for b in blocks}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for lst in adjacency.values():
-        lst.sort(key=lambda b: (b[1], b[0]))
-    return SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency)
+        mean = (raster[y, x] + raster[y + dx, x + dy]) / 2.0
+        kept = joined & ~np.isnan(mean)
+        weight = np.full(joined.shape, np.nan)
+        weight[kept] = edge_weight(2.0, mean[kept], tmap.slope_bounds, config)
+        rasters.append(weight)
+    return SpanningGraph(intact, *rasters)

@@ -37,16 +37,6 @@ class PlanningError(RuntimeError):
     pass
 
 
-def _component_subgraph(h: SpanningGraph, root) -> SpanningGraph:
-    keep = next(set(c) for c in h.components() if root in c)
-    if len(keep) == len(h.blocks):
-        return h
-    blocks = [b for b in h.blocks if b in keep]
-    return SpanningGraph(blocks=blocks,
-                         edges={e: w for e, w in h.edges.items() if e[0] in keep},
-                         adjacency={b: h.adjacency[b] for b in blocks})
-
-
 @dataclass
 class PlanResult:
     algorithm: str
@@ -76,16 +66,16 @@ class ScenePlanner:
                                                          scene.depots)
         h_full = build_spanning_graph(self.tmap, self.config)
         start = scene.depots[0]
-        if start not in h_full.cover_map:
+        root = h_full.block_of(start)
+        if root is None:
             raise PlanningError(
                 f"depot {start} is not inside an intact 2x2 block; "
                 "the coverage loop must start at the first depot"
             )
-        self.spanning: SpanningGraph = _component_subgraph(h_full, h_full.cover_map[start])
-        self.tree: SpanningTree = minimum_spanning_tree(self.spanning,
-                                                        self.spanning.cover_map[start])
+        self.spanning: SpanningGraph = h_full.component(root)
+        self.tree: SpanningTree = minimum_spanning_tree(self.spanning, root)
         self.loop: CoverageLoop = spiral_stc_loop(self.graph, self.tree, start)
-        covered = 4 * len(self.spanning.blocks)
+        covered = 4 * len(self.spanning)
         free = len(self.graph.cells)
         self.coverage = {
             "covered_cells": covered,

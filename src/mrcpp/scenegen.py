@@ -27,13 +27,20 @@ from .terrain import DEFAULT_SLOPE_THRESHOLD, merge_masks, steepness_filter
 KINDS = ("blocked", "random", "field")
 
 
-def _covered_cells_by_component(scene: Scene, threshold: float) -> list[list]:
-    """Covered cells grouped by spanning-graph component, largest first."""
+def _largest_component_cells(scene: Scene, threshold: float) -> list:
+    """Covered cells of the largest spanning-graph component, block by block in
+    row-major order; of equal components, the one whose first block comes first."""
     tmap = steepness_filter(scene, threshold)
     if scene.landclass is not None:
         tmap = merge_masks(tmap, scene.landclass)
     h = build_spanning_graph(tmap, PlannerConfig(slope_threshold=threshold))
-    return [[cell for b in comp for cell in h.block_cells(b)] for comp in h.components()]
+    labels = h.labels()
+    nodes = labels[h.intact]   # row-major
+    if not nodes.size:
+        return []
+    by, bx = np.nonzero(labels == nodes[np.argmax(np.bincount(nodes)[nodes])])
+    x, y = 2 * bx[:, None] + (0, 1, 0, 1), 2 * by[:, None] + (0, 0, 1, 1)
+    return list(zip(x.ravel().tolist(), y.ravel().tolist()))
 
 
 def _pick_depots(cells: list, k: int, style: str, rng: np.random.Generator,
@@ -128,11 +135,8 @@ def _generate_once(kind, rng, width, height, robots, depot_style, threshold,
                                    mode="nearest") > 0.47
         scene = Scene(width=width, height=height, elevation=elevation,
                       landclass=landclass)
-    groups = _covered_cells_by_component(scene, threshold)
-    if not groups:
-        return None
-    cells = groups[0]
-    if len(cells) < cells_per_robot * robots:
+    cells = _largest_component_cells(scene, threshold)
+    if not cells or len(cells) < cells_per_robot * robots:
         return None
     anchor = None
     if kind == "field":

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 
 from .graphs import Block, CoveringGraph, SpanningGraph
 from .scene import Cell
-from .terrain import _canon
+from .terrain import _canon, grid_edges
 
 
 class StcError(ValueError):
@@ -51,26 +51,22 @@ def minimum_spanning_tree(h: SpanningGraph, root: Block) -> SpanningTree:
     both ends); the MST over distinct ranks is unique, so any MST solver
     fed the ranks returns Kruskal's tree.
     """
-    if root not in h.adjacency:
+    (bh, bw), (rx, ry) = h.intact.shape, root
+    if not (0 <= rx < bw and 0 <= ry < bh and h.intact[ry, rx]):
         raise StcError(f"root block {root} is not a spanning node")
-    n, m = len(h.blocks), len(h.edges)
-    keys = list(h.edges)
-    ax, ay, bx, by = _rows(chain.from_iterable(keys), 4).T
-    weights = np.fromiter(h.edges.values(), dtype=float, count=m)
-    order = np.lexsort((bx, by, ax, ay, weights))
-    rank = np.empty(m)
-    rank[order] = np.arange(1, m + 1)   # 0 would read as "no edge"
-
-    x, y = _rows(h.blocks, 2).T
-    node = np.full((y.max() + 1, x.max() + 1), -1)
-    node[y, x] = np.arange(n)
-    mst = _scipy_mst(csr_matrix((rank, (node[ay, ax], node[by, bx])), shape=(n, n)))
-    if mst.nnz != n - 1:
+    a, b, weights = grid_edges(h.east, h.north)   # row-major flat block indices
+    order = np.lexsort((b, a, weights))
+    rank = np.empty(weights.size)
+    rank[order] = np.arange(1, weights.size + 1)   # 0 would read as "no edge"
+    mst = _scipy_mst(csr_matrix((rank, (a, b)), shape=(h.intact.size,) * 2))
+    if mst.nnz != len(h) - 1:
         raise StcError("spanning graph is disconnected")
     chosen = order[np.sort(mst.data).astype(np.int64) - 1]
     total = float(np.cumsum(weights[chosen])[-1]) if chosen.size else 0.0
-    return SpanningTree(root=root, blocks=h.blocks,
-                        edges={keys[i] for i in chosen.tolist()}, total_weight=total)
+    a, b = a[chosen], b[chosen]
+    edges = zip(zip((a % bw).tolist(), (a // bw).tolist()),
+                zip((b % bw).tolist(), (b // bw).tolist()))
+    return SpanningTree(root=root, blocks=h.blocks, edges=set(edges), total_weight=total)
 
 
 @dataclass

@@ -32,6 +32,25 @@ def _canon(a: Cell, b: Cell) -> Edge:
     return (a, b) if (a[1], a[0]) <= (b[1], b[0]) else (b, a)
 
 
+def grid_edges(along_x: np.ndarray, along_y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Edges held as rasters ``[y, x]`` of (x, y)-(x+1, y) and (x, y)-(x, y+1), nan
+    for none: row-major flat node indices ``a < b`` and values, x edges first."""
+    shape = along_x.shape[0], along_y.shape[1]
+    ids = np.arange(shape[0] * shape[1]).reshape(shape)
+    kx, ky = ~np.isnan(along_x), ~np.isnan(along_y)
+    return (np.concatenate([ids[:, :-1][kx], ids[:-1, :][ky]]),
+            np.concatenate([ids[:, 1:][kx], ids[1:, :][ky]]),
+            np.concatenate([along_x[kx], along_y[ky]]))
+
+
+def edge_dict(along_x: np.ndarray, along_y: np.ndarray) -> dict[Edge, float]:
+    """The edges of :func:`grid_edges` keyed by ``_canon(a, b)``, in its order."""
+    a, b, values = grid_edges(along_x, along_y)
+    w = along_y.shape[1]
+    return {((i % w, i // w), (j % w, j // w)): v
+            for i, j, v in zip(a.tolist(), b.tolist(), values.tolist())}
+
+
 @dataclass
 class TraversabilityMap:
     """Free cells and retained edge slopes (degrees); a dropped edge is nan.
@@ -54,18 +73,7 @@ class TraversabilityMap:
     @property
     def edge_slopes(self) -> dict[Edge, float]:
         """Retained edges keyed by ``_canon(a, b)``, rebuilt from the rasters on each access."""
-        a, b, slopes = self.edges()
-        w = self.width
-        return {((i % w, i // w), (j % w, j // w)): s
-                for i, j, s in zip(a.tolist(), b.tolist(), slopes.tolist())}
-
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Retained edges as row-major flat cell indices ``a < b``, and their slopes."""
-        ids = np.arange(self.free.size).reshape(self.free.shape)
-        kx, ky = ~np.isnan(self.slope_x), ~np.isnan(self.slope_y)
-        return (np.concatenate([ids[:, :-1][kx], ids[:-1, :][ky]]),
-                np.concatenate([ids[:, 1:][kx], ids[1:, :][ky]]),
-                np.concatenate([self.slope_x[kx], self.slope_y[ky]]))
+        return edge_dict(self.slope_x, self.slope_y)
 
     def is_free(self, cell: Cell) -> bool:
         x, y = cell
@@ -127,7 +135,7 @@ def steepness_filter(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -
     free = ~scene.blocked
     tmap = TraversabilityMap(free, *_free_edges(free, *slopes),
                              slope_bounds=(0.0, float(threshold)))
-    a, b, retained = tmap.edges()
+    a, b, retained = grid_edges(tmap.slope_x, tmap.slope_y)
     has_edge = np.zeros(free.size, dtype=bool)
     has_edge[a] = has_edge[b] = True
     tmap.free = free & has_edge.reshape(free.shape)
@@ -141,7 +149,7 @@ def remove_isolated(tmap: TraversabilityMap, depots: list[Cell]) -> Traversabili
     for d in depots:
         if not tmap.is_free(d):
             raise TerrainError(f"depot {d} is not free in the traversability map")
-    a, b, _ = tmap.edges()
+    a, b, _ = grid_edges(tmap.slope_x, tmap.slope_y)
     labels = component_labels(tmap.free.size, a, b).reshape(tmap.free.shape)
     free = np.isin(labels, [labels[y, x] for x, y in depots])
     return TraversabilityMap(free, *_free_edges(free, tmap.slope_x, tmap.slope_y),

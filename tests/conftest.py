@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 
 import numpy as np
 import pytest
 
-from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph
+from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph, edge_weight
 from mrcpp.partition import LoopCostModel, PartitionSet, _chain_directions, build_robot_plan
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
@@ -72,13 +73,74 @@ def shortest_path(g: CoveringGraph, start, goal) -> tuple[list, float]:
     return [g.cells[i] for i in reversed(path)], dist[dst]
 
 
+def scan_spanning_graph(tmap, config) -> tuple[list, dict]:
+    """H's blocks (row-major) and weighted edges, by a scan of every block and
+    every pair of adjacent blocks: the oracle ``build_spanning_graph`` is held to.
+
+    A block is intact when its four internal edges are retained; two intact
+    blocks are joined when both covering edges across their boundary are, and
+    weigh ``edge_weight`` of length 2 at the mean of those two slopes.
+    """
+    slopes = tmap.edge_slopes
+
+    def intact(bx, by):
+        x, y = 2 * bx, 2 * by
+        return all(e in slopes for e in (((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1)),
+                                         ((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1))))
+
+    blocks = [(bx, by) for by in range(tmap.height // 2) for bx in range(tmap.width // 2)
+              if intact(bx, by)]
+    edges = {}
+    for (bx, by), (dx, dy) in itertools.product(blocks, ((1, 0), (0, 1))):
+        if (bx + dx, by + dy) not in blocks:
+            continue
+        x, y = 2 * bx + 1, 2 * by + 1
+        lanes = ((((x, y - 1), (x + 1, y - 1)), ((x, y), (x + 1, y))) if dx else
+                 (((x - 1, y), (x - 1, y + 1)), ((x, y), (x, y + 1))))
+        if all(lane in slopes for lane in lanes):
+            mean = (slopes[lanes[0]] + slopes[lanes[1]]) / 2
+            edges[((bx, by), (bx + dx, by + dy))] = float(
+                edge_weight(2.0, mean, tmap.slope_bounds, config))
+    return blocks, edges
+
+
+def spanning_graph(blocks, edges: dict) -> SpanningGraph:
+    """H over ``blocks`` with ``edges`` weighted as given, keys ``_canon(a, b)``.
+
+    The one way the tests build H by hand: the rasters span the blocks from
+    block (0, 0) to the largest coordinates.
+    """
+    bw = max((x for x, _ in blocks), default=-1) + 1
+    bh = max((y for _, y in blocks), default=-1) + 1
+    intact = np.zeros((bh, bw), dtype=bool)
+    for x, y in blocks:
+        intact[y, x] = True
+    east = np.full(intact[:, 1:].shape, np.nan)
+    north = np.full(intact[1:, :].shape, np.nan)
+    for ((ax, ay), (bx, by)), w in edges.items():
+        (east if by == ay else north)[ay, ax] = w
+    return SpanningGraph(intact, east, north)
+
+
+def neighbours(h: SpanningGraph) -> dict:
+    """Each block of H with its neighbours in row-major order, from ``h.edges``."""
+    adjacency = {b: [] for b in h.blocks}
+    for a, b in h.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    for lst in adjacency.values():
+        lst.sort(key=lambda b: (b[1], b[0]))
+    return adjacency
+
+
 def bfs_components(h: SpanningGraph) -> list[list]:
     """Blocks of H grouped by connected component, by breadth-first search.
 
     Each group is row-major; larger groups come first, and groups of equal
     size keep the row-major order of their first block.  The oracle the
-    tests hold ``SpanningGraph.components`` to.
+    tests hold ``SpanningGraph.component`` and ``labels`` to.
     """
+    adjacency = neighbours(h)
     seen = set()
     groups = []
     for block in h.blocks:
@@ -88,7 +150,7 @@ def bfs_components(h: SpanningGraph) -> list[list]:
         queue = deque([block])
         while queue:
             b = queue.popleft()
-            for nbr in h.adjacency[b]:
+            for nbr in adjacency[b]:
                 if nbr not in comp:
                     comp.add(nbr)
                     queue.append(nbr)

@@ -24,7 +24,7 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import _canon, remove_isolated, steepness_filter
 
-from conftest import loop_instance, shortest_path, tiny_loop_instances
+from conftest import loop_instance, shortest_path, spanning_graph, tiny_loop_instances
 
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3, slope_threshold=25.0)
 
@@ -91,14 +91,12 @@ def _random_h(seed: int) -> SpanningGraph:
                 comp2.add(nbr)
                 stack.append(nbr)
     blocks = sorted(comp2, key=lambda b: (b[1], b[0]))
-    edges, adjacency = {}, {b: [] for b in blocks}
+    edges = {}
     for b in blocks:
         for nbr in ((b[0] + 1, b[1]), (b[0], b[1] + 1)):
-            if nbr in adjacency:
+            if nbr in blocks:
                 edges[_canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
-                adjacency[b].append(nbr)
-                adjacency[nbr].append(b)
-    return SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency)
+    return spanning_graph(blocks, edges)
 
 
 def _exhaustive_mst(h: SpanningGraph) -> float:

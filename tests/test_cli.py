@@ -222,10 +222,12 @@ def test_identical_runspec_byte_identical_output(tmp_path):
 
 
 def test_pipeline_rejects_uncovered_first_depot():
-    # depot in a partially blocked block cannot anchor the loop
-    scene = flat_scene(4, 4, depots=[(0, 0)], blocked_cells=[(1, 1)])
-    with pytest.raises(PlanningError, match="intact"):
-        ScenePlanner(scene)
+    # depot in a partially blocked block cannot anchor the loop, nor can a
+    # depot in the odd trailing column, which no block covers
+    for scene in (flat_scene(4, 4, depots=[(0, 0)], blocked_cells=[(1, 1)]),
+                  flat_scene(5, 4, depots=[(4, 1)])):
+        with pytest.raises(PlanningError, match="intact"):
+            ScenePlanner(scene)
 
 
 @pytest.fixture(scope="module")

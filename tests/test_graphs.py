@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from mrcpp.graphs import (GraphError, PlannerConfig, build_covering_graph,
                           build_spanning_graph, edge_weight)
 from mrcpp.scene import Scene, SceneError
-from mrcpp.scenegen import generate_scene
+from mrcpp.scenegen import _largest_component_cells, generate_scene
 from mrcpp.terrain import build_traversability, compute_edge_slope, steepness_filter
 
-from conftest import bfs_components, flat_scene, shortest_path
+from conftest import bfs_components, flat_scene, scan_spanning_graph, shortest_path
 
 SQRT2 = math.sqrt(2.0)
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3)
@@ -103,8 +103,8 @@ def test_spanning_graph_blocked_cell_kills_block():
     tmap = build_traversability(
         flat_scene(4, 4, depots=[(0, 0)], blocked_cells=[(2, 2)]), 25.0)
     h = build_spanning_graph(tmap, PAPER_CFG)
-    assert (1, 1) not in h.adjacency
-    assert len(h.blocks) == 3
+    assert h.blocks == [(0, 0), (1, 0), (0, 1)]
+    assert h.block_of((2, 2)) is None and h.block_of((3, 3)) is None
 
 
 def test_spanning_graph_matches_all_free_block_scan_on_flat_maps():
@@ -130,7 +130,8 @@ def test_spanning_graph_excludes_internally_broken_blocks():
     scene = Scene(width=4, height=2, depots=[(0, 0)], elevation=elev)
     tmap = steepness_filter(scene, 25.0)
     h = build_spanning_graph(tmap, PAPER_CFG)
-    assert (0, 0) in h.adjacency and (1, 0) not in h.adjacency
+    assert h.blocks == [(0, 0)]
+    assert h.block_of((1, 1)) == (0, 0) and h.block_of((2, 0)) is None
 
 
 def _scalar_weight(length, slope, bounds, config):
@@ -196,19 +197,31 @@ def test_components_match_bfs_oracle(seed):
         blocked[6:8, :] = True
     scene = Scene(width=16, height=14, blocked=blocked, depots=[])
     h = build_spanning_graph(steepness_filter(scene, 25.0), PAPER_CFG)
-    groups = h.components()
-    assert groups == bfs_components(h)
-    assert sorted(b for group in groups for b in group) == sorted(h.blocks)
+    groups, edges, labels = bfs_components(h), h.edges, h.labels()
+    for group in groups:
+        part = h.component(group[-1])
+        assert part.blocks == group
+        assert part.edges == {e: w for e, w in edges.items() if e[0] in group}
+        assert len({labels[y, x] for x, y in group}) == 1
+    assert len({labels[y, x] for (x, y), *_ in groups}) == len(groups)
     assert len({len(group) for group in groups}) < len(groups)  # some sizes tie
+    # scene generation draws its depots from the largest group, the first on ties
+    assert _largest_component_cells(scene, 25.0) == [
+        cell for b in groups[0] for cell in h.block_cells(b)]
 
 
-def test_cover_map_is_total_and_unique():
-    tmap = weighted_map(5)
-    h = build_spanning_graph(tmap, PAPER_CFG)
-    for block in h.blocks:
-        for cell in h.block_cells(block):
-            assert h.cover_map[cell] == block
-    assert len(h.cover_map) == 4 * len(h.blocks)
+def test_spanning_graph_matches_brute_force_block_scan():
+    # odd sizes leave a trailing row or column uncovered; steep and blocked
+    # cells drop the lanes that would join two blocks
+    for seed, (width, height) in itertools.product(range(5), SHAPES):
+        tmap = weighted_map(seed, width, height)
+        h = build_spanning_graph(tmap, PAPER_CFG)
+        blocks, edges = scan_spanning_graph(tmap, PAPER_CFG)
+        assert h.blocks == blocks
+        assert h.edges == edges
+        for x, y in itertools.product(range(-1, width + 1), range(-1, height + 1)):
+            block = (x // 2, y // 2)
+            assert h.block_of((x, y)) == (block if block in blocks else None)
 
 
 def test_shortest_path_identity():

@@ -13,7 +13,8 @@ from mrcpp.stc import (CoverageLoop, SpanningTree, StcError,
                        minimum_spanning_tree, spiral_stc_loop)
 from mrcpp.terrain import _canon, build_traversability
 
-from conftest import flat_scene, kruskal_tree, reference_stc_loop
+from conftest import (bfs_components, flat_scene, kruskal_tree, neighbours,
+                      reference_stc_loop, spanning_graph)
 
 SQRT2 = math.sqrt(2.0)
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
@@ -58,14 +59,12 @@ def random_spanning_graph(seed: int, max_nodes: int = 12) -> SpanningGraph:
                 comp.add(nbr)
                 stack.append(nbr)
     blocks = sorted(comp, key=lambda b: (b[1], b[0]))
-    edges, adjacency = {}, {b: [] for b in blocks}
+    edges = {}
     for b in blocks:
         for nbr in ((b[0] + 1, b[1]), (b[0], b[1] + 1)):
-            if nbr in adjacency:
+            if nbr in blocks:
                 edges[_canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
-                adjacency[b].append(nbr)
-                adjacency[nbr].append(b)
-    return SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency)
+    return spanning_graph(blocks, edges)
 
 
 def exhaustive_mst_weight(h: SpanningGraph) -> float:
@@ -97,17 +96,18 @@ def exhaustive_mst_weight(h: SpanningGraph) -> float:
 
 def dfs_tree(h: SpanningGraph, root) -> SpanningTree:
     """Arbitrary (weight-blind) depth-first spanning tree."""
+    adjacency, weights = neighbours(h), h.edges
     seen = {root}
     edges = set()
     total = 0.0
     stack = [root]
     while stack:
         node = stack.pop()
-        for nbr in h.adjacency[node]:
+        for nbr in adjacency[node]:
             if nbr not in seen:
                 seen.add(nbr)
                 edges.add(_canon(node, nbr))
-                total += h.weight(node, nbr)
+                total += weights[_canon(node, nbr)]
                 stack.append(nbr)
     return SpanningTree(root=root, blocks=[b for b in h.blocks if b in seen],
                         edges=edges, total_weight=total)
@@ -115,8 +115,7 @@ def dfs_tree(h: SpanningGraph, root) -> SpanningTree:
 
 def test_mst_uniform_weights():
     h = random_spanning_graph(0)
-    for key in h.edges:
-        h.edges[key] = 2.0
+    h = spanning_graph(h.blocks, {key: 2.0 for key in h.edges})
     tree = minimum_spanning_tree(h, h.blocks[0])
     assert tree.total_weight == pytest.approx(2.0 * (len(h.blocks) - 1))
 
@@ -129,11 +128,7 @@ def test_mst_excludes_heavy_edge():
         _canon((1, 0), (1, 1)): 1.0,
         _canon((0, 1), (1, 1)): 9.0,
     }
-    adjacency = {b: [] for b in blocks}
-    for (a, b) in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    h = SpanningGraph(blocks=blocks, edges=edges, adjacency=adjacency)
+    h = spanning_graph(blocks, edges)
     tree = minimum_spanning_tree(h, (0, 0))
     assert not tree.has_edge((0, 1), (1, 1))
     assert tree.total_weight == pytest.approx(3.0)
@@ -149,23 +144,36 @@ def test_mst_matches_exhaustive_enumeration():
 
 
 def test_mst_rejects_disconnected_graph():
-    blocks = [(0, 0), (2, 0)]
-    h = SpanningGraph(blocks=blocks, edges={}, adjacency={b: [] for b in blocks})
+    h = spanning_graph([(0, 0), (2, 0)], {})
     with pytest.raises(StcError, match="disconnected"):
         minimum_spanning_tree(h, (0, 0))
 
 
+def test_mst_rejects_root_outside_spanning_nodes():
+    # (-1, 0) and (0, -1) would wrap to the last column / row under numpy
+    # indexing, and (2, 0) lies past it; (1, 1) is inside the raster but not intact
+    h = spanning_graph([(0, 0), (1, 0), (0, 1)], {((0, 0), (1, 0)): 1.0,
+                                                  ((0, 0), (0, 1)): 1.0})
+    assert minimum_spanning_tree(h, (0, 0)).total_weight == 2.0
+    for root in ((-1, 0), (0, -1), (2, 0), (1, 1)):
+        with pytest.raises(StcError, match="not a spanning node"):
+            minimum_spanning_tree(h, root)
+
+
 def test_mst_deterministic_under_ties():
-    # all edges tie: Kruskal's row-major tie-break, whatever order H lists its edges in
-    rng = np.random.default_rng(4)
+    # all edges tie: Kruskal's row-major tie-break
     _, flat = build_pipeline(flat_scene(12, 10, depots=[(0, 0)]))
     graphs = [flat]
+    # a 3x2 ring whose two heavy edges tie: Kruskal keeps ((0, 0), (0, 1)),
+    # whose first end comes first row-major, though its second end does not
+    ring = spanning_graph([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)], {
+        ((0, 0), (1, 0)): 1.0, ((1, 0), (2, 0)): 2.0, ((0, 0), (0, 1)): 2.0,
+        ((2, 0), (2, 1)): 1.0, ((0, 1), (1, 1)): 1.0, ((1, 1), (2, 1)): 1.0})
+    assert ((0, 0), (0, 1)) in minimum_spanning_tree(ring, (0, 0)).edges
+    graphs.append(ring)
     for seed in range(6):
         h = random_spanning_graph(seed)
-        keys = list(h.edges)
-        rng.shuffle(keys)
-        graphs.append(SpanningGraph(blocks=h.blocks, edges={k: 1.0 for k in keys},
-                                    adjacency=h.adjacency))
+        graphs.append(spanning_graph(h.blocks, {k: 1.0 for k in h.edges}))
     for h in graphs:
         tree = minimum_spanning_tree(h, h.blocks[0])
         expected = kruskal_tree(h, h.blocks[0])
@@ -182,7 +190,7 @@ def test_loop_order_matches_cell_by_cell_reference():
         planner = ScenePlanner(generate_scene(kind, seed=seed, width=side,
                                               height=side + seed % 2))
         g, h, start = planner.graph, planner.spanning, planner.scene.depots[0]
-        root = h.cover_map[start]
+        root = h.block_of(start)
         mst = minimum_spanning_tree(h, root)
         reference = kruskal_tree(h, root)
         assert mst.edges == reference.edges
@@ -194,6 +202,25 @@ def test_loop_order_matches_cell_by_cell_reference():
             assert loop.nodes == nodes
             assert loop.edge_weights == weights
             assert loop.total_weight == sum(weights)
+
+
+def test_planner_spans_the_first_depots_component():
+    # H masked to the first depot's component is that breadth-first group
+    # with exactly H's edges among its blocks; about a quarter of these
+    # scenes have blocks outside it
+    partial = 0
+    for seed in range(1, 121):
+        kind = ("random", "blocked", "field")[seed % 3]
+        side = (8, 10, 13, 16, 20)[seed % 5]
+        planner = ScenePlanner(generate_scene(kind, seed=seed, width=side,
+                                              height=side + seed % 2))
+        h = build_spanning_graph(planner.tmap, planner.config)
+        root = h.block_of(planner.scene.depots[0])
+        group = next(group for group in bfs_components(h) if root in group)
+        assert planner.spanning.blocks == group
+        assert planner.spanning.edges == {e: w for e, w in h.edges.items() if e[0] in group}
+        partial += len(group) < len(h)
+    assert partial >= 20
 
 
 def test_loop_single_block():
