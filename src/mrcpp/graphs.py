@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import dijkstra
 
 from .scene import Cell
@@ -69,32 +71,68 @@ def intact_blocks(tmap: TraversabilityMap) -> tuple[np.ndarray, np.ndarray]:
     return ~np.isnan(internal).any(axis=0), internal
 
 
+def _rows(items, columns: int) -> np.ndarray:
+    """Tuples of ints, nested tuples flattened, as an int array of ``columns`` columns."""
+    return np.fromiter(chain.from_iterable(items), dtype=np.int64).reshape(-1, columns)
+
+
 @dataclass
 class CoveringGraph:
-    width: int
-    height: int
-    cells: list[Cell]                       # row-major order
-    index: dict[Cell, int]
-    weights: dict[tuple[int, int], float]   # keyed by (min(idx), max(idx))
+    node: np.ndarray    # int [y, x]: a free cell's row-major node index, -1 elsewhere
+    # weights, nan where there is no edge: [0, y, x] is edge (x, y)-(x+1, y), [1, y, x]
+    # edge (x, y)-(x, y+1), [2, y, x] both diagonals of the intact block at lower-left (x, y)
+    steps: np.ndarray   # shape (3, height, width)
     matrix: csr_matrix = field(repr=False)  # symmetric weights, for dijkstra
     _sssp_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.matrix.shape[0]
+
+    @cached_property
+    def _flat(self) -> np.ndarray:   # row-major flat position of each node
+        return np.flatnonzero(self.node >= 0)
+
+    @property
+    def cells(self) -> list[Cell]:
+        """Nodes in row-major order; this view and the two below are rebuilt on each access."""
+        ys, xs = np.nonzero(self.node >= 0)
+        return list(zip(xs.tolist(), ys.tolist()))
+
+    @property
+    def index(self) -> dict[Cell, int]:
+        return {c: k for k, c in enumerate(self.cells)}
+
+    @property
+    def weights(self) -> dict[tuple[int, int], float]:   # keyed by node indices i < j
+        upper = triu(self.matrix, k=1, format="coo")
+        return dict(zip(zip(upper.row.tolist(), upper.col.tolist()), upper.data.tolist()))
+
+    def hop_weights(self, cells) -> np.ndarray:
+        """Weights of the hops between consecutive ``cells``, as ``weight`` gives one:
+        nan where the two are not joined by an edge, a cell off the grid included."""
+        (h, w), (x, y) = self.node.shape, _rows(cells, 2).T
+        dx, dy, on = x[1:] - x[:-1], y[1:] - y[:-1], (x >= 0) & (x < w) & (y >= 0) & (y < h)
+        edge = on[:-1] & on[1:] & (np.maximum(abs(dx), abs(dy)) == 1)   # 8-neighbours
+        kind = (dy != 0) * (1 + (dx != 0))   # 0 along x, 1 along y, 2 diagonal
+        # % keeps the lower-left corner on the grid; it is read only where edge holds
+        lx, ly = np.minimum(x[:-1], x[1:]) % w, np.minimum(y[:-1], y[1:]) % h
+        return np.where(edge, self.steps[kind, ly, lx], np.nan)
 
     def weight(self, a: Cell, b: Cell) -> float:
-        i, j = self.index[a], self.index[b]
-        return self.weights[(i, j) if i < j else (j, i)]
+        return float(self.hop_weights((a, b))[0])
 
     def has_edge(self, a: Cell, b: Cell) -> bool:
-        i, j = self.index.get(a), self.index.get(b)
-        if i is None or j is None:
-            return False
-        return ((i, j) if i < j else (j, i)) in self.weights
+        return not math.isnan(self.weight(a, b))
+
+    def node_of(self, cell: Cell) -> int:
+        (h, w), (x, y) = self.node.shape, cell
+        if not (0 <= x < w and 0 <= y < h and self.node[y, x] >= 0):
+            raise GraphError(f"cell {cell} is not a node of the covering graph")
+        return int(self.node[y, x])
 
     def sssp(self, source: Cell) -> tuple[np.ndarray, np.ndarray]:
         """Single-source shortest-path distances and predecessors (cached)."""
-        src = self.index[source]
+        src = self.node_of(source)
         if src not in self._sssp_cache:
             dist, pred = dijkstra(self.matrix, directed=False,
                                   indices=src, return_predecessors=True)
@@ -102,27 +140,24 @@ class CoveringGraph:
         return self._sssp_cache[src]
 
     def distance(self, a: Cell, b: Cell) -> float:
-        return float(self.sssp(a)[0][self.index[b]])
+        return float(self.sssp(a)[0][self.node_of(b)])
 
     def path(self, a: Cell, b: Cell) -> list[Cell]:
         _, pred = self.sssp(a)
-        target = self.index[b]
-        if a != b and pred[target] < 0:
+        source, target = self.node_of(a), self.node_of(b)
+        if target != source and pred[target] < 0:
             raise GraphError(f"no path between {a} and {b}")
         out = [target]
-        while out[-1] != self.index[a]:
+        while out[-1] != source:
             out.append(int(pred[out[-1]]))
-        return [self.cells[i] for i in reversed(out)]
+        y, x = np.divmod(self._flat[out[::-1]], self.node.shape[1])
+        return list(zip(x.tolist(), y.tolist()))
 
     def debug_dump(self) -> dict:
         """JSON-friendly dump of nodes and weighted edges."""
-        return {
-            "nodes": [list(c) for c in self.cells],
-            "edges": [
-                [list(self.cells[i]), list(self.cells[j]), w]
-                for (i, j), w in sorted(self.weights.items())
-            ],
-        }
+        cells, edges = self.cells, sorted(self.weights.items())
+        return {"nodes": [list(c) for c in cells],
+                "edges": [[list(cells[i]), list(cells[j]), w] for (i, j), w in edges]}
 
 
 def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig,
@@ -131,30 +166,28 @@ def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig,
     a, b, slopes = grid_edges(tmap.slope_x, tmap.slope_y)
     if not slopes.size:
         raise GraphError("traversability map has no edges")
-    cells = tmap.free_cells()
-    n, w = len(cells), tmap.width
-    node = np.full(tmap.free.size, -1)
-    node[tmap.free.ravel()] = np.arange(n)
+    (h, w), free = tmap.free.shape, tmap.free.ravel()
+    node, n = np.where(free, np.cumsum(free) - 1, -1), int(np.count_nonzero(free))
     bounds = tmap.slope_bounds
     # corner-shortcut diagonals inherit the steepest internal edge of
     # their block (a diagonal replaces two of those edges)
     intact, internal = intact_blocks(tmap)
     by, bx = np.nonzero(intact)
     diagonal = edge_weight(SQRT2, internal[:, by, bx].max(axis=0), bounds, config)
+    unit = edge_weight(1.0, slopes, bounds, config)
     sw = 2 * by * w + 2 * bx   # flat index of each block's lower-left cell
+    steps = np.full((3, h * w), np.nan)
+    steps[(b - a == w).astype(np.int64), a] = unit   # an edge along y joins a to a + w
+    steps[2, sw] = diagonal
     i = node[np.concatenate([a, sw, sw + 1])]
     j = node[np.concatenate([b, sw + w + 1, sw + w])]
-    weight = np.concatenate([edge_weight(1.0, slopes, bounds, config), diagonal, diagonal])
+    weight = np.concatenate([unit, diagonal, diagonal])
     matrix = csr_matrix((np.concatenate([weight, weight]),
                          (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
-
-    index = {c: k for k, c in enumerate(cells)}
-    for d in map(tuple, depots):
-        if d not in index:
-            raise GraphError(f"depot {d} is not a free cell of the covering graph")
-    return CoveringGraph(width=tmap.width, height=tmap.height, cells=cells, index=index,
-                         weights=dict(zip(zip(i.tolist(), j.tolist()), weight.tolist())),
-                         matrix=matrix)
+    g = CoveringGraph(node.reshape(h, w), steps.reshape(3, h, w), matrix)
+    for d in depots:
+        g.node_of(d)   # a depot that is not a free cell raises GraphError
+    return g
 
 
 @dataclass

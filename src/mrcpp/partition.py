@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CoveringGraph
+from .graphs import CoveringGraph, _rows
 from .scene import Cell
 from .stc import CoverageLoop
 
@@ -140,31 +140,29 @@ def build_robot_plan(robot: int, depot: Cell, runs: list[list[Cell]],
     if not runs:
         raise PartitionError("robot plan needs at least one serviced cell")
     total = sum(len(r) for r in runs)
-    depot_dist, _ = g.sssp(depot)
-
-    def from_depot(cell: Cell) -> float:
-        return float(depot_dist[g.index[cell]])
-
-    weight = from_depot(runs[0][0])
+    weight = g.distance(depot, runs[0][0])
     refills: list[RefillTrip] = []
     serviced = 0
     prev_cell = None
     for run in runs:
         if prev_cell is not None:
             weight += g.distance(prev_cell, run[0])
-        for i, cell in enumerate(run):
-            if i > 0:
-                weight += g.weight(run[i - 1], cell)
+        hops = g.hop_weights(run)
+        if np.isnan(hops).any():
+            i = int(np.isnan(hops).argmax())
+            raise PartitionError(f"run hop {run[i]} -> {run[i + 1]} is not a covering-graph edge")
+        for cell, hop in zip(run, [0.0] + hops.tolist()):   # no hop into the first cell
+            weight += hop
             serviced += 1
             if capacity != math.inf and serviced % int(capacity) == 0 and serviced < total:
                 inbound = g.path(depot, cell)
-                trip_cost = 2.0 * from_depot(cell)
+                trip_cost = 2.0 * g.distance(depot, cell)
                 refills.append(RefillTrip(serviced_index=serviced - 1, break_cell=cell,
                                           outbound=list(reversed(inbound)),
                                           inbound=inbound, cost=trip_cost))
                 weight += trip_cost
         prev_cell = run[-1]
-    weight += from_depot(prev_cell)
+    weight += g.distance(depot, prev_cell)
     trips = trips_required(total, capacity)
     if len(refills) != trips - 1:
         raise PartitionError(f"{len(refills)} refills for {trips} trips")
@@ -198,7 +196,10 @@ class LoopCostModel:
         self._prefix = memoryview(self.prefix)
         self.depots = list(depots) if depots else None
         if self.depots is not None:
-            ids = np.array([g.index[c] for c in loop.nodes])
+            (h, w), (x, y) = g.node.shape, _rows(loop.nodes, 2).T
+            ids = np.where((x >= 0) & (x < w) & (y >= 0) & (y < h), g.node[y % h, x % w], -1)
+            if (ids < 0).any():
+                raise PartitionError("a loop cell is not a node of the covering graph")
             # depot r's distance to loop position p at [r, p]
             self.depot_dist = np.stack([g.sssp(d)[0][ids] for d in self.depots])
             if not np.isfinite(self.depot_dist).all():

@@ -75,13 +75,8 @@ class ScenePlanner:
         self.spanning: SpanningGraph = h_full.component(root)
         self.tree: SpanningTree = minimum_spanning_tree(self.spanning, root)
         self.loop: CoverageLoop = spiral_stc_loop(self.graph, self.tree, start)
-        covered = 4 * len(self.spanning)
-        free = len(self.graph.cells)
-        self.coverage = {
-            "covered_cells": covered,
-            "free_cells": free,
-            "ratio": covered / free if free else 0.0,
-        }
+        covered, free = 4 * len(self.spanning), len(self.graph)
+        self.coverage = {"covered_cells": covered, "free_cells": free, "ratio": covered / free}
 
     def depots(self, k: int) -> list:
         if len(self.scene.depots) < k:

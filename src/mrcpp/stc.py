@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 
-from .graphs import Block, CoveringGraph, SpanningGraph
+from .graphs import Block, CoveringGraph, SpanningGraph, _rows
 from .scene import Cell
 from .terrain import _canon, grid_edges
 
@@ -37,11 +37,6 @@ class SpanningTree:
 
     def has_edge(self, a: Block, b: Block) -> bool:
         return _canon(a, b) in self.edges
-
-
-def _rows(items, columns: int) -> np.ndarray:
-    """Tuples of ints, nested tuples flattened, as an int array of ``columns`` columns."""
-    return np.fromiter(chain.from_iterable(items), dtype=np.int64).reshape(-1, columns)
 
 
 def minimum_spanning_tree(h: SpanningGraph, root: Block) -> SpanningTree:
@@ -136,10 +131,10 @@ def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> Covera
         raise StcError(f"circumnavigation covered {len(order)} of {4 * n} cells")
 
     cycle = [(c % width, c // width) for c in order]
-    hop_weights = []
-    for cell, nxt in zip(cycle, cycle[1:] + cycle[:1]):
-        if not g.has_edge(cell, nxt):
-            raise StcError(f"loop hop {cell} -> {nxt} is not a covering-graph edge")
-        hop_weights.append(g.weight(cell, nxt))
-    return CoverageLoop(nodes=cycle, edge_weights=hop_weights,
-                        total_weight=sum(hop_weights))
+    closed = cycle + cycle[:1]
+    hops = g.hop_weights(closed)
+    if np.isnan(hops).any():
+        i = int(np.isnan(hops).argmax())
+        raise StcError(f"loop hop {closed[i]} -> {closed[i + 1]} is not a covering-graph edge")
+    hops = hops.tolist()
+    return CoverageLoop(nodes=cycle, edge_weights=hops, total_weight=sum(hops))

@@ -79,10 +79,6 @@ class TraversabilityMap:
         x, y = cell
         return bool(self.free[y, x])
 
-    def free_cells(self) -> list[Cell]:
-        ys, xs = np.nonzero(self.free)
-        return [(int(x), int(y)) for y, x in zip(ys, xs)]
-
 
 def compute_edge_slope(scene: Scene, a: Cell, b: Cell) -> float:
     """Slope of the edge between two 4-adjacent cells, in degrees.

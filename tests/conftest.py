@@ -31,6 +31,12 @@ def ramp_scene(width: int, height: int, depots, slope_per_cell: float = 0.2) -> 
     return Scene(width=width, height=height, depots=list(depots), elevation=elev)
 
 
+def free_cells(tmap) -> list:
+    """The free cells of a traversability map, row-major."""
+    ys, xs = np.nonzero(tmap.free)
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
 def shortest_path(g: CoveringGraph, start, goal) -> tuple[list, float]:
     """Minimum-weight path in G with deterministic (row-major id) tie-breaking.
 
@@ -71,6 +77,32 @@ def shortest_path(g: CoveringGraph, start, goal) -> tuple[list, float]:
     while path[-1] != src:
         path.append(pred[path[-1]])
     return [g.cells[i] for i in reversed(path)], dist[dst]
+
+
+def scalar_weight(length, slope, bounds, config) -> float:
+    """``edge_weight`` of one edge by the scalar formula."""
+    lo, hi = bounds
+    return config.alpha * length + config.beta * (0.0 if hi <= lo else (slope - lo) / (hi - lo))
+
+
+def scan_covering_graph(slopes: dict, bounds, config) -> dict:
+    """G's weighted edges keyed by their cells, row-major first, by a scan of
+    every retained edge and every 2x2 block: the oracle ``build_covering_graph``
+    and its lookups are held to.
+
+    ``slopes`` are the retained edges between free cells.  Each weighs the
+    scalar formula at length 1; a block whose four internal edges are all
+    retained adds both its diagonals, length sqrt(2), at the steepest of them.
+    """
+    edges = {e: scalar_weight(1.0, s, bounds, config) for e, s in slopes.items()}
+    corners = {(x - x % 2, y - y % 2) for (x, y), _ in slopes}
+    for x, y in corners:
+        internal = [((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1)),
+                    ((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1))]
+        if all(e in slopes for e in internal):
+            w = scalar_weight(math.sqrt(2.0), max(slopes[e] for e in internal), bounds, config)
+            edges[((x, y), (x + 1, y + 1))] = edges[((x + 1, y), (x, y + 1))] = w
+    return edges
 
 
 def scan_spanning_graph(tmap, config) -> tuple[list, dict]:

@@ -24,7 +24,8 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import _canon, remove_isolated, steepness_filter
 
-from conftest import loop_instance, shortest_path, spanning_graph, tiny_loop_instances
+from conftest import (free_cells, loop_instance, shortest_path, spanning_graph,
+                      tiny_loop_instances)
 
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3, slope_threshold=25.0)
 
@@ -305,11 +306,11 @@ def test_criterion_8_traversability_oracles():
                             expected_edges.add(frozenset([(x, y), (nx, ny)]))
         assert {frozenset(e) for e in tmap.edge_slopes} == expected_edges
         # flood-fill oracle for isolation pruning
-        free_cells = tmap.free_cells()
-        if not free_cells:
+        cells = free_cells(tmap)
+        if not cells:
             continue
         rng = np.random.default_rng(seed + 1)
-        depots = [free_cells[int(i)] for i in rng.integers(0, len(free_cells), 3)]
+        depots = [cells[int(i)] for i in rng.integers(0, len(cells), 3)]
         pruned = remove_isolated(tmap, depots)
         adjacency = {}
         for (a, b) in tmap.edge_slopes:
@@ -323,7 +324,7 @@ def test_criterion_8_traversability_oracles():
                 if nbr not in seen:
                     seen.add(nbr)
                     queue.append(nbr)
-        assert set(pruned.free_cells()) == seen
+        assert set(free_cells(pruned)) == seen
     _ok(8, "50 DEM fixtures: threshold filter equals brute-force scan, "
            "pruning equals depot flood fill")
 

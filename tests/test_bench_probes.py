@@ -1,5 +1,5 @@
-"""The benchmark's layer probes find every function they wrap, and its
-graph-size counters read what they name.
+"""The benchmark's layer probes find every function they wrap, its
+graph-size counters read what they name, and its plan validator reads G.
 
 ``bench/tracing.py`` looks up what it times by name (for example
 ``LoopCostModel.placement_costs``, ``balanced_cut`` and
@@ -12,20 +12,26 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
+from scipy.sparse import triu
 
 from mrcpp import partition
 from mrcpp.pipeline import ScenePlanner
 
 from conftest import loop_instance, scan_spanning_graph
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench("tracing")
 
 
 def test_layer_probes_install_and_remove():
@@ -56,3 +62,40 @@ def test_layer_probes_install_and_remove():
     assert metrics["graphs.H.edges"] == len(edges)
     assert metrics["graphs.G.nodes"] == np.count_nonzero(tmap.free)
     assert metrics["graphs.G.edges"] == len(tmap.edge_slopes) + 2 * len(blocks)
+
+
+def test_probes_count_shortest_path_solves_and_paths():
+    # a renamed graphs.dijkstra, CoveringGraph.sssp or CoveringGraph.path
+    # would leave these counters at zero, or fail to install
+    tracing = load_tracing()
+    planner = loop_instance(5, 2)
+    tracer = tracing.Tracer(time.process_time)
+    probes = tracing.LayerProbes(tracer)
+    probes.install()
+    try:
+        result = planner.plan("balanced", 2, 10.0)
+    finally:
+        probes.remove()
+    assert any(p.refills for p in result.outcome.plans)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["graphs.sssp.solves"] > 0
+    assert metrics["graphs.path.calls"] > 0
+
+
+def test_graph_oracle_matches_the_graph():
+    # the validator rebuilds G from its cells, index and weights views
+    validate = load_bench("validate")
+    planner = loop_instance(5, 2)
+    g, loop = planner.graph, planner.loop
+    oracle = validate.GraphOracle(g, loop.nodes)
+    upper = triu(g.matrix, k=1, format="coo")
+    assert oracle.edges == dict(zip(zip(upper.row.tolist(), upper.col.tolist()),
+                                    upper.data.tolist()))
+    assert (oracle.matrix != g.matrix).nnz == 0
+    for a, b in zip(loop.nodes, loop.nodes[1:]):
+        assert oracle.edge_weight(a, b) == g.weight(a, b)
+    rng = np.random.default_rng(0)
+    cells = g.cells
+    for i, j in rng.integers(0, len(cells), (20, 2)):
+        a, b = cells[i], cells[j]
+        assert oracle.distance(a, b) == pytest.approx(g.distance(a, b), rel=1e-12)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from mrcpp.scene import Scene, SceneError
 from mrcpp.scenegen import _largest_component_cells, generate_scene
 from mrcpp.terrain import build_traversability, compute_edge_slope, steepness_filter
 
-from conftest import bfs_components, flat_scene, scan_spanning_graph, shortest_path
+from conftest import (bfs_components, flat_scene, scan_covering_graph, scan_spanning_graph,
+                      shortest_path)
 
 SQRT2 = math.sqrt(2.0)
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3)
@@ -134,11 +136,6 @@ def test_spanning_graph_excludes_internally_broken_blocks():
     assert h.block_of((1, 1)) == (0, 0) and h.block_of((2, 0)) is None
 
 
-def _scalar_weight(length, slope, bounds, config):
-    lo, hi = bounds
-    return config.alpha * length + config.beta * (0.0 if hi <= lo else (slope - lo) / (hi - lo))
-
-
 def test_slopes_and_weights_equal_scalar_formulas_bit_for_bit():
     # exact equality: a vectorised slope or weight that drifts by one ulp
     # from compute_edge_slope changes shortest paths and plan bytes
@@ -168,22 +165,50 @@ def test_slopes_and_weights_equal_scalar_formulas_bit_for_bit():
         except SceneError:
             continue
         g = build_covering_graph(tmap, PAPER_CFG)
-        bounds, expected = tmap.slope_bounds, {}
-        for (a, b), s in retained.items():
-            if tmap.is_free(a) and tmap.is_free(b):
-                expected[(g.index[a], g.index[b])] = _scalar_weight(1.0, s, bounds, PAPER_CFG)
-        for by in range(scene.height // 2):
-            for bx in range(scene.width // 2):
-                x, y = 2 * bx, 2 * by
-                internal = [((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1)),
-                            ((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1))]
-                if all(e in retained and tmap.is_free(e[0]) and tmap.is_free(e[1])
-                       for e in internal):
-                    w = _scalar_weight(SQRT2, max(retained[e] for e in internal),
-                                       bounds, PAPER_CFG)
-                    expected[(g.index[(x, y)], g.index[(x + 1, y + 1)])] = w
-                    expected[(g.index[(x + 1, y)], g.index[(x, y + 1)])] = w
-        assert g.weights == expected
+        slopes = {e: s for e, s in retained.items() if tmap.is_free(e[0]) and tmap.is_free(e[1])}
+        expected = scan_covering_graph(slopes, tmap.slope_bounds, PAPER_CFG)
+        index = g.index
+        assert g.weights == {(index[a], index[b]): w for (a, b), w in expected.items()}
+
+
+def test_lookups_match_brute_force_scan():
+    # every ordered pair of cells at most 3 apart in x and y, a one-cell border
+    # included: a hop three cells long, a diagonal across two blocks or through
+    # a block that is not intact, and a -1 index wrapped round the raster must
+    # all read as no edge
+    for seed, (width, height) in itertools.product(range(5), SHAPES):
+        tmap = weighted_map(seed, width, height)
+        if not tmap.edge_slopes:
+            continue
+        g = build_covering_graph(tmap, PAPER_CFG)
+        expected = scan_covering_graph(tmap.edge_slopes, tmap.slope_bounds, PAPER_CFG)
+        cells = list(itertools.product(range(-1, width + 1), range(-1, height + 1)))
+        pairs = [(a, b) for a in cells for b in cells
+                 if abs(a[0] - b[0]) <= 3 and abs(a[1] - b[1]) <= 3]
+        hops = g.hop_weights(itertools.chain.from_iterable(pairs))[::2]
+        for (a, b), hop in zip(pairs, hops.tolist()):
+            want = expected.get((a, b), expected.get((b, a)))
+            assert hop == want if want is not None else math.isnan(hop), (a, b)
+            if seed == 0:   # the one-hop readers, on fewer maps: they are slower
+                assert g.has_edge(a, b) == (want is not None)
+                weight = g.weight(a, b)
+                assert weight == want if want is not None else math.isnan(weight), (a, b)
+
+
+def test_lookups_off_the_graph_raise_graph_error():
+    tmap = build_traversability(flat_scene(4, 3, depots=[(0, 0)], blocked_cells=[(2, 1)]), 25.0)
+    g = build_covering_graph(tmap, PAPER_CFG)
+    for cell in [(-1, 0), (0, -1), (4, 0), (0, 3), (2, 1)]:
+        for lookup, args in ((g.sssp, [cell]), (g.node_of, [cell]),
+                             (g.distance, [cell, (0, 0)]), (g.distance, [(0, 0), cell]),
+                             (g.path, [cell, (0, 0)]), (g.path, [(0, 0), cell])):
+            with pytest.raises(GraphError, match=re.escape(f"cell {cell} is not a node")):
+                lookup(*args)
+    with pytest.raises(GraphError, match=re.escape("cell (2, 1) is not a node")):
+        build_covering_graph(tmap, PAPER_CFG, depots=[(0, 0), (2, 1)])
+    path = g.path((0, 0), (3, 2))   # the nodes around the blocked cell still work
+    assert path[0] == (0, 0) and path[-1] == (3, 2)
+    assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 
 
 @pytest.mark.parametrize("seed", range(6))

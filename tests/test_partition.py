@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ def simulate_segment(segment, depot, capacity, g):
 def test_segment_cost_degenerate_depot_only(small_planner):
     g = small_planner.graph
     assert build_robot_plan(0, (0, 0), [[(0, 0)]], math.inf, g).weight == 0.0
+
+
+def test_robot_plan_rejects_run_hop_that_is_not_an_edge(small_planner):
+    g = small_planner.graph
+    build_robot_plan(0, (0, 0), [[(0, 0), (1, 1)], [(3, 3)]], math.inf, g)
+    for run, hop in [([(0, 0), (1, 0), (3, 0)], "(1, 0) -> (3, 0)"),
+                     ([(0, 0), (1, 1), (2, 2)], "(1, 1) -> (2, 2)"),
+                     ([(0, 0), (-1, 0)], "(0, 0) -> (-1, 0)")]:
+        with pytest.raises(PartitionError, match=re.escape(f"run hop {hop} is not")):
+            build_robot_plan(0, (0, 0), [[(3, 3)], run], 2.0, g)
 
 
 def test_segment_cost_unbounded_is_approach_coverage_return(small_planner):
@@ -401,6 +412,18 @@ def test_depot_that_cannot_reach_the_loop_is_rejected():
     LoopCostModel(loop, g, [(0, 0), (1, 1)])
     with pytest.raises(PartitionError, match="cannot reach"):
         LoopCostModel(loop, g, [(0, 0), (5, 1)])
+
+
+def test_loop_cell_that_is_not_a_node_is_rejected():
+    # (2, 2) is blocked, (-1, 1) and (1, 4) lie off the 4x4 grid: read
+    # unchecked, the first takes another node's distances and -1 wraps round
+    g = build_covering_graph(steepness_filter(flat_scene(4, 4, [(0, 0)], [(2, 2)])),
+                             UNWEIGHTED)
+    for cell in [(2, 2), (-1, 1), (1, 4)]:
+        loop = CoverageLoop(nodes=[(1, 1), (2, 1), cell, (1, 2)], edge_weights=[1.0] * 4,
+                            total_weight=4.0)
+        with pytest.raises(PartitionError, match="not a node"):
+            LoopCostModel(loop, g, [(0, 0)])
 
 
 def scan_cases():

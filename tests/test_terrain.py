@@ -11,7 +11,7 @@ from mrcpp.scene import Scene
 from mrcpp.terrain import (TerrainError, build_traversability, compute_edge_slope,
                            merge_masks, remove_isolated, steepness_filter)
 
-from conftest import flat_scene
+from conftest import flat_scene, free_cells
 
 
 def random_scene(seed: int, width=12, height=12, block_p=0.15, with_elevation=True):
@@ -177,13 +177,13 @@ def test_remove_isolated_matches_flood_fill(seed, shape):
     rng = np.random.default_rng(seed)
     scene = random_scene(seed, *shape, block_p=0.3)
     tmap = steepness_filter(scene, 25.0)
-    free_cells = tmap.free_cells()
-    if not free_cells:
+    cells = free_cells(tmap)
+    if not cells:
         return
-    depots = [free_cells[int(rng.integers(len(free_cells)))] for _ in range(3)]
+    depots = [cells[int(rng.integers(len(cells)))] for _ in range(3)]
     pruned = remove_isolated(tmap, depots)
     expected = flood_fill(brute_force_edges(scene, 25.0), depots)
-    assert set(pruned.free_cells()) == expected
+    assert set(free_cells(pruned)) == expected
 
 
 def test_merge_masks_identity():
