@@ -10,7 +10,7 @@ from mrcpp import (PlannerConfig, Scene, build_covering_graph,
                    render_plan_svg, spiral_stc_loop)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.stc import SpanningTree
-from mrcpp.terrain import _canon, build_traversability
+from mrcpp.terrain import build_traversability
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -33,24 +33,27 @@ print(f"loop visits {len(loop)} cells (= 4 x {len(mst)} blocks), "
 
 
 def first_neighbor_tree(h, root):
-    """Depth-first tree that ignores edge weights."""
+    """Depth-first tree that ignores edge weights, in H's raster form."""
     weights = h.edges
     neighbours = {b: [] for b in h.blocks}
     for a, b in weights:
         neighbours[a].append(b)
         neighbours[b].append(a)
-    seen, edges = {root}, set()
+    spanned = np.zeros_like(h.intact)
+    spanned[root[1], root[0]] = True
+    east, north = np.full_like(h.east, np.nan), np.full_like(h.north, np.nan)
     total, stack = 0.0, [root]
     while stack:
         node = stack.pop()
         for nbr in sorted(neighbours[node], key=lambda b: (b[1], b[0])):
-            if nbr not in seen:
-                seen.add(nbr)
-                edges.add(_canon(node, nbr))
-                total += weights[_canon(node, nbr)]
+            if not spanned[nbr[1], nbr[0]]:
+                spanned[nbr[1], nbr[0]] = True
+                (x, y), far = sorted((node, nbr), key=lambda b: (b[1], b[0]))
+                w = weights[((x, y), far)]
+                (east if far[1] == y else north)[y, x] = w
+                total += w
                 stack.append(nbr)
-    return SpanningTree(root=root, blocks=[b for b in h.blocks if b in seen],
-                        edges=edges, total_weight=total)
+    return SpanningTree(spanned, east, north, total)
 
 
 blind = first_neighbor_tree(h, h.block_of((0, 0)))

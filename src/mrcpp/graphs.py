@@ -107,10 +107,10 @@ class CoveringGraph:
         upper = triu(self.matrix, k=1, format="coo")
         return dict(zip(zip(upper.row.tolist(), upper.col.tolist()), upper.data.tolist()))
 
-    def hop_weights(self, cells) -> np.ndarray:
-        """Weights of the hops between consecutive ``cells``, as ``weight`` gives one:
-        nan where the two are not joined by an edge, a cell off the grid included."""
-        (h, w), (x, y) = self.node.shape, _rows(cells, 2).T
+    def hop_weights(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Weights of the hops between consecutive cells ``(x[i], y[i])``: nan where two
+        are not joined by an edge, a cell off the grid included; ``weight`` reads one."""
+        h, w = self.node.shape
         dx, dy, on = x[1:] - x[:-1], y[1:] - y[:-1], (x >= 0) & (x < w) & (y >= 0) & (y < h)
         edge = on[:-1] & on[1:] & (np.maximum(abs(dx), abs(dy)) == 1)   # 8-neighbours
         kind = (dy != 0) * (1 + (dx != 0))   # 0 along x, 1 along y, 2 diagonal
@@ -119,7 +119,7 @@ class CoveringGraph:
         return np.where(edge, self.steps[kind, ly, lx], np.nan)
 
     def weight(self, a: Cell, b: Cell) -> float:
-        return float(self.hop_weights((a, b))[0])
+        return float(self.hop_weights(*_rows((a, b), 2).T)[0])
 
     def has_edge(self, a: Cell, b: Cell) -> bool:
         return not math.isnan(self.weight(a, b))
@@ -211,6 +211,15 @@ class SpanningGraph:
     def edges(self) -> dict[tuple[Block, Block], float]:
         """Edges keyed by their row-major ends, rebuilt from the rasters on each access."""
         return edge_dict(self.east, self.north)
+
+    def has_edge(self, a: Block, b: Block) -> bool:
+        """Whether blocks ``a`` and ``b`` are joined; a block off the raster joins none."""
+        x, y, dx, dy = min(a[0], b[0]), min(a[1], b[1]), abs(a[0] - b[0]), abs(a[1] - b[1])
+        if dx + dy != 1:
+            return False
+        raster = self.east if dx else self.north   # indexed by the lower-left end
+        return (0 <= x < raster.shape[1] and 0 <= y < raster.shape[0]
+                and not math.isnan(raster[y, x]))
 
     def block_cells(self, block: Block) -> list[Cell]:
         x, y = 2 * block[0], 2 * block[1]

@@ -147,7 +147,7 @@ def build_robot_plan(robot: int, depot: Cell, runs: list[list[Cell]],
     for run in runs:
         if prev_cell is not None:
             weight += g.distance(prev_cell, run[0])
-        hops = g.hop_weights(run)
+        hops = g.hop_weights(*_rows(run, 2).T)
         if np.isnan(hops).any():
             i = int(np.isnan(hops).argmax())
             raise PartitionError(f"run hop {run[i]} -> {run[i + 1]} is not a covering-graph edge")

@@ -90,6 +90,18 @@ def _cells(path: Path, doc: dict, key: str) -> list[Cell]:
     return [(x, y) for x, y in items]
 
 
+def _raster(path: Path, doc: dict, key: str, read) -> tuple[Path, object]:
+    """The sidecar raster file named by ``doc[key]`` and what ``read`` makes of it."""
+    name = doc[key]
+    if not isinstance(name, str):
+        raise SceneError(f"{path}: '{key}' must be a file name, got {name!r}")
+    raster_path = path.parent / name
+    try:
+        return raster_path, read(raster_path)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise SceneError(f"{path}: '{key}' file {raster_path} cannot be read: {exc}") from exc
+
+
 def load_scene(path) -> Scene:
     """Load and validate a scene JSON document.
 
@@ -118,20 +130,24 @@ def load_scene(path) -> Scene:
 
     elevation = None
     if doc.get("elevation_file"):
-        elev_path = path.parent / doc["elevation_file"]
-        values, nodata, _ = rasters.read_esri_ascii(elev_path)
+        elev_path, (values, nodata, _) = _raster(path, doc, "elevation_file",
+                                                 rasters.read_esri_ascii)
         if values.shape != (height, width):
             raise SceneError(
                 f"{elev_path}: elevation raster size mismatch "
                 f"({values.shape[0]}x{values.shape[1]} vs {height}x{width})"
             )
+        bad = ~(np.isfinite(values) | nodata)
+        if bad.any():
+            y, x = np.argwhere(bad)[0].tolist()
+            raise SceneError(f"{path}: 'elevation_file' {elev_path} has a non-finite "
+                             f"sample at cell ({x}, {y})")
         elevation = values
         blocked |= nodata
 
     landclass = None
     if doc.get("landclass_file"):
-        mask_path = path.parent / doc["landclass_file"]
-        landclass = rasters.read_mask_grid(mask_path)
+        mask_path, landclass = _raster(path, doc, "landclass_file", rasters.read_mask_grid)
         if landclass.shape != (height, width):
             raise SceneError(f"{mask_path}: land-class raster size mismatch")
 

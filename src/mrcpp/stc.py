@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 
-from .graphs import Block, CoveringGraph, SpanningGraph, _rows
+from .graphs import Block, CoveringGraph, SpanningGraph
 from .scene import Cell
-from .terrain import _canon, grid_edges
+from .terrain import grid_edges
 
 
 class StcError(ValueError):
@@ -26,21 +25,14 @@ class StcError(ValueError):
 
 
 @dataclass
-class SpanningTree:
-    root: Block
-    blocks: list[Block]               # every block the tree spans
-    edges: set[tuple[Block, Block]]   # canonical keys
+class SpanningTree(SpanningGraph):
+    """A spanning tree in H's form: the blocks it spans, and its edges' weights in
+    ``east`` and ``north``, nan where the tree has no edge."""
     total_weight: float
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def has_edge(self, a: Block, b: Block) -> bool:
-        return _canon(a, b) in self.edges
 
 
 def minimum_spanning_tree(h: SpanningGraph, root: Block) -> SpanningTree:
-    """Kruskal MST of H rooted at ``root``; ties broken row-major.
+    """Kruskal MST of H, which must be connected and hold ``root``; ties broken row-major.
 
     Edges are ranked in Kruskal's order (weight, then the row-major keys of
     both ends); the MST over distinct ranks is unique, so any MST solver
@@ -57,11 +49,16 @@ def minimum_spanning_tree(h: SpanningGraph, root: Block) -> SpanningTree:
     if mst.nnz != len(h) - 1:
         raise StcError("spanning graph is disconnected")
     chosen = order[np.sort(mst.data).astype(np.int64) - 1]
-    total = float(np.cumsum(weights[chosen])[-1]) if chosen.size else 0.0
-    a, b = a[chosen], b[chosen]
-    edges = zip(zip((a % bw).tolist(), (a // bw).tolist()),
-                zip((b % bw).tolist(), (b // bw).tolist()))
-    return SpanningTree(root=root, blocks=h.blocks, edges=set(edges), total_weight=total)
+    a, b, w = a[chosen], b[chosen], weights[chosen]
+    total = float(np.cumsum(w)[-1]) if w.size else 0.0
+    # an edge is along x when both ends share a block row (when H is one
+    # block wide, b - a == 1 holds for edges along y)
+    y, x = np.divmod(a, bw)
+    along_x = b // bw == y
+    east, north = np.full(h.east.shape, np.nan), np.full(h.north.shape, np.nan)
+    east[y[along_x], x[along_x]] = w[along_x]
+    north[y[~along_x], x[~along_x]] = w[~along_x]
+    return SpanningTree(h.intact, east, north, total)
 
 
 @dataclass
@@ -91,17 +88,10 @@ def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> Covera
     counter-clockwise, unless a tree edge leaves the block on the side it
     would walk along: then it crosses that edge instead.
     """
-    n = len(tree)
-    bx, by = _rows(tree.blocks, 2).T
-    bw, bh = int(bx.max()) + 1, int(by.max()) + 1
+    n, (bh, bw) = len(tree), tree.intact.shape
+    by, bx = np.nonzero(tree.intact)
     # tree edges to the east / north of block (x, y) at [y + 1, x + 1]
-    east = np.zeros((bh + 2, bw + 2), dtype=bool)
-    north = np.zeros((bh + 2, bw + 2), dtype=bool)
-    if tree.edges:
-        ex, ey, _, fy = _rows(chain.from_iterable(tree.edges), 4).T
-        horizontal = fy == ey
-        east[ey[horizontal] + 1, ex[horizontal] + 1] = True
-        north[ey[~horizontal] + 1, ex[~horizontal] + 1] = True
+    east, north = np.pad(~np.isnan(tree.east), 1), np.pad(~np.isnan(tree.north), 1)
     width = 2 * bw   # cells are flat row-major indices over the covered grid
     corner = 2 * by * width + 2 * bx   # bottom-left quadrant of each block
     # per quadrant: (its cells, tree edge on the side it walks along, step
@@ -130,11 +120,13 @@ def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> Covera
     if here != first or len(order) != 4 * n:
         raise StcError(f"circumnavigation covered {len(order)} of {4 * n} cells")
 
-    cycle = [(c % width, c // width) for c in order]
-    closed = cycle + cycle[:1]
-    hops = g.hop_weights(closed)
+    order.append(first)   # close the cycle
+    y, x = np.divmod(np.array(order), width)
+    hops = g.hop_weights(x, y)
+    nodes = list(zip(x.tolist(), y.tolist()))
     if np.isnan(hops).any():
         i = int(np.isnan(hops).argmax())
-        raise StcError(f"loop hop {closed[i]} -> {closed[i + 1]} is not a covering-graph edge")
+        raise StcError(f"loop hop {nodes[i]} -> {nodes[i + 1]} is not a covering-graph edge")
+    nodes.pop()
     hops = hops.tolist()
-    return CoverageLoop(nodes=cycle, edge_weights=hops, total_weight=sum(hops))
+    return CoverageLoop(nodes=nodes, edge_weights=hops, total_weight=sum(hops))

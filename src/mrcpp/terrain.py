@@ -27,11 +27,6 @@ class TerrainError(ValueError):
     """Raised when traversability inputs are inconsistent."""
 
 
-def _canon(a: Cell, b: Cell) -> Edge:
-    # canonical edge key: row-major smaller endpoint first
-    return (a, b) if (a[1], a[0]) <= (b[1], b[0]) else (b, a)
-
-
 def grid_edges(along_x: np.ndarray, along_y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Edges held as rasters ``[y, x]`` of (x, y)-(x+1, y) and (x, y)-(x, y+1), nan
     for none: row-major flat node indices ``a < b`` and values, x edges first."""
@@ -44,7 +39,8 @@ def grid_edges(along_x: np.ndarray, along_y: np.ndarray) -> tuple[np.ndarray, ..
 
 
 def edge_dict(along_x: np.ndarray, along_y: np.ndarray) -> dict[Edge, float]:
-    """The edges of :func:`grid_edges` keyed by ``_canon(a, b)``, in its order."""
+    """The edges of :func:`grid_edges`, in its order, keyed by their ends, row-major
+    smaller end first."""
     a, b, values = grid_edges(along_x, along_y)
     w = along_y.shape[1]
     return {((i % w, i // w), (j % w, j // w)): v
@@ -72,7 +68,8 @@ class TraversabilityMap:
 
     @property
     def edge_slopes(self) -> dict[Edge, float]:
-        """Retained edges keyed by ``_canon(a, b)``, rebuilt from the rasters on each access."""
+        """Retained edges keyed by their ends, row-major smaller end first, rebuilt from
+        the rasters on each access."""
         return edge_dict(self.slope_x, self.slope_y)
 
     def is_free(self, cell: Cell) -> bool:

@@ -136,14 +136,21 @@ def scan_spanning_graph(tmap, config) -> tuple[list, dict]:
     return blocks, edges
 
 
-def spanning_graph(blocks, edges: dict) -> SpanningGraph:
-    """H over ``blocks`` with ``edges`` weighted as given, keys ``_canon(a, b)``.
+def canon(a, b) -> tuple:
+    """The key of the edge between cells or blocks ``a`` and ``b``: row-major
+    smaller end first."""
+    return (a, b) if (a[1], a[0]) <= (b[1], b[0]) else (b, a)
 
-    The one way the tests build H by hand: the rasters span the blocks from
-    block (0, 0) to the largest coordinates.
+
+def spanning_graph(blocks, edges: dict, shape=None) -> SpanningGraph:
+    """H over ``blocks`` with ``edges`` weighted as given, keys ``canon(a, b)``.
+
+    The one way the tests build H by hand: the rasters span ``shape`` (block
+    rows, block columns), by default from block (0, 0) to the largest
+    coordinates.
     """
-    bw = max((x for x, _ in blocks), default=-1) + 1
-    bh = max((y for _, y in blocks), default=-1) + 1
+    bh, bw = shape or (max((y for _, y in blocks), default=-1) + 1,
+                       max((x for x, _ in blocks), default=-1) + 1)
     intact = np.zeros((bh, bw), dtype=bool)
     for x, y in blocks:
         intact[y, x] = True
@@ -152,6 +159,19 @@ def spanning_graph(blocks, edges: dict) -> SpanningGraph:
     for ((ax, ay), (bx, by)), w in edges.items():
         (east if by == ay else north)[ay, ax] = w
     return SpanningGraph(intact, east, north)
+
+
+def spanning_tree(blocks, edges: dict, shape=None) -> SpanningTree:
+    """A tree in H's form over ``blocks`` with ``edges``, laid out as ``spanning_graph``
+    lays them out; ``total_weight`` adds the weights one by one in the dict's order.
+
+    The one way the tests build a tree by hand.
+    """
+    h = spanning_graph(blocks, edges, shape)
+    total = 0.0
+    for w in edges.values():
+        total += w
+    return SpanningTree(h.intact, h.east, h.north, total)
 
 
 def neighbours(h: SpanningGraph) -> dict:
@@ -192,7 +212,7 @@ def bfs_components(h: SpanningGraph) -> list[list]:
     return groups
 
 
-def kruskal_tree(h: SpanningGraph, root) -> SpanningTree:
+def kruskal_tree(h: SpanningGraph) -> SpanningTree:
     """Kruskal's MST by union-find, edges taken in (weight, row-major ends) order.
 
     The oracle the tests hold ``minimum_spanning_tree`` to, tie-break and
@@ -206,16 +226,15 @@ def kruskal_tree(h: SpanningGraph, root) -> SpanningTree:
             x = parent[x]
         return x
 
-    edges, total = set(), 0.0
+    edges = {}
     ranked = sorted(h.edges.items(), key=lambda kv: (kv[1], kv[0][0][1], kv[0][0][0],
                                                      kv[0][1][1], kv[0][1][0]))
     for (a, b), w in ranked:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-            edges.add((a, b))
-            total += w
-    return SpanningTree(root=root, blocks=list(h.blocks), edges=edges, total_weight=total)
+            edges[(a, b)] = w
+    return spanning_tree(h.blocks, edges, h.intact.shape)
 
 
 def reference_stc_loop(g: CoveringGraph, tree: SpanningTree, start) -> tuple[list, list]:

@@ -22,9 +22,9 @@ from mrcpp.pipeline import ScenePlanner, plan_document, write_json_atomic
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
 from mrcpp.stc import minimum_spanning_tree, spiral_stc_loop
-from mrcpp.terrain import _canon, remove_isolated, steepness_filter
+from mrcpp.terrain import remove_isolated, steepness_filter
 
-from conftest import (free_cells, loop_instance, shortest_path, spanning_graph,
+from conftest import (canon, free_cells, loop_instance, shortest_path, spanning_graph,
                       tiny_loop_instances)
 
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3, slope_threshold=25.0)
@@ -96,7 +96,7 @@ def _random_h(seed: int) -> SpanningGraph:
     for b in blocks:
         for nbr in ((b[0] + 1, b[1]), (b[0], b[1] + 1)):
             if nbr in blocks:
-                edges[_canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
+                edges[canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
     return spanning_graph(blocks, edges)
 
 

@@ -1,7 +1,8 @@
 """Every script under ``demos/`` runs to completion.
 
 Each runs from a copy in a temporary directory, so the SVGs a demo writes
-next to itself land there and not in ``demos/out/``.
+next to itself land there and not in ``demos/out/``; each must equal its
+committed twin there byte for byte.
 """
 import runpy
 import shutil
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 def test_demos_are_found():
@@ -22,3 +24,5 @@ def test_demo_runs(demo, tmp_path, capsys):
     shutil.copy(demo, script)
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out
+    for svg in (tmp_path / "out").glob("*.svg"):
+        assert svg.read_bytes() == (DEMO_DIR / "out" / svg.name).read_bytes(), svg.name

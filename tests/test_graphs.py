@@ -185,7 +185,8 @@ def test_lookups_match_brute_force_scan():
         cells = list(itertools.product(range(-1, width + 1), range(-1, height + 1)))
         pairs = [(a, b) for a in cells for b in cells
                  if abs(a[0] - b[0]) <= 3 and abs(a[1] - b[1]) <= 3]
-        hops = g.hop_weights(itertools.chain.from_iterable(pairs))[::2]
+        x, y = np.array(list(itertools.chain.from_iterable(pairs))).T
+        hops = g.hop_weights(x, y)[::2]
         for (a, b), hop in zip(pairs, hops.tolist()):
             want = expected.get((a, b), expected.get((b, a)))
             assert hop == want if want is not None else math.isnan(hop), (a, b)

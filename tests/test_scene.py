@@ -114,6 +114,31 @@ def test_load_scene_rejects_malformed_field(tmp_path, override, key):
         load_scene(path)
 
 
+ASC_HEADER = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+
+
+@pytest.mark.parametrize("key, name, text", [
+    ("elevation_file", "e.asc", None),                                  # missing
+    ("landclass_file", "m.txt", None),
+    ("elevation_file", 5, None),                                        # not a name
+    ("elevation_file", "e.asc", ASC_HEADER + "1 2\n3\n"),               # short
+    ("elevation_file", "e.asc", "ncols 2\nnrows\n"),                    # bad header
+    ("elevation_file", "e.asc", ASC_HEADER.replace("2", "inf", 1) + "1 2\n3 4\n"),
+    ("elevation_file", "e.asc", ASC_HEADER + "1 2\nx 4\n"),
+    ("elevation_file", "e.asc", ASC_HEADER + "1 nan\n3 4\n"),           # non-finite
+    ("elevation_file", "e.asc", ASC_HEADER + "1 2\n-inf 4\n"),
+    ("landclass_file", "m.txt", "1 2\n0 1\n"),                          # not 0/1
+    ("landclass_file", "m.txt", "\n"),
+])
+def test_load_scene_rejects_bad_raster_file(tmp_path, key, name, text):
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"width": 2, "height": 2, "depots": [[0, 0]], key: name}))
+    with pytest.raises(SceneError, match=f"'{key}'.*{name}"):
+        load_scene(path)
+
+
 def test_load_scene_rejects_non_object_document(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text("5")

@@ -11,10 +11,10 @@ from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
 from mrcpp.stc import (CoverageLoop, SpanningTree, StcError,
                        minimum_spanning_tree, spiral_stc_loop)
-from mrcpp.terrain import _canon, build_traversability
+from mrcpp.terrain import build_traversability
 
-from conftest import (bfs_components, flat_scene, kruskal_tree, neighbours,
-                      reference_stc_loop, spanning_graph)
+from conftest import (bfs_components, canon, flat_scene, kruskal_tree, neighbours,
+                      reference_stc_loop, spanning_graph, spanning_tree)
 
 SQRT2 = math.sqrt(2.0)
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
@@ -63,7 +63,7 @@ def random_spanning_graph(seed: int, max_nodes: int = 12) -> SpanningGraph:
     for b in blocks:
         for nbr in ((b[0] + 1, b[1]), (b[0], b[1] + 1)):
             if nbr in blocks:
-                edges[_canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
+                edges[canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
     return spanning_graph(blocks, edges)
 
 
@@ -98,19 +98,16 @@ def dfs_tree(h: SpanningGraph, root) -> SpanningTree:
     """Arbitrary (weight-blind) depth-first spanning tree."""
     adjacency, weights = neighbours(h), h.edges
     seen = {root}
-    edges = set()
-    total = 0.0
+    edges = {}
     stack = [root]
     while stack:
         node = stack.pop()
         for nbr in adjacency[node]:
             if nbr not in seen:
                 seen.add(nbr)
-                edges.add(_canon(node, nbr))
-                total += weights[_canon(node, nbr)]
+                edges[canon(node, nbr)] = weights[canon(node, nbr)]
                 stack.append(nbr)
-    return SpanningTree(root=root, blocks=[b for b in h.blocks if b in seen],
-                        edges=edges, total_weight=total)
+    return spanning_tree([b for b in h.blocks if b in seen], edges, h.intact.shape)
 
 
 def test_mst_uniform_weights():
@@ -123,10 +120,10 @@ def test_mst_uniform_weights():
 def test_mst_excludes_heavy_edge():
     blocks = [(0, 0), (1, 0), (0, 1), (1, 1)]
     edges = {
-        _canon((0, 0), (1, 0)): 1.0,
-        _canon((0, 0), (0, 1)): 1.0,
-        _canon((1, 0), (1, 1)): 1.0,
-        _canon((0, 1), (1, 1)): 9.0,
+        canon((0, 0), (1, 0)): 1.0,
+        canon((0, 0), (0, 1)): 1.0,
+        canon((1, 0), (1, 1)): 1.0,
+        canon((0, 1), (1, 1)): 9.0,
     }
     h = spanning_graph(blocks, edges)
     tree = minimum_spanning_tree(h, (0, 0))
@@ -174,11 +171,36 @@ def test_mst_deterministic_under_ties():
     for seed in range(6):
         h = random_spanning_graph(seed)
         graphs.append(spanning_graph(h.blocks, {k: 1.0 for k in h.edges}))
-    for h in graphs:
+    for h in graphs + [line_graph(1, 5), line_graph(5, 1)]:
         tree = minimum_spanning_tree(h, h.blocks[0])
-        expected = kruskal_tree(h, h.blocks[0])
+        expected = kruskal_tree(h)
         assert tree.edges == minimum_spanning_tree(h, h.blocks[0]).edges == expected.edges
         assert tree.total_weight == expected.total_weight
+        for raster in ("intact", "east", "north"):
+            np.testing.assert_array_equal(getattr(tree, raster), getattr(expected, raster))
+
+
+def line_graph(width: int, height: int) -> SpanningGraph:
+    """H one block wide or one block high, its edges weighted 1, 2, ... in order."""
+    blocks = [(x, y) for y in range(height) for x in range(width)]
+    return spanning_graph(blocks, {(a, b): float(i + 1)
+                                   for i, (a, b) in enumerate(zip(blocks, blocks[1:]))})
+
+
+def test_has_edge_matches_edge_views():
+    # every ordered pair of blocks at most 2 apart in x and y, a one-block
+    # border included: a -1 wrapped round a raster must read as no edge
+    planner = ScenePlanner(generate_scene("field", seed=4, width=16, height=16))
+    connected = [random_spanning_graph(seed) for seed in range(6)]
+    connected += [line_graph(1, 5), line_graph(5, 1), planner.spanning]
+    graphs = [build_spanning_graph(planner.tmap, planner.config), *connected,
+              *(minimum_spanning_tree(h, h.blocks[0]) for h in connected)]
+    for graph in graphs:
+        edges, (bh, bw) = graph.edges, graph.intact.shape
+        blocks = list(itertools.product(range(-1, bw + 1), range(-1, bh + 1)))
+        for a, b in itertools.product(blocks, blocks):
+            if abs(a[0] - b[0]) <= 2 and abs(a[1] - b[1]) <= 2:
+                assert graph.has_edge(a, b) == (canon(a, b) in edges), (a, b)
 
 
 def test_loop_order_matches_cell_by_cell_reference():
@@ -192,7 +214,7 @@ def test_loop_order_matches_cell_by_cell_reference():
         g, h, start = planner.graph, planner.spanning, planner.scene.depots[0]
         root = h.block_of(start)
         mst = minimum_spanning_tree(h, root)
-        reference = kruskal_tree(h, root)
+        reference = kruskal_tree(h)
         assert mst.edges == reference.edges
         assert mst.total_weight == reference.total_weight
         blind = dfs_tree(h, root)
@@ -301,15 +323,14 @@ def test_loop_rejects_uncovered_start():
 def test_loop_rejects_tree_it_cannot_close():
     # two blocks without the edge that joins them: the walk closes after 4 cells
     g, _ = build_pipeline(flat_scene(4, 2, depots=[(0, 0)]))
-    tree = SpanningTree(root=(0, 0), blocks=[(0, 0), (1, 0)], edges=set(), total_weight=0.0)
+    tree = spanning_tree([(0, 0), (1, 0)], {})
     with pytest.raises(StcError, match="covered 4 of 8 cells"):
         spiral_stc_loop(g, tree, (0, 0))
 
 
 def test_loop_rejects_hop_outside_covering_graph():
     g, _ = build_pipeline(flat_scene(2, 2, depots=[(0, 0)]))
-    tree = SpanningTree(root=(0, 0), blocks=[(0, 0), (1, 0)],
-                        edges={((0, 0), (1, 0))}, total_weight=2.0)
+    tree = spanning_tree([(0, 0), (1, 0)], {((0, 0), (1, 0)): 2.0})
     with pytest.raises(StcError, match="not a covering-graph edge"):
         spiral_stc_loop(g, tree, (0, 0))
 
