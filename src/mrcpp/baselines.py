@@ -31,9 +31,10 @@ def _depot_arcs(loop: CoverageLoop, depots: list[Cell]) -> list[tuple[int, int]]
     """(loop position, robot id) per depot, sorted along the loop."""
     entries = []
     for robot, depot in enumerate(depots):
-        if not loop.contains(depot):
+        pos = loop.position(depot)
+        if pos < 0:
             raise BaselineError(f"depot {depot} does not lie on the coverage loop")
-        entries.append((loop.position(depot), robot))
+        entries.append((pos, robot))
     entries.sort()
     return entries
 
@@ -102,9 +103,8 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
     plans = []
     for j, (pos, robot) in enumerate(entries):
         behind = splits[(j - 1) % k]
-        runs = [[loop.nodes[(pos - 1 - i) % length] for i in range(behind)],
-                [loop.nodes[(pos + i) % length] for i in range(arc_len[j] - splits[j])]]
-        plans.append(build_robot_plan(robot, depots[robot], runs, capacity, g))
+        runs = [(pos - 1, behind, -1), (pos, arc_len[j] - splits[j], 1)]
+        plans.append(build_robot_plan(robot, depots[robot], loop, runs, capacity, g))
     plans.sort(key=lambda p: p.robot)
     pset.weights = [p.weight for p in plans]
     return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=0)

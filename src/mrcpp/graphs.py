@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
@@ -71,11 +70,6 @@ def intact_blocks(tmap: TraversabilityMap) -> tuple[np.ndarray, np.ndarray]:
     return ~np.isnan(internal).any(axis=0), internal
 
 
-def _rows(items, columns: int) -> np.ndarray:
-    """Tuples of ints, nested tuples flattened, as an int array of ``columns`` columns."""
-    return np.fromiter(chain.from_iterable(items), dtype=np.int64).reshape(-1, columns)
-
-
 @dataclass
 class CoveringGraph:
     node: np.ndarray    # int [y, x]: a free cell's row-major node index, -1 elsewhere
@@ -119,7 +113,7 @@ class CoveringGraph:
         return np.where(edge, self.steps[kind, ly, lx], np.nan)
 
     def weight(self, a: Cell, b: Cell) -> float:
-        return float(self.hop_weights(*_rows((a, b), 2).T)[0])
+        return float(self.hop_weights(*np.array((a, b)).T)[0])
 
     def has_edge(self, a: Cell, b: Cell) -> bool:
         return not math.isnan(self.weight(a, b))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CoveringGraph, _rows
+from .graphs import CoveringGraph
 from .scene import Cell
 from .stc import CoverageLoop
 
@@ -52,10 +52,6 @@ class PartitionSet:
         if k == 1:
             return [length]
         return [(self.keys[(i + 1) % k] - self.keys[i]) % length for i in range(k)]
-
-    def segment_nodes(self, loop: CoverageLoop, i: int) -> list[Cell]:
-        start, size = self.keys[i], self.sizes()[i]
-        return [loop.nodes[(start + j) % self.loop_length] for j in range(size)]
 
 
 @dataclass
@@ -104,7 +100,7 @@ class PlanOutcome:
 
     @property
     def total_weight(self) -> float:
-        return sum(p.weight for p in self.plans)
+        return float(np.cumsum([p.weight for p in self.plans])[-1])
 
 
 def max_weight(plans) -> float:
@@ -128,46 +124,50 @@ def trips_required(size: int, capacity: float) -> int:
     return (size + int(capacity) - 1) // int(capacity)
 
 
-def build_robot_plan(robot: int, depot: Cell, runs: list[list[Cell]],
-                     capacity: float, g: CoveringGraph) -> RobotPlan:
-    """Assemble a robot plan and its exact cost by walking the serviced runs.
+def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
+                     runs: list[tuple[int, int, int]], capacity: float,
+                     g: CoveringGraph) -> RobotPlan:
+    """Assemble a robot plan and its exact cost from runs of the loop.
 
-    Runs are serviced in order; consecutive runs are joined by shortest-path
-    travel legs.  A refill excursion to the depot is inserted whenever the
-    serviced count reaches a capacity multiple and cells remain.
+    A run ``(start, count, step)`` services ``count`` cells from loop
+    position ``start`` on, cyclically, forward for step 1 and backward for
+    step -1; a run of no cells is dropped.  Runs are serviced in order and
+    joined by shortest-path travel legs.  A refill excursion to the depot
+    follows every ``capacity`` serviced cells while cells remain.  The
+    weight adds, in walk order: the approach leg, each run's hops with each
+    excursion right after its break cell, the legs between runs, and the
+    return leg.
     """
-    runs = [list(r) for r in runs if r]
+    runs = [run for run in runs if run[1]]
     if not runs:
         raise PartitionError("robot plan needs at least one serviced cell")
-    total = sum(len(r) for r in runs)
-    weight = g.distance(depot, runs[0][0])
-    refills: list[RefillTrip] = []
-    serviced = 0
-    prev_cell = None
-    for run in runs:
-        if prev_cell is not None:
-            weight += g.distance(prev_cell, run[0])
-        hops = g.hop_weights(*_rows(run, 2).T)
-        if np.isnan(hops).any():
-            i = int(np.isnan(hops).argmax())
-            raise PartitionError(f"run hop {run[i]} -> {run[i + 1]} is not a covering-graph edge")
-        for cell, hop in zip(run, [0.0] + hops.tolist()):   # no hop into the first cell
-            weight += hop
-            serviced += 1
-            if capacity != math.inf and serviced % int(capacity) == 0 and serviced < total:
-                inbound = g.path(depot, cell)
-                trip_cost = 2.0 * g.distance(depot, cell)
-                refills.append(RefillTrip(serviced_index=serviced - 1, break_cell=cell,
-                                          outbound=list(reversed(inbound)),
-                                          inbound=inbound, cost=trip_cost))
-                weight += trip_cost
-        prev_cell = run[-1]
-    weight += g.distance(depot, prev_cell)
-    trips = trips_required(total, capacity)
-    if len(refills) != trips - 1:
-        raise PartitionError(f"{len(refills)} refills for {trips} trips")
-    return RobotPlan(robot=robot, depot=depot, runs=runs, refills=refills,
-                     trips=trips, weight=weight)
+    cells, positions, reach, prev = [], [], [], depot
+    for start, count, step in runs:
+        pos = (start + step * np.arange(count)) % len(loop)
+        run = list(zip(loop.x[pos].tolist(), loop.y[pos].tolist()))
+        # edge p joins positions p and p + 1, whichever way it is walked
+        hops = loop.edge_weights[pos[:-1] if step > 0 else pos[1:]]
+        reach += [[g.distance(prev, run[0])], hops]
+        cells.append(run)
+        positions.append(pos)
+        prev = run[-1]
+    serviced = np.concatenate(positions)
+    offsets = np.array(_refill_offsets(len(serviced), capacity), dtype=np.int64)
+    refills = []
+    for off, x, y in zip(offsets.tolist(), loop.x[serviced[offsets]].tolist(),
+                         loop.y[serviced[offsets]].tolist()):
+        inbound = g.path(depot, (x, y))
+        refills.append(RefillTrip(serviced_index=off, break_cell=(x, y), outbound=inbound[::-1],
+                                  inbound=inbound, cost=2.0 * g.distance(depot, (x, y))))
+    # row i: the cost of reaching serviced cell i, then of the trip that breaks
+    # there (0.0 for none); the last row is the return leg
+    increments = np.zeros((len(serviced) + 1, 2))
+    increments[:-1, 0] = np.concatenate(reach)
+    increments[offsets, 1] = [t.cost for t in refills]
+    increments[-1, 0] = g.distance(depot, prev)
+    weight = np.cumsum(increments.ravel())[-1]
+    return RobotPlan(robot=robot, depot=depot, runs=cells, refills=refills,
+                     trips=trips_required(len(serviced), capacity), weight=float(weight))
 
 
 class LoopCostModel:
@@ -191,12 +191,11 @@ class LoopCostModel:
         self.loop = loop
         self.length = len(loop)
         self.capacity = capacity
-        hops = np.asarray(loop.edge_weights, dtype=np.float64)
-        self.prefix = np.concatenate(([0.0], np.cumsum(np.concatenate((hops, hops)))))
+        self.prefix = np.concatenate(([0.0], np.cumsum(np.tile(loop.edge_weights, 2))))
         self._prefix = memoryview(self.prefix)
         self.depots = list(depots) if depots else None
         if self.depots is not None:
-            (h, w), (x, y) = g.node.shape, _rows(loop.nodes, 2).T
+            (h, w), x, y = g.node.shape, loop.x, loop.y
             ids = np.where((x >= 0) & (x < w) & (y >= 0) & (y < h), g.node[y % h, x % w], -1)
             if (ids < 0).any():
                 raise PartitionError("a loop cell is not a node of the covering graph")
@@ -580,13 +579,9 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
 def _plans_from_partition(loop: CoverageLoop, pset: PartitionSet, binding: list[int],
                           depots: list[Cell], capacity: float,
                           g: CoveringGraph) -> list[RobotPlan]:
-    plans = []
-    for j in range(len(pset.keys)):
-        robot = binding[j]
-        nodes = pset.segment_nodes(loop, j)
-        plans.append(build_robot_plan(robot, depots[robot], [nodes], capacity, g))
-    plans.sort(key=lambda p: p.robot)
-    return plans
+    plans = [build_robot_plan(robot, depots[robot], loop, [(key, size, 1)], capacity, g)
+             for key, size, robot in zip(pset.keys, pset.sizes(), binding)]
+    return sorted(plans, key=lambda p: p.robot)
 
 
 def naive_mstc(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],

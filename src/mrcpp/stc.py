@@ -63,22 +63,26 @@ def minimum_spanning_tree(h: SpanningGraph, root: Block) -> SpanningTree:
 
 @dataclass
 class CoverageLoop:
-    nodes: list[Cell]          # cyclic order, nodes[0] is the start cell
-    edge_weights: list[float]  # weight of hop i -> i+1 (cyclic)
+    """Cells ``(x[p], y[p])`` in cyclic order from the start cell at p = 0;
+    ``edge_weights[p]`` is the hop from position p to p + 1, the last one
+    closing the cycle, and ``total_weight`` their sequential sum."""
+    x: np.ndarray
+    y: np.ndarray
+    edge_weights: np.ndarray
     total_weight: float
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.x)
 
     @cached_property
-    def _index(self) -> dict[Cell, int]:
-        return {c: i for i, c in enumerate(self.nodes)}
+    def nodes(self) -> list[Cell]:
+        """The cells as tuples in loop order, built on first access."""
+        return list(zip(self.x.tolist(), self.y.tolist()))
 
     def position(self, cell: Cell) -> int:
-        return self._index[cell]
-
-    def contains(self, cell: Cell) -> bool:
-        return cell in self._index
+        """Loop position of ``cell``, -1 when the loop does not visit it."""
+        hit = np.flatnonzero((self.x == cell[0]) & (self.y == cell[1]))
+        return int(hit[0]) if hit.size else -1
 
 
 def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> CoverageLoop:
@@ -123,10 +127,8 @@ def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> Covera
     order.append(first)   # close the cycle
     y, x = np.divmod(np.array(order), width)
     hops = g.hop_weights(x, y)
-    nodes = list(zip(x.tolist(), y.tolist()))
     if np.isnan(hops).any():
         i = int(np.isnan(hops).argmax())
-        raise StcError(f"loop hop {nodes[i]} -> {nodes[i + 1]} is not a covering-graph edge")
-    nodes.pop()
-    hops = hops.tolist()
-    return CoverageLoop(nodes=nodes, edge_weights=hops, total_weight=sum(hops))
+        raise StcError(f"loop hop ({x[i]}, {y[i]}) -> ({x[i + 1]}, {y[i + 1]}) "
+                       "is not a covering-graph edge")
+    return CoverageLoop(x[:-1], y[:-1], hops, float(np.cumsum(hops)[-1]))

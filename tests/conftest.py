@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph, edge_weight
-from mrcpp.partition import LoopCostModel, PartitionSet, _chain_directions, build_robot_plan
+from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet, RefillTrip, RobotPlan,
+                             _chain_directions, trips_required)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -329,10 +330,65 @@ def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
     weights = [0.0] * k
     for j, (pos, robot) in enumerate(entries):
         behind = splits[(j - 1) % k]
-        runs = [[loop.nodes[(pos - 1 - i) % length] for i in range(behind)],
-                [loop.nodes[(pos + i) % length] for i in range(arc_len[j] - splits[j])]]
-        weights[robot] = build_robot_plan(robot, depots[robot], runs, capacity, g).weight
+        runs = [loop_cells(loop, pos - 1, behind, -1),
+                loop_cells(loop, pos, arc_len[j] - splits[j], 1)]
+        weights[robot] = reference_robot_plan(robot, depots[robot], runs, capacity, g).weight
     return keys, splits, weights
+
+
+def loop_cells(loop, start: int, count: int, step: int) -> list:
+    """The cells of the loop range ``(start, count, step)``, one by one."""
+    return [loop.nodes[(start + step * i) % len(loop)] for i in range(count)]
+
+
+def reference_robot_plan(robot: int, depot, cell_runs, capacity: float,
+                         g: CoveringGraph) -> RobotPlan:
+    """A robot plan built by walking its serviced cells one by one.
+
+    The oracle the tests hold ``build_robot_plan`` to: the approach leg, every
+    hop (looked up in G), every refill trip, the legs between runs and the
+    return leg are added to one float in walk order.
+    """
+    runs = [list(r) for r in cell_runs if r]
+    if not runs:
+        raise PartitionError("robot plan needs at least one serviced cell")
+    total = sum(len(r) for r in runs)
+    weight = g.distance(depot, runs[0][0])
+    refills = []
+    serviced = 0
+    prev_cell = None
+    for run in runs:
+        if prev_cell is not None:
+            weight += g.distance(prev_cell, run[0])
+        for i, cell in enumerate(run):
+            if i:
+                hop = g.weight(run[i - 1], cell)
+                if math.isnan(hop):
+                    raise GraphError(f"run hop {run[i - 1]} -> {cell} is not an edge of G")
+                weight += hop
+            serviced += 1
+            if capacity != math.inf and serviced % int(capacity) == 0 and serviced < total:
+                inbound = g.path(depot, cell)
+                trip_cost = 2.0 * g.distance(depot, cell)
+                refills.append(RefillTrip(serviced_index=serviced - 1, break_cell=cell,
+                                          outbound=list(reversed(inbound)),
+                                          inbound=inbound, cost=trip_cost))
+                weight += trip_cost
+        prev_cell = run[-1]
+    weight += g.distance(depot, prev_cell)
+    trips = trips_required(total, capacity)
+    if len(refills) != trips - 1:
+        raise PartitionError(f"{len(refills)} refills for {trips} trips")
+    return RobotPlan(robot=robot, depot=depot, runs=runs, refills=refills,
+                     trips=trips, weight=weight)
+
+
+def plan_fields(plan: RobotPlan) -> tuple:
+    """What a robot plan says, for comparing plans with ``==``: its runs, trips,
+    weight, and each refill's index, break cell, cost and legs."""
+    refills = [(t.serviced_index, t.break_cell, t.cost, t.outbound, t.inbound)
+               for t in plan.refills]
+    return plan.runs, plan.trips, plan.weight, refills
 
 
 def sorted_pair_order(weights) -> list[tuple[int, int]]:

@@ -1,17 +1,18 @@
 import itertools
 import math
+import re
 
 import pytest
 
 from mrcpp.baselines import (BaselineError, ComparisonReport,
                              format_comparison_table, mstc_bo, mstc_nb,
                              reduction_ratio)
-from mrcpp.partition import balanced_mstc, build_robot_plan, naive_mstc
+from mrcpp.partition import balanced_mstc, naive_mstc
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.graphs import PlannerConfig
 from mrcpp.scenegen import generate_scene
 
-from conftest import flat_scene, loop_instance, scalar_mstc_bo
+from conftest import flat_scene, loop_cells, loop_instance, reference_robot_plan, scalar_mstc_bo
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -48,6 +49,20 @@ def test_mstc_nb_rejects_off_loop_depot():
     planner = loop_instance(23, 2)
     with pytest.raises(BaselineError, match="loop"):
         mstc_nb(planner.graph, planner.loop, [planner.scene.depots[0], (99, 99)])
+
+
+def test_depot_off_the_loop_is_named_by_the_depot_keyed_baselines():
+    # (4, 0) is a free cell of G in the odd trailing column, which no block covers
+    planner = ScenePlanner(flat_scene(5, 4, depots=[(0, 0), (4, 0)]))
+    loop = planner.loop
+    assert loop.position((4, 0)) == -1
+    assert all(loop.nodes[loop.position(c)] == c for c in loop.nodes)
+    for algorithm in ("mstc-nb", "mstc-bo"):
+        with pytest.raises(BaselineError, match=re.escape("depot (4, 0) does not lie")):
+            planner.plan(algorithm, 2)
+    for algorithm in ("naive", "balanced"):
+        plans = planner.plan(algorithm, 2).outcome.plans
+        assert sorted(c for p in plans for c in p.segment) == sorted(loop.nodes)
 
 
 def test_mstc_nb_coverage_conservation():
@@ -90,12 +105,9 @@ def exhaustive_bo(planner, capacity=math.inf):
             for j, (pos, robot) in enumerate(entries):
                 behind = splits[(j - 1) % 2]
                 fwd_size = arcs[j] - splits[j]
-                fwd = [loop.nodes[(pos + i) % length] for i in range(fwd_size)]
-                runs = []
-                if behind > 0:
-                    runs.append([loop.nodes[(pos - 1 - i) % length] for i in range(behind)])
-                runs.append(fwd)
-                plan = build_robot_plan(robot, depots[robot], runs, capacity, g)
+                runs = [loop_cells(loop, pos - 1, behind, -1),
+                        loop_cells(loop, pos, fwd_size, 1)]
+                plan = reference_robot_plan(robot, depots[robot], runs, capacity, g)
                 worst = max(worst, plan.weight)
             best = min(best, worst)
     return best

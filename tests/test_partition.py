@@ -1,6 +1,7 @@
+import functools
 import itertools
 import math
-import re
+import operator
 
 import numpy as np
 import pytest
@@ -18,16 +19,16 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import build_traversability, steepness_filter
 
-from conftest import (flat_scene, loop_instance, scalar_scan_improvement, shortest_path,
-                      sorted_pair_order, tiny_loop_instances)
+from conftest import (flat_scene, loop_cells, loop_instance, plan_fields, reference_robot_plan,
+                      scalar_scan_improvement, shortest_path, sorted_pair_order,
+                      tiny_loop_instances)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
 
 def fake_loop(length: int, weight: float = 1.0) -> CoverageLoop:
-    nodes = [(i, 0) for i in range(length)]
-    return CoverageLoop(nodes=nodes, edge_weights=[weight] * length,
-                        total_weight=weight * length)
+    return CoverageLoop(np.arange(length), np.zeros(length, dtype=np.int64),
+                        np.full(length, weight), weight * length)
 
 
 def uniform_planner(width, height, loop_positions):
@@ -54,19 +55,21 @@ def simulate_segment(segment, depot, capacity, g):
     return cost
 
 
+def checked_plan(depot, loop, runs, capacity, g):
+    """``build_robot_plan`` over loop ranges, held to the cell-by-cell walk."""
+    plan = build_robot_plan(0, depot, loop, runs, capacity, g)
+    cell_runs = [loop_cells(loop, *run) for run in runs]
+    assert plan_fields(plan) == plan_fields(reference_robot_plan(0, depot, cell_runs,
+                                                                 capacity, g))
+    return plan
+
+
 def test_segment_cost_degenerate_depot_only(small_planner):
-    g = small_planner.graph
-    assert build_robot_plan(0, (0, 0), [[(0, 0)]], math.inf, g).weight == 0.0
-
-
-def test_robot_plan_rejects_run_hop_that_is_not_an_edge(small_planner):
-    g = small_planner.graph
-    build_robot_plan(0, (0, 0), [[(0, 0), (1, 1)], [(3, 3)]], math.inf, g)
-    for run, hop in [([(0, 0), (1, 0), (3, 0)], "(1, 0) -> (3, 0)"),
-                     ([(0, 0), (1, 1), (2, 2)], "(1, 1) -> (2, 2)"),
-                     ([(0, 0), (-1, 0)], "(0, 0) -> (-1, 0)")]:
-        with pytest.raises(PartitionError, match=re.escape(f"run hop {hop} is not")):
-            build_robot_plan(0, (0, 0), [[(3, 3)], run], 2.0, g)
+    g, loop = small_planner.graph, small_planner.loop
+    runs = [(loop.position((0, 0)), 1, 1)]
+    assert checked_plan((0, 0), loop, runs, math.inf, g).weight == 0.0
+    with pytest.raises(PartitionError, match="at least one serviced cell"):
+        build_robot_plan(0, (0, 0), loop, [(0, 0, 1), (5, 0, -1)], math.inf, g)
 
 
 def test_segment_cost_unbounded_is_approach_coverage_return(small_planner):
@@ -76,14 +79,16 @@ def test_segment_cost_unbounded_is_approach_coverage_return(small_planner):
     expected = shortest_path(g, depot, segment[0])[1]
     expected += sum(g.weight(a, b) for a, b in zip(segment, segment[1:]))
     expected += shortest_path(g, segment[-1], depot)[1]
-    assert build_robot_plan(0, depot, [segment], math.inf, g).weight == pytest.approx(expected)
+    plan = checked_plan(depot, loop, [(3, 5, 1)], math.inf, g)
+    assert plan.runs == [segment]
+    assert plan.weight == pytest.approx(expected)
 
 
 def test_segment_cost_seven_nodes_capacity_three(small_planner):
     g, loop = small_planner.graph, small_planner.loop
     segment = loop.nodes[2:9]
     depot = (0, 0)
-    plan = build_robot_plan(0, depot, [segment], 3.0, g)
+    plan = checked_plan(depot, loop, [(2, 7, 1)], 3.0, g)
     assert plan.trips == 3
     assert len(plan.refills) == 2
     assert [t.serviced_index for t in plan.refills] == [2, 5]
@@ -96,8 +101,50 @@ def test_segment_cost_matches_simulation_on_weighted_instances():
     depot = planner.scene.depots[1]
     for size, cap in ((9, 4.0), (12, math.inf), (5, 2.0)):
         segment = loop.nodes[4:4 + size]
-        got = build_robot_plan(0, depot, [segment], cap, g).weight
+        got = checked_plan(depot, loop, [(4, size, 1)], cap, g).weight
         assert got == pytest.approx(simulate_segment(segment, depot, cap, g))
+
+
+@pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 5.0])
+def test_loop_range_plans_equal_cell_walk(capacity):
+    """Forward and backward runs, runs across the loop's closing hop, a
+    refill break inside a backward tail and runs of no cells all give the
+    plan the cell-by-cell walk gives, bit for bit."""
+    planner = loop_instance(5, 4)
+    g, loop, depot = planner.graph, planner.loop, planner.scene.depots[1]
+    length = len(loop)
+    cases = [
+        [(7, 6, -1), (8, 5, 1)],   # a tail of 6 behind position 8, then 5 forward
+        [(2, 6, -1), (3, 4, 1)],   # the tail wraps backward past position 0
+        [(length - 3, 9, 1)],   # forward across the closing hop
+        [(length - 1, 0, -1), (0, 7, 1)],   # an empty tail
+        [(10, 5, -1), (11, 0, 1)],   # an empty forward run
+        [(20, 1, -1), (21, 1, 1)],
+        [(30, 4, 1), (12, 3, -1)],   # two runs apart, joined by a travel leg
+    ]
+    for runs in cases:
+        plan = checked_plan(depot, loop, runs, capacity, g)
+        assert len(plan.segment) == sum(count for _, count, _ in runs)
+    # capacity 3 breaks the 6-cell tail of the first case after its third cell
+    if capacity == 3.0:
+        plan = build_robot_plan(0, depot, loop, cases[0], capacity, g)
+        assert plan.refills[0].serviced_index == 2
+        assert plan.refills[0].break_cell == loop.nodes[5]
+
+
+@pytest.mark.parametrize("kind, seed, side", [("field", 3, 96), ("blocked", 1, 16)])
+def test_totals_add_in_sequential_order(kind, seed, side):
+    # ``sum`` of floats is compensated from Python 3.12 on: every total must
+    # be the left-to-right sum on every supported Python
+    add = functools.partial(functools.reduce, operator.add)
+    planner = ScenePlanner(generate_scene(kind, seed=seed, width=side, height=side))
+    loop, tree = planner.loop, planner.tree
+    assert loop.total_weight == add(loop.edge_weights.tolist())
+    kruskal = sorted(tree.edges.items(), key=lambda kv: (kv[1], kv[0][0][::-1], kv[0][1][::-1]))
+    assert tree.total_weight == add(w for _, w in kruskal)
+    for algorithm in ("naive", "balanced", "mstc-nb", "mstc-bo"):
+        outcome = planner.plan(algorithm, 4, 25.0).outcome
+        assert outcome.total_weight == add(p.weight for p in outcome.plans)
 
 
 def test_naive_partition_even_split():
@@ -314,9 +361,8 @@ def test_cost_kernel_matches_built_plans(seed, k, capacity):
     start = loop.position(depots[0])
     for behind in (1, 4, 7):
         for size in (1, 5):
-            tail = [loop.nodes[(start - 1 - i) % len(loop)] for i in range(behind)]
-            fwd = [loop.nodes[(start + i) % len(loop)] for i in range(size)]
-            plan = build_robot_plan(0, depots[0], [tail, fwd], capacity, g)
+            runs = [(start - 1, behind, -1), (start, size, 1)]
+            plan = build_robot_plan(0, depots[0], loop, runs, capacity, g)
             check(start, size, 0, behind, plan.weight)
 
 
@@ -407,8 +453,7 @@ def test_depot_that_cannot_reach_the_loop_is_rejected():
     # a wall splits G in two; the loop runs on the left side only
     walled = flat_scene(6, 2, depots=[(0, 0)], blocked_cells=[(2, 0), (2, 1)])
     g = build_covering_graph(steepness_filter(walled), UNWEIGHTED, depots=[(0, 0)])
-    loop = CoverageLoop(nodes=[(0, 0), (1, 0), (1, 1), (0, 1)], edge_weights=[1.0] * 4,
-                        total_weight=4.0)
+    loop = CoverageLoop(np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1]), np.ones(4), 4.0)
     LoopCostModel(loop, g, [(0, 0), (1, 1)])
     with pytest.raises(PartitionError, match="cannot reach"):
         LoopCostModel(loop, g, [(0, 0), (5, 1)])
@@ -420,8 +465,8 @@ def test_loop_cell_that_is_not_a_node_is_rejected():
     g = build_covering_graph(steepness_filter(flat_scene(4, 4, [(0, 0)], [(2, 2)])),
                              UNWEIGHTED)
     for cell in [(2, 2), (-1, 1), (1, 4)]:
-        loop = CoverageLoop(nodes=[(1, 1), (2, 1), cell, (1, 2)], edge_weights=[1.0] * 4,
-                            total_weight=4.0)
+        x, y = np.array([(1, 1), (2, 1), cell, (1, 2)]).T
+        loop = CoverageLoop(x, y, np.ones(4), 4.0)
         with pytest.raises(PartitionError, match="not a node"):
             LoopCostModel(loop, g, [(0, 0)])
 

@@ -4,9 +4,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrcpp.partition import build_robot_plan
 from mrcpp.pipeline import STRATEGIES, ScenePlanner
 from mrcpp.scenegen import generate_scene
+
+from conftest import plan_fields, reference_robot_plan
 
 
 @st.composite
@@ -25,8 +26,9 @@ def requests(draw):
 @given(requests())
 def test_every_strategy_plans_a_valid_cover(request):
     """Each loop cell is serviced exactly once, each robot's trips and
-    refills follow the capacity, and the reported maximum weight is the
-    largest weight of the plans rebuilt from the serviced runs."""
+    refills follow the capacity, every plan equals the one a cell-by-cell
+    walk of its runs builds, and the reported maximum weight is the largest
+    of their weights."""
     scene, k, capacity = request
     planner = ScenePlanner(scene)
     loop, g = planner.loop, planner.graph
@@ -41,6 +43,6 @@ def test_every_strategy_plans_a_valid_cover(request):
             trips = 1 if capacity == math.inf else math.ceil(size / capacity)
             assert p.trips == trips, algorithm
             assert len(p.refills) == trips - 1, algorithm
-        rebuilt = [build_robot_plan(p.robot, p.depot, p.runs, capacity, g).weight
-                   for p in plans]
-        assert result.max_weight == max(rebuilt), algorithm
+        rebuilt = [reference_robot_plan(p.robot, p.depot, p.runs, capacity, g) for p in plans]
+        assert [plan_fields(p) for p in plans] == [plan_fields(p) for p in rebuilt], algorithm
+        assert result.max_weight == max(p.weight for p in rebuilt), algorithm

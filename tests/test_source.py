@@ -25,3 +25,13 @@ def test_only_jsontext_writes_indented_json():
              and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
              and any(kw.arg == "indent" for kw in node.keywords)]
     assert not found, f"indented json.dump(s) outside jsontext: {found}"
+
+
+def test_only_stc_reads_the_loop_as_tuples():
+    # the planner reads the loop's coordinate arrays; ``CoverageLoop.nodes``
+    # is a tuple view for the bench, the tests and the demos
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "stc.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "nodes"]
+    assert not found, f"a .nodes attribute read outside stc: {found}"

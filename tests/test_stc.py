@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -222,8 +224,8 @@ def test_loop_order_matches_cell_by_cell_reference():
             loop = spiral_stc_loop(g, tree, start)
             nodes, weights = reference_stc_loop(g, oracle, start)
             assert loop.nodes == nodes
-            assert loop.edge_weights == weights
-            assert loop.total_weight == sum(weights)
+            assert loop.edge_weights.tolist() == weights
+            assert loop.total_weight == functools.reduce(operator.add, weights)
 
 
 def test_planner_spans_the_first_depots_component():
@@ -339,8 +341,10 @@ def test_loop_weight_hand_built_corner_cut_loop():
     # domino with a bow-tie wrap at the right block: 6 unit + 2 diagonal hops
     g, h = build_pipeline(flat_scene(4, 2, depots=[(0, 0)]))
     nodes = [(0, 0), (1, 0), (2, 0), (3, 1), (3, 0), (2, 1), (1, 1), (0, 1)]
-    weights = [g.weight(a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])]
-    loop = CoverageLoop(nodes=nodes, edge_weights=weights, total_weight=sum(weights))
+    weights = np.array([g.weight(a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])])
+    x, y = np.array(nodes).T
+    loop = CoverageLoop(x, y, weights, float(np.cumsum(weights)[-1]))
+    assert loop.nodes == nodes
     assert loop.total_weight == pytest.approx(6 + 2 * SQRT2)
 
 
