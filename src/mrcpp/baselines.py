@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CoveringGraph
-from .partition import (LoopCostModel, PartitionSet, PlanOutcome,
-                        _plans_from_partition, build_robot_plan)
+from .partition import LoopCostModel, PartitionSet, PlanOutcome, build_robot_plan
 from .scene import Cell
 from .stc import CoverageLoop
 
@@ -27,8 +26,10 @@ class BaselineError(ValueError):
     pass
 
 
-def _depot_arcs(loop: CoverageLoop, depots: list[Cell]) -> list[tuple[int, int]]:
-    """(loop position, robot id) per depot, sorted along the loop."""
+def _depot_partition(loop: CoverageLoop, depots: list[Cell]
+                     ) -> tuple[PartitionSet, list[int]]:
+    """The partition keyed at the depots' loop positions, and its binding
+    (segment index -> robot index)."""
     entries = []
     for robot, depot in enumerate(depots):
         pos = loop.position(depot)
@@ -36,18 +37,30 @@ def _depot_arcs(loop: CoverageLoop, depots: list[Cell]) -> list[tuple[int, int]]
             raise BaselineError(f"depot {depot} does not lie on the coverage loop")
         entries.append((pos, robot))
     entries.sort()
-    return entries
+    binding = [robot for _, robot in entries]
+    return PartitionSet(keys=[pos for pos, _ in entries], loop_length=len(loop)), binding
+
+
+def _depot_keyed_outcome(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
+                         capacity: float, pset: PartitionSet, binding: list[int],
+                         splits: list[int]) -> PlanOutcome:
+    """Plans for the depot-keyed partition: the robot of arc j services the
+    ``splits[j - 1]`` cells behind its depot walking backward, then the
+    first ``arc - splits[j]`` cells of its own arc."""
+    plans = [build_robot_plan(robot, depots[robot], loop,
+                              [(pos - 1, splits[j - 1], -1), (pos, arc - splits[j], 1)],
+                              capacity, g)
+             for j, (pos, arc, robot) in enumerate(zip(pset.keys, pset.sizes(), binding))]
+    pset.weights = [p.weight for p in plans]
+    plans.sort(key=lambda p: p.robot)
+    return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=0)
 
 
 def mstc_nb(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
             capacity: float = math.inf) -> PlanOutcome:
     """Non-backtracking baseline: key nodes are the depot positions."""
-    entries = _depot_arcs(loop, depots)
-    binding = [robot for _, robot in entries]
-    pset = PartitionSet(keys=[pos for pos, _ in entries], loop_length=len(loop))
-    plans = _plans_from_partition(loop, pset, binding, depots, capacity, g)
-    pset.weights = [plans[robot].weight for robot in binding]
-    return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=0)
+    pset, binding = _depot_partition(loop, depots)
+    return _depot_keyed_outcome(g, loop, depots, capacity, pset, binding, [0] * len(binding))
 
 
 def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
@@ -59,11 +72,8 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
     forward arc.  Splits are chosen by coordinate descent, accepting a
     split only when the maximum robot cost strictly decreases.
     """
-    entries = _depot_arcs(loop, depots)
-    k, length = len(entries), len(loop)
-    binding = [robot for _, robot in entries]
-    pset = PartitionSet(keys=[pos for pos, _ in entries], loop_length=length)
-    keys, arc_len = pset.keys, pset.sizes()
+    pset, binding = _depot_partition(loop, depots)
+    k, keys, arc_len = len(binding), pset.keys, pset.sizes()
     model = LoopCostModel(loop, g, [depots[r] for r in binding], capacity)
     splits = [0] * k
 
@@ -99,15 +109,7 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
                     changed = True
             if not changed:
                 break
-
-    plans = []
-    for j, (pos, robot) in enumerate(entries):
-        behind = splits[(j - 1) % k]
-        runs = [(pos - 1, behind, -1), (pos, arc_len[j] - splits[j], 1)]
-        plans.append(build_robot_plan(robot, depots[robot], loop, runs, capacity, g))
-    plans.sort(key=lambda p: p.robot)
-    pset.weights = [p.weight for p in plans]
-    return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=0)
+    return _depot_keyed_outcome(g, loop, depots, capacity, pset, binding, splits)
 
 
 def reduction_ratio(base: float, candidate: float) -> float:

@@ -5,7 +5,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import scenegen
@@ -15,30 +14,6 @@ from .pipeline import (ALGORITHMS, ScenePlanner, capacity_label, plan_document,
                        write_json_atomic)
 from .render import save_plan_svg
 from .scene import load_scene, save_scene
-
-
-@dataclass
-class RunSpec:
-    scene: Path
-    algorithms: list[str] = field(default_factory=lambda: ["balanced"])
-    robots: list[int] = field(default_factory=lambda: [4])
-    capacities: list[float] = field(default_factory=lambda: [math.inf])
-    alpha: float = 1.0 / 3.0
-    beta: float = 2.0 / 3.0
-    slope_threshold: float = 25.0
-    seed: int = 0
-    out: Path = Path("out")
-
-    def __post_init__(self):
-        if not self.algorithms or not self.robots or not self.capacities:
-            raise ValueError("algorithm, robot and capacity lists must be non-empty")
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm '{algo}'")
-
-    def config(self) -> PlannerConfig:
-        return PlannerConfig(alpha=self.alpha, beta=self.beta,
-                             slope_threshold=self.slope_threshold)
 
 
 def _parse_capacity(text: str) -> float:
@@ -58,39 +33,32 @@ def _add_common(p: argparse.ArgumentParser):
                    help="fleet size k (repeatable)")
     p.add_argument("--capacity", action="append", type=_parse_capacity,
                    help="cells per load, or 'inf' (repeatable)")
-    p.add_argument("--alpha", type=float, default=1.0 / 3.0,
+    p.add_argument("--alpha", type=float, default=PlannerConfig.alpha,
                    help="distance weight coefficient")
-    p.add_argument("--beta", type=float, default=2.0 / 3.0,
+    p.add_argument("--beta", type=float, default=PlannerConfig.beta,
                    help="slope weight coefficient")
-    p.add_argument("--slope-threshold", type=float, default=25.0,
+    p.add_argument("--slope-threshold", type=float, default=PlannerConfig.slope_threshold,
                    help="max traversable slope in degrees")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("out"))
 
 
-def _runspec(args, default_algos) -> RunSpec:
-    return RunSpec(scene=args.scene,
-                   algorithms=args.algo or list(default_algos),
-                   robots=args.robots or [4],
-                   capacities=args.capacity or [math.inf],
-                   alpha=args.alpha, beta=args.beta,
-                   slope_threshold=args.slope_threshold,
-                   seed=args.seed, out=args.out)
+def _planner(args) -> ScenePlanner:
+    config = PlannerConfig(alpha=args.alpha, beta=args.beta,
+                           slope_threshold=args.slope_threshold)
+    return ScenePlanner(load_scene(args.scene), config)
 
 
 def cmd_plan(args) -> int:
-    spec = _runspec(args, default_algos=("balanced",))
-    scene = load_scene(spec.scene)
-    planner = ScenePlanner(scene, spec.config())
-    scene_id = spec.scene.stem
-    for algo in spec.algorithms:
-        for k in spec.robots:
-            for c in spec.capacities:
+    planner = _planner(args)
+    for algo in args.algo or ["balanced"]:
+        for k in args.robots or [4]:
+            for c in args.capacity or [math.inf]:
                 result = planner.plan(algo, k, c)
-                doc = plan_document(result, scene, scene_id=scene_id,
-                                    seed=spec.seed, config=spec.config())
+                doc = plan_document(result, planner.scene, scene_id=args.scene.stem,
+                                    seed=args.seed)
                 name = f"plan_{algo}_k{k}_c{capacity_label(c)}.json"
-                path = write_json_atomic(spec.out / name, doc)
+                path = write_json_atomic(args.out / name, doc)
                 print(f"{algo} k={k} c={capacity_label(c)} "
                       f"max_weight={result.max_weight:.4f} "
                       f"total_weight={result.total_weight:.4f} "
@@ -99,20 +67,15 @@ def cmd_plan(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = _runspec(args, default_algos=("mstc-nb", "naive", "balanced"))
-    if len(spec.algorithms) < 2:
-        raise ValueError("compare needs at least two --algo selections")
-    scene = load_scene(spec.scene)
-    planner = ScenePlanner(scene, spec.config())
-    scene_id = spec.scene.stem
+    planner = _planner(args)
     reports = []
-    for k in spec.robots:
-        for c in spec.capacities:
-            report = planner.compare(spec.algorithms, k, c,
-                                     scene_id=scene_id, seed=spec.seed)
+    for k in args.robots or [4]:
+        for c in args.capacity or [math.inf]:
+            report = planner.compare(args.algo or ["mstc-nb", "naive", "balanced"], k, c,
+                                     scene_id=args.scene.stem, seed=args.seed)
             reports.append(report)
             name = f"compare_k{k}_c{capacity_label(c)}.json"
-            write_json_atomic(spec.out / name, report.to_json_dict())
+            write_json_atomic(args.out / name, report.to_json_dict())
     print(format_comparison_table(reports))
     return 0
 

@@ -24,7 +24,8 @@ from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import dijkstra
 
 from .scene import Cell
-from .terrain import TraversabilityMap, component_labels, edge_dict, grid_edges
+from .terrain import (DEFAULT_SLOPE_THRESHOLD, TraversabilityMap, component_labels, edge_dict,
+                      grid_edges)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -40,9 +41,12 @@ class PlannerConfig:
     """Edge weighting and slope filter parameters for the planning pipeline."""
     alpha: float = 1.0 / 3.0
     beta: float = 2.0 / 3.0
-    slope_threshold: float = 25.0
+    slope_threshold: float = DEFAULT_SLOPE_THRESHOLD
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise GraphError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
             raise GraphError("need alpha >= 0, beta >= 0, alpha + beta > 0")
 

@@ -78,21 +78,11 @@ class RobotPlan:
 
 
 @dataclass
-class CapacityPlan:
-    """Virtual sub-partition layout used under a finite capacity."""
-    n: int
-    sub_keys: list[int]
-    sub_sizes: list[int]
-    assignment: list[list[int]]  # per merged segment, the virtual indices merged
-
-
-@dataclass
 class PlanOutcome:
     plans: list[RobotPlan]
     partition: PartitionSet
     binding: list[int]           # segment index -> robot index
     iterations: int
-    capacity_detail: CapacityPlan | None = None
 
     @property
     def max_weight(self) -> float:
@@ -576,81 +566,53 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
     return best, iterations
 
 
-def _plans_from_partition(loop: CoverageLoop, pset: PartitionSet, binding: list[int],
-                          depots: list[Cell], capacity: float,
-                          g: CoveringGraph) -> list[RobotPlan]:
-    plans = [build_robot_plan(robot, depots[robot], loop, [(key, size, 1)], capacity, g)
+def _bound_outcome(g: CoveringGraph, model: LoopCostModel, pset: PartitionSet,
+                   iterations: int) -> PlanOutcome:
+    """Bind the model's depots to the segments of ``pset`` greedily and
+    build their plans."""
+    pset.weights, binding = model.placement_costs(pset.keys)
+    plans = [build_robot_plan(robot, model.depots[robot], model.loop, [(key, size, 1)],
+                              model.capacity, g)
              for key, size, robot in zip(pset.keys, pset.sizes(), binding)]
-    return sorted(plans, key=lambda p: p.robot)
+    plans.sort(key=lambda p: p.robot)
+    return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=iterations)
 
 
 def naive_mstc(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
                capacity: float = math.inf) -> PlanOutcome:
     """Equal-count partition with greedy depot binding; no rebalancing."""
     model = LoopCostModel(loop, g, depots, capacity)
-    pset = naive_partition(loop, len(depots))
-    costs, binding = model.placement_costs(pset.keys)
-    pset.weights = costs
-    plans = _plans_from_partition(loop, pset, binding, depots, capacity, g)
-    return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=0)
-
-
-def balanced_mstc(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
-                  capacity: float = math.inf,
-                  size_cap: int | None = None) -> PlanOutcome:
-    """Balanced min-max partition of the loop for k robots (one load each)."""
-    k = len(depots)
-    model = LoopCostModel(loop, g, depots, capacity)
-    final, iterations = optimize_partition(model, naive_partition(loop, k),
-                                           64 * k, size_cap)
-    _, binding = model.placement_costs(final.keys)
-    plans = _plans_from_partition(loop, final, binding, depots, capacity, g)
-    return PlanOutcome(plans=plans, partition=final, binding=binding,
-                       iterations=iterations)
+    return _bound_outcome(g, model, naive_partition(loop, len(depots)), 0)
 
 
 def capacity_partition(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
                        capacity: float = math.inf) -> PlanOutcome:
-    """Balanced partition under a finite workload capacity.
+    """Balanced min-max partition of the loop for k robots (MSTC*).
 
-    When one load per robot suffices this is the plain balanced partition
-    (with segment sizes capped at the capacity).  Otherwise the loop is
-    first balanced into n = sum(ceil(size_i / c)) virtual sub-partitions
-    by coverage cost and runs of adjacent sub-partitions are merged, one
-    merged segment per robot; refill excursions are inserted when plans
-    are built.
+    The start keys and the segment size cap depend on the capacity c:
+    at c = inf the naive keys and no cap; when one load per robot
+    suffices the naive keys with sizes capped at c.  Otherwise the loop
+    is first balanced by coverage cost into n = sum(ceil(size_i / c))
+    virtual sub-partitions of at most c cells, and robot i starts at
+    virtual key ``i * (n // k) + min(i, n % k)``, so runs of adjacent
+    sub-partitions merge into one segment per robot.  The start keys are
+    then rebalanced under the full cost model, refill excursions
+    included, and bound to the depots.
     """
     if capacity != math.inf and capacity < 1:
         raise PartitionError("capacity must be >= 1")
-    if capacity == math.inf:
-        return balanced_mstc(g, loop, depots)
-    k, c, length = len(depots), int(capacity), len(loop)
-    if c >= -(-length // k):
-        return balanced_mstc(g, loop, depots, capacity, size_cap=c)
-
-    naive_sizes = naive_partition(loop, k).sizes()
-    n = sum(trips_required(s, c) for s in naive_sizes)
-    virtual_model = LoopCostModel(loop, capacity=math.inf)
-    virtual, iterations = optimize_partition(virtual_model, naive_partition(loop, n),
-                                             64 * n, size_cap=c)
-
-    counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    merged_keys, assignment = [], []
-    offset = 0
-    for count in counts:
-        merged_keys.append(virtual.keys[offset])
-        assignment.append(list(range(offset, offset + count)))
-        offset += count
-    merged = PartitionSet(keys=merged_keys, loop_length=length)
-    # rebalance the merged segments under the full cost model so the
-    # refill excursions (which dominate at small capacities) are part of
-    # the objective, not just the coverage hops
+    k, length = len(depots), len(loop)
+    start, size_cap, iterations = naive_partition(loop, k), None, 0
+    if capacity != math.inf:
+        c = int(capacity)
+        if c >= -(-length // k):
+            size_cap = c
+        else:
+            n = sum(trips_required(s, c) for s in start.sizes())
+            virtual, iterations = optimize_partition(LoopCostModel(loop), naive_partition(loop, n),
+                                                     64 * n, size_cap=c)
+            start = PartitionSet(keys=[virtual.keys[i * (n // k) + min(i, n % k)]
+                                       for i in range(k)], loop_length=length)
     model = LoopCostModel(loop, g, depots, capacity)
-    merged, more = optimize_partition(model, merged, 64 * k)
-    iterations += more
-    _, binding = model.placement_costs(merged.keys)
-    plans = _plans_from_partition(loop, merged, binding, depots, capacity, g)
-    detail = CapacityPlan(n=n, sub_keys=list(virtual.keys), sub_sizes=virtual.sizes(),
-                          assignment=assignment)
-    return PlanOutcome(plans=plans, partition=merged, binding=binding,
-                       iterations=iterations, capacity_detail=detail)
+    final, more = optimize_partition(model, start, 64 * k, size_cap)
+    return _bound_outcome(g, model, final, iterations + more)

@@ -44,6 +44,7 @@ class PlanResult:
     capacity: float
     outcome: partition.PlanOutcome
     coverage: dict
+    config: PlannerConfig     # the weighting and slope filter the plan was made with
 
     @property
     def max_weight(self) -> float:
@@ -100,7 +101,7 @@ class ScenePlanner:
         outcome = getattr(module, name)(self.graph, self.loop, self.depots(robots),
                                         capacity)
         return PlanResult(algorithm=algorithm, robots=robots, capacity=capacity,
-                          outcome=outcome, coverage=self.coverage)
+                          outcome=outcome, coverage=self.coverage, config=self.config)
 
     def compare(self, algorithms: list[str], robots: int, capacity: float,
                 scene_id: str = "scene", seed: int | None = None
@@ -121,14 +122,15 @@ def capacity_label(capacity: float) -> str:
 
 
 def plan_document(result: PlanResult, scene: Scene, scene_id: str = "scene",
-                  seed: int | None = None,
-                  config: PlannerConfig | None = None) -> dict:
+                  seed: int | None = None) -> dict:
     """JSON-serializable plan document (schema used by render and tests).
 
-    Cells stay ``(x, y)`` tuples, which ``jsontext.dumps`` writes as lists;
-    every list is the document's own, so editing it leaves the plans intact.
+    The weighting and slope threshold recorded are those of
+    ``result.config``, the config the plan was made with.  Cells stay
+    ``(x, y)`` tuples, which ``jsontext.dumps`` writes as lists; every
+    list is the document's own, so editing it leaves the plans intact.
     """
-    config = config or PlannerConfig()
+    config = result.config
     plans = []
     for p in result.outcome.plans:
         plans.append({

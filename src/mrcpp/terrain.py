@@ -116,7 +116,7 @@ def steepness_filter(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -
     no incident edge become non-free.  The retained slope bounds are
     ``(min retained slope, threshold)``.
     """
-    if threshold <= 0:
+    if not threshold > 0:   # nan included
         raise TerrainError("slope threshold must be positive")
     elevation = (np.zeros(scene.blocked.shape) if scene.elevation is None
                  else np.asarray(scene.elevation, dtype=float))

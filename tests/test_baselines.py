@@ -7,8 +7,8 @@ import pytest
 from mrcpp.baselines import (BaselineError, ComparisonReport,
                              format_comparison_table, mstc_bo, mstc_nb,
                              reduction_ratio)
-from mrcpp.partition import balanced_mstc, naive_mstc
-from mrcpp.pipeline import ScenePlanner
+from mrcpp.partition import capacity_partition, naive_mstc
+from mrcpp.pipeline import ALGORITHMS, ScenePlanner
 from mrcpp.graphs import PlannerConfig
 from mrcpp.scenegen import generate_scene
 
@@ -179,8 +179,23 @@ def test_balanced_ratio_at_least_naive_ratio():
         base = mstc_nb(planner.graph, planner.loop, planner.scene.depots).max_weight
         depots = planner.depots(4)
         naive = naive_mstc(planner.graph, planner.loop, depots).max_weight
-        balanced = balanced_mstc(planner.graph, planner.loop, depots).max_weight
+        balanced = capacity_partition(planner.graph, planner.loop, depots).max_weight
         assert reduction_ratio(base, balanced) >= reduction_ratio(base, naive) - 1e-12
+
+
+@pytest.fixture(scope="module")
+def random_planners():
+    return [ScenePlanner(generate_scene("random", seed)) for seed in range(6)]
+
+
+@pytest.mark.parametrize("capacity", [math.inf, 5])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_partition_weights_are_in_segment_order(random_planners, algorithm, capacity):
+    for planner in random_planners:
+        outcome = planner.plan(algorithm, 4, capacity).outcome
+        assert [p.robot for p in outcome.plans] == list(range(4))
+        weights = [outcome.plans[robot].weight for robot in outcome.binding]
+        assert outcome.partition.weights == pytest.approx(weights, rel=1e-12)
 
 
 def test_comparison_report_and_table():

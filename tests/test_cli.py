@@ -1,11 +1,12 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
-from mrcpp.cli import main
-from mrcpp.graphs import PlannerConfig
+from mrcpp.cli import build_parser, main
+from mrcpp.graphs import GraphError, PlannerConfig
 from mrcpp.pipeline import ALGORITHMS, PlanningError, ScenePlanner, plan_document, \
     write_json_atomic
 from mrcpp.render import RenderError, render_plan_svg
@@ -251,3 +252,50 @@ def test_planner_config_defaults_match_cli():
     assert cfg.alpha == pytest.approx(1 / 3)
     assert cfg.beta == pytest.approx(2 / 3)
     assert cfg.slope_threshold == 25.0
+    args = build_parser().parse_args(["plan", "--scene", "s.json"])
+    assert (args.alpha, args.beta, args.slope_threshold) == \
+        (cfg.alpha, cfg.beta, cfg.slope_threshold)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("alpha", math.inf), ("alpha", -math.inf),
+    ("beta", math.nan), ("beta", math.inf), ("beta", -math.inf),
+])
+def test_planner_config_rejects_non_finite_weights(field, value):
+    with pytest.raises(GraphError, match=f"^{field} must be finite"):
+        PlannerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--alpha", "nan", "alpha must be finite"),
+    ("--beta", "inf", "beta must be finite"),
+    ("--slope-threshold", "nan", "slope threshold must be positive"),
+])
+def test_cli_rejects_non_finite_config(tmp_path, capsys, option, value, message):
+    scene_path = save_scene(generate_scene("random", seed=2), tmp_path / "s.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["plan", "--scene", str(scene_path), option, value,
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {message}" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_plans_with_infinite_slope_threshold(tmp_path):
+    scene_path = save_scene(generate_scene("random", seed=2), tmp_path / "s.json")
+    out = tmp_path / "out"
+    assert main(["plan", "--scene", str(scene_path), "--slope-threshold", "inf",
+                 "--robots", "2", "--out", str(out)]) == 0
+    assert (out / "plan_balanced_k2_cinf.json").exists()
+
+
+def test_plan_document_records_the_plan_config():
+    config = PlannerConfig(alpha=1.0, beta=0.0, slope_threshold=30.0)
+    scene = generate_scene("random", seed=4)
+    result = ScenePlanner(scene, config).plan("balanced", 2)
+    doc = plan_document(result, scene)
+    assert (doc["alpha"], doc["beta"], doc["slope_threshold"]) == (1.0, 0.0, 30.0)
+    assert result.config == config

@@ -10,7 +10,7 @@ from mrcpp import partition
 from mrcpp.graphs import PlannerConfig, build_covering_graph, build_spanning_graph
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet,
                              _EvalBudget, _pairs_by_gap, _scan_improvement,
-                             balanced_cut, balanced_mstc, build_robot_plan,
+                             balanced_cut, build_robot_plan,
                              capacity_partition, max_weight, naive_mstc,
                              naive_partition, trips_required)
 from mrcpp.pipeline import ScenePlanner
@@ -226,7 +226,7 @@ def test_balanced_cut_never_worse_and_conserves_nodes():
 
 def test_balanced_mstc_single_robot():
     planner = loop_instance(2, 1)
-    outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(1))
+    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(1))
     assert outcome.iterations == 0
     assert len(outcome.plans) == 1
     assert outcome.plans[0].segment == planner.loop.nodes
@@ -245,7 +245,7 @@ def test_balanced_mstc_symmetric_uniform_loop():
 
 def test_balanced_mstc_near_optimal_on_tiny_loops():
     for planner, k in tiny_loop_instances(20):
-        outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(k))
+        outcome = capacity_partition(planner.graph, planner.loop, planner.depots(k))
         model = LoopCostModel(planner.loop, planner.graph, planner.scene.depots[:k])
         best = min(max(model.placement_costs(list(combo))[0])
                    for combo in itertools.combinations(range(len(planner.loop)), k))
@@ -255,28 +255,52 @@ def test_balanced_mstc_near_optimal_on_tiny_loops():
 def test_balanced_dominates_naive():
     for seed in (1, 2, 3, 4, 5):
         planner = loop_instance(seed, 4)
-        balanced = balanced_mstc(planner.graph, planner.loop, planner.depots(4))
+        balanced = capacity_partition(planner.graph, planner.loop, planner.depots(4))
         naive = naive_mstc(planner.graph, planner.loop, planner.depots(4))
         assert balanced.max_weight <= naive.max_weight + 1e-9
 
 
-def test_capacity_partition_unbounded_reduces_to_balanced():
-    planner = loop_instance(6, 3)
-    a = capacity_partition(planner.graph, planner.loop, planner.depots(3), math.inf)
-    b = balanced_mstc(planner.graph, planner.loop, planner.depots(3))
-    assert a.partition.keys == b.partition.keys
-    assert [p.segment for p in a.plans] == [p.segment for p in b.plans]
-    assert a.max_weight == pytest.approx(b.max_weight)
+def capture_optimize_calls(monkeypatch) -> list:
+    """Record every ``optimize_partition`` call as (model, start, balanced partition)."""
+    calls, original = [], partition.optimize_partition
+
+    def spy(model, initial, *args, **kwargs):
+        result = original(model, initial, *args, **kwargs)
+        calls.append((model, initial, result[0]))
+        return result
+
+    monkeypatch.setattr(partition, "optimize_partition", spy)
+    return calls
 
 
-def test_capacity_partition_24_nodes_two_robots_cap_4():
+def virtual_stage(monkeypatch, planner, k, capacity):
+    """The virtual stage's balanced sub-partition and the merged stage's
+    start keys of one ``capacity_partition`` call, and its outcome."""
+    calls = capture_optimize_calls(monkeypatch)
+    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(k), capacity)
+    (virtual_model, _, virtual), (merged_model, merged_start, _) = calls
+    assert virtual_model.depots is None and merged_model.depots is not None
+    return virtual, merged_start.keys, outcome
+
+
+def test_capacity_partition_24_nodes_two_robots_cap_4(monkeypatch):
     planner = uniform_planner(6, 4, [0, 12])
     assert len(planner.loop) == 24
-    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(2), 4.0)
-    assert outcome.capacity_detail.n == 6
-    assert [len(a) for a in outcome.capacity_detail.assignment] == [3, 3]
+    virtual, merged_keys, outcome = virtual_stage(monkeypatch, planner, 2, 4.0)
+    assert len(virtual) == 6   # two naive segments of 12 cells, 3 loads each
+    # cumulative counts [3, 3]: robots start at virtual keys 0 and 3
+    assert merged_keys == [virtual.keys[0], virtual.keys[3]]
     for plan in outcome.plans:
         assert plan.trips == trips_required(len(plan.segment), 4.0)
+
+
+def test_capacity_partition_merges_larger_runs_first(monkeypatch):
+    # naive sizes 4, 5, 5, 5, 5 at c=4 make n = 1 + 4 * 2 = 9 sub-partitions
+    # for 5 robots: runs of 2, 2, 2, 2, 1, the larger ones first
+    planner = uniform_planner(6, 4, [0, 5, 10, 14, 19])
+    virtual, merged_keys, _ = virtual_stage(monkeypatch, planner, 5, 4.0)
+    assert len(virtual) == 9
+    assert merged_keys == [virtual.keys[i] for i in (0, 2, 4, 6, 8)]
 
 
 def test_capacity_law_and_refill_runs():
@@ -303,18 +327,18 @@ def test_capacity_at_least_even_share_means_single_trip():
     assert all(not p.refills for p in outcome.plans)
 
 
-def test_capacity_sub_partitions_cover_loop_once():
+def test_capacity_sub_partitions_cover_loop_once(monkeypatch):
     planner = uniform_planner(6, 4, [0, 12])
-    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(2), 4.0)
-    detail = outcome.capacity_detail
-    assert sum(detail.sub_sizes) == len(planner.loop)
-    assigned = sorted(j for group in detail.assignment for j in group)
-    assert assigned == list(range(detail.n))
+    virtual, _, _ = virtual_stage(monkeypatch, planner, 2, 4.0)
+    sizes = virtual.sizes()
+    assert len(sizes) == 6
+    assert sum(sizes) == len(planner.loop)
+    assert max(sizes) <= 4
 
 
 def test_max_weight():
     planner = loop_instance(4, 3)
-    outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(3))
+    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(3))
     assert max_weight(outcome.plans) == max(p.weight for p in outcome.plans)
     assert max_weight([outcome.plans[0]]) == outcome.plans[0].weight
     with pytest.raises(PartitionError):
@@ -323,14 +347,14 @@ def test_max_weight():
 
 def test_partition_conservation_and_disjoint_union():
     planner = loop_instance(12, 4)
-    outcome = balanced_mstc(planner.graph, planner.loop, planner.depots(4))
+    outcome = capacity_partition(planner.graph, planner.loop, planner.depots(4))
     nodes = [c for p in outcome.plans for c in p.segment]
     assert len(nodes) == len(planner.loop)
     assert set(nodes) == set(planner.loop.nodes)
 
 
 def test_plans_deterministic_across_runs():
-    a, b = (balanced_mstc(p.graph, p.loop, p.depots(4))
+    a, b = (capacity_partition(p.graph, p.loop, p.depots(4))
             for p in (loop_instance(7, 4), loop_instance(7, 4)))
     assert a.partition.keys == b.partition.keys
     assert [p.segment for p in a.plans] == [p.segment for p in b.plans]

@@ -86,6 +86,13 @@ def test_edge_slope_rejects_non_adjacent():
         compute_edge_slope(scene, (0, 0), (1, 1))
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, -math.inf])
+def test_steepness_filter_rejects_threshold_that_is_not_positive(threshold):
+    scene = flat_scene(3, 3, depots=[(0, 0)])
+    with pytest.raises(TerrainError, match="slope threshold must be positive"):
+        steepness_filter(scene, threshold)
+
+
 def test_steepness_filter_flat_retains_everything():
     scene = flat_scene(4, 4, depots=[(0, 0)])
     tmap = steepness_filter(scene, 25.0)
