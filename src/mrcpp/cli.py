@@ -43,6 +43,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", type=Path, default=Path("out"))
 
 
+def _add_debug(p: argparse.ArgumentParser):
+    p.add_argument("--debug", action="store_true",
+                   help="re-raise errors with their traceback instead of exiting 2")
+
+
 def _planner(args) -> ScenePlanner:
     config = PlannerConfig(alpha=args.alpha, beta=args.beta,
                            slope_threshold=args.slope_threshold)
@@ -108,16 +113,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="plan coverage paths and emit plan JSON")
     _add_common(p_plan)
+    _add_debug(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_cmp = sub.add_parser("compare", help="compare algorithms on one scene")
     _add_common(p_cmp)
+    _add_debug(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_render = sub.add_parser("render", help="render a plan JSON as SVG")
     p_render.add_argument("--plan", required=True, type=Path)
     p_render.add_argument("--scene", required=True, type=Path)
     p_render.add_argument("--out", required=True, type=Path)
+    _add_debug(p_render)
     p_render.set_defaults(func=cmd_render)
 
     p_gen = sub.add_parser("gen-scene", help="generate a seeded scene")
@@ -128,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--depot-style", choices=("clustered", "scattered"))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, type=Path)
+    _add_debug(p_gen)
     p_gen.set_defaults(func=cmd_gen_scene)
     return parser
 
@@ -138,6 +147,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # surface a clean diagnostic, nonzero exit
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,10 @@ from .terrain import (DEFAULT_SLOPE_THRESHOLD, TraversabilityMap, component_labe
 
 SQRT2 = math.sqrt(2.0)
 
+# ``paths_from`` walks this many cells' paths at a time, which bounds its
+# (cells, depth) arrays
+PATHS_CHUNK = 256
+
 Block = tuple[int, int]
 
 
@@ -150,6 +154,39 @@ class CoveringGraph:
             out.append(int(pred[out[-1]]))
         y, x = np.divmod(self._flat[out[::-1]], self.node.shape[1])
         return list(zip(x.tolist(), y.tolist()))
+
+    def paths_from(self, source: Cell, x: np.ndarray, y: np.ndarray
+                   ) -> tuple[np.ndarray, list[list[Cell]]]:
+        """Distances from ``source`` to the cells ``(x[i], y[i])`` and their paths
+        from ``source``, as ``distance`` and ``path`` give them, from one walk up
+        the source's predecessor tree for all the cells at once."""
+        dist, pred = self.sssp(source)
+        src, (h, w) = self.node_of(source), self.node.shape
+        nodes = np.where((x >= 0) & (x < w) & (y >= 0) & (y < h), self.node[y % h, x % w], -1)
+        if (nodes < 0).any():
+            bad = int(np.flatnonzero(nodes < 0)[0])
+            raise GraphError(f"cell {(int(x[bad]), int(y[bad]))} is not a node "
+                             "of the covering graph")
+        unreachable = np.isinf(dist[nodes])
+        if unreachable.any():
+            bad = int(np.flatnonzero(unreachable)[0])
+            raise GraphError(f"no path between {source} and {(int(x[bad]), int(y[bad]))}")
+        up = pred.copy()
+        up[src] = src   # a walk that reaches the source stays there
+        legs = []
+        for begin in range(0, nodes.size, PATHS_CHUNK):
+            # column s holds each cell's ancestor s steps up, then the source
+            walk = [nodes[begin:begin + PATHS_CHUNK].astype(up.dtype)]
+            while (walk[-1] != src).any():
+                walk.append(up[walk[-1]])
+            rows = np.stack(walk, axis=1)[:, ::-1]   # source first, padded with it in front
+            steps = (rows != src).sum(axis=1)
+            keep = np.arange(rows.shape[1]) >= rows.shape[1] - 1 - steps[:, None]
+            cy, cx = np.divmod(self._flat[rows[keep]], w)
+            cells = list(zip(cx.tolist(), cy.tolist()))
+            ends = np.cumsum(steps + 1).tolist()
+            legs += [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        return dist[nodes], legs
 
     def debug_dump(self) -> dict:
         """JSON-friendly dump of nodes and weighted edges."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,11 +145,13 @@ def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
     serviced = np.concatenate(positions)
     offsets = np.array(_refill_offsets(len(serviced), capacity), dtype=np.int64)
     refills = []
-    for off, x, y in zip(offsets.tolist(), loop.x[serviced[offsets]].tolist(),
-                         loop.y[serviced[offsets]].tolist()):
-        inbound = g.path(depot, (x, y))
-        refills.append(RefillTrip(serviced_index=off, break_cell=(x, y), outbound=inbound[::-1],
-                                  inbound=inbound, cost=2.0 * g.distance(depot, (x, y))))
+    if offsets.size:
+        x, y = loop.x[serviced[offsets]], loop.y[serviced[offsets]]
+        dist, legs = g.paths_from(depot, x, y)
+        for off, cell, inbound, cost in zip(offsets.tolist(), zip(x.tolist(), y.tolist()),
+                                            legs, (2.0 * dist).tolist()):
+            refills.append(RefillTrip(serviced_index=off, break_cell=cell,
+                                      outbound=inbound[::-1], inbound=inbound, cost=cost))
     # row i: the cost of reaching serviced cell i, then of the trip that breaks
     # there (0.0 for none); the last row is the return leg
     increments = np.zeros((len(serviced) + 1, 2))
@@ -167,8 +170,9 @@ class LoopCostModel:
     excursions against the greedily bound depot; without depots (the
     virtual-robot mode used under finite capacity) costs are coverage-only.
 
-    ``segment_cost_at`` prices one segment; ``segment_costs`` is the same
-    formula over arrays of sizes and tails, for scans over many splits.
+    ``segment_cost_at`` prices one segment; ``segment_cost_bounds`` bounds
+    the same formula over arrays of sizes and tails, for scans over many
+    splits.
     ``placement_costs`` prices one placement of k keys, and
     ``placement_cost_rows`` a whole matrix of placements at once.
     The scalar methods read the arrays through memoryviews, which share
@@ -216,12 +220,37 @@ class LoopCostModel:
             cost += 2.0 * d[pos % length]
         return cost
 
-    def segment_costs(self, start: int, size, depot_idx: int, behind=0) -> np.ndarray:
-        """``segment_cost_at`` for arrays of ``size`` and ``behind``.
+    @cached_property
+    def refill_prefix(self) -> np.ndarray:
+        """Stride-c prefix sums of the refill terms, for finite capacity c:
+        ``[r, p + c]`` is the sequential sum of ``2 * depot_dist[r, q % L]``
+        over q = p, p - c, ... down to 0.  p runs from -c (the empty sum)
+        to 2L - 1, so every break of a tail or a run is read unwrapped."""
+        c, (k, length) = int(self.capacity), self.depot_dist.shape
+        rows = -(-(2 * length) // c) + 1
+        terms = np.zeros((k, rows * c))
+        terms[:, c:c + 2 * length] = np.tile(2.0 * self.depot_dist, 2)
+        return np.cumsum(terms.reshape(k, rows, c), axis=1).reshape(k, rows * c)
 
-        The terms are added in the scalar order, and a masked-out tail or
-        refill term adds 0.0, so every entry equals the scalar cost bit
-        for bit.
+    def segment_cost_bounds(self, start: int, size, depot_idx: int, behind=0
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """``segment_cost_at`` for arrays of ``size`` and ``behind``, to within
+        a rigorous float error bound, in O(len).
+
+        Returns ``(approx, eps)`` with ``|segment_cost_at - approx| <= eps``
+        entrywise.  ``approx`` adds ``segment_cost_at``'s terms before the
+        refills in its order, a masked-out tail adding 0.0, then the tail's
+        and the forward run's refill sums, each a difference of
+        ``refill_prefix``.  Both sides start from the same float and add
+        non-negative terms recursively: the n refills, or at most N + 1
+        prefix terms, N the rows of ``refill_prefix``.  By Higham's bound
+        for recursive summation (Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., §4.2) they differ by at most about
+        (n + N + 5) u M, u the unit roundoff and M the cost plus the
+        prefixes read; eps is over twice that, which covers its own
+        rounding too.  Where a segment has no refill, as everywhere at
+        c = inf, eps is 0.0 and ``approx`` is ``segment_cost_at`` bit for
+        bit.  Tails must be shorter than the loop, and runs no longer.
         """
         d, length, prefix = self.depot_dist[depot_idx], self.length, self.prefix
         size, behind = np.asarray(size), np.asarray(behind)
@@ -232,11 +261,22 @@ class LoopCostModel:
         cost = cost + d[start]
         cost = cost + (prefix[start + size - 1] - prefix[start])
         cost = cost + d[(start + size - 1) % length]
-        total = behind + size
-        for off in _refill_offsets(int(total.max()), self.capacity):
-            pos = np.where(off < behind, start - off - 1, start + off - behind)
-            cost = cost + np.where(off < total - 1, 2.0 * d[pos % length], 0.0)
-        return cost
+        c = self.capacity
+        refills = 0 if c == math.inf else (behind + size - 1) // int(c)
+        if not np.any(refills):   # nor is refill_prefix built for a c beyond every segment
+            return cost, np.zeros_like(cost)
+        c = int(c)
+        q, back = self.refill_prefix[depot_idx], behind // c
+        # the tail's breaks sit at start - c, start - 2c, ...; the forward
+        # run's at start + (i + 1) c - 1 - behind for i = back .. refills - 1
+        back_hi = q[start + length]
+        fwd_lo = start + (back + 1) * c - 1 - behind
+        fwd_hi = q[fwd_lo + (refills - back) * c]
+        approx = (cost + (back_hi - q[start + length - back * c])) + (fwd_hi - q[fwd_lo])
+        unit = np.finfo(float).eps / 2
+        scale = 2.0 * (refills + q.size // c + 8) * unit
+        eps = np.where(refills > 0, scale * (cost + 2.0 * (back_hi + fwd_hi)), 0.0)
+        return approx, eps
 
     def greedy_binding(self, starts: list[int]) -> list[int]:
         """Assign robots to segments greedily by cheapest approach leg."""
@@ -570,10 +610,11 @@ def _bound_outcome(g: CoveringGraph, model: LoopCostModel, pset: PartitionSet,
                    iterations: int) -> PlanOutcome:
     """Bind the model's depots to the segments of ``pset`` greedily and
     build their plans."""
-    pset.weights, binding = model.placement_costs(pset.keys)
+    binding = model.greedy_binding(pset.keys)
     plans = [build_robot_plan(robot, model.depots[robot], model.loop, [(key, size, 1)],
                               model.capacity, g)
              for key, size, robot in zip(pset.keys, pset.sizes(), binding)]
+    pset.weights = [p.weight for p in plans]
     plans.sort(key=lambda p: p.robot)
     return PlanOutcome(plans=plans, partition=pset, binding=binding, iterations=iterations)
 

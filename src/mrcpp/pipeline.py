@@ -126,11 +126,14 @@ def plan_document(result: PlanResult, scene: Scene, scene_id: str = "scene",
     """JSON-serializable plan document (schema used by render and tests).
 
     The weighting and slope threshold recorded are those of
-    ``result.config``, the config the plan was made with.  Cells stay
+    ``result.config``, the config the plan was made with; an infinite
+    threshold is recorded as ``"inf"``.  Cells stay
     ``(x, y)`` tuples, which ``jsontext.dumps`` writes as lists; every
     list is the document's own, so editing it leaves the plans intact.
     """
     config = result.config
+    # JSON (RFC 8259) has no infinity: an unbounded threshold gets capacity's label
+    threshold = "inf" if config.slope_threshold == math.inf else config.slope_threshold
     plans = []
     for p in result.outcome.plans:
         plans.append({
@@ -157,7 +160,7 @@ def plan_document(result: PlanResult, scene: Scene, scene_id: str = "scene",
         "capacity": capacity_label(result.capacity),
         "alpha": config.alpha,
         "beta": config.beta,
-        "slope_threshold": config.slope_threshold,
+        "slope_threshold": threshold,
         "seed": seed,
         "scene": {"id": scene_id, "width": scene.width, "height": scene.height},
         "coverage": result.coverage,

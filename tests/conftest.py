@@ -11,7 +11,7 @@ import pytest
 
 from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph, edge_weight
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet, RefillTrip, RobotPlan,
-                             _chain_directions, trips_required)
+                             _chain_directions, _refill_offsets, trips_required)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -334,6 +334,30 @@ def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
                 loop_cells(loop, pos, arc_len[j] - splits[j], 1)]
         weights[robot] = reference_robot_plan(robot, depots[robot], runs, capacity, g).weight
     return keys, splits, weights
+
+
+def segment_costs(model: LoopCostModel, start: int, size, depot_idx: int,
+                  behind=0) -> np.ndarray:
+    """``model.segment_cost_at`` for arrays of ``size`` and ``behind``.
+
+    The terms are added in the scalar order, and a masked-out tail or
+    refill term adds 0.0, so every entry equals the scalar cost bit for
+    bit: the exact oracle ``segment_cost_bounds`` is held to.  Each
+    refill offset is one pass over the arrays.
+    """
+    d, length, prefix = model.depot_dist[depot_idx], model.length, model.prefix
+    size, behind = np.asarray(size), np.asarray(behind)
+    tail = (start - behind) % length
+    tail_cost = d[(start - 1) % length] + (prefix[tail + behind - 1] - prefix[tail]) + d[tail]
+    cost = np.where(behind > 0, tail_cost, 0.0)
+    cost = cost + d[start]
+    cost = cost + (prefix[start + size - 1] - prefix[start])
+    cost = cost + d[(start + size - 1) % length]
+    total = behind + size
+    for off in _refill_offsets(int(total.max()), model.capacity):
+        pos = np.where(off < behind, start - off - 1, start + off - behind)
+        cost = cost + np.where(off < total - 1, 2.0 * d[pos % length], 0.0)
+    return cost
 
 
 def loop_cells(loop, start: int, count: int, step: int) -> list:

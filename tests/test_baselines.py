@@ -2,12 +2,12 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 
-from mrcpp.baselines import (BaselineError, ComparisonReport,
-                             format_comparison_table, mstc_bo, mstc_nb,
-                             reduction_ratio)
-from mrcpp.partition import capacity_partition, naive_mstc
+from mrcpp.baselines import (BaselineError, ComparisonReport, _first_better_split,
+                             format_comparison_table, mstc_bo, mstc_nb, reduction_ratio)
+from mrcpp.partition import LoopCostModel, capacity_partition, naive_mstc
 from mrcpp.pipeline import ALGORITHMS, ScenePlanner
 from mrcpp.graphs import PlannerConfig
 from mrcpp.scenegen import generate_scene
@@ -141,18 +141,22 @@ def test_mstc_bo_coverage_conservation_with_capacity():
         assert len(plan.refills) == plan.trips - 1
 
 
-@pytest.mark.parametrize("kind, seed, size", [("random", 4, 12), ("blocked", 3, 16),
-                                             ("field", 1, 14)])
-def test_mstc_bo_matches_scalar_split_scan(kind, seed, size):
-    """The array split scan picks the splits the scalar scan picks, and the
-    plans weigh exactly the same."""
+@pytest.mark.parametrize("kind, seed, size, robots, capacities", [
+    ("random", 4, 12, (2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
+    ("blocked", 3, 16, (2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
+    ("field", 1, 14, (2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
+    ("field", 3, 32, (2, 4), (2.0, 25.0)),   # arcs of hundreds of cells
+], ids=["random-4-12", "blocked-3-16", "field-1-14", "field-3-32"])
+def test_mstc_bo_matches_scalar_split_scan(kind, seed, size, robots, capacities):
+    """The bounded split scan picks the splits the scalar scan picks, and
+    the plans weigh exactly the same."""
     planner = ScenePlanner(generate_scene(kind, seed=seed, width=size, height=size,
                                           robots=4, depot_style="clustered"))
     g, loop = planner.graph, planner.loop
     moved = 0
-    for k in (2, 3, 4):
+    for k in robots:
         depots = planner.depots(k)
-        for capacity in (math.inf, 1.0, 3.0):
+        for capacity in capacities:
             keys, splits, weights = scalar_mstc_bo(g, loop, depots, capacity)
             bo = mstc_bo(g, loop, depots, capacity)
             assert bo.partition.keys == keys
@@ -163,6 +167,49 @@ def test_mstc_bo_matches_scalar_split_scan(kind, seed, size):
             assert [p.weight for p in bo.plans] == weights
             moved += sum(splits)
     assert moved > 0
+
+
+def full_split_walk(trial, split: int, best: float) -> int:
+    """The first-strictly-better rule over every split, one by one."""
+    best_t = split
+    for t, value in enumerate(trial.tolist()):
+        if t != split and value < best - 1e-12:
+            best_t, best = t, value
+    return best_t
+
+
+def test_split_filter_replays_the_full_walk():
+    """``_first_better_split`` picks what the full walk picks, asks for the
+    exact trial of each split at most once, and only of splits whose lower
+    bound lies below both the start's best - 1e-12 and every earlier
+    split's upper bound."""
+    rng = np.random.default_rng(11)
+    checked_ties = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 50))
+        # steps near 1e-12 make near-ties that the rule's margin decides
+        step = rng.choice([4e-13, 1e-12, 1.5e-12, 0.25, 2.0])
+        shape = rng.integers(0, 8, n) if rng.random() < 0.5 else abs(np.arange(n) - n // 3)
+        trial = 100.0 + shape * step
+        width = rng.choice([0.0, 1e-13, 1e-12, 0.3, 5.0]) * rng.random(n)
+        width[rng.random(n) < 0.3] = 0.0
+        lo, hi = trial - width * rng.random(n), trial + width * rng.random(n)
+        split = int(rng.integers(0, n))
+        best = float(rng.choice([trial.max(), trial.max() + 1e-12, trial[split], 99.0]))
+        priced = []
+
+        def trial_at(ts):
+            priced.extend(ts.tolist())
+            return trial[ts]
+
+        assert _first_better_split(lo, hi, trial_at, split, best) == \
+            full_split_walk(trial, split, best)
+        assert len(priced) == len(set(priced))
+        for t in priced:
+            earlier = [hi[u] for u in range(t) if u != split]
+            assert t != split and lo[t] < min([best - 1e-12] + earlier)
+        checked_ties += step < 2e-12
+    assert checked_ties > 100
 
 
 def test_reduction_ratio_basics():
@@ -195,7 +242,8 @@ def test_partition_weights_are_in_segment_order(random_planners, algorithm, capa
         outcome = planner.plan(algorithm, 4, capacity).outcome
         assert [p.robot for p in outcome.plans] == list(range(4))
         weights = [outcome.plans[robot].weight for robot in outcome.binding]
-        assert outcome.partition.weights == pytest.approx(weights, rel=1e-12)
+        assert outcome.partition.weights == weights
+        assert max(outcome.partition.weights) == outcome.max_weight
 
 
 def test_comparison_report_and_table():

@@ -74,12 +74,16 @@ def test_probes_count_shortest_path_solves_and_paths():
     probes.install()
     try:
         result = planner.plan("balanced", 2, 10.0)
+        # plans take their refill legs from paths_from; path stays the
+        # one-leg walk that the probe counts
+        plan = next(p for p in result.outcome.plans if p.refills)
+        trip = plan.refills[0]
+        assert planner.graph.path(plan.depot, trip.break_cell) == trip.inbound
     finally:
         probes.remove()
-    assert any(p.refills for p in result.outcome.plans)
     metrics = tracing.layer_metrics(tracer)
     assert metrics["graphs.sssp.solves"] > 0
-    assert metrics["graphs.path.calls"] > 0
+    assert metrics["graphs.path.calls"] == 1
 
 
 def test_graph_oracle_matches_the_graph():

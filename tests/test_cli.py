@@ -10,7 +10,7 @@ from mrcpp.graphs import GraphError, PlannerConfig
 from mrcpp.pipeline import ALGORITHMS, PlanningError, ScenePlanner, plan_document, \
     write_json_atomic
 from mrcpp.render import RenderError, render_plan_svg
-from mrcpp.scene import load_scene, save_scene
+from mrcpp.scene import SceneError, load_scene, save_scene
 from mrcpp.scenegen import generate_scene
 
 from conftest import flat_scene, loop_instance, shortest_path
@@ -289,7 +289,34 @@ def test_cli_plans_with_infinite_slope_threshold(tmp_path):
     out = tmp_path / "out"
     assert main(["plan", "--scene", str(scene_path), "--slope-threshold", "inf",
                  "--robots", "2", "--out", str(out)]) == 0
-    assert (out / "plan_balanced_k2_cinf.json").exists()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((out / "plan_balanced_k2_cinf.json").read_text(), parse_constant=reject)
+    assert doc["slope_threshold"] == "inf"
+
+
+@pytest.mark.parametrize("command", ["plan", "compare"])
+def test_debug_flag_re_raises_instead_of_exiting_2(tmp_path, capsys, command):
+    path = save_scene(flat_scene(4, 4, depots=[(0, 0)]), tmp_path / "s.json")
+    doc = json.loads(path.read_text())
+    doc["depots"] = [[0, 0], [0, 0]]
+    path.write_text(json.dumps(doc))
+    argv = [command, "--scene", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "error: depot cells must be distinct" in capsys.readouterr().err
+    with pytest.raises(SceneError, match="depot cells must be distinct"):
+        main(argv + ["--debug"])
+
+
+def test_every_subcommand_takes_the_debug_flag():
+    parser = build_parser()
+    for argv in (["plan", "--scene", "s.json"], ["compare", "--scene", "s.json"],
+                 ["render", "--plan", "p.json", "--scene", "s.json", "--out", "o.svg"],
+                 ["gen-scene", "--kind", "random", "--out", "s.json"]):
+        assert parser.parse_args(argv).debug is False
+        assert parser.parse_args(argv + ["--debug"]).debug is True
 
 
 def test_plan_document_records_the_plan_config():

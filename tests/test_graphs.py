@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrcpp.graphs import (GraphError, PlannerConfig, build_covering_graph,
+from mrcpp.graphs import (PATHS_CHUNK, GraphError, PlannerConfig, build_covering_graph,
                           build_spanning_graph, edge_weight)
+from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene, SceneError
 from mrcpp.scenegen import _largest_component_cells, generate_scene
 from mrcpp.terrain import build_traversability, compute_edge_slope, steepness_filter
@@ -210,6 +211,31 @@ def test_lookups_off_the_graph_raise_graph_error():
     path = g.path((0, 0), (3, 2))   # the nodes around the blocked cell still work
     assert path[0] == (0, 0) and path[-1] == (3, 2)
     assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+
+def test_paths_from_equal_one_path_per_cell():
+    """One walk for many cells gives each cell, the source included, the
+    path and the distance that ``path`` and ``distance`` give it, over
+    several chunks of cells; off the graph or out of reach it raises as
+    ``path`` does."""
+    g = ScenePlanner(generate_scene("field", seed=3, width=32, height=32)).graph
+    cells = g.cells
+    assert len(cells) > 3 * PATHS_CHUNK
+    source = cells[len(cells) // 2]
+    x, y = np.array(cells[::-1]).T
+    dist, legs = g.paths_from(source, x, y)
+    assert legs == [g.path(source, cell) for cell in cells[::-1]]
+    assert dist.tolist() == [g.distance(source, cell) for cell in cells[::-1]]
+    # a wall at x = 2 splits this map in two
+    tmap = steepness_filter(flat_scene(6, 3, depots=[(0, 0)],
+                                       blocked_cells=[(2, 0), (2, 1), (2, 2)]), 25.0)
+    g = build_covering_graph(tmap, PAPER_CFG)
+    for cell, message in (((5, 0), "no path between (0, 0) and (5, 0)"),
+                          ((2, 1), "cell (2, 1) is not a node")):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            g.paths_from((0, 0), np.array([1, cell[0]]), np.array([0, cell[1]]))
+        with pytest.raises(GraphError, match=re.escape(message)):
+            g.path((0, 0), cell)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -20,8 +20,8 @@ from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import build_traversability, steepness_filter
 
 from conftest import (flat_scene, loop_cells, loop_instance, plan_fields, reference_robot_plan,
-                      scalar_scan_improvement, shortest_path, sorted_pair_order,
-                      tiny_loop_instances)
+                      scalar_scan_improvement, segment_costs, shortest_path,
+                      sorted_pair_order, tiny_loop_instances)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -130,6 +130,22 @@ def test_loop_range_plans_equal_cell_walk(capacity):
         plan = build_robot_plan(0, depot, loop, cases[0], capacity, g)
         assert plan.refills[0].serviced_index == 2
         assert plan.refills[0].break_cell == loop.nodes[5]
+
+
+def test_refill_legs_after_every_cell_and_at_the_depot():
+    """The refill legs from one walk of the depot's predecessor tree equal
+    the cell-by-cell walk's: at c = 1, a break after every serviced cell,
+    and a break on the depot itself, a leg of one cell at no cost."""
+    planner = loop_instance(5, 4)
+    g, loop, depot = planner.graph, planner.loop, planner.scene.depots[1]
+    at = loop.position(depot)
+    plan = checked_plan(depot, loop, [(at + 5, 6, -1), (at + 6, 9, 1)], 1.0, g)
+    assert [t.serviced_index for t in plan.refills] == list(range(14))
+    plan = checked_plan(depot, loop, [(at - 2, 7, 1)], 3.0, g)
+    trip = plan.refills[0]
+    assert (trip.break_cell, trip.inbound, trip.outbound, trip.cost) == \
+        (depot, [depot], [depot], 0.0)
+    assert max(len(t.inbound) for t in plan.refills) > 1
 
 
 @pytest.mark.parametrize("kind, seed, side", [("field", 3, 96), ("blocked", 1, 16)])
@@ -392,7 +408,7 @@ def test_cost_kernel_matches_built_plans(seed, k, capacity):
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0])
 def test_segment_costs_equal_scalar_kernel_bit_for_bit(capacity):
-    """The array kernel equals ``segment_cost_at`` exactly, in both of the
+    """The array oracle equals ``segment_cost_at`` exactly, in both of the
     broadcast forms MSTC-BO scans with: an array of sizes behind a fixed
     tail, and an array of tails before a fixed size."""
     planner = loop_instance(10, 3, width=6, height=6)   # a 20-node loop
@@ -403,14 +419,42 @@ def test_segment_costs_equal_scalar_kernel_bit_for_bit(capacity):
         for start in range(length):
             for behind in range(length):
                 sizes = np.arange(1, length - behind + 1)
-                got = model.segment_costs(start, sizes, depot, behind=behind).tolist()
+                got = segment_costs(model, start, sizes, depot, behind=behind).tolist()
                 assert got == [model.segment_cost_at(start, size, depot, behind)
                                for size in range(1, length - behind + 1)]
             for size in range(1, length + 1):
                 behinds = np.arange(length - size + 1)
-                got = model.segment_costs(start, size, depot, behind=behinds).tolist()
+                got = segment_costs(model, start, size, depot, behind=behinds).tolist()
                 assert got == [model.segment_cost_at(start, size, depot, behind)
                                for behind in range(length - size + 1)]
+
+
+@pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0, 1e12])
+def test_segment_cost_bounds_hold_the_exact_costs(capacity):
+    """The exact costs lie within ``approx +- eps`` of
+    ``segment_cost_bounds``, in both of MSTC-BO's broadcast forms; eps is
+    0.0 exactly where the approximate cost is exact, as it is everywhere
+    at c = inf, and somewhere the approximation really rounds.  A
+    capacity beyond every segment builds no prefix sums."""
+    planner = loop_instance(10, 3)
+    loop, k = planner.loop, 3
+    model = LoopCostModel(loop, planner.graph, planner.depots(k), capacity)
+    length = len(loop)
+    rounded = 0
+    for depot in range(k):
+        for start in range(0, length, 13):
+            forms = [(np.arange(1, length - behind + 1), behind)
+                     for behind in range(0, length, 4)]
+            forms += [(size, np.arange(length - size + 1)) for size in range(1, length + 1, 4)]
+            for size, behind in forms:
+                exact = segment_costs(model, start, size, depot, behind=behind)
+                approx, eps = model.segment_cost_bounds(start, size, depot, behind=behind)
+                assert (abs(exact - approx) <= eps).all()
+                assert (approx[eps == 0] == exact[eps == 0]).all()
+                assert ((eps == 0) == ((np.asarray(behind) + size - 1) // capacity < 1)).all()
+                rounded += int((approx != exact).sum())
+    assert (rounded > 0) == (capacity < length)
+    assert ("refill_prefix" in vars(model)) == (capacity < length)
 
 
 def test_virtual_placement_costs_equal_prefix_differences():
