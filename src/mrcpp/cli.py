@@ -19,10 +19,12 @@ from .scene import load_scene, save_scene
 def _parse_capacity(text: str) -> float:
     if text.strip().lower() in ("inf", "infinite", "unbounded"):
         return math.inf
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("capacity must be >= 1 or 'inf'")
-    return float(value)
+    try:
+        if int(text) >= 1:
+            return float(int(text))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"capacity must be a positive integer or 'inf', got {text!r}")
 
 
 def _add_common(p: argparse.ArgumentParser):

@@ -355,20 +355,19 @@ def naive_partition(loop: CoverageLoop, k: int) -> PartitionSet:
     return PartitionSet(keys=keys, loop_length=length)
 
 
-def _chain_directions(k: int, min_idx: int, max_idx: int):
-    """Key chains for both loop directions, fewer-in-between first.
+def _chain(k: int, min_idx, max_idx, other=False):
+    """The key chain of a (min, max) segment pair with fewer keys, the
+    forward one on a tie, or with ``other`` the one in the other direction.
 
-    Each entry is ``(moving_keys, sign)``: shifting every moving key by
-    ``sign * t`` transfers t nodes out of the max segment through the
-    in-between segments (node counts preserved) into the min segment.
+    It is ``(first, count, sign)``: shifting the cyclic key range
+    ``first, ..., first + count - 1`` (mod k) by ``sign * t`` transfers t
+    nodes out of the max segment through the in-between segments (node
+    counts preserved) into the min segment.  Elementwise over arrays.
     """
-    fwd_between = (min_idx - max_idx - 1) % k
-    bwd_between = (max_idx - min_idx - 1) % k
-    forward = ([(max_idx + j) % k for j in range(1, fwd_between + 2)], -1)
-    backward = ([(max_idx - j) % k for j in range(bwd_between + 1)], +1)
-    if fwd_between <= bwd_between:
-        return forward, backward
-    return backward, forward
+    forward = (min_idx - max_idx) % k            # keys max + 1, ..., min, moved back
+    backward = (2 * forward > k) != other        # or keys min + 1, ..., max, moved on
+    first = (max_idx + 1 + backward * (min_idx - max_idx)) % k
+    return first, forward + backward * (k - 2 * forward), 2 * backward - 1
 
 
 def _shift_bounds(min_size, max_size, size_cap: int | None):
@@ -396,7 +395,9 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     length = pset.loop_length
     base = list(pset.keys)
     sizes = pset.sizes()
-    (moving, sign), _ = _chain_directions(len(base), min_idx, max_idx)
+    k = len(base)
+    first, count, sign = _chain(k, min_idx, max_idx)
+    moving = [(first + j) % k for j in range(count)]
     lo, hi = map(int, _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap))
 
     def probe(shift: int) -> tuple[list[int], list[float]]:
@@ -433,11 +434,9 @@ class _EvalBudget:
     def charge(self, n: int = 1):
         self.used += n
 
-    def take(self, n: int) -> int:
-        """Charge ``n`` evaluations, or as many as are left; returns the number charged."""
-        n = max(0, min(n, self.limit - self.used))
-        self.used += n
-        return n
+    @property
+    def left(self) -> int:
+        return max(0, self.limit - self.used)
 
     @property
     def ok(self) -> bool:
@@ -464,32 +463,58 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
     return current, iterations
 
 
-def _pairs_by_gap(weights: list[float], feasible: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Every ordered segment pair (i, j), i != j, with ``feasible[i, j]``, by
-    cost gap ``weights[i] - weights[j]``, ties broken by (i, j).
+# pairs per block of a square in ``_pairs_by_gap``, which bounds its memory
+PAIR_BLOCK = 1 << 15
 
-    A scan rarely visits more than a few hundred of the k(k-1) pairs, so
-    the order is built lazily: each round sorts only the smallest gaps
-    left, every tie of the largest one included, and takes eight times
-    as many as the round before.
+
+def _pairs_by_gap(weights: list[float], sizes: np.ndarray, size_cap: int | None,
+                  limit: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The first ``limit`` ordered segment pairs (mn, mx) with a nonzero
+    shift within ``_shift_bounds``, by cost gap ``weights[mn] - weights[mx]``,
+    ties broken by (mn, mx), in batches of arrays ``(mn, mx, lo, hi)``.
+
+    A shift needs room in the segment that grows, so such a pair has mn
+    below the size cap and any mx, or mn at or above it and mx below it.
+    Each round squares, in both products, the m lightest mn with the m
+    heaviest mx, m doubling: every other pair has a gap of at least
+    ``edge``, so the next pairs in the order are those with gaps from the
+    last round's edge up to this one's.  Equal costs hold the edge until
+    the squares span them, so a square is built a block of rows at a time.
     """
-    k = len(weights)
-    first, second = np.nonzero(feasible & ~np.eye(k, dtype=bool))   # in (i, j) order
     w = np.asarray(weights)
-    gaps = w[first] - w[second]
-    rest = np.arange(gaps.size)
-    take = 4 * k
-    while rest.size:
-        left = gaps[rest]
-        if take < rest.size:
-            head = left <= np.partition(left, take)[take]
-            batch, rest = rest[head], rest[~head]
-        else:
-            batch, rest = rest, rest[:0]
-        # a stable sort keeps equal gaps in (i, j) order
-        batch = batch[np.argsort(gaps[batch], kind="stable")]
-        yield from zip(first[batch].tolist(), second[batch].tolist())
-        take *= 8
+    light = np.argsort(w, kind="stable")
+    heavy = light[::-1]
+    below = np.ones(w.size, dtype=bool) if size_cap is None else sizes < size_cap
+    products = [(mns, mxs) for mns, mxs in [(light[below[light]], heavy),
+                                            (light[~below[light]], heavy[below[heavy]])]
+                if mns.size and mxs.size]
+    done, m = -math.inf, 8
+    while products and done < math.inf and limit > 0:
+        edge = math.inf
+        for mns, mxs in products:
+            if m < mns.size:
+                edge = min(edge, w[mns[m]] - w[mxs[0]])
+            if m < mxs.size:
+                edge = min(edge, w[mns[0]] - w[mxs[m]])
+        found = []   # the first pairs of the window so far: gap, mn, mx, lo, hi
+        for mns, mxs in products:
+            cols = mxs[:m]
+            step = max(1, PAIR_BLOCK // cols.size)
+            for top in range(0, min(m, mns.size), step):
+                mn = np.repeat(mns[top:min(top + step, m)], cols.size)
+                mx = np.tile(cols, mn.size // cols.size)
+                gap = w[mn] - w[mx]
+                lo, hi = _shift_bounds(sizes[mn], sizes[mx], size_cap)
+                keep = ((done <= gap) & (gap < edge) & (mn != mx) & (lo <= hi)
+                        & ((lo != 0) | (hi != 0)))
+                block = [a[keep] for a in (gap, mn, mx, lo, hi)]
+                found = [np.concatenate(a) for a in zip(found, block)] if found else block
+                order = np.lexsort(found[2::-1])[:limit]
+                found = [a[order] for a in found]
+        if found and found[0].size:
+            yield tuple(found[1:])
+            limit -= found[0].size
+        done, m = edge, 2 * m
 
 
 # a batched scan prices at most this many keys per ``placement_cost_rows``
@@ -503,57 +528,82 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
     """Exhaustive chain scan over segment pairs, largest cost gap first.
 
     Returns the best strictly improving placement found before the budget
-    runs out, or None when the partition is pairwise optimal.  Both chain
-    directions of a pair, and the rotation sweep, are each one matrix of
-    placements priced by ``placement_cost_rows``; the first strictly
-    better placement is then found by replaying the rows in order, so the
-    result does not depend on the chunking.
+    runs out, or None when the partition is pairwise optimal.  A pair's
+    placements are its shifts along each of its two ``_chain``s; the scan
+    ends with the first pair that has a strictly better one, charged one
+    evaluation per placement, and with none sweeps the rotations.
+    ``placement_cost_rows`` prices whole pairs per call, up to a row count
+    that doubles per call, so rows priced past the last pair are at most
+    those needed; replaying the rows in order keeps the result
+    independent of the chunking.
     """
     k = len(current.keys)
     length = current.loop_length
     base = np.array(current.keys)
     sizes = np.array(current.sizes())
     cur_max = max(current.weights)
+    # keys in loop order stay distinct under any shift within a pair's bounds
+    in_order = int(sizes.sum()) == length
+    chunk = max(1, SCAN_CHUNK_KEYS // k)
+    columns = np.arange(k)
     best = None   # (max cost, keys, costs)
+    target = 1    # rows per call
 
-    def scan(steps: np.ndarray, shifts: np.ndarray):
-        """Charge and price, as far as the budget goes, the placements
-        ``base + step * t``: for each row ``step`` of ``steps``, each t of
-        ``shifts`` in order."""
-        nonlocal best
-        n = len(shifts)
-        count = budget.take(len(steps) * n)
-        chunk = max(1, SCAN_CHUNK_KEYS // k)
-        for begin in range(0, count, chunk):
-            row = np.arange(begin, min(begin + chunk, count))
-            keys = (base + steps[row // n] * shifts[row % n, None]) % length
+    def scan(first: np.ndarray, count: np.ndarray, delta: np.ndarray, ends: np.ndarray
+             ) -> None:
+        """Charge and price, as far as the budget goes, the placements that
+        move keys ``first, ..., first + count - 1`` (mod k) by ``delta``,
+        one per row; ``ends`` are the pairs' row ends."""
+        nonlocal best, target
+        stop = min(len(delta), budget.left)
+        begin = 0
+        while begin < stop:
+            # whole pairs up to the target, or the next pair alone, a chunk at a time
+            at = np.searchsorted(ends, [begin, begin + target], side="right")
+            end = min(ends[max(at[0], at[1] - 1)], begin + chunk, stop)
+            target = min(2 * target, chunk)
+            moved = (columns - first[begin:end, None]) % k < count[begin:end, None]
+            keys = (base + np.where(moved, delta[begin:end, None], 0)) % length
             costs, _ = model.placement_cost_rows(keys)
             top = costs.max(axis=1)
-            if not steps.all():
-                # keys that stay put can collide with moved ones: such a
+            if not in_order:
+                # a moved key can land on one that stays put: such a
                 # placement is charged but never taken
                 ordered = np.sort(keys, axis=1)
                 top[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)] = math.inf
             tops = top.tolist()
             for i in np.flatnonzero(top < cur_max - 1e-12).tolist():
+                if begin + i >= stop:
+                    break
+                if best is None:   # the scan ends with this pair
+                    stop = min(stop, int(ends[np.searchsorted(ends, begin + i, side="right")]))
                 if best is None or tops[i] < best[0] - 1e-15:
                     best = (tops[i], keys[i].tolist(), costs[i].tolist())
+            begin = end
+        budget.charge(stop)
 
-    # the bounds of pair (min, max) at [min, max]
-    lo, hi = np.broadcast_arrays(*_shift_bounds(sizes[:, None], sizes, size_cap))
-    feasible = (lo <= hi) & ((lo != 0) | (hi != 0))
-    for mn, mx in _pairs_by_gap(current.weights, feasible):
-        shifts = np.arange(lo[mn, mx], hi[mn, mx] + 1)
-        steps = np.zeros((2, k), dtype=base.dtype)
-        for step, (moving, sign) in zip(steps, _chain_directions(k, mn, mx)):
-            step[moving] = sign
-        scan(steps, shifts[shifts != 0])
-        if best is not None or not budget.ok:
+    for mn, mx, lo, hi in _pairs_by_gap(current.weights, sizes, size_cap, budget.left):
+        if not budget.ok:
+            break
+        shifts = hi - lo + 1 - ((lo <= 0) & (hi >= 0))   # t = 0 is no move
+        ends = np.cumsum(2 * shifts)
+        # each pair's rows: its shifts along one chain, then the other;
+        # rows past the budget are never priced, so none is built
+        row = np.arange(min(int(ends[-1]), budget.left))
+        pair = np.searchsorted(ends, row, side="right")
+        row -= ends[pair] - 2 * shifts[pair]
+        other = row >= shifts[pair]
+        t = lo[pair] + row - other * shifts[pair]
+        t += (t >= 0) & (lo[pair] <= 0)
+        first, count, sign = _chain(k, mn[pair], mx[pair], other)
+        scan(first, count, sign * t, ends)
+        if best is not None:
             break
     if best is None:
         # whole-partition rotations (size-preserving) as a plateau escape;
         # a spent budget prices none of them
-        scan(np.ones((1, k), dtype=base.dtype), np.arange(1, length))
+        ones = np.ones(length - 1, dtype=base.dtype)
+        scan(0 * ones, k * ones, np.arange(1, length), np.array([length - 1]))
     if best is None:
         return None
     return PartitionSet(keys=best[1], loop_length=length, weights=best[2])

@@ -11,7 +11,7 @@ import pytest
 
 from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph, edge_weight
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet, RefillTrip, RobotPlan,
-                             _chain_directions, _refill_offsets, trips_required)
+                             _refill_offsets, trips_required)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -425,6 +425,23 @@ def sorted_pair_order(weights) -> list[tuple[int, int]]:
                   key=lambda p: (weights[p[0]] - weights[p[1]], p))
 
 
+def chain_directions(k: int, min_idx: int, max_idx: int):
+    """Key chains for both loop directions, fewer-in-between first.
+
+    Each entry is ``(moving_keys, sign)``: shifting every moving key by
+    ``sign * t`` transfers t nodes out of the max segment through the
+    in-between segments (node counts preserved) into the min segment.
+    The list form the tests hold ``partition._chain`` to.
+    """
+    fwd_between = (min_idx - max_idx - 1) % k
+    bwd_between = (max_idx - min_idx - 1) % k
+    forward = ([(max_idx + j) % k for j in range(1, fwd_between + 2)], -1)
+    backward = ([(max_idx - j) % k for j in range(bwd_between + 1)], +1)
+    if fwd_between <= bwd_between:
+        return forward, backward
+    return backward, forward
+
+
 def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
                             size_cap, budget) -> PartitionSet | None:
     """The refinement scan, one scalar ``placement_costs`` call per placement.
@@ -442,7 +459,7 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
     cur_max = max(weights)
     best = None
     for mn, mx in sorted_pair_order(weights):
-        for moving, sign in _chain_directions(k, mn, mx):
+        for moving, sign in chain_directions(k, mn, mx):
             lo, hi = 1 - sizes[mn], sizes[mx] - 1
             if size_cap is not None:
                 lo = max(lo, sizes[mx] - size_cap)

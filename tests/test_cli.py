@@ -108,6 +108,18 @@ def test_plan_rejects_zero_robots(tmp_path, capsys):
     assert "robots must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("capacity", ["2.5", "0", "-3", "ten", ""])
+def test_plan_rejects_bad_capacity(tmp_path, capsys, capacity):
+    scene_path = save_scene(flat_scene(4, 4, depots=[(0, 0)]), tmp_path / "s.json")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["plan", "--scene", str(scene_path), "--capacity", capacity,
+              "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert f"capacity must be a positive integer or 'inf', got '{capacity}'" in err
+    assert "_parse_capacity" not in err
+
+
 def test_compare_reports_and_table(tmp_path, capsys):
     scene_path = tmp_path / "scene.json"
     main(["gen-scene", "--kind", "random", "--seed", "8", "--out", str(scene_path)])

@@ -2,15 +2,19 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrcpp import partition
 from mrcpp.graphs import PlannerConfig, build_covering_graph, build_spanning_graph
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet,
-                             _EvalBudget, _pairs_by_gap, _scan_improvement,
-                             balanced_cut, build_robot_plan,
+                             _chain, _EvalBudget, _pairs_by_gap, _scan_improvement,
+                             _shift_bounds, balanced_cut, build_robot_plan,
                              capacity_partition, max_weight, naive_mstc,
                              naive_partition, trips_required)
 from mrcpp.pipeline import ScenePlanner
@@ -19,9 +23,9 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import build_traversability, steepness_filter
 
-from conftest import (flat_scene, loop_cells, loop_instance, plan_fields, reference_robot_plan,
-                      scalar_scan_improvement, segment_costs, shortest_path,
-                      sorted_pair_order, tiny_loop_instances)
+from conftest import (chain_directions, flat_scene, loop_cells, loop_instance, plan_fields,
+                      reference_robot_plan, scalar_scan_improvement, segment_costs,
+                      shortest_path, sorted_pair_order, tiny_loop_instances)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -472,25 +476,49 @@ def test_virtual_placement_costs_equal_prefix_differences():
             assert costs == [model.coverage_cost(keys[i], sizes[i]) for i in range(k)]
 
 
-def test_pair_order_matches_sorted_oracle_with_ties():
-    """The refinement visits segment pairs by cost gap, ties by (i, j)."""
-    blocked = ScenePlanner(generate_scene("blocked", seed=1))   # flat, walled
-    model = LoopCostModel(blocked.loop)
-    n = 40
-    equal_costs, _ = model.placement_costs(naive_partition(blocked.loop, n).keys)
-    assert len(set(equal_costs)) < n // 2          # many exact ties
-    rng = np.random.default_rng(3)
-    cases = [equal_costs, [1.0], [2.0, 2.0], [0.0, 1.0, 0.0, 1.0, 0.5],
-             rng.integers(0, 4, size=30).astype(float).tolist(),
-             (rng.integers(0, 8, size=40) * 0.1).tolist(),
-             rng.random(12).tolist()]
-    for weights in cases:
-        k = len(weights)
-        masks = [np.ones((k, k), dtype=bool), np.zeros((k, k), dtype=bool),
-                 rng.random((k, k)) < 0.5, rng.random((k, k)) < 0.05]
-        for mask in masks:
-            assert list(_pairs_by_gap(weights, mask)) == [
-                (i, j) for i, j in sorted_pair_order(weights) if mask[i, j]]
+@st.composite
+def pair_order_cases(draw):
+    k = draw(st.integers(1, 60))
+    # few distinct values: many exact ties, at the extremes too
+    values = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+    weights = draw(st.lists(st.sampled_from(values), min_size=k, max_size=k))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    return (weights, np.array(sizes), draw(st.sampled_from([None, 1, 2, 3])),
+            draw(st.integers(0, k * k)), draw(st.sampled_from([1, 5, 64, partition.PAIR_BLOCK])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_order_cases())
+def test_pair_order_matches_sorted_oracle_with_ties(case):
+    """The refinement visits the first pairs with a nonzero shift within
+    their bounds by cost gap, ties by (mn, mx), with each pair's bounds,
+    however many pairs a block of the squares holds."""
+    weights, sizes, size_cap, limit, block = case
+    want = []
+    for mn, mx in sorted_pair_order(weights):
+        lo, hi = map(int, _shift_bounds(sizes[mn], sizes[mx], size_cap))
+        if lo <= hi and (lo, hi) != (0, 0):
+            want.append((mn, mx, lo, hi))
+    with mock.patch.object(partition, "PAIR_BLOCK", block):
+        got = [pair for batch in _pairs_by_gap(weights, sizes, size_cap, limit)
+               for pair in zip(*(column.tolist() for column in batch))]
+    assert got == want[:limit]
+
+
+def test_chains_match_the_key_lists():
+    """Each chain's cyclic key range is the list of keys it moves, for
+    arrays of pairs and for one pair alike."""
+    for k in range(2, 9):
+        mn, mx = np.array([(i, j) for i in range(k) for j in range(k) if i != j]).T
+        for other, want_chain in ((False, 0), (True, 1)):
+            got = _chain(k, mn, mx, other)
+            for p, (i, j) in enumerate(zip(mn.tolist(), mx.tolist())):
+                moving, want_sign = chain_directions(k, i, j)[want_chain]
+                first, count, sign = (int(a[p]) for a in got)
+                assert (first, count, sign) == _chain(k, i, j, other)
+                assert [(first + q) % k for q in range(count)] == sorted(
+                    moving, key=lambda key: (key - first) % k)
+                assert sign == want_sign
 
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0])
@@ -560,12 +588,22 @@ def scan_cases():
             for size_cap in (None, 2, 5):
                 weights, _ = model.placement_costs(keys)
                 yield model, PartitionSet(keys, model.length, weights), size_cap
+    # coverage only, n * c at or just above L: all segments but a few at the cap,
+    # so pairs are few, of a few shifts each, and a call prices several
+    for model in models[3:]:
+        for size_cap in (3, 4, 7):
+            n = -(-model.length // size_cap)
+            for rot in range(4):
+                keys = [(key + rot) % model.length for key in naive_partition(model.loop, n).keys]
+                weights, _ = model.placement_costs(keys)
+                yield model, PartitionSet(keys, model.length, weights), size_cap
 
 
-@pytest.mark.parametrize("limit", [1, 2, 7, 50, 10_000])
+@pytest.mark.parametrize("limit", [1, 2, 7, 13, 29, 50, 111, 10_000])
 def test_batched_scan_matches_scalar_scan(limit):
     """The batched refinement scan returns the scalar scan's placement and
-    spends the same budget, also when the budget runs out mid-matrix."""
+    spends the same budget, also when the budget runs out mid-matrix or
+    inside a call that prices several pairs."""
     for model, pset, size_cap in scan_cases():
         scalar_budget, batched_budget = _EvalBudget(limit), _EvalBudget(limit)
         want = scalar_scan_improvement(model, pset, size_cap, scalar_budget)
@@ -576,25 +614,40 @@ def test_batched_scan_matches_scalar_scan(limit):
         assert batched_budget.used == scalar_budget.used
 
 
-def test_scan_skips_pairs_with_no_feasible_shift(monkeypatch):
+def test_scan_skips_pairs_with_no_feasible_shift():
     """With n * c = L every segment is at the size cap, so no pair has a
-    shift: the scan builds no key chain and goes straight to rotations."""
+    shift: the scan goes straight to rotations."""
     planner = loop_instance(5, 1)
     length = len(planner.loop)
     cap = next(c for c in range(3, length) if length % c == 0)
     model = LoopCostModel(planner.loop)
     keys = list(range(0, length, cap))
     weights, _ = model.placement_costs(keys)
-    chains = []
-    real = partition._chain_directions
-    monkeypatch.setattr(partition, "_chain_directions",
-                        lambda *args: chains.append(args) or real(*args))
+    sizes = np.full(len(keys), cap)
+    assert list(_pairs_by_gap(weights, sizes, cap, length ** 2)) == []
     budget = _EvalBudget(10_000)
     got = _scan_improvement(model, PartitionSet(keys, length, weights), cap, budget)
-    assert chains == []
     assert budget.used == length - 1               # the rotation sweep alone
     want = scalar_scan_improvement(model, PartitionSet(keys, length, weights), cap,
                                    _EvalBudget(10_000))
     assert (got is None) == (want is None)
     if want is not None:
         assert (got.keys, got.weights) == (want.keys, want.weights)
+
+
+@pytest.mark.parametrize("size_cap", [25, 26])
+def test_scan_memory_is_not_quadratic_in_the_segments(size_cap):
+    """One scan over 3,000 virtual segments of 25 equal-cost cells stays far
+    below the 72 MB of a 3,000 x 3,000 float array: at a cap of 25 no pair
+    has a shift, at 26 every pair has, all at the same gap."""
+    loop = fake_loop(75_000)
+    model = LoopCostModel(loop)
+    pset = naive_partition(loop, 3_000)
+    pset.weights, _ = model.placement_costs(pset.keys)
+    tracemalloc.start()
+    try:
+        _scan_improvement(model, pset, size_cap, _EvalBudget(2_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
