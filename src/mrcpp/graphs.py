@@ -132,13 +132,21 @@ class CoveringGraph:
             raise GraphError(f"cell {cell} is not a node of the covering graph")
         return int(self.node[y, x])
 
+    def solve(self, sources: list[Cell]) -> None:
+        """Cache the shortest-path distances and predecessors from every
+        source not cached yet, all from one Dijkstra call."""
+        todo = [src for src in dict.fromkeys(map(self.node_of, sources))
+                if src not in self._sssp_cache]
+        if todo:
+            dist, pred = dijkstra(self.matrix, directed=False,
+                                  indices=todo, return_predecessors=True)
+            self._sssp_cache.update(zip(todo, zip(dist, pred)))
+
     def sssp(self, source: Cell) -> tuple[np.ndarray, np.ndarray]:
         """Single-source shortest-path distances and predecessors (cached)."""
         src = self.node_of(source)
         if src not in self._sssp_cache:
-            dist, pred = dijkstra(self.matrix, directed=False,
-                                  indices=src, return_predecessors=True)
-            self._sssp_cache[src] = (dist, pred)
+            self.solve([source])
         return self._sssp_cache[src]
 
     def distance(self, a: Cell, b: Cell) -> float:

@@ -14,6 +14,8 @@ non-increasing across iterations.
 """
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -194,6 +196,7 @@ class LoopCostModel:
             if (ids < 0).any():
                 raise PartitionError("a loop cell is not a node of the covering graph")
             # depot r's distance to loop position p at [r, p]
+            g.solve(self.depots)
             self.depot_dist = np.stack([g.sssp(d)[0][ids] for d in self.depots])
             if not np.isfinite(self.depot_dist).all():
                 # the row kernel's binding masks taken pairs with inf
@@ -333,11 +336,12 @@ class LoopCostModel:
         flat = pairs.reshape(rows, k * k)
         binding = np.empty_like(keys)
         every = np.arange(rows)
-        for _ in range(k):
+        for r in range(k):
             robot, segment = np.divmod(flat.argmin(axis=1), k)
             binding[every, segment] = robot
-            pairs[every, robot, :] = np.inf
-            pairs[every, :, segment] = np.inf
+            if r < k - 1:   # the last round takes the one pair left
+                pairs[every, robot, :] = np.inf
+                pairs[every, :, segment] = np.inf
         cost = d[binding, keys] + coverage
         cost = cost + d[binding, (keys + sizes - 1) % length]
         for off in _refill_offsets(int(sizes.max()), self.capacity):
@@ -370,14 +374,13 @@ def _chain(k: int, min_idx, max_idx, other=False):
     return first, forward + backward * (k - 2 * forward), 2 * backward - 1
 
 
-def _shift_bounds(min_size, max_size, size_cap: int | None):
+def _shift_bounds(min_size: int, max_size: int, size_cap: int | None) -> tuple[int, int]:
     """The shifts t that keep the min and max segments, t nodes moved from
-    the max one into the min one, non-empty and within ``size_cap``.
-    Elementwise over arrays of sizes."""
+    the max one into the min one, non-empty and within ``size_cap``."""
     lo, hi = 1 - min_size, max_size - 1
     if size_cap is not None:
-        lo = np.maximum(lo, max_size - size_cap)
-        hi = np.minimum(hi, size_cap - min_size)
+        lo = max(lo, max_size - size_cap)
+        hi = min(hi, size_cap - min_size)
     return lo, hi
 
 
@@ -398,7 +401,7 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     k = len(base)
     first, count, sign = _chain(k, min_idx, max_idx)
     moving = [(first + j) % k for j in range(count)]
-    lo, hi = map(int, _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap))
+    lo, hi = _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap)
 
     def probe(shift: int) -> tuple[list[int], list[float]]:
         shift = min(max(shift, lo), hi)
@@ -463,63 +466,57 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
     return current, iterations
 
 
-# pairs per block of a square in ``_pairs_by_gap``, which bounds its memory
-PAIR_BLOCK = 1 << 15
-
-
-def _pairs_by_gap(weights: list[float], sizes: np.ndarray, size_cap: int | None,
-                  limit: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int | None,
+                  limit: int) -> Iterator[tuple[int, int, int, int]]:
     """The first ``limit`` ordered segment pairs (mn, mx) with a nonzero
     shift within ``_shift_bounds``, by cost gap ``weights[mn] - weights[mx]``,
-    ties broken by (mn, mx), in batches of arrays ``(mn, mx, lo, hi)``.
+    ties broken by (mn, mx), as tuples ``(mn, mx, lo, hi)``.
 
-    A shift needs room in the segment that grows, so such a pair has mn
-    below the size cap and any mx, or mn at or above it and mx below it.
-    Each round squares, in both products, the m lightest mn with the m
-    heaviest mx, m doubling: every other pair has a gap of at least
-    ``edge``, so the next pairs in the order are those with gaps from the
-    last round's edge up to this one's.  Equal costs hold the edge until
-    the squares span them, so a square is built a block of rows at a time.
+    A shift needs room in the segment that grows, so row mn pairs with
+    every segment when it is below the size cap, else with those below it.
+    A row walks its columns heaviest first, ties by index, so its gaps
+    never decrease, and a heap merges the rows by (gap, mn).  A popped row
+    emits its run of columns at that gap in index order, then goes back
+    with its next gap.  Float rounding can give distinct weights one gap,
+    so a run over several weights is sorted; a run of one weight is in
+    order already.  That takes O(k log k + pairs visited) time.
     """
-    w = np.asarray(weights)
-    light = np.argsort(w, kind="stable")
-    heavy = light[::-1]
-    below = np.ones(w.size, dtype=bool) if size_cap is None else sizes < size_cap
-    products = [(mns, mxs) for mns, mxs in [(light[below[light]], heavy),
-                                            (light[~below[light]], heavy[below[heavy]])]
-                if mns.size and mxs.size]
-    done, m = -math.inf, 8
-    while products and done < math.inf and limit > 0:
-        edge = math.inf
-        for mns, mxs in products:
-            if m < mns.size:
-                edge = min(edge, w[mns[m]] - w[mxs[0]])
-            if m < mxs.size:
-                edge = min(edge, w[mns[0]] - w[mxs[m]])
-        found = []   # the first pairs of the window so far: gap, mn, mx, lo, hi
-        for mns, mxs in products:
-            cols = mxs[:m]
-            step = max(1, PAIR_BLOCK // cols.size)
-            for top in range(0, min(m, mns.size), step):
-                mn = np.repeat(mns[top:min(top + step, m)], cols.size)
-                mx = np.tile(cols, mn.size // cols.size)
-                gap = w[mn] - w[mx]
-                lo, hi = _shift_bounds(sizes[mn], sizes[mx], size_cap)
-                keep = ((done <= gap) & (gap < edge) & (mn != mx) & (lo <= hi)
-                        & ((lo != 0) | (hi != 0)))
-                block = [a[keep] for a in (gap, mn, mx, lo, hi)]
-                found = [np.concatenate(a) for a in zip(found, block)] if found else block
-                order = np.lexsort(found[2::-1])[:limit]
-                found = [a[order] for a in found]
-        if found and found[0].size:
-            yield tuple(found[1:])
-            limit -= found[0].size
-        done, m = edge, 2 * m
+    w = weights
+    heavy = sorted(range(len(w)), key=lambda i: (-w[i], i))
+    if size_cap is None:
+        columns = [heavy] * len(w)
+    else:
+        heavy_below = [i for i in heavy if sizes[i] < size_cap]
+        columns = [heavy if s < size_cap else heavy_below for s in sizes]
+    heap = [(w[mn] - w[cols[0]], mn, 0) for mn, cols in enumerate(columns) if cols]
+    heapq.heapify(heap)
+    while heap and limit > 0:
+        gap, mn, first = heapq.heappop(heap)
+        cols, w_mn, end = columns[mn], w[mn], first + 1
+        while end < len(cols) and w_mn - w[cols[end]] == gap:
+            end += 1
+        run = cols[first:end]
+        if w[run[0]] != w[run[-1]]:
+            run.sort()
+        for mx in run:
+            lo, hi = _shift_bounds(sizes[mn], sizes[mx], size_cap)
+            if mx != mn and lo <= hi and (lo, hi) != (0, 0):
+                yield mn, mx, lo, hi
+                limit -= 1
+                if not limit:
+                    return
+        if end < len(cols):
+            heapq.heappush(heap, (w_mn - w[cols[end]], mn, end))
 
 
 # a batched scan prices at most this many keys per ``placement_cost_rows``
 # call, which bounds the memory of its (rows, k, k) binding array
 SCAN_CHUNK_KEYS = 1 << 14
+# and at most this many keys, in whole pairs, in its first call (64 rows at
+# k = 4, where a call costs about 75 µs plus 0.5 µs a row, so the rows it may
+# price past the pair that ends the scan cost about one call more); over the
+# 1,101 scans of 60 small scenes, 4, 128, 512 and 1,024 keys were 1-19% slower
+SCAN_FIRST_KEYS = 256
 
 
 def _scan_improvement(model: LoopCostModel, current: PartitionSet,
@@ -533,37 +530,31 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
     ends with the first pair that has a strictly better one, charged one
     evaluation per placement, and with none sweeps the rotations.
     ``placement_cost_rows`` prices whole pairs per call, up to a row count
-    that doubles per call, so rows priced past the last pair are at most
-    those needed; replaying the rows in order keeps the result
+    that starts at ``SCAN_FIRST_KEYS`` keys and doubles per call, or the
+    next pair alone; replaying the rows in order keeps the result
     independent of the chunking.
     """
     k = len(current.keys)
     length = current.loop_length
     base = np.array(current.keys)
-    sizes = np.array(current.sizes())
+    sizes = current.sizes()
     cur_max = max(current.weights)
     # keys in loop order stay distinct under any shift within a pair's bounds
-    in_order = int(sizes.sum()) == length
+    in_order = sum(sizes) == length
     chunk = max(1, SCAN_CHUNK_KEYS // k)
     columns = np.arange(k)
     best = None   # (max cost, keys, costs)
-    target = 1    # rows per call
 
-    def scan(first: np.ndarray, count: np.ndarray, delta: np.ndarray, ends: np.ndarray
-             ) -> None:
+    def scan(moves: np.ndarray, chain: np.ndarray, t: np.ndarray, ends: list[int]) -> None:
         """Charge and price, as far as the budget goes, the placements that
-        move keys ``first, ..., first + count - 1`` (mod k) by ``delta``,
-        one per row; ``ends`` are the pairs' row ends."""
-        nonlocal best, target
-        stop = min(len(delta), budget.left)
+        add ``t[i] * moves[chain[i]]`` to the keys, one per row i, a chunk
+        at a time; ``ends`` are the pairs' row ends."""
+        nonlocal best
+        stop = min(len(t), budget.left)
         begin = 0
         while begin < stop:
-            # whole pairs up to the target, or the next pair alone, a chunk at a time
-            at = np.searchsorted(ends, [begin, begin + target], side="right")
-            end = min(ends[max(at[0], at[1] - 1)], begin + chunk, stop)
-            target = min(2 * target, chunk)
-            moved = (columns - first[begin:end, None]) % k < count[begin:end, None]
-            keys = (base + np.where(moved, delta[begin:end, None], 0)) % length
+            end = min(begin + chunk, stop)
+            keys = (base + moves[chain[begin:end]] * t[begin:end, None]) % length
             costs, _ = model.placement_cost_rows(keys)
             top = costs.max(axis=1)
             if not in_order:
@@ -571,51 +562,76 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
                 # placement is charged but never taken
                 ordered = np.sort(keys, axis=1)
                 top[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)] = math.inf
-            tops = top.tolist()
             for i in np.flatnonzero(top < cur_max - 1e-12).tolist():
                 if begin + i >= stop:
                     break
                 if best is None:   # the scan ends with this pair
-                    stop = min(stop, int(ends[np.searchsorted(ends, begin + i, side="right")]))
-                if best is None or tops[i] < best[0] - 1e-15:
-                    best = (tops[i], keys[i].tolist(), costs[i].tolist())
+                    stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
+                if best is None or top[i] < best[0] - 1e-15:
+                    best = (top[i], keys[i].tolist(), costs[i].tolist())
             begin = end
         budget.charge(stop)
 
-    for mn, mx, lo, hi in _pairs_by_gap(current.weights, sizes, size_cap, budget.left):
-        if not budget.ok:
-            break
-        shifts = hi - lo + 1 - ((lo <= 0) & (hi >= 0))   # t = 0 is no move
-        ends = np.cumsum(2 * shifts)
-        # each pair's rows: its shifts along one chain, then the other;
-        # rows past the budget are never priced, so none is built
-        row = np.arange(min(int(ends[-1]), budget.left))
-        pair = np.searchsorted(ends, row, side="right")
-        row -= ends[pair] - 2 * shifts[pair]
-        other = row >= shifts[pair]
-        t = lo[pair] + row - other * shifts[pair]
-        t += (t >= 0) & (lo[pair] <= 0)
-        first, count, sign = _chain(k, mn[pair], mx[pair], other)
-        scan(first, count, sign * t, ends)
-        if best is not None:
-            break
+    pairs = _pairs_by_gap(current.weights, sizes, size_cap, budget.left)
+    pair, target = next(pairs, None), max(1, SCAN_FIRST_KEYS // k)
+    while pair is not None and best is None and budget.ok:
+        # whole pairs up to the target, or the next pair alone: a pair's rows
+        # are its shifts along one chain, then along the other, and rows past
+        # the budget are never priced, so none is built
+        chains, chain, t, ends, left = [], [], [], [], budget.left
+        while pair is not None and len(t) < left:
+            mn, mx, lo, hi = pair
+            below, above = range(lo, min(hi, -1) + 1), range(max(lo, 1), hi + 1)
+            n = len(below) + len(above)   # t = 0 is no move
+            if ends and ends[-1] + 2 * n > target:
+                break
+            for other in (False, True):
+                room = left - len(t)
+                shifts = [*below[:room], *above[:max(0, room - len(below))]]
+                chain += [len(chains)] * len(shifts)
+                chains.append(_chain(k, mn, mx, other))
+                t += shifts
+            ends.append(2 * n + (ends[-1] if ends else 0))
+            pair = next(pairs, None)
+        target = min(2 * target, chunk)
+        first, count, sign = np.array(chains).T
+        moves = np.where((columns - first[:, None]) % k < count[:, None], sign[:, None], 0)
+        scan(moves, np.array(chain), np.array(t), ends)
     if best is None:
         # whole-partition rotations (size-preserving) as a plateau escape;
         # a spent budget prices none of them
-        ones = np.ones(length - 1, dtype=base.dtype)
-        scan(0 * ones, k * ones, np.arange(1, length), np.array([length - 1]))
+        scan(np.ones((1, k), dtype=base.dtype), np.zeros(length - 1, dtype=np.intp),
+             np.arange(1, length), [length - 1])
     if best is None:
         return None
     return PartitionSet(keys=best[1], loop_length=length, weights=best[2])
 
 
 def _refine(model: LoopCostModel, current: PartitionSet, size_cap: int | None,
-            budget: _EvalBudget) -> PartitionSet:
+            budget: _EvalBudget, memo: dict) -> PartitionSet:
+    """Scan until a scan finds no improvement or the budget is spent.
+
+    ``memo`` maps the start keys of every scan that ended with budget left
+    to the evaluations it charged and the keys and weights it returned, or
+    None.  Such a scan runs the same from any budget that covers its
+    charge, so it is replayed when one does.
+    """
     while budget.ok and len(current.keys) > 1:
-        improved = _scan_improvement(model, current, size_cap, budget)
-        if improved is None:
+        start = tuple(current.keys)
+        charged, found = memo.get(start, (math.inf, None))
+        if charged <= budget.left:
+            budget.charge(charged)
+        else:
+            used = budget.used
+            improved = _scan_improvement(model, current, size_cap, budget)
+            found = None if improved is None else (tuple(improved.keys),
+                                                   tuple(improved.weights))
+            if budget.ok:
+                memo[start] = (budget.used - used, found)
+        if found is None:
             break
-        current = improved
+        current = PartitionSet(keys=list(found[0]), loop_length=current.loop_length,
+                               weights=list(found[1]))
     return current
 
 
@@ -629,7 +645,8 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
     of the initial keys, keeping the best placement seen.  Small loops
     get an effectively exhaustive search; large ones a few targeted
     scans.  Deterministic throughout, and never worse than the primary
-    greedy result.
+    greedy result.  The restarts often reach placements scanned before,
+    whose scans one memo replays.
     """
     k = len(initial.keys)
     length = initial.loop_length
@@ -638,9 +655,10 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
     if k == 1:
         return current, 0
     budget = _EvalBudget(max(2000, min(50_000, 400_000 // (k * max(1, length // 8)))))
+    memo = {}
 
     best, iterations = _greedy_pass(model, current, max_iters, size_cap)
-    best = _refine(model, best, size_cap, budget)
+    best = _refine(model, best, size_cap, budget, memo)
     for rot in range(1, length):
         if not budget.ok:
             break
@@ -650,7 +668,7 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
         cand = PartitionSet(keys=keys, loop_length=length, weights=rc)
         # polish-only restarts: the greedy pass would funnel most rotated
         # starts into the same basin, defeating the restart diversity
-        cand = _refine(model, cand, size_cap, budget)
+        cand = _refine(model, cand, size_cap, budget, memo)
         if max(cand.weights) < max(best.weights) - 1e-15:
             best = cand
     return best, iterations

@@ -79,6 +79,9 @@ def generate_scene(kind: str, seed: int, width: int | None = None,
                    threshold: float = DEFAULT_SLOPE_THRESHOLD) -> Scene:
     """Generate a planner-ready scene; deterministic in (kind, seed, dims).
 
+    ``width``, ``height`` and ``robots`` are positive integers, or None for
+    the kind's default.
+
     Attempts first ask for four covered cells (one 2x2 block) per robot.
     Only if none of them has that much room, as on a 5x5 grid with five
     robots, are the same attempts retried asking for one distinct depot
@@ -86,6 +89,10 @@ def generate_scene(kind: str, seed: int, width: int | None = None,
     """
     if kind not in KINDS:
         raise SceneError(f"unknown scene kind '{kind}' (choose from {KINDS})")
+    for name, value in (("width", width), ("height", height), ("robots", robots)):
+        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if value is not None and not (whole and value >= 1):
+            raise SceneError(f"{name} must be a positive integer, got {value!r}")
     for cells_per_robot in (4, 1):
         for attempt in range(24):
             rng = np.random.default_rng(int(seed) * 1000003 + attempt)

@@ -11,7 +11,7 @@ import pytest
 
 from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph, edge_weight
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet, RefillTrip, RobotPlan,
-                             _refill_offsets, trips_required)
+                             _greedy_pass, _refill_offsets, _scan_improvement, trips_required)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -496,6 +496,45 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
     if best is None:
         return None
     return PartitionSet(keys=best[1], loop_length=length, weights=best[2])
+
+
+def memo_free_optimize_partition(model: LoopCostModel, initial: PartitionSet, max_iters: int,
+                                 size_cap, budget, scans: list | None = None):
+    """``optimize_partition`` under ``budget`` with every refinement scan run
+    afresh: the oracle the tests hold its memo of scans to.
+
+    Each scan is logged to ``scans`` as (start keys, budget used before,
+    budget used after).
+    """
+    k, length = len(initial.keys), initial.loop_length
+    costs, _ = model.placement_costs(initial.keys)
+    current = PartitionSet(keys=list(initial.keys), loop_length=length, weights=costs)
+    if k == 1:
+        return current, 0
+
+    def refine(current):
+        while budget.ok and len(current.keys) > 1:
+            used = budget.used
+            improved = _scan_improvement(model, current, size_cap, budget)
+            if scans is not None:
+                scans.append((tuple(current.keys), used, budget.used))
+            if improved is None:
+                break
+            current = improved
+        return current
+
+    best, iterations = _greedy_pass(model, current, max_iters, size_cap)
+    best = refine(best)
+    for rot in range(1, length):
+        if not budget.ok:
+            break
+        keys = [(p + rot) % length for p in initial.keys]
+        budget.charge(k)
+        cand = refine(PartitionSet(keys=keys, loop_length=length,
+                                   weights=model.placement_costs(keys)[0]))
+        if max(cand.weights) < max(best.weights) - 1e-15:
+            best = cand
+    return best, iterations
 
 
 def loop_instance(seed: int, k: int, width: int = 14, height: int = 14) -> ScenePlanner:

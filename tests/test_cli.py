@@ -108,6 +108,18 @@ def test_plan_rejects_zero_robots(tmp_path, capsys):
     assert "robots must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--width", "0"), ("--width", "-4"),
+                                           ("--height", "0"), ("--robots", "0")])
+def test_gen_scene_rejects_bad_sizes(tmp_path, capsys, option, value):
+    out = tmp_path / "s.json"
+    code = main(["gen-scene", "--kind", "field", option, value, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{option[2:]} must be a positive integer, got {value}" in err
+    assert "negative dimensions" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("capacity", ["2.5", "0", "-3", "ten", ""])
 def test_plan_rejects_bad_capacity(tmp_path, capsys, capacity):
     scene_path = save_scene(flat_scene(4, 4, depots=[(0, 0)]), tmp_path / "s.json")

@@ -1,12 +1,15 @@
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
+from mrcpp import graphs
 from mrcpp.graphs import (PATHS_CHUNK, GraphError, PlannerConfig, build_covering_graph,
                           build_spanning_graph, edge_weight)
 from mrcpp.pipeline import ScenePlanner
@@ -333,6 +336,33 @@ def test_scipy_distances_match_dijkstra():
             continue
         _, cost = shortest_path(g, source, target)
         assert cost == pytest.approx(float(dist[g.index[target]]))
+
+
+@pytest.mark.parametrize("kind, seed, side", [("blocked", 1, 16), ("random", 2, 10),
+                                             ("field", 3, 32), ("weighted", 5, 12)])
+def test_one_solve_for_many_sources_equals_single_source_solves(kind, seed, side):
+    """``solve`` caches, from one Dijkstra call, each source's distances and
+    predecessors exactly as a single-source solve gives them: refill legs
+    read the predecessors.  A flat walled scene ties many paths, and a
+    weighted map with a high block share leaves cells unreachable."""
+    if kind == "weighted":
+        g = build_covering_graph(weighted_map(seed, side, side, block_p=0.3), PAPER_CFG)
+    else:
+        g = ScenePlanner(generate_scene(kind, seed, width=side, height=side)).graph
+    cells = g.cells
+    sources = [cells[i] for i in (0, len(cells) // 3, len(cells) - 1, len(cells) // 2)]
+    g.sssp(sources[1])   # one source cached already
+    calls = []
+    with mock.patch.object(graphs, "dijkstra",
+                           lambda *a, **kw: calls.append(kw["indices"]) or dijkstra(*a, **kw)):
+        g.solve(sources + sources[:1])
+    assert calls == [[g.node_of(c) for c in sources if c != sources[1]]]
+    for cell in sources:
+        want = dijkstra(g.matrix, directed=False, indices=g.node_of(cell),
+                        return_predecessors=True)
+        for got, row in zip(g.sssp(cell), want):
+            np.testing.assert_array_equal(got, row)
+    assert np.isinf(g.sssp(sources[0])[0]).any() == (kind == "weighted")
 
 
 @settings(max_examples=15, deadline=None)

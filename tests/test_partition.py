@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrcpp import partition
@@ -23,9 +23,10 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import build_traversability, steepness_filter
 
-from conftest import (chain_directions, flat_scene, loop_cells, loop_instance, plan_fields,
-                      reference_robot_plan, scalar_scan_improvement, segment_costs,
-                      shortest_path, sorted_pair_order, tiny_loop_instances)
+from conftest import (chain_directions, flat_scene, loop_cells, loop_instance,
+                      memo_free_optimize_partition, plan_fields, reference_robot_plan,
+                      scalar_scan_improvement, segment_costs, shortest_path, sorted_pair_order,
+                      tiny_loop_instances)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -479,30 +480,35 @@ def test_virtual_placement_costs_equal_prefix_differences():
 @st.composite
 def pair_order_cases(draw):
     k = draw(st.integers(1, 60))
-    # few distinct values: many exact ties, at the extremes too
-    values = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+    # few distinct values: many exact ties, at the extremes too; 1e17 gives
+    # distinct small weights equal float gaps, as 5e-324 does with 1.0
+    values = draw(st.lists(st.floats(0.0, 10.0) | st.sampled_from([1e17, 5e-324]),
+                           min_size=1, max_size=6))
     weights = draw(st.lists(st.sampled_from(values), min_size=k, max_size=k))
     sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
-    return (weights, np.array(sizes), draw(st.sampled_from([None, 1, 2, 3])),
-            draw(st.integers(0, k * k)), draw(st.sampled_from([1, 5, 64, partition.PAIR_BLOCK])))
+    return (weights, sizes, draw(st.sampled_from([None, 1, 2, 3])),
+            draw(st.integers(0, k * k)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(pair_order_cases())
+# distinct weights whose gaps round to one float: 1e17 - 1.0 == 1e17 - 0.0
+# and 1.0 - 1e17 == 0.0 - 1e17, so (mn, mx) orders them, within a row and
+# across rows
+@example(([1e17, 0.0, 1.0], [3, 3, 3], None, 6))
+@example(([1.0, 1e17, 0.0, 1e17, 2.0, 0.0], [2, 1, 3, 1, 2, 2], None, 30))
+@example(([0.0, 1e17, 1.0, 1e17, 2.0, 0.0], [1, 2, 3, 2, 1, 2], 3, 30))
+@example(([1.0, 5e-324, 0.0, 1.0], [2, 2, 2, 2], None, 12))
 def test_pair_order_matches_sorted_oracle_with_ties(case):
     """The refinement visits the first pairs with a nonzero shift within
-    their bounds by cost gap, ties by (mn, mx), with each pair's bounds,
-    however many pairs a block of the squares holds."""
-    weights, sizes, size_cap, limit, block = case
+    their bounds by cost gap, ties by (mn, mx), with each pair's bounds."""
+    weights, sizes, size_cap, limit = case
     want = []
     for mn, mx in sorted_pair_order(weights):
-        lo, hi = map(int, _shift_bounds(sizes[mn], sizes[mx], size_cap))
+        lo, hi = _shift_bounds(sizes[mn], sizes[mx], size_cap)
         if lo <= hi and (lo, hi) != (0, 0):
             want.append((mn, mx, lo, hi))
-    with mock.patch.object(partition, "PAIR_BLOCK", block):
-        got = [pair for batch in _pairs_by_gap(weights, sizes, size_cap, limit)
-               for pair in zip(*(column.tolist() for column in batch))]
-    assert got == want[:limit]
+    assert list(_pairs_by_gap(weights, sizes, size_cap, limit)) == want[:limit]
 
 
 def test_chains_match_the_key_lists():
@@ -633,6 +639,78 @@ def test_scan_skips_pairs_with_no_feasible_shift():
     assert (got is None) == (want is None)
     if want is not None:
         assert (got.keys, got.weights) == (want.keys, want.weights)
+
+
+def memo_cases():
+    """(model, start, max_iters, size_cap) cases for ``optimize_partition``:
+    tiny loops, and random 10x10 loops under depot costs, a finite capacity
+    and coverage-only costs with a size cap."""
+    for planner, k in tiny_loop_instances(6):
+        yield (LoopCostModel(planner.loop, planner.graph, planner.depots(k)),
+               naive_partition(planner.loop, k), 64 * k, None)
+    for seed in (1, 4):
+        planner = ScenePlanner(generate_scene("random", seed=seed, width=10, height=10))
+        loop, n = planner.loop, -(-len(planner.loop) // 4)
+        for capacity in (math.inf, 5.0):
+            yield (LoopCostModel(loop, planner.graph, planner.depots(4), capacity),
+                   naive_partition(loop, 4), 256, None)
+        yield LoopCostModel(loop), naive_partition(loop, n), 64 * n, 5
+
+
+def memoized_run(model, start, max_iters, size_cap, limit=None):
+    """``optimize_partition`` with its budget's limit set to ``limit``, and that budget."""
+    budgets = []
+
+    def budget_with_limit(default):
+        budgets.append(_EvalBudget(default if limit is None else limit))
+        return budgets[-1]
+
+    with mock.patch.object(partition, "_EvalBudget", budget_with_limit):
+        pset, iterations = partition.optimize_partition(model, start, max_iters, size_cap)
+    return (pset.keys, pset.weights, iterations, budgets[0].used), budgets[0].limit
+
+
+def test_memoized_refinement_matches_memo_free_reference():
+    """Replaying scans changes no result and no charge: ``optimize_partition``
+    returns the memo-free reference's keys, weights and iterations and spends
+    as much of its budget, also when the budget runs out inside a scan that
+    the memo replays when the budget has room."""
+    repeats = 0
+    for model, start, max_iters, size_cap in memo_cases():
+        got, limit = memoized_run(model, start, max_iters, size_cap)
+        scans, budget = [], _EvalBudget(limit)
+        pset, iterations = memo_free_optimize_partition(model, start, max_iters, size_cap,
+                                                        budget, scans)
+        assert got == (pset.keys, pset.weights, iterations, budget.used)
+        seen, replayed = set(), []
+        for keys, before, after in scans:
+            if keys in seen:
+                replayed.append((before, after))
+            seen.add(keys)
+        repeats += len(replayed)
+        # budgets that end inside a replayable scan, at its start, or just cover it
+        limits = {bound for before, after in replayed[:1] + replayed[len(replayed) // 2:][:1]
+                  + replayed[-1:] for bound in (before + 1, (before + after) // 2, after)}
+        for limit in sorted(limits):
+            budget = _EvalBudget(limit)
+            pset, iterations = memo_free_optimize_partition(model, start, max_iters, size_cap,
+                                                            budget)
+            got, _ = memoized_run(model, start, max_iters, size_cap, limit)
+            assert got == (pset.keys, pset.weights, iterations, budget.used), limit
+    assert repeats > 0
+
+
+def test_memo_holds_no_scan_the_budget_cut_short():
+    """A scan the budget cuts short is not stored, so a memo that outlives
+    that budget replays nothing it should not."""
+    for model, start, _, size_cap in list(memo_cases())[-6:]:
+        pset = PartitionSet(list(start.keys), start.loop_length,
+                            model.placement_costs(start.keys)[0])
+        memo, budget, fresh = {}, _EvalBudget(10_000), _EvalBudget(10_000)
+        partition._refine(model, pset, size_cap, _EvalBudget(3), memo)
+        got = partition._refine(model, pset, size_cap, budget, memo)
+        want = partition._refine(model, pset, size_cap, fresh, {})
+        assert (got.keys, got.weights, budget.used) == (want.keys, want.weights, fresh.used)
 
 
 @pytest.mark.parametrize("size_cap", [25, 26])

@@ -182,3 +182,20 @@ def test_generate_scene_fits_more_robots_than_blocks(kind):
     scene = generate_scene(kind, seed=0, width=5, height=5, robots=5)
     assert len(set(scene.depots)) == 5
     scene.validate()
+
+
+@pytest.mark.parametrize("field, value", [("width", 0), ("width", -4), ("height", 0),
+                                          ("robots", 0), ("robots", -1), ("width", 2.5),
+                                          ("height", True), ("robots", "4")])
+def test_generate_scene_rejects_bad_sizes(field, value):
+    """A size or robot count that is given must be a positive integer: 0
+    is not the default, and a negative size reaches no numpy error."""
+    with pytest.raises(SceneError, match=f"{field} must be a positive integer, got {value!r}"):
+        generate_scene("random", seed=0, **{field: value})
+
+
+def test_generate_scene_none_keeps_the_defaults():
+    scene = generate_scene("random", seed=0, width=None, height=None, robots=None)
+    assert (scene.width, scene.height, len(scene.depots)) == (10, 10, 8)
+    scene = generate_scene("random", seed=0, width=np.int64(8), robots=np.int64(3))
+    assert (scene.width, scene.height, len(scene.depots)) == (8, 10, 3)

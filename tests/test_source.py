@@ -35,3 +35,20 @@ def test_only_stc_reads_the_loop_as_tuples():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "nodes"]
     assert not found, f"a .nodes attribute read outside stc: {found}"
+
+
+def test_only_graphs_calls_dijkstra():
+    # every shortest-path solve goes through ``CoveringGraph.solve``, which
+    # caches it; graphs.py imports scipy's ``dijkstra`` and calls it there
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "graphs.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Name) and node.id == "dijkstra")
+             or (isinstance(node, ast.Attribute) and node.attr == "dijkstra")
+             or (isinstance(node, ast.alias) and node.name == "dijkstra")]
+    assert not found, f"dijkstra used outside graphs: {found}"
+    tree = ast.parse((SOURCES[0].parent / "graphs.py").read_text())
+    callers = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dijkstra"]
+    assert callers == ["solve"]
