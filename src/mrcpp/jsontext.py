@@ -4,8 +4,13 @@ CPython runs ``json.dumps`` in its pure-Python encoder whenever ``indent``
 is set, and a plan document of a large field holds hundreds of thousands of
 ``[x, y]`` cells.  ``dumps`` writes exactly the same text (ASCII, two-space
 indent, sorted keys, ``NaN``/``Infinity`` for non-finite floats, no trailing
-newline) and renders a list made only of two-int cells with one ``%``
-format call.
+newline); ``dump`` writes it to a file in chunks of about ``CHUNK``
+characters, so no whole-document string is built.
+
+A list made only of two-int cells is rendered from two tables of pieces
+per indent, one for x (``"<nl>[<nl>  x,"``) and one for y
+(``"<nl>  y<nl>],"``), filled on first use and shared by every cell list at
+that indent within one encoding call.
 """
 from __future__ import annotations
 
@@ -14,13 +19,48 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 _INDENT = "  "
+CHUNK = 1 << 20   # characters buffered before ``dump`` writes
 
 
 def dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte."""
     parts: list[str] = []
-    _encode(value, "\n", parts.append)
+    _encode(value, "\n", parts.append, {})
     return "".join(parts)
+
+
+def dump(value, fh) -> None:
+    """Write ``dumps(value)`` and a newline to the text file ``fh``.
+
+    Parts are joined into writes of about ``CHUNK`` characters; a document
+    smaller than that takes a single ``fh.write``.
+    """
+    parts: list[str] = []
+    size = 0
+
+    def emit(text: str) -> None:
+        nonlocal size
+        parts.append(text)
+        size += len(text)
+        if size >= CHUNK:
+            fh.write("".join(parts))
+            parts.clear()
+            size = 0
+
+    _encode(value, "\n", emit, {})
+    parts.append("\n")
+    fh.write("".join(parts))
+
+
+class _Pieces(dict):
+    """Rendered text of each coordinate value, made on first use."""
+
+    def __init__(self, template: str):
+        self.template = template
+
+    def __missing__(self, value: int) -> str:
+        piece = self[value] = self.template % value
+        return piece
 
 
 def _float(value: float) -> str:
@@ -51,15 +91,11 @@ def _key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _cells(items) -> bool:
-    """True when every item is a list or tuple of exactly two plain ints."""
-    return (set(map(type, items)) <= {list, tuple}
-            and set(map(len, items)) == {2}
-            and set(map(type, chain.from_iterable(items))) == {int})
+def _encode(value, newline: str, emit, tables: dict) -> None:
+    """Emit ``value`` whose opening line is indented as ``newline`` says.
 
-
-def _encode(value, newline: str, emit) -> None:
-    """Emit ``value`` whose opening line is indented as ``newline`` says."""
+    ``tables`` maps an item indent to its pair of cell piece tables.
+    """
     if isinstance(value, str):
         emit(encode_basestring_ascii(value))
     elif value is None:
@@ -77,17 +113,27 @@ def _encode(value, newline: str, emit) -> None:
             emit("[]")
             return
         inner = newline + _INDENT
-        if _cells(value):
-            cell = f"{inner}[{inner}{_INDENT}%d,{inner}{_INDENT}%d{inner}]"
-            emit("[")
-            emit(",".join([cell] * len(value)) % tuple(chain.from_iterable(value)))
-            emit(newline + "]")
-            return
+        # a cell list: every item a list or tuple of exactly two plain ints
+        if set(map(type, value)) <= {list, tuple} and set(map(len, value)) == {2}:
+            flat = tuple(chain.from_iterable(value))
+            if set(map(type, flat)) == {int}:
+                if inner not in tables:
+                    tables[inner] = (_Pieces(f"{inner}[{inner}{_INDENT}%d,"),
+                                     _Pieces(f"{inner}{_INDENT}%d{inner}],"))
+                xs, ys = tables[inner]
+                pieces = [""] * len(flat)
+                pieces[0::2] = map(xs.__getitem__, flat[0::2])
+                pieces[1::2] = map(ys.__getitem__, flat[1::2])
+                pieces[-1] = pieces[-1][:-1]   # no comma after the last cell
+                emit("[")
+                emit("".join(pieces))
+                emit(newline + "]")
+                return
         sep = "[" + inner
         for item in value:
             emit(sep)
             sep = "," + inner
-            _encode(item, inner, emit)
+            _encode(item, inner, emit, tables)
         emit(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -98,7 +144,7 @@ def _encode(value, newline: str, emit) -> None:
         for key, item in sorted(value.items()):
             emit(sep + encode_basestring_ascii(_key(key)) + ": ")
             sep = "," + inner
-            _encode(item, inner, emit)
+            _encode(item, inner, emit, tables)
         emit(newline + "}")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} "

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,20 +175,17 @@ def plan_document(result: PlanResult, scene: Scene, scene_id: str = "scene",
 def write_json_atomic(path, doc: dict) -> Path:
     """Serialize deterministically and rename into place.
 
-    The file gets the mode a plain ``open`` would give it (0o666 less the
-    umask), not the 0o600 of ``mkstemp``.
+    The text is streamed into a temporary file beside ``path``, created
+    with mode 0o666 so that the kernel applies the umask, as a plain
+    ``open`` would; the process umask is never read or set.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = jsontext.dumps(doc)
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-            fh.write("\n")
+        with open(fd, "w", encoding="ascii") as fh:
+            jsontext.dump(doc, fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

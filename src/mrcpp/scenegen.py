@@ -73,14 +73,18 @@ def _scale_elevation(field: np.ndarray, cell_size: float,
     return field * (math.tan(math.radians(target_p95_deg)) * cell_size / p95)
 
 
+def _whole(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def generate_scene(kind: str, seed: int, width: int | None = None,
                    height: int | None = None, robots: int | None = None,
                    depot_style: str | None = None,
                    threshold: float = DEFAULT_SLOPE_THRESHOLD) -> Scene:
     """Generate a planner-ready scene; deterministic in (kind, seed, dims).
 
-    ``width``, ``height`` and ``robots`` are positive integers, or None for
-    the kind's default.
+    ``seed`` is a non-negative integer; ``width``, ``height`` and ``robots``
+    are positive integers, or None for the kind's default.
 
     Attempts first ask for four covered cells (one 2x2 block) per robot.
     Only if none of them has that much room, as on a 5x5 grid with five
@@ -89,9 +93,10 @@ def generate_scene(kind: str, seed: int, width: int | None = None,
     """
     if kind not in KINDS:
         raise SceneError(f"unknown scene kind '{kind}' (choose from {KINDS})")
+    if not (_whole(seed) and seed >= 0):
+        raise SceneError(f"seed must be a non-negative integer, got {seed!r}")
     for name, value in (("width", width), ("height", height), ("robots", robots)):
-        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if value is not None and not (whole and value >= 1):
+        if value is not None and not (_whole(value) and value >= 1):
             raise SceneError(f"{name} must be a positive integer, got {value!r}")
     for cells_per_robot in (4, 1):
         for attempt in range(24):

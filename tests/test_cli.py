@@ -120,6 +120,16 @@ def test_gen_scene_rejects_bad_sizes(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
+def test_gen_scene_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = main(["gen-scene", "--kind", "random", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -1" in err
+    assert "expected non-negative integer" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("capacity", ["2.5", "0", "-3", "ten", ""])
 def test_plan_rejects_bad_capacity(tmp_path, capsys, capacity):
     scene_path = save_scene(flat_scene(4, 4, depots=[(0, 0)]), tmp_path / "s.json")

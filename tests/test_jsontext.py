@@ -3,13 +3,15 @@ import math
 import os
 import re
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrcpp.jsontext import dumps
+from mrcpp import jsontext
+from mrcpp.jsontext import dump, dumps
 from mrcpp.pipeline import ALGORITHMS, ScenePlanner, plan_document, write_json_atomic
 from mrcpp.scene import save_scene
 from mrcpp.scenegen import generate_scene
@@ -46,6 +48,68 @@ def test_dumps_equals_json_dumps(value):
     assert dumps(value) == reference(value)
 
 
+# Documents of many cell lists, at one depth and at several, so that the
+# piece tables of one indent serve several lists; coordinates include
+# negative ints and ints beyond 64 bits.
+_coords = (st.integers(-300, 300) | st.integers()
+           | st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64, -2 ** 100, 10 ** 30]))
+_cells = st.lists(st.tuples(_coords, _coords) | st.lists(_coords, min_size=2, max_size=2),
+                  min_size=1, max_size=12)
+# Items that a cell list must not be taken for: wrong item type, length or
+# coordinate type; ``"ab"`` and the two-key dict have length 2.
+_look_alikes = (st.sampled_from([True, 1.0, "ab", {"a": 1, "b": 2}, [1, 2, 3], (4,), []])
+                | st.tuples(_coords, st.booleans() | st.floats() | st.none())
+                | st.lists(st.booleans() | st.floats(), min_size=2, max_size=2))
+
+
+@st.composite
+def _spoiled_cells(draw):
+    """A cell list with one look-alike after its first cell."""
+    cells = draw(_cells)
+    at = draw(st.integers(1, len(cells)))
+    return cells[:at] + [draw(_look_alikes)] + cells[at:]
+
+
+cell_documents = st.recursive(
+    _cells | _spoiled_cells(),
+    lambda children: (st.lists(children, min_size=1, max_size=4)
+                      | st.dictionaries(st.sampled_from("abcd"), children,
+                                        min_size=1, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_documents)
+def test_cell_documents_equal_json_dumps(value):
+    assert dumps(value) == reference(value)
+
+
+class _Writes(list):
+    """A text file that records each ``write`` call."""
+    write = list.append
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_values | cell_documents)
+def test_dump_in_small_chunks_equals_json_dumps(value):
+    writes = _Writes()
+    with mock.patch.object(jsontext, "CHUNK", 16):
+        dump(value, writes)
+    assert "".join(writes) == reference(value) + "\n"
+    assert all(len(chunk) >= 16 for chunk in writes[:-1])
+
+
+def _large_document():
+    """More than two chunks of text, with non-finite floats and int and float keys."""
+    cells = [(i % 256, i // 256 - 40) for i in range(90_000)]
+    return {
+        "paths": [cells[i:i + 20_000] for i in range(0, len(cells), 20_000)],
+        "runs": [cells[:5], [list(c) for c in cells[5:9]]],
+        "weights": {1: math.nan, 2.5: math.inf, -3: -math.inf, 0.1: -0.0},
+        "zeta": [[1, 2], [True, 3]],
+    }
+
+
 @pytest.mark.parametrize("value", [
     [True, 1],
     [[True, 1], [2, 3]],
@@ -68,6 +132,9 @@ def test_dumps_equals_json_dumps(value):
     {1: "int key", 2.5: "float key"},
     {True: 1, False: 2}, {None: 1},
     [np.float64(0.1), np.float64(-2.5)],
+    [[1, 2], True], [[1, 2], 1.0], [[1, 2], "ab"], [[1, 2], {"a": 1, "b": 2}],
+    [[1, 2], [True, 3]], [[1, 2], [3, 1.0]],
+    {"a": [[1, 2], [3, 4]], "b": [[3, 4], [-5, 2 ** 64]], "c": {"d": [(3, 4)], "e": [[1, 2]]}},
 ], ids=repr)
 def test_dumps_edge_cases(value):
     assert dumps(value) == reference(value)
@@ -76,6 +143,7 @@ def test_dumps_edge_cases(value):
 @pytest.mark.parametrize("value", [
     np.int64(3), [np.int64(3)], [[np.int64(1), 2]], {"a": {1, 2}}, {1, 2},
     {(1, 2): "tuple key"}, [object()],
+    [[1, 2], [3, np.int64(4)]], [[1, 2], np.int64(3)],
 ], ids=_stable_id)
 def test_dumps_rejects_what_json_dumps_rejects(value):
     with pytest.raises(TypeError):
@@ -137,8 +205,44 @@ def test_write_json_atomic_mode_follows_umask(tmp_path, umask):
     assert mode == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)
 
 
+def test_write_json_atomic_never_touches_the_umask(tmp_path, monkeypatch):
+    # the process-wide umask is shared by every thread: setting it around a
+    # write would change the mode of a file another thread creates meanwhile
+    def umask(mask):
+        raise AssertionError("write_json_atomic called os.umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    path = write_json_atomic(tmp_path / "plan.json", {"a": [[1, 2]]})
+    assert path.read_text() == reference({"a": [[1, 2]]}) + "\n"
+
+
+def test_dump_writes_a_small_document_in_one_call():
+    doc = {"cells": [[1, 2], [3, 4]], "weight": math.inf}
+    writes = _Writes()
+    dump(doc, writes)
+    assert writes == [reference(doc) + "\n"]
+
+
+def test_write_json_atomic_streams_a_large_document(tmp_path):
+    doc = _large_document()
+    text = reference(doc) + "\n"
+    assert len(text) > 2 * jsontext.CHUNK
+    writes = _Writes()
+    dump(doc, writes)
+    assert len(writes) > 2 and all(len(chunk) >= jsontext.CHUNK for chunk in writes[:-1])
+    assert "".join(writes) == text
+    path = write_json_atomic(tmp_path / "plan.json", doc)
+    assert path.read_bytes() == text.encode("ascii")
+
+
 def test_write_json_atomic_rejects_unserializable_without_leftovers(tmp_path):
     with pytest.raises(TypeError):
         write_json_atomic(tmp_path / "plan.json", {"cells": [[np.int64(1), 2]]})
     assert list(tmp_path.iterdir()) == []
-
+    # the bad value comes last, after more than one chunk has been written
+    doc = _large_document()
+    assert len(dumps(doc)) > jsontext.CHUNK
+    doc["zz"] = [[1, 2], [3, np.int64(4)]]
+    with pytest.raises(TypeError):
+        write_json_atomic(tmp_path / "plan.json", doc)
+    assert list(tmp_path.iterdir()) == []

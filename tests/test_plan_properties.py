@@ -1,10 +1,13 @@
 """End-to-end properties of every strategy's plans on generated scenes."""
+import json
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrcpp.pipeline import STRATEGIES, ScenePlanner
+from mrcpp.pipeline import STRATEGIES, ScenePlanner, plan_document, write_json_atomic
 from mrcpp.scenegen import generate_scene
 
 from conftest import plan_fields, reference_robot_plan
@@ -22,13 +25,18 @@ def requests(draw):
     return scene, k, capacity
 
 
+def _written(doc: dict) -> bytes:
+    with tempfile.TemporaryDirectory() as out:
+        return write_json_atomic(Path(out) / "plan.json", doc).read_bytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(requests())
 def test_every_strategy_plans_a_valid_cover(request):
     """Each loop cell is serviced exactly once, each robot's trips and
     refills follow the capacity, every plan equals the one a cell-by-cell
-    walk of its runs builds, and the reported maximum weight is the largest
-    of their weights."""
+    walk of its runs builds, the reported maximum weight is the largest
+    of their weights, and the plan file holds the text of ``json.dumps``."""
     scene, k, capacity = request
     planner = ScenePlanner(scene)
     loop, g = planner.loop, planner.graph
@@ -46,3 +54,6 @@ def test_every_strategy_plans_a_valid_cover(request):
         rebuilt = [reference_robot_plan(p.robot, p.depot, p.runs, capacity, g) for p in plans]
         assert [plan_fields(p) for p in plans] == [plan_fields(p) for p in rebuilt], algorithm
         assert result.max_weight == max(p.weight for p in rebuilt), algorithm
+        doc = plan_document(result, scene)
+        reference = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert _written(doc) == reference.encode("ascii"), algorithm

@@ -194,6 +194,14 @@ def test_generate_scene_rejects_bad_sizes(field, value):
         generate_scene("random", seed=0, **{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2.7, True, "3", None])
+def test_generate_scene_rejects_bad_seeds(seed):
+    """The seed feeds numpy's generator, which takes only non-negative ints;
+    a float or bool is not silently taken for one."""
+    with pytest.raises(SceneError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        generate_scene("random", seed)
+
+
 def test_generate_scene_none_keeps_the_defaults():
     scene = generate_scene("random", seed=0, width=None, height=None, robots=None)
     assert (scene.width, scene.height, len(scene.depots)) == (10, 10, 8)

@@ -27,6 +27,19 @@ def test_only_jsontext_writes_indented_json():
     assert not found, f"indented json.dump(s) outside jsontext: {found}"
 
 
+def test_no_module_touches_the_umask():
+    # the umask is process-wide: setting it around a write changes the mode
+    # of files other threads create meanwhile, so files get their mode from
+    # ``os.open``'s mode argument and the kernel
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr == "umask")
+             or (isinstance(node, ast.Name) and node.id == "umask")
+             or (isinstance(node, ast.alias) and node.name == "umask")]
+    assert not found, f"umask used in mrcpp: {found}"
+
+
 def test_only_stc_reads_the_loop_as_tuples():
     # the planner reads the loop's coordinate arrays; ``CoverageLoop.nodes``
     # is a tuple view for the bench, the tests and the demos
