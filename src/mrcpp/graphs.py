@@ -138,7 +138,9 @@ class CoveringGraph:
         todo = [src for src in dict.fromkeys(map(self.node_of, sources))
                 if src not in self._sssp_cache]
         if todo:
-            dist, pred = dijkstra(self.matrix, directed=False,
+            # the matrix holds each edge in both directions, so the directed
+            # search reads it as it is, with no transpose
+            dist, pred = dijkstra(self.matrix, directed=True,
                                   indices=todo, return_predecessors=True)
             self._sssp_cache.update(zip(todo, zip(dist, pred)))
 

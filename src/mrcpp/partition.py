@@ -28,6 +28,7 @@ from .scene import Cell
 from .stc import CoverageLoop
 
 REL_IMPROVEMENT_EPS = 1e-9
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class PartitionError(ValueError):
@@ -172,11 +173,14 @@ class LoopCostModel:
     excursions against the greedily bound depot; without depots (the
     virtual-robot mode used under finite capacity) costs are coverage-only.
 
-    ``segment_cost_at`` prices one segment; ``segment_cost_bounds`` bounds
-    the same formula over arrays of sizes and tails, for scans over many
-    splits.
-    ``placement_costs`` prices one placement of k keys, and
-    ``placement_cost_rows`` a whole matrix of placements at once.
+    ``segment_cost_at`` prices one segment exactly, adding its refill
+    terms one by one; ``segment_cost_bounds`` bounds the same formula in
+    O(1) per segment over arrays, each refill sum a difference of the
+    stride-c prefix sums ``refill_prefix``.
+    ``placement_costs`` prices one placement of k keys exactly;
+    ``placement_bounds`` bounds it, and ``placement_cost_bounds`` a whole
+    matrix of placements at once.  The searches decide from the bounds and
+    re-price exactly (``exact_costs``) only what the bounds leave open.
     The scalar methods read the arrays through memoryviews, which share
     their memory and index to Python floats: numpy scalars, which indexing
     the arrays gives, make the scalar arithmetic several times slower.
@@ -235,10 +239,21 @@ class LoopCostModel:
         terms[:, c:c + 2 * length] = np.tile(2.0 * self.depot_dist, 2)
         return np.cumsum(terms.reshape(k, rows, c), axis=1).reshape(k, rows * c)
 
-    def segment_cost_bounds(self, start: int, size, depot_idx: int, behind=0
+    @cached_property
+    def _refill_prefix(self) -> list[memoryview]:
+        return [memoryview(q) for q in self.refill_prefix]
+
+    def _refill_eps(self, refills, cost, top):
+        """The error bound of a cost with ``refills`` refill terms whose
+        prefixes read reach ``top``: numbers or arrays alike."""
+        rows = self.refill_prefix.shape[1] // int(self.capacity)
+        return 2.0 * (refills + rows + 8) * UNIT_ROUNDOFF * (cost + 2.0 * top)
+
+    def segment_cost_bounds(self, start, size, depot_idx, behind=0
                             ) -> tuple[np.ndarray, np.ndarray]:
-        """``segment_cost_at`` for arrays of ``size`` and ``behind``, to within
-        a rigorous float error bound, in O(len).
+        """``segment_cost_at`` for arrays of ``start``, ``size``, ``depot_idx``
+        and ``behind``, broadcast together, to within a rigorous float error
+        bound, in O(len).
 
         Returns ``(approx, eps)`` with ``|segment_cost_at - approx| <= eps``
         entrywise.  ``approx`` adds ``segment_cost_at``'s terms before the
@@ -255,31 +270,33 @@ class LoopCostModel:
         c = inf, eps is 0.0 and ``approx`` is ``segment_cost_at`` bit for
         bit.  Tails must be shorter than the loop, and runs no longer.
         """
-        d, length, prefix = self.depot_dist[depot_idx], self.length, self.prefix
-        size, behind = np.asarray(size), np.asarray(behind)
-        tail = (start - behind) % length
-        tail_cost = (d[(start - 1) % length] + (prefix[tail + behind - 1] - prefix[tail])
-                     + d[tail])
-        cost = np.where(behind > 0, tail_cost, 0.0)
-        cost = cost + d[start]
+        d, length, prefix = self.depot_dist, self.length, self.prefix
+        start, size, depot, behind = map(np.asarray, (start, size, depot_idx, behind))
+        cost = d[depot, start]
+        if behind.any():
+            tail = (start - behind) % length
+            tail_cost = (d[depot, (start - 1) % length]
+                         + (prefix[tail + behind - 1] - prefix[tail]) + d[depot, tail])
+            cost = np.where(behind > 0, tail_cost, 0.0) + cost
         cost = cost + (prefix[start + size - 1] - prefix[start])
-        cost = cost + d[(start + size - 1) % length]
+        cost = cost + d[depot, (start + size - 1) % length]
         c = self.capacity
-        refills = 0 if c == math.inf else (behind + size - 1) // int(c)
-        if not np.any(refills):   # nor is refill_prefix built for a c beyond every segment
+        refills = None if c == math.inf else (behind + size - 1) // int(c)
+        if refills is None or not refills.any():   # nor is refill_prefix built then
             return cost, np.zeros_like(cost)
         c = int(c)
-        q, back = self.refill_prefix[depot_idx], behind // c
-        # the tail's breaks sit at start - c, start - 2c, ...; the forward
-        # run's at start + (i + 1) c - 1 - behind for i = back .. refills - 1
-        back_hi = q[start + length]
+        q, back = self.refill_prefix, behind // c
+        # the forward run's breaks sit at start + (i + 1) c - 1 - behind for
+        # i = back .. refills - 1
         fwd_lo = start + (back + 1) * c - 1 - behind
-        fwd_hi = q[fwd_lo + (refills - back) * c]
-        approx = (cost + (back_hi - q[start + length - back * c])) + (fwd_hi - q[fwd_lo])
-        unit = np.finfo(float).eps / 2
-        scale = 2.0 * (refills + q.size // c + 8) * unit
-        eps = np.where(refills > 0, scale * (cost + 2.0 * (back_hi + fwd_hi)), 0.0)
-        return approx, eps
+        fwd_hi = q[depot, fwd_lo + (refills - back) * c]
+        approx, top = cost, fwd_hi
+        if back.any():   # the tail's at start - c, start - 2c, ...
+            back_hi = q[depot, start + length]
+            approx = approx + (back_hi - q[depot, start + length - back * c])
+            top = back_hi + fwd_hi
+        approx = approx + (fwd_hi - q[depot, fwd_lo])
+        return approx, np.where(refills > 0, self._refill_eps(refills, cost, top), 0.0)
 
     def greedy_binding(self, starts: list[int]) -> list[int]:
         """Assign robots to segments greedily by cheapest approach leg."""
@@ -295,32 +312,65 @@ class LoopCostModel:
             used_robots.add(r)
         return binding
 
-    def placement_costs(self, keys: list[int]) -> tuple[list[float], list[int] | None]:
+    def placement_bounds(self, keys: list[int]
+                         ) -> tuple[list[float], list[float] | None, list[int] | None]:
+        """``placement_costs`` of one placement to within a rigorous error
+        bound per segment, in O(k) plus the binding: ``(costs, eps,
+        binding)``, each refill sum a difference of ``refill_prefix`` as in
+        ``segment_cost_bounds``.  eps is None when no segment has a refill,
+        as at c = inf; then the costs are exact."""
         k, length = len(keys), self.length
         if self.depots is None:
             # coverage only: one prefix-sum difference per segment
             ring = np.array(keys + keys[:1])
             starts = ring[:-1]
             sizes = (ring[1:] - starts) % length if k > 1 else length
-            return (self.prefix[starts + sizes - 1] - self.prefix[starts]).tolist(), None
-        if k == 1:
-            sizes = [length]
-        else:
-            sizes = [(keys[(i + 1) % k] - keys[i]) % length for i in range(k)]
+            return (self.prefix[starts + sizes - 1] - self.prefix[starts]).tolist(), None, None
         binding = self.greedy_binding(keys)
-        costs = [self.segment_cost_at(keys[i], sizes[i], binding[i]) for i in range(k)]
-        return costs, binding
+        c = math.inf if self.capacity == math.inf else int(self.capacity)
+        costs, eps = [], None
+        for i, (start, robot) in enumerate(zip(keys, binding)):
+            size = (keys[(i + 1) % k] - start) % length or length   # k = 1: the whole loop
+            d = self._depot_dist[robot]
+            cost = d[start] + self.coverage_cost(start, size) + d[(start + size - 1) % length]
+            refills = (size - 1) // c   # 0.0 at c = inf
+            if refills:
+                eps = eps or [0.0] * k
+                q, lo = self._refill_prefix[robot], start + c - 1
+                top = q[lo + refills * c]
+                eps[i] = self._refill_eps(refills, cost, top)
+                cost += top - q[lo]
+            costs.append(cost)
+        return costs, eps, binding
 
-    def placement_cost_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """``placement_costs`` for every row of a (T, k) key matrix.
+    def exact_costs(self, keys: list[int], costs: list[float], eps: list[float] | None,
+                    binding: list[int] | None) -> list[float]:
+        """``placement_costs`` from ``placement_bounds``: the segments whose
+        bound is loose re-priced by ``segment_cost_at``, the others kept."""
+        if eps is None:
+            return costs
+        k, length = len(keys), self.length
+        return [self.segment_cost_at(start, (keys[(i + 1) % k] - start) % length or length,
+                                     robot) if e else cost
+                for i, (start, cost, e, robot) in enumerate(zip(keys, costs, eps, binding))]
 
-        Row t equals ``placement_costs(keys[t].tolist())`` bit for bit.
+    def placement_costs(self, keys: list[int]) -> tuple[list[float], list[int] | None]:
+        costs, eps, binding = self.placement_bounds(keys)
+        return self.exact_costs(keys, costs, eps, binding), binding
+
+    def placement_cost_bounds(self, keys: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """``placement_bounds`` for every row of a (T, k) key matrix, as
+        ``(approx, eps, binding)`` arrays; eps is None where every cost is
+        exact.  Row t's binding equals ``placement_bounds(keys[t].tolist())``'s,
+        and its costs are within eps of ``placement_costs``, equal bit for
+        bit where eps is 0.0.
+
         The greedy binding is k rounds of ``argmin`` over each row's k * k
         depot distances flattened in (robot, segment) order, so ties go
         the way the sorted (distance, robot, segment) triples break them;
         a taken robot's and a taken segment's pairs are masked with inf.
-        The cost terms are added in ``segment_cost_at``'s order, and a
-        masked-out refill term adds 0.0.
+        The costs are ``segment_cost_bounds`` of the bound segments.
         """
         rows, k = keys.shape
         length, prefix = self.length, self.prefix
@@ -328,11 +378,9 @@ class LoopCostModel:
             sizes = np.full_like(keys, length)
         else:
             sizes = (keys[:, list(range(1, k)) + [0]] - keys) % length
-        coverage = prefix[keys + sizes - 1] - prefix[keys]
         if self.depots is None:
-            return coverage, None
-        d = self.depot_dist
-        pairs = d[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
+            return prefix[keys + sizes - 1] - prefix[keys], None, None
+        pairs = self.depot_dist[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
         flat = pairs.reshape(rows, k * k)
         binding = np.empty_like(keys)
         every = np.arange(rows)
@@ -342,12 +390,58 @@ class LoopCostModel:
             if r < k - 1:   # the last round takes the one pair left
                 pairs[every, robot, :] = np.inf
                 pairs[every, :, segment] = np.inf
-        cost = d[binding, keys] + coverage
-        cost = cost + d[binding, (keys + sizes - 1) % length]
-        for off in _refill_offsets(int(sizes.max()), self.capacity):
-            cost = cost + np.where(off < sizes - 1, 2.0 * d[binding, (keys + off) % length],
-                                   0.0)
-        return cost, binding
+        approx, eps = self.segment_cost_bounds(keys, sizes, binding)
+        return approx, (eps if eps.any() else None), binding
+
+
+class _Placement:
+    """A placement's segment costs, each within ``eps[i]`` of its
+    ``placement_costs`` value (exact where eps is None), with bounds
+    ``lo <= max cost <= hi``.  A comparison is decided from the bounds
+    where they decide it, and from exact costs where they do not."""
+
+    def __init__(self, model: LoopCostModel, keys: list[int], costs: list[float],
+                 eps: list[float] | None, binding: list[int] | None):
+        self.model, self.keys, self.binding = model, keys, binding
+        self.costs, self.eps = costs, eps
+        if eps is None:
+            self.lo = self.hi = max(costs)
+        else:
+            self.lo = max(a - e for a, e in zip(costs, eps))
+            self.hi = max(a + e for a, e in zip(costs, eps))
+
+    def exact(self) -> list[float]:
+        if self.eps is not None:
+            self.costs = self.model.exact_costs(self.keys, self.costs, self.eps, self.binding)
+            self.eps = None
+            self.lo = self.hi = max(self.costs)
+        return self.costs
+
+    def below(self, other: float | _Placement, tol: float) -> bool:
+        """Whether the maximum cost is below ``other`` (a number, or another
+        placement's maximum cost) minus ``tol``, as exact costs decide it."""
+        number = isinstance(other, float)
+        lo, hi = (other, other) if number else (other.lo, other.hi)
+        if self.hi < lo - tol:
+            return True
+        if self.lo >= hi - tol:
+            return False
+        if not number:
+            other.exact()
+            hi = other.hi
+        self.exact()
+        return self.hi < hi - tol
+
+    def less(self, i: int, j: int) -> bool:
+        """Whether segment i costs less than segment j, as exact costs decide it."""
+        if self.eps is not None:
+            (a, b), (e, f) = (self.costs[i], self.costs[j]), (self.eps[i], self.eps[j])
+            if a + e < b - f:
+                return True
+            if a - e >= b + f:
+                return False
+            self.exact()
+        return self.costs[i] < self.costs[j]
 
 
 def naive_partition(loop: CoverageLoop, k: int) -> PartitionSet:
@@ -391,7 +485,13 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     Binary search on the cumulative shift: nodes move out of the heaviest
     segment through the in-between chain into the lightest, in-between
     node counts unchanged.  Returns the probed placement with the
-    smallest maximum segment cost, never worse than the input.
+    smallest maximum segment cost, never worse than the input.  Probes
+    are priced by ``placement_bounds``; only the placement returned, and
+    a probe whose comparison its bounds leave open, are priced exactly.
+    ``pset.weights``, when set, must be ``model.placement_costs`` of its
+    keys: a segment neither of whose keys moves takes its weight when it
+    keeps its robot, so a probe whose maximum is such a segment ties the
+    input's exactly.
     """
     if min_idx == max_idx:
         raise PartitionError("min and max segments must differ")
@@ -402,29 +502,37 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     first, count, sign = _chain(k, min_idx, max_idx)
     moving = [(first + j) % k for j in range(count)]
     lo, hi = _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap)
+    weights, fixed = pset.weights, None
 
-    def probe(shift: int) -> tuple[list[int], list[float]]:
+    def probe(shift: int) -> _Placement:
+        nonlocal fixed
         shift = min(max(shift, lo), hi)
         keys = list(base)
         for idx in moving:
             keys[idx] = (base[idx] + sign * shift) % length
-        costs, _ = model.placement_costs(keys)
-        return keys, costs
+        costs, eps, binding = model.placement_bounds(keys)
+        if eps is not None and weights is not None:
+            if fixed is None:   # the segments neither of whose keys moves, and their robots
+                still, robots = set(range(k)).difference(moving), model.greedy_binding(base)
+                fixed = [(s, robots[s]) for s in still if (s + 1) % k in still]
+            for s, robot in fixed:
+                if binding[s] == robot:
+                    costs[s], eps[s] = weights[s], 0.0
+        return _Placement(model, keys, costs, eps, binding)
 
-    best_keys, best_costs = probe(0)
-    best_max = max(best_costs)
+    best = probe(0)
     left, right = 0, sizes[min_idx] + sizes[max_idx]
     ref = (left + right) // 2   # probe shifts are midpoints relative to this
     while left < right:
         mid = (left + right) // 2
-        keys, costs = probe(mid - ref)
-        if max(costs) < best_max - 1e-15:
-            best_keys, best_costs, best_max = keys, costs, max(costs)
-        if costs[min_idx] < costs[max_idx]:
+        placement = probe(mid - ref)
+        if placement.below(best, 1e-15):
+            best = placement
+        if placement.less(min_idx, max_idx):
             left = mid + 1
         else:
             right = mid - 1
-    return PartitionSet(keys=best_keys, loop_length=length, weights=best_costs)
+    return PartitionSet(keys=best.keys, loop_length=length, weights=best.exact())
 
 
 class _EvalBudget:
@@ -509,7 +617,7 @@ def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int | None,
             heapq.heappush(heap, (w_mn - w[cols[end]], mn, end))
 
 
-# a batched scan prices at most this many keys per ``placement_cost_rows``
+# a batched scan prices at most this many keys per ``placement_cost_bounds``
 # call, which bounds the memory of its (rows, k, k) binding array
 SCAN_CHUNK_KEYS = 1 << 14
 # and at most this many keys, in whole pairs, in its first call (64 rows at
@@ -529,10 +637,12 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
     placements are its shifts along each of its two ``_chain``s; the scan
     ends with the first pair that has a strictly better one, charged one
     evaluation per placement, and with none sweeps the rotations.
-    ``placement_cost_rows`` prices whole pairs per call, up to a row count
+    ``placement_cost_bounds`` prices whole pairs per call, up to a row count
     that starts at ``SCAN_FIRST_KEYS`` keys and doubles per call, or the
     next pair alone; replaying the rows in order keeps the result
-    independent of the chunking.
+    independent of the chunking.  A row is priced exactly only when its
+    bounds leave a comparison open, or when it is taken.  A segment with
+    its current start, end and robot takes its current weight, exactly.
     """
     k = len(current.keys)
     length = current.loop_length
@@ -543,32 +653,56 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
     in_order = sum(sizes) == length
     chunk = max(1, SCAN_CHUNK_KEYS // k)
     columns = np.arange(k)
-    best = None   # (max cost, keys, costs)
+    known = None   # the current weights and binding, once a chunk has loose bounds
+    best = None   # a _Placement
 
     def scan(moves: np.ndarray, chain: np.ndarray, t: np.ndarray, ends: list[int]) -> None:
         """Charge and price, as far as the budget goes, the placements that
         add ``t[i] * moves[chain[i]]`` to the keys, one per row i, a chunk
         at a time; ``ends`` are the pairs' row ends."""
-        nonlocal best
+        nonlocal best, known
         stop = min(len(t), budget.left)
         begin = 0
         while begin < stop:
             end = min(begin + chunk, stop)
             keys = (base + moves[chain[begin:end]] * t[begin:end, None]) % length
-            costs, _ = model.placement_cost_rows(keys)
-            top = costs.max(axis=1)
+            costs, eps, binding = model.placement_cost_bounds(keys)
+            if eps is not None:
+                if known is None:
+                    known = np.array(current.weights), np.array(model.greedy_binding(current.keys))
+                same = ((keys == base) & (np.roll(keys, -1, axis=1) == np.roll(base, -1))
+                        & (binding == known[1]))
+                costs, eps = np.where(same, known[0], costs), np.where(same, 0.0, eps)
+            low = costs.max(axis=1) if eps is None else (costs - eps).max(axis=1)
             if not in_order:
                 # a moved key can land on one that stays put: such a
                 # placement is charged but never taken
                 ordered = np.sort(keys, axis=1)
-                top[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)] = math.inf
-            for i in np.flatnonzero(top < cur_max - 1e-12).tolist():
+                low[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)] = math.inf
+            high = low if eps is None else (costs + eps).max(axis=1)
+
+            def placement(i):
+                return _Placement(model, keys[i].tolist(), costs[i].tolist(),
+                                  None if eps is None else eps[i].tolist(),
+                                  None if binding is None else binding[i].tolist())
+
+            for i in np.flatnonzero(low < cur_max - 1e-12).tolist():
                 if begin + i >= stop:
                     break
+                row = None
+                if high[i] >= cur_max - 1e-12:   # maybe no improvement: decide exactly
+                    row = placement(i)
+                    if not row.below(cur_max, 1e-12):
+                        continue
                 if best is None:   # the scan ends with this pair
                     stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
-                if best is None or top[i] < best[0] - 1e-15:
-                    best = (top[i], keys[i].tolist(), costs[i].tolist())
+                elif high[i] >= best.lo - 1e-15:   # maybe not below best: decide exactly
+                    if low[i] >= best.hi - 1e-15:
+                        continue
+                    row = row or placement(i)
+                    if not row.below(best, 1e-15):
+                        continue
+                best = row or placement(i)
             begin = end
         budget.charge(stop)
 
@@ -604,7 +738,7 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
              np.arange(1, length), [length - 1])
     if best is None:
         return None
-    return PartitionSet(keys=best[1], loop_length=length, weights=best[2])
+    return PartitionSet(keys=best.keys, loop_length=length, weights=best.exact())
 
 
 def _refine(model: LoopCostModel, current: PartitionSet, size_cap: int | None,

@@ -8,6 +8,7 @@ are dashed; depots are stars; blocked cells are crossed out.
 from __future__ import annotations
 
 import math
+import operator
 from pathlib import Path
 
 from .scene import Scene
@@ -77,8 +78,12 @@ def render_plan_svg(scene: Scene, plan_doc: dict, cell_px: float = 24.0) -> str:
         raise RenderError("plan document does not match the scene dimensions")
     W, H = scene.width * cell_px, scene.height * cell_px
 
-    def center(cell) -> tuple:
-        x, y = cell
+    def center(cell, plan: int | None = None, field: str = "") -> tuple:
+        try:
+            x, y = map(operator.index, cell)
+        except (TypeError, ValueError):
+            raise RenderError(f"plan {plan}: {field} holds {cell!r}, "
+                              "not a cell [x, y] of two integers") from None
         return ((x + 0.5) * cell_px, (scene.height - 1 - y + 0.5) * cell_px)
 
     svg = _Svg(W, H)
@@ -98,16 +103,17 @@ def render_plan_svg(scene: Scene, plan_doc: dict, cell_px: float = 24.0) -> str:
 
     for i, plan in enumerate(plan_doc.get("plans", [])):
         color = PALETTE[i % len(PALETTE)]
-        for run in plan.get("runs", [plan.get("path", [])]):
+        for r, run in enumerate(plan.get("runs", [plan.get("path", [])])):
             if len(run) >= 2:
-                svg.polyline([center(c) for c in run], color, width=cell_px * 0.1)
-        for trip in plan.get("refills", []):
+                field = f"runs[{r}]" if "runs" in plan else "path"
+                svg.polyline([center(c, i, field) for c in run], color, width=cell_px * 0.1)
+        for j, trip in enumerate(plan.get("refills", [])):
             if len(trip.get("outbound", [])) >= 2:
-                svg.polyline([center(c) for c in trip["outbound"]], color,
-                             width=cell_px * 0.06, dashed=True, opacity=0.7)
+                svg.polyline([center(c, i, f"refills[{j}].outbound") for c in trip["outbound"]],
+                             color, width=cell_px * 0.06, dashed=True, opacity=0.7)
 
     for i, plan in enumerate(plan_doc.get("plans", [])):
-        cx, cy = center(plan["depot"])
+        cx, cy = center(plan["depot"], i, "depot")
         svg.polygon(_star(cx, cy, cell_px * 0.38), "#ffd700")
     if not plan_doc.get("plans"):
         for depot in scene.depots:

@@ -360,6 +360,61 @@ def segment_costs(model: LoopCostModel, start: int, size, depot_idx: int,
     return cost
 
 
+def reference_placement_costs(model: LoopCostModel, keys: list[int]
+                              ) -> tuple[list[float], list[int] | None]:
+    """``model.placement_costs`` with every segment priced by the per-offset
+    oracle ``segment_costs``: the exact costs the bounded pricing is held to."""
+    sizes = PartitionSet(keys=list(keys), loop_length=model.length).sizes()
+    if model.depots is None:
+        return [model.coverage_cost(start, size) for start, size in zip(keys, sizes)], None
+    binding = model.greedy_binding(keys)
+    return [float(segment_costs(model, start, size, robot))
+            for start, size, robot in zip(keys, sizes, binding)], binding
+
+
+def reference_placement_cost_rows(model: LoopCostModel, keys: np.ndarray):
+    """Exact ``placement_costs`` for every row of a (T, k) key matrix, with
+    the binding: the greedy binding as k rounds of ``argmin``, then one
+    masked (T, k) refill term per offset, added in ``segment_cost_at``'s
+    order.  The full-matrix oracle ``placement_cost_bounds`` is held to."""
+    rows, k = keys.shape
+    length, prefix = model.length, model.prefix
+    sizes = np.full_like(keys, length) if k == 1 else (np.roll(keys, -1, axis=1) - keys) % length
+    coverage = prefix[keys + sizes - 1] - prefix[keys]
+    if model.depots is None:
+        return coverage, None
+    d = model.depot_dist
+    pairs = d[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
+    flat = pairs.reshape(rows, k * k)
+    binding = np.empty_like(keys)
+    every = np.arange(rows)
+    for _ in range(k):
+        robot, segment = np.divmod(flat.argmin(axis=1), k)
+        binding[every, segment] = robot
+        pairs[every, robot, :] = np.inf
+        pairs[every, :, segment] = np.inf
+    cost = d[binding, keys] + coverage
+    cost = cost + d[binding, (keys + sizes - 1) % length]
+    for off in _refill_offsets(int(sizes.max()), model.capacity):
+        cost = cost + np.where(off < sizes - 1, 2.0 * d[binding, (keys + off) % length], 0.0)
+    return cost, binding
+
+
+class ExactCostModel(LoopCostModel):
+    """A cost model whose bounds are the exact oracle costs with eps None, so
+    the searches run on them take every decision from exact costs, as they
+    did before they priced from bounds: the oracle the bounded searches are
+    held to."""
+
+    def placement_bounds(self, keys):
+        costs, binding = reference_placement_costs(self, keys)
+        return costs, None, binding
+
+    def placement_cost_bounds(self, keys):
+        costs, binding = reference_placement_cost_rows(self, keys)
+        return costs, None, binding
+
+
 def loop_cells(loop, start: int, count: int, step: int) -> list:
     """The cells of the loop range ``(start, count, step)``, one by one."""
     return [loop.nodes[(start + step * i) % len(loop)] for i in range(count)]
@@ -444,7 +499,8 @@ def chain_directions(k: int, min_idx: int, max_idx: int):
 
 def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
                             size_cap, budget) -> PartitionSet | None:
-    """The refinement scan, one scalar ``placement_costs`` call per placement.
+    """The refinement scan, one exact ``reference_placement_costs`` call per
+    placement.
 
     Segment pairs by cost gap, then every shift of both key chains of a
     pair, charging the budget one evaluation per shift and skipping
@@ -476,7 +532,7 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
                     keys[idx] = (base[idx] + sign * t) % length
                 if len(set(keys)) != k:
                     continue
-                costs, _ = model.placement_costs(keys)
+                costs, _ = reference_placement_costs(model, keys)
                 m = max(costs)
                 if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
                     best = (m, keys, costs)
@@ -489,7 +545,7 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
                 break
             budget.charge()
             keys = [(p + rot) % length for p in base]
-            costs, _ = model.placement_costs(keys)
+            costs, _ = reference_placement_costs(model, keys)
             m = max(costs)
             if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
                 best = (m, keys, costs)

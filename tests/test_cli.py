@@ -215,6 +215,25 @@ def test_render_rejects_mismatched_scene():
         render_plan_svg(scene, {"scene": {"width": 9, "height": 9}, "plans": []})
 
 
+@pytest.mark.parametrize("cell", [[1, "a"], [1]])
+def test_render_rejects_a_malformed_cell_naming_plan_field_and_value(tmp_path, capsys, cell):
+    """A cell that is not two integers exits 2 with a message that names the
+    plan, the field and the value, not with the error of some arithmetic."""
+    scene = generate_scene("random", seed=4)
+    scene_path = save_scene(scene, tmp_path / "scene.json")
+    doc = plan_document(ScenePlanner(scene).plan("balanced", 2), scene)
+    doc["plans"][1]["runs"][0][2] = cell
+    plan_path = write_json_atomic(tmp_path / "bad.json", doc)
+    argv = ["render", "--plan", str(plan_path), "--scene", str(scene_path),
+            "--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: plan 1: runs[0] holds {cell!r}, "
+                                       "not a cell [x, y] of two integers\n")
+    assert not (tmp_path / "x.svg").exists()
+    with pytest.raises(RenderError):
+        main(argv + ["--debug"])
+
+
 def test_plan_json_round_trips_through_render(tmp_path):
     scene = generate_scene("random", seed=4)
     planner = ScenePlanner(scene)

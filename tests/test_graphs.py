@@ -365,6 +365,30 @@ def test_one_solve_for_many_sources_equals_single_source_solves(kind, seed, side
     assert np.isinf(g.sssp(sources[0])[0]).any() == (kind == "weighted")
 
 
+@pytest.mark.parametrize("kind, seed, side", [("blocked", seed, 16) for seed in range(4)]
+                         + [("field", seed, 24) for seed in (0, 3)])
+def test_solve_equals_the_undirected_search(kind, seed, side):
+    """``solve`` searches G's matrix as a directed graph, which holds each
+    edge both ways: distances and predecessors equal an undirected search's
+    exactly, on flat walled scenes where equal-cost paths tie and on field
+    terrain."""
+    g = ScenePlanner(generate_scene(kind, seed, width=side, height=side)).graph
+    cells = g.cells
+    sources = cells[::max(1, len(cells) // 9)]
+    g.solve(sources)
+    nodes = [g.node_of(c) for c in sources]
+    want = dijkstra(g.matrix, directed=False, indices=nodes, return_predecessors=True)
+    for i, cell in enumerate(sources):
+        for got, rows in zip(g.sssp(cell), want):
+            np.testing.assert_array_equal(got, rows[i])
+
+
+@pytest.mark.parametrize("kind, seed", [("blocked", 1), ("random", 2), ("field", 3)])
+def test_covering_matrix_equals_its_transpose(kind, seed):
+    g = ScenePlanner(generate_scene(kind, seed)).graph
+    assert (g.matrix != g.matrix.T).nnz == 0
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.1, 10.0))
 def test_scaling_alpha_beta_preserves_paths(seed, lam):

@@ -23,10 +23,10 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import build_traversability, steepness_filter
 
-from conftest import (chain_directions, flat_scene, loop_cells, loop_instance,
-                      memo_free_optimize_partition, plan_fields, reference_robot_plan,
-                      scalar_scan_improvement, segment_costs, shortest_path, sorted_pair_order,
-                      tiny_loop_instances)
+from conftest import (ExactCostModel, chain_directions, flat_scene, loop_cells, loop_instance,
+                      memo_free_optimize_partition, plan_fields, reference_placement_cost_rows,
+                      reference_robot_plan, scalar_scan_improvement, segment_costs,
+                      shortest_path, sorted_pair_order, tiny_loop_instances)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -529,9 +529,12 @@ def test_chains_match_the_key_lists():
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0])
 def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
-    """Every row of the row kernel equals ``placement_costs`` of that row's
-    keys exactly, costs and depot binding both: on a weighted scene, and
-    on a flat walled scene where many depot distances tie."""
+    """Every row of the full-matrix oracle equals ``placement_costs`` of that
+    row's keys exactly, costs and depot binding both, and the bounded row
+    kernel and ``placement_bounds`` bind as they do and hold their costs
+    within eps, exactly where eps is 0.0 (everywhere at c = inf): on a
+    weighted scene, and on a flat walled scene where many depot distances
+    tie."""
     rng = np.random.default_rng(11)
     for planner in (loop_instance(5, 1), ScenePlanner(generate_scene("blocked", seed=1))):
         loop, length = planner.loop, len(planner.loop)
@@ -540,15 +543,29 @@ def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
             model = LoopCostModel(loop, planner.graph, depots, capacity)
             keys = np.array([rng.choice(length, size=k, replace=False) for _ in range(40)])
             keys[:20].sort(axis=1)               # half the rows in loop order
-            costs, binding = model.placement_cost_rows(keys)
+            costs, binding = reference_placement_cost_rows(model, keys)
             for row, cost_row, binding_row in zip(keys.tolist(), costs.tolist(),
                                                   binding.tolist()):
                 assert (cost_row, binding_row) == model.placement_costs(row)
+                approx, eps, bound = model.placement_bounds(row)
+                eps = eps or [0.0] * k
+                assert bound == binding_row
+                assert all(abs(a - c) <= e and (e or a == c)
+                           for a, c, e in zip(approx, cost_row, eps))
+            approx, eps, bound = model.placement_cost_bounds(keys)
+            assert (bound == binding).all()
+            sizes = np.array([PartitionSet(row, length).sizes() for row in keys.tolist()])
+            assert (eps is None) == (capacity == math.inf or (sizes <= capacity).all())
+            eps = np.zeros_like(approx) if eps is None else eps
+            assert (abs(approx - costs) <= eps).all()
+            assert (approx[eps == 0] == costs[eps == 0]).all()
         virtual = LoopCostModel(loop)
         keys = np.array([rng.choice(length, size=7, replace=False) for _ in range(20)])
-        costs, binding = virtual.placement_cost_rows(keys)
+        costs, binding = reference_placement_cost_rows(virtual, keys)
         assert binding is None
         assert costs.tolist() == [virtual.placement_costs(row)[0] for row in keys.tolist()]
+        assert virtual.placement_cost_bounds(keys)[1:] == (None, None)
+        assert (virtual.placement_cost_bounds(keys)[0] == costs).all()
 
 
 def test_depot_that_cannot_reach_the_loop_is_rejected():
@@ -639,6 +656,84 @@ def test_scan_skips_pairs_with_no_feasible_shift():
     assert (got is None) == (want is None)
     if want is not None:
         assert (got.keys, got.weights) == (want.keys, want.weights)
+
+
+def bounded_cases(capacity):
+    """(model, oracle, keys, flat) cases at a finite capacity: the bounded
+    model and the ``ExactCostModel`` over the same loop and depots, and key
+    sets in loop order and not.  A weighted scene, and a flat 8x8 one with
+    symmetric depots, whose integer hop costs tie exactly."""
+    rng = np.random.default_rng(int(capacity))
+    weighted = loop_instance(5, 4, width=8, height=8)
+    for planner, layouts in ((weighted, [weighted.depots(k) for k in (2, 3, 4)]),
+                             (uniform_planner(8, 8, [0, 32]), None),
+                             (uniform_planner(8, 8, [0, 16, 32, 48]), None)):
+        loop, length = planner.loop, len(planner.loop)
+        for depots in layouts or [planner.scene.depots]:
+            model = LoopCostModel(loop, planner.graph, depots, capacity)
+            oracle = ExactCostModel(loop, planner.graph, depots, capacity)
+            for trial in range(3):
+                keys = rng.choice(length, size=len(depots), replace=False).tolist()
+                yield model, oracle, sorted(keys) if trial else keys, layouts is None
+            yield model, oracle, naive_partition(loop, len(depots)).keys, layouts is None
+
+
+def count_undecided():
+    """A patch of ``_Placement``'s comparisons that counts, in the list it
+    returns, those whose bounds left them open, so that they re-priced."""
+    undecided, original = [], (partition._Placement.below, partition._Placement.less)
+
+    def below(self, other, tol):
+        loose = [p for p in (self, other) if getattr(p, "eps", None) is not None]
+        result = original[0](self, other, tol)
+        undecided.extend(p for p in loose if p.eps is None)
+        return result
+
+    def less(self, i, j):
+        loose = self.eps is not None
+        result = original[1](self, i, j)
+        undecided.extend([self] if loose and self.eps is None else [])
+        return result
+
+    patches = (mock.patch.object(partition._Placement, "below", below),
+               mock.patch.object(partition._Placement, "less", less))
+    return undecided, patches
+
+
+@pytest.mark.parametrize("capacity", [1.0, 2.0, 3.0, 25.0])
+def test_bounded_searches_match_the_exact_oracle(capacity):
+    """The scan, ``balanced_cut`` and ``optimize_partition`` priced from
+    bounds return the keys and weights, and spend the budget, that they
+    do on exact per-offset costs; on the flat scene exact ties leave
+    comparisons open, and those re-price."""
+    undecided, patches = count_undecided()
+    ties = 0   # flat cases that re-priced
+    with patches[0], patches[1]:
+        for model, oracle, keys, flat in bounded_cases(capacity):
+            open_before = len(undecided)
+            weights, _ = model.placement_costs(keys)
+            assert weights == oracle.placement_costs(keys)[0]
+            pset = PartitionSet(keys, model.length, weights)
+            for size_cap in (None, 2 * int(capacity)):
+                for limit in (7, 10_000):
+                    budgets = _EvalBudget(limit), _EvalBudget(limit)
+                    got, want = (_scan_improvement(m, pset, size_cap, b)
+                                 for m, b in zip((model, oracle), budgets))
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert (got.keys, got.weights) == (want.keys, want.weights)
+                    assert budgets[0].used == budgets[1].used
+            if keys != sorted(keys):
+                continue   # cuts keep keys apart only when they are in loop order
+            for mn, mx in itertools.permutations(range(len(keys)), 2):
+                got, want = (balanced_cut(pset, mn, mx, m) for m in (model, oracle))
+                assert (got.keys, got.weights) == (want.keys, want.weights)
+            got, want = (partition.optimize_partition(m, PartitionSet(keys, model.length),
+                                                      64 * len(keys)) for m in (model, oracle))
+            assert (got[0].keys, got[0].weights, got[1]) == (want[0].keys, want[0].weights,
+                                                             want[1])
+            ties += flat and len(undecided) > open_before
+    assert ties
 
 
 def memo_cases():
