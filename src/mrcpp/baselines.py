@@ -63,79 +63,50 @@ def mstc_nb(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
     return _depot_keyed_outcome(g, loop, depots, capacity, pset, binding, [0] * len(binding))
 
 
-def _first_better_split(lo: np.ndarray, hi: np.ndarray, trial_at, split: int,
-                        best: float) -> int:
-    """The split t that the first-strictly-better rule picks.
+def _first_better_split(trial: np.ndarray, split: int, best: float) -> int:
+    """The split t that the first-strictly-better rule picks: walking
+    t = 0, 1, ... past ``split``, it takes each t whose trial maximum is
+    below the best so far (``best`` at first) minus 1e-12.
 
-    The rule walks t = 0, 1, ... past ``split`` and takes each t whose
-    trial maximum is below the best so far (``best`` at first) minus
-    1e-12.  Given bounds ``lo <= trial <= hi`` and ``trial_at(ts)``, the
-    exact trials at ``ts``, it replays the rule on exact trials only
-    where one could be taken, so it picks what the full walk picks:
-    - the best so far is ``best`` or a taken trial, so it is never below
-      the running minimum of ``lo``; a t whose ``hi`` lies more than
-      1e-12 under that is surely taken, and the walk restarts after the
-      last such t from its exact trial;
-    - once t' is passed, best - 1e-12 is at most trial(t') <= hi(t'), so
-      a later t is taken only if its ``lo`` is below the running minimum
-      of ``hi`` and below the restart's best - 1e-12.
+    - The best so far is ``best`` or a taken trial, so it is never below
+      the running minimum of the trials; a t more than 1e-12 under that
+      minimum is surely taken, and the walk restarts after the last such t.
+    - After it, a taken t lies below every trial passed since, so the walk
+      visits only the running minima below the restart's best - 1e-12.
     """
-    lo, hi = lo.copy(), hi.copy()
-    lo[split] = hi[split] = np.inf   # the walk passes over the current split
-    floor = np.empty_like(lo)
-    floor[0] = best
-    np.minimum(np.minimum.accumulate(lo[:-1]), best, out=floor[1:])
-    sure = (hi < floor - 1e-12).nonzero()[0]
+    trial = trial.copy()
+    trial[split] = np.inf   # the walk passes over the current split
+    floor = np.minimum.accumulate(np.concatenate(([best], trial[:-1])))
+    sure = (trial < floor - 1e-12).nonzero()[0]
     best_t, begin = split, 0
     if sure.size:
         best_t, begin = int(sure[-1]), int(sure[-1]) + 1
-        best = float(trial_at(sure[-1:])[0])
-    if begin == lo.size:
-        return best_t
-    bound = np.empty(lo.size - begin)
-    bound[0] = best - 1e-12
-    np.minimum(np.minimum.accumulate(hi[begin:-1]), best - 1e-12, out=bound[1:])
-    candidates = begin + (lo[begin:] < bound).nonzero()[0]
-    if candidates.size:
-        for t, trial in zip(candidates.tolist(), trial_at(candidates).tolist()):
-            if trial < best - 1e-12:
-                best_t, best = t, trial
+        best = float(trial[best_t])
+    rest = trial[begin:]
+    bound = np.minimum.accumulate(np.concatenate(([best - 1e-12], rest[:-1])))
+    for t in (begin + (rest < bound).nonzero()[0]).tolist():
+        if trial[t] < best - 1e-12:
+            best_t, best = t, float(trial[t])
     return best_t
 
 
 def _split_trials(model: LoopCostModel, keys: list[int], arc_len: list[int],
-                  splits: list[int], current: list[float], j: int):
-    """Bounds ``lo <= trial <= hi`` on the maximum robot cost after each
-    split t of arc j, and ``trial_at(ts)``, the exact maxima at ``ts``.
+                  splits: list[int], current: list[float], j: int) -> np.ndarray:
+    """The maximum robot cost after each split t of arc j, in O(arc).
 
     Robot j keeps ``arc_len[j] - t`` cells and the next robot services
-    the t cells behind its depot.  ``trial_at`` prices a cost again, with
-    ``segment_cost_at``, only where its bound is loose; where none is, as
-    at c = inf, the bounds are the exact maxima.
+    the t cells behind its depot.  MSTC-BO's cost is by definition
+    ``segment_cost_bounds``' approximation, whose refill sums are
+    prefix-sum differences; their rounding lies far below the rule's
+    1e-12 margin.
     """
     k = len(keys)
     nxt, behind = (j + 1) % k, splits[(j - 1) % k]
-    rest = arc_len[nxt] - splits[nxt]
     t = np.arange(arc_len[j])
-    own, own_eps = model.segment_cost_bounds(keys[j], arc_len[j] - t, j, behind=behind)
-    taker, taker_eps = model.segment_cost_bounds(keys[nxt], rest, nxt, behind=t)
+    own, _ = model.segment_cost_bounds(keys[j], arc_len[j] - t, j, behind=behind)
+    taker, _ = model.segment_cost_bounds(keys[nxt], arc_len[nxt] - splits[nxt], nxt, behind=t)
     others = max((current[i] for i in range(k) if i not in (j, nxt)), default=-math.inf)
-    trial = np.maximum(np.maximum(own, taker), others)
-    if not (own_eps.any() or taker_eps.any()):   # as at c = inf: every bound is exact
-        return trial, trial, trial.__getitem__
-
-    def trial_at(ts: np.ndarray) -> np.ndarray:
-        a, b = own[ts], taker[ts]
-        for i, t in enumerate(ts.tolist()):
-            if own_eps[t] > 0:
-                a[i] = model.segment_cost_at(keys[j], arc_len[j] - t, j, behind=behind)
-            if taker_eps[t] > 0:
-                b[i] = model.segment_cost_at(keys[nxt], rest, nxt, behind=t)
-        return np.maximum(np.maximum(a, b), others)
-
-    lo = np.maximum(np.maximum(own - own_eps, taker - taker_eps), others)
-    hi = np.maximum(np.maximum(own + own_eps, taker + taker_eps), others)
-    return lo, hi, trial_at
+    return np.maximum(np.maximum(own, taker), others)
 
 
 def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
@@ -146,30 +117,29 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
     it walking backward from behind its own depot before covering its
     forward arc.  Splits are chosen by coordinate descent, accepting a
     split only when the maximum robot cost strictly decreases.  Each scan
-    over an arc's splits bounds every trial in O(arc) with
-    ``segment_cost_bounds`` and prices exactly only the splits that the
-    rule could take, so it picks the splits a full exact scan picks.
+    prices every split of an arc in O(arc) with ``segment_cost_bounds``.
     """
     pset, binding = _depot_partition(loop, depots)
     k, keys, arc_len = len(binding), pset.keys, pset.sizes()
     model = LoopCostModel(loop, g, [depots[r] for r in binding], capacity)
     splits = [0] * k
 
-    def robot_cost(j: int, split_vec: list[int]) -> float:
+    def robot_costs() -> list[float]:
         # robot j services the tail split off the arc behind it, then its own arc
-        return model.segment_cost_at(keys[j], arc_len[j] - split_vec[j], j,
-                                     behind=split_vec[(j - 1) % k])
+        s = np.array(splits)
+        return model.segment_cost_bounds(keys, np.subtract(arc_len, s), np.arange(k),
+                                         behind=np.roll(s, 1))[0].tolist()
 
     if k > 1:
-        current = [robot_cost(j, splits) for j in range(k)]
+        current = robot_costs()
         for _ in range(8):
             changed = False
             for j in range(k):
-                lo, hi, trial_at = _split_trials(model, keys, arc_len, splits, current, j)
-                best_t = _first_better_split(lo, hi, trial_at, splits[j], max(current))
+                trial = _split_trials(model, keys, arc_len, splits, current, j)
+                best_t = _first_better_split(trial, splits[j], max(current))
                 if best_t != splits[j]:
                     splits[j] = best_t
-                    current = [robot_cost(j, splits) for j in range(k)]
+                    current = robot_costs()
                     changed = True
             if not changed:
                 break

@@ -155,21 +155,14 @@ class CoveringGraph:
         return float(self.sssp(a)[0][self.node_of(b)])
 
     def path(self, a: Cell, b: Cell) -> list[Cell]:
-        _, pred = self.sssp(a)
-        source, target = self.node_of(a), self.node_of(b)
-        if target != source and pred[target] < 0:
-            raise GraphError(f"no path between {a} and {b}")
-        out = [target]
-        while out[-1] != source:
-            out.append(int(pred[out[-1]]))
-        y, x = np.divmod(self._flat[out[::-1]], self.node.shape[1])
-        return list(zip(x.tolist(), y.tolist()))
+        return self.paths_from(a, np.array([b[0]]), np.array([b[1]]))[1][0]
 
     def paths_from(self, source: Cell, x: np.ndarray, y: np.ndarray
                    ) -> tuple[np.ndarray, list[list[Cell]]]:
-        """Distances from ``source`` to the cells ``(x[i], y[i])`` and their paths
-        from ``source``, as ``distance`` and ``path`` give them, from one walk up
-        the source's predecessor tree for all the cells at once."""
+        """Distances from ``source`` to the cells ``(x[i], y[i])``, as
+        ``distance`` gives them, and their paths from ``source``, from one
+        walk up the source's predecessor tree for all the cells at once;
+        ``path`` is the walk for one cell."""
         dist, pred = self.sssp(source)
         src, (h, w) = self.node_of(source), self.node.shape
         nodes = np.where((x >= 0) & (x < w) & (y >= 0) & (y < h), self.node[y % h, x % w], -1)

@@ -45,7 +45,7 @@ class PartitionSet:
     def __post_init__(self):
         if len(set(self.keys)) != len(self.keys):
             raise PartitionError("key positions must be distinct")
-        if any(not 0 <= r < self.loop_length for r in self.keys):
+        if self.keys and not 0 <= min(self.keys) <= max(self.keys) < self.loop_length:
             raise PartitionError("key positions outside the loop")
 
     def __len__(self) -> int:
@@ -176,7 +176,8 @@ class LoopCostModel:
     ``segment_cost_at`` prices one segment exactly, adding its refill
     terms one by one; ``segment_cost_bounds`` bounds the same formula in
     O(1) per segment over arrays, each refill sum a difference of the
-    stride-c prefix sums ``refill_prefix``.
+    stride-c prefix sums ``refill_prefix``, and prices a backtracked tail
+    too.  MSTC-BO searches with that approximation alone.
     ``placement_costs`` prices one placement of k keys exactly;
     ``placement_bounds`` bounds it, and ``placement_cost_bounds`` a whole
     matrix of placements at once.  The searches decide from the bounds and
@@ -210,21 +211,14 @@ class LoopCostModel:
     def coverage_cost(self, start: int, size: int) -> float:
         return self._prefix[start + size - 1] - self._prefix[start]
 
-    def segment_cost_at(self, start: int, size: int, depot_idx: int,
-                        behind: int = 0) -> float:
-        """Full cost of servicing ``behind`` cells walking backward from
-        ``start - 1``, then the ``size`` cells from ``start`` forward."""
+    def segment_cost_at(self, start: int, size: int, depot_idx: int) -> float:
+        """Full cost of servicing the ``size`` cells from ``start`` forward."""
         d, length = self._depot_dist[depot_idx], self.length
-        cost = 0.0
-        if behind:
-            tail = (start - behind) % length
-            cost += d[(start - 1) % length] + self.coverage_cost(tail, behind) + d[tail]
-        cost += d[start]
+        cost = d[start]
         cost += self.coverage_cost(start, size)
         cost += d[(start + size - 1) % length]
-        for off in _refill_offsets(behind + size, self.capacity):
-            pos = start - off - 1 if off < behind else start + off - behind
-            cost += 2.0 * d[pos % length]
+        for off in _refill_offsets(size, self.capacity):
+            cost += 2.0 * d[(start + off) % length]
         return cost
 
     @cached_property
@@ -251,14 +245,18 @@ class LoopCostModel:
 
     def segment_cost_bounds(self, start, size, depot_idx, behind=0
                             ) -> tuple[np.ndarray, np.ndarray]:
-        """``segment_cost_at`` for arrays of ``start``, ``size``, ``depot_idx``
-        and ``behind``, broadcast together, to within a rigorous float error
-        bound, in O(len).
+        """The cost of servicing ``behind`` cells walking backward from
+        ``start - 1``, then the ``size`` cells from ``start`` forward, for
+        arrays of ``start``, ``size``, ``depot_idx`` and ``behind``,
+        broadcast together, to within a rigorous float error bound, in
+        O(len).
 
-        Returns ``(approx, eps)`` with ``|segment_cost_at - approx| <= eps``
-        entrywise.  ``approx`` adds ``segment_cost_at``'s terms before the
-        refills in its order, a masked-out tail adding 0.0, then the tail's
-        and the forward run's refill sums, each a difference of
+        Returns ``(approx, eps)`` with ``|exact - approx| <= eps``
+        entrywise.  The exact cost adds the tail's two legs and coverage,
+        then ``segment_cost_at``'s terms, its refill terms one by one with
+        the tail's breaks first.  ``approx`` adds the same terms before the
+        refills in that order, a masked-out tail adding 0.0, then the
+        tail's and the forward run's refill sums, each a difference of
         ``refill_prefix``.  Both sides start from the same float and add
         non-negative terms recursively: the n refills, or at most N + 1
         prefix terms, N the rows of ``refill_prefix``.  By Higham's bound
@@ -267,8 +265,8 @@ class LoopCostModel:
         (n + N + 5) u M, u the unit roundoff and M the cost plus the
         prefixes read; eps is over twice that, which covers its own
         rounding too.  Where a segment has no refill, as everywhere at
-        c = inf, eps is 0.0 and ``approx`` is ``segment_cost_at`` bit for
-        bit.  Tails must be shorter than the loop, and runs no longer.
+        c = inf, eps is 0.0 and ``approx`` is the exact cost bit for bit.
+        Tails must be shorter than the loop, and runs no longer.
         """
         d, length, prefix = self.depot_dist, self.length, self.prefix
         start, size, depot, behind = map(np.asarray, (start, size, depot_idx, behind))

@@ -8,6 +8,8 @@ it, which keeps parameter sweeps cheap.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,13 +91,15 @@ class ScenePlanner:
              capacity: float = math.inf) -> PlanResult:
         if algorithm not in STRATEGIES:
             raise PlanningError(f"unknown algorithm '{algorithm}'")
-        if isinstance(robots, bool) or not isinstance(robots, int) or robots < 1:
+        # numpy numbers are accepted, and stored as Python ones
+        if isinstance(robots, bool) or not isinstance(robots, numbers.Integral) or robots < 1:
             raise PlanningError(f"robots must be a positive integer, got {robots!r}")
-        if capacity != math.inf and not (isinstance(capacity, (int, float))
-                                         and capacity >= 1
-                                         and float(capacity).is_integer()):
+        if isinstance(capacity, bool) or not isinstance(capacity, numbers.Real) or not (
+                capacity == math.inf or (capacity >= 1 and float(capacity).is_integer())):
             raise PlanningError(
                 f"capacity must be a positive integer or inf, got {capacity!r}")
+        robots = operator.index(robots)
+        capacity = int(capacity) if isinstance(capacity, numbers.Integral) else float(capacity)
         module, name = STRATEGIES[algorithm]
         outcome = getattr(module, name)(self.graph, self.loop, self.depots(robots),
                                         capacity)

@@ -44,19 +44,18 @@ def read_esri_ascii(path) -> tuple[np.ndarray, np.ndarray, float]:
     return values, mask, header["cellsize"]
 
 
-def write_esri_ascii(path, values: np.ndarray, cell_size: float,
-                     nodata: float = -9999.0,
-                     origin: tuple[float, float] = (0.0, 0.0)) -> None:
-    """Write a [y, x] array (y=0 south) as an ESRI ASCII grid."""
+def write_esri_ascii(path, values: np.ndarray, cell_size: float) -> None:
+    """Write a [y, x] array (y=0 south) as an ESRI ASCII grid with its
+    lower-left corner at the origin and NODATA value -9999.0."""
     values = np.asarray(values, dtype=np.float64)
     nrows, ncols = values.shape
     with open(path, "w") as fh:
         fh.write(f"ncols {ncols}\n")
         fh.write(f"nrows {nrows}\n")
-        fh.write(f"xllcorner {origin[0]}\n")
-        fh.write(f"yllcorner {origin[1]}\n")
+        fh.write("xllcorner 0.0\n")
+        fh.write("yllcorner 0.0\n")
         fh.write(f"cellsize {cell_size}\n")
-        fh.write(f"NODATA_value {nodata}\n")
+        fh.write("NODATA_value -9999.0\n")
         for row in values[::-1]:
             fh.write(" ".join(repr(float(v)) for v in row))
             fh.write("\n")

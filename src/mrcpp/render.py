@@ -1,7 +1,7 @@
 """SVG rendering of scenes and plan documents.
 
-Cells are drawn on a unit grid scaled by ``cell_px``; the scene's y axis
-points north, so rows are flipped for SVG space.  Robot paths are
+Cells are drawn on a unit grid scaled by ``CELL_PX`` pixels; the scene's
+y axis points north, so rows are flipped for SVG space.  Robot paths are
 polylines through cell centers in per-robot colors; refill excursions
 are dashed; depots are stars; blocked cells are crossed out.
 """
@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .scene import Scene
 
+CELL_PX = 24.0
 PALETTE = (
     "#d62728", "#9467bd", "#1f77b4", "#2ca02c", "#ff7f0e", "#8c564b",
     "#e377c2", "#17becf", "#bcbd22", "#7f7f7f", "#aec7e8", "#98df8a",
@@ -71,12 +72,12 @@ def _star(cx: float, cy: float, radius: float) -> list:
     return pts
 
 
-def render_plan_svg(scene: Scene, plan_doc: dict, cell_px: float = 24.0) -> str:
+def render_plan_svg(scene: Scene, plan_doc: dict) -> str:
     """Render a plan document over its scene as an SVG string."""
     meta = plan_doc.get("scene", {})
     if meta and (meta.get("width") != scene.width or meta.get("height") != scene.height):
         raise RenderError("plan document does not match the scene dimensions")
-    W, H = scene.width * cell_px, scene.height * cell_px
+    W, H = scene.width * CELL_PX, scene.height * CELL_PX
 
     def center(cell, plan: int | None = None, field: str = "") -> tuple:
         try:
@@ -84,20 +85,20 @@ def render_plan_svg(scene: Scene, plan_doc: dict, cell_px: float = 24.0) -> str:
         except (TypeError, ValueError):
             raise RenderError(f"plan {plan}: {field} holds {cell!r}, "
                               "not a cell [x, y] of two integers") from None
-        return ((x + 0.5) * cell_px, (scene.height - 1 - y + 0.5) * cell_px)
+        return ((x + 0.5) * CELL_PX, (scene.height - 1 - y + 0.5) * CELL_PX)
 
     svg = _Svg(W, H)
     svg.rect(0, 0, W, H, "white")
     for gx in range(scene.width + 1):
-        svg.line(gx * cell_px, 0, gx * cell_px, H, "#dddddd", 0.5)
+        svg.line(gx * CELL_PX, 0, gx * CELL_PX, H, "#dddddd", 0.5)
     for gy in range(scene.height + 1):
-        svg.line(0, gy * cell_px, W, gy * cell_px, "#dddddd", 0.5)
+        svg.line(0, gy * CELL_PX, W, gy * CELL_PX, "#dddddd", 0.5)
     for y in range(scene.height):
         for x in range(scene.width):
             if scene.blocked[y, x]:
                 cx, cy = center((x, y))
-                r = cell_px * 0.3
-                svg.rect(cx - cell_px / 2, cy - cell_px / 2, cell_px, cell_px, "#f0f0f0")
+                r = CELL_PX * 0.3
+                svg.rect(cx - CELL_PX / 2, cy - CELL_PX / 2, CELL_PX, CELL_PX, "#f0f0f0")
                 svg.line(cx - r, cy - r, cx + r, cy + r, "#555555", 1.2)
                 svg.line(cx - r, cy + r, cx + r, cy - r, "#555555", 1.2)
 
@@ -106,25 +107,24 @@ def render_plan_svg(scene: Scene, plan_doc: dict, cell_px: float = 24.0) -> str:
         for r, run in enumerate(plan.get("runs", [plan.get("path", [])])):
             if len(run) >= 2:
                 field = f"runs[{r}]" if "runs" in plan else "path"
-                svg.polyline([center(c, i, field) for c in run], color, width=cell_px * 0.1)
+                svg.polyline([center(c, i, field) for c in run], color, width=CELL_PX * 0.1)
         for j, trip in enumerate(plan.get("refills", [])):
             if len(trip.get("outbound", [])) >= 2:
                 svg.polyline([center(c, i, f"refills[{j}].outbound") for c in trip["outbound"]],
-                             color, width=cell_px * 0.06, dashed=True, opacity=0.7)
+                             color, width=CELL_PX * 0.06, dashed=True, opacity=0.7)
 
     for i, plan in enumerate(plan_doc.get("plans", [])):
         cx, cy = center(plan["depot"], i, "depot")
-        svg.polygon(_star(cx, cy, cell_px * 0.38), "#ffd700")
+        svg.polygon(_star(cx, cy, CELL_PX * 0.38), "#ffd700")
     if not plan_doc.get("plans"):
         for depot in scene.depots:
             cx, cy = center(depot)
-            svg.polygon(_star(cx, cy, cell_px * 0.38), "#ffd700")
+            svg.polygon(_star(cx, cy, CELL_PX * 0.38), "#ffd700")
     return svg.text()
 
 
-def save_plan_svg(scene: Scene, plan_doc: dict, path,
-                  cell_px: float = 24.0) -> Path:
+def save_plan_svg(scene: Scene, plan_doc: dict, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_plan_svg(scene, plan_doc, cell_px))
+    path.write_text(render_plan_svg(scene, plan_doc))
     return path

@@ -158,10 +158,10 @@ def load_scene(path) -> Scene:
     return scene
 
 
-def save_scene(scene: Scene, path, name: str | None = None) -> Path:
-    """Write a scene as JSON plus sidecar rasters next to it."""
+def save_scene(scene: Scene, path) -> Path:
+    """Write a scene as JSON plus sidecar rasters named after its stem."""
     path = Path(path)
-    stem = name or path.stem
+    stem = path.stem
     doc = {
         "width": scene.width,
         "height": scene.height,

@@ -286,11 +286,12 @@ def reference_stc_loop(g: CoveringGraph, tree: SpanningTree, start) -> tuple[lis
 
 
 def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
-    """MSTC-BO's split search, one scalar ``segment_cost_at`` per robot and split.
+    """MSTC-BO's split search, walking every split one by one, each cost
+    exact: the per-offset oracle ``segment_costs``.
 
     Returns the depot keys in loop order, the split of each arc (the cells
     handed to the next robot) and the plan weights by robot id.  The
-    oracle the tests hold ``mstc_bo``'s array scan to.
+    oracle the tests hold ``mstc_bo``'s prefix-sum scan to.
     """
     length = len(loop)
     entries = sorted((loop.position(d), r) for r, d in enumerate(depots))
@@ -300,29 +301,30 @@ def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
     model = LoopCostModel(loop, g, [depots[r] for _, r in entries], capacity)
     splits = [0] * k
 
-    def robot_cost(j, split_vec):
-        return model.segment_cost_at(keys[j], arc_len[j] - split_vec[j], j,
-                                     behind=split_vec[(j - 1) % k])
+    def robot_cost(j, size, behind):
+        return segment_costs(model, keys[j], size, j, behind=behind).tolist()
 
     if k > 1:
-        current = [robot_cost(j, splits) for j in range(k)]
+        current = [robot_cost(j, arc_len[j] - splits[j], splits[(j - 1) % k]) for j in range(k)]
         for _ in range(8):
             changed = False
             for j in range(k):
                 nxt = (j + 1) % k
+                ts = np.arange(arc_len[j])
+                own = robot_cost(j, arc_len[j] - ts, splits[(j - 1) % k])
+                taker = robot_cost(nxt, arc_len[nxt] - splits[nxt], ts)
+                others = [current[i] for i in range(k) if i not in (j, nxt)]
                 best_t, best_max = splits[j], max(current)
                 for t in range(arc_len[j]):
                     if t == splits[j]:
                         continue
-                    trial = list(splits)
-                    trial[j] = t
-                    trial_max = max(robot_cost(j, trial), robot_cost(nxt, trial),
-                                    *(current[i] for i in range(k) if i not in (j, nxt)))
+                    trial_max = max(own[t], taker[t], *others)
                     if trial_max < best_max - 1e-12:
                         best_t, best_max = t, trial_max
                 if best_t != splits[j]:
                     splits[j] = best_t
-                    current = [robot_cost(j, splits) for j in range(k)]
+                    current = [robot_cost(i, arc_len[i] - splits[i], splits[(i - 1) % k])
+                               for i in range(k)]
                     changed = True
             if not changed:
                 break
@@ -338,11 +340,14 @@ def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
 
 def segment_costs(model: LoopCostModel, start: int, size, depot_idx: int,
                   behind=0) -> np.ndarray:
-    """``model.segment_cost_at`` for arrays of ``size`` and ``behind``.
+    """The exact cost of servicing ``behind`` cells walking backward from
+    ``start - 1``, then the ``size`` cells from ``start`` forward, for
+    arrays of ``size`` and ``behind``.
 
-    The terms are added in the scalar order, and a masked-out tail or
-    refill term adds 0.0, so every entry equals the scalar cost bit for
-    bit: the exact oracle ``segment_cost_bounds`` is held to.  Each
+    The terms are added in the order ``segment_cost_bounds`` states, each
+    refill term one by one, and a masked-out tail or refill term adds
+    0.0: without a tail every entry equals ``model.segment_cost_at`` bit
+    for bit.  The exact oracle ``segment_cost_bounds`` is held to.  Each
     refill offset is one pass over the arrays.
     """
     d, length, prefix = model.depot_dist[depot_idx], model.length, model.prefix

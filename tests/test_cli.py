@@ -3,8 +3,10 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
+from mrcpp import jsontext
 from mrcpp.cli import build_parser, main
 from mrcpp.graphs import GraphError, PlannerConfig
 from mrcpp.pipeline import ALGORITHMS, PlanningError, ScenePlanner, plan_document, \
@@ -294,10 +296,30 @@ def two_depot_planner():
     (0, math.inf, "robots"), (-1, math.inf, "robots"), (1.5, math.inf, "robots"),
     (2, 0, "capacity"), (2, 0.5, "capacity"), (2, -3, "capacity"),
     (2, math.nan, "capacity"), (2, 2.5, "capacity"), (2, -math.inf, "capacity"),
+    # bools and numpy numbers that are not positive integers
+    (True, math.inf, "robots"), (np.True_, math.inf, "robots"),
+    (np.int64(0), math.inf, "robots"), (np.float64(2.0), math.inf, "robots"),
+    (2, True, "capacity"), (2, np.True_, "capacity"), (2, np.int64(0), "capacity"),
+    (2, np.float32(2.5), "capacity"), (2, "25", "capacity"),
 ])
 def test_plan_rejects_bad_request(two_depot_planner, algorithm, robots, capacity, field):
     with pytest.raises(PlanningError, match=f"^{field} must be"):
         two_depot_planner.plan(algorithm, robots, capacity)
+
+
+@pytest.mark.parametrize("robots, capacity, stored", [
+    (np.int64(2), np.int64(25), 25), (np.int32(2), np.float32(25.0), 25.0),
+    (2, np.float64(math.inf), math.inf), (np.uint8(2), 25.0, 25.0),
+])
+def test_plan_accepts_numpy_integers_as_python_numbers(two_depot_planner, robots, capacity,
+                                                       stored):
+    planner = two_depot_planner
+    result = planner.plan("balanced", robots, capacity)
+    assert type(result.robots) is int and result.robots == 2
+    assert type(result.capacity) is type(stored) and result.capacity == stored
+    doc = jsontext.dumps(plan_document(result, planner.scene))
+    assert doc == jsontext.dumps(plan_document(planner.plan("balanced", 2, stored),
+                                               planner.scene))
 
 
 def test_planner_config_defaults_match_cli():

@@ -219,8 +219,9 @@ def test_lookups_off_the_graph_raise_graph_error():
 def test_paths_from_equal_one_path_per_cell():
     """One walk for many cells gives each cell, the source included, the
     path and the distance that ``path`` and ``distance`` give it, over
-    several chunks of cells; off the graph or out of reach it raises as
-    ``path`` does."""
+    several chunks of cells, each path the walk up the source's
+    predecessors; off the graph or out of reach it raises as ``path``
+    does."""
     g = ScenePlanner(generate_scene("field", seed=3, width=32, height=32)).graph
     cells = g.cells
     assert len(cells) > 3 * PATHS_CHUNK
@@ -229,6 +230,13 @@ def test_paths_from_equal_one_path_per_cell():
     dist, legs = g.paths_from(source, x, y)
     assert legs == [g.path(source, cell) for cell in cells[::-1]]
     assert dist.tolist() == [g.distance(source, cell) for cell in cells[::-1]]
+    assert g.path(source, source) == [source]
+    _, pred = g.sssp(source)
+    for cell in cells[::37]:
+        walk = [g.node_of(cell)]
+        while walk[-1] != g.node_of(source):
+            walk.append(int(pred[walk[-1]]))
+        assert g.path(source, cell) == [cells[i] for i in walk[::-1]]
     # a wall at x = 2 splits this map in two
     tmap = steepness_filter(flat_scene(6, 3, depots=[(0, 0)],
                                        blocked_cells=[(2, 0), (2, 1), (2, 2)]), 25.0)

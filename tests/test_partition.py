@@ -187,6 +187,15 @@ def test_naive_partition_rejects_bad_k():
         naive_partition(fake_loop(8), 0)
 
 
+def test_partition_set_checks_its_keys():
+    assert PartitionSet(keys=[], loop_length=8).keys == []
+    assert PartitionSet(keys=[7, 0, 3], loop_length=8).sizes() == [1, 3, 4]
+    for keys, message in (([2, 5, 2], "must be distinct"), ([-1, 3], "outside the loop"),
+                          ([0, 8], "outside the loop")):
+        with pytest.raises(PartitionError, match=message):
+            PartitionSet(keys=keys, loop_length=8)
+
+
 def test_naive_equal_counts_unequal_weights_on_weighted_loop():
     planner = loop_instance(3, 4)
     outcome = naive_mstc(planner.graph, planner.loop, planner.depots(4))
@@ -385,14 +394,20 @@ def test_plans_deterministic_across_runs():
 @pytest.mark.parametrize("seed, k", [(13, 3), (5, 4), (41, 3)])
 @pytest.mark.parametrize("capacity", [math.inf, 3.0])
 def test_cost_kernel_matches_built_plans(seed, k, capacity):
-    """``segment_cost_at``, the cost every strategy searches with, equals
-    the weight of the plan built for the same cells."""
+    """The segment costs the strategies search with equal the weight of the
+    plan built for the same cells: ``segment_cost_bounds``' approximation,
+    which MSTC-BO takes, and the exact cost, ``segment_cost_at`` or, with
+    a backtracked tail, the oracle ``segment_costs``."""
     planner = loop_instance(seed, k)
     g, loop, depots = planner.graph, planner.loop, planner.depots(k)
     model = LoopCostModel(loop, g, depots, capacity)
 
     def check(start, size, robot, behind, weight):
-        assert abs(model.segment_cost_at(start, size, robot, behind) - weight) <= 1e-9
+        exact = (float(segment_costs(model, start, size, robot, behind)) if behind
+                 else model.segment_cost_at(start, size, robot))
+        approx, _ = model.segment_cost_bounds(start, size, robot, behind)
+        assert abs(exact - weight) <= 1e-9
+        assert abs(float(approx) - weight) <= 1e-9
 
     for algo in ("naive", "balanced", "mstc-bo"):
         outcome = planner.plan(algo, k, capacity).outcome
@@ -413,25 +428,28 @@ def test_cost_kernel_matches_built_plans(seed, k, capacity):
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0])
 def test_segment_costs_equal_scalar_kernel_bit_for_bit(capacity):
-    """The array oracle equals ``segment_cost_at`` exactly, in both of the
-    broadcast forms MSTC-BO scans with: an array of sizes behind a fixed
-    tail, and an array of tails before a fixed size."""
+    """The array oracle equals ``segment_cost_at`` exactly where there is no
+    tail, and both broadcast forms MSTC-BO scans with (an array of sizes
+    behind a fixed tail, an array of tails before a fixed size) give every
+    (tail, size) pair the same cost, bit for bit."""
     planner = loop_instance(10, 3, width=6, height=6)   # a 20-node loop
     loop, k = planner.loop, 3
     model = LoopCostModel(loop, planner.graph, planner.depots(k), capacity)
     length = len(loop)
     for depot in range(k):
         for start in range(length):
+            by_tail, by_size = {}, {}
             for behind in range(length):
-                sizes = np.arange(1, length - behind + 1)
-                got = segment_costs(model, start, sizes, depot, behind=behind).tolist()
-                assert got == [model.segment_cost_at(start, size, depot, behind)
-                               for size in range(1, length - behind + 1)]
+                sizes = range(1, length - behind + 1)
+                got = segment_costs(model, start, np.array(sizes), depot, behind=behind)
+                by_tail.update(zip(((behind, size) for size in sizes), got.tolist()))
             for size in range(1, length + 1):
-                behinds = np.arange(length - size + 1)
-                got = segment_costs(model, start, size, depot, behind=behinds).tolist()
-                assert got == [model.segment_cost_at(start, size, depot, behind)
-                               for behind in range(length - size + 1)]
+                behinds = range(length - size + 1)
+                got = segment_costs(model, start, size, depot, behind=np.array(behinds))
+                by_size.update(zip(((behind, size) for behind in behinds), got.tolist()))
+            assert by_tail == by_size
+            assert [by_tail[0, size] for size in range(1, length + 1)] == \
+                [model.segment_cost_at(start, size, depot) for size in range(1, length + 1)]
 
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0, 1e12])

@@ -65,3 +65,13 @@ def test_only_graphs_calls_dijkstra():
                for node in ast.walk(func)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dijkstra"]
     assert callers == ["solve"]
+
+
+def test_only_partition_calls_segment_cost_at():
+    # the per-offset exact sum is ``balanced``'s tie-breaker; MSTC-BO and
+    # every other search price from ``segment_cost_bounds``' prefix sums
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "partition.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "segment_cost_at"]
+    assert not found, f"segment_cost_at called outside partition: {found}"
