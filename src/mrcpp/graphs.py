@@ -91,8 +91,9 @@ class CoveringGraph:
         return self.matrix.shape[0]
 
     @cached_property
-    def _flat(self) -> np.ndarray:   # row-major flat position of each node
-        return np.flatnonzero(self.node >= 0)
+    def _xy(self) -> np.ndarray:   # (nodes, 2) int32: each node's cell [x, y]
+        y, x = np.nonzero(self.node >= 0)
+        return np.stack((x, y), axis=1).astype(np.int32)
 
     @property
     def cells(self) -> list[Cell]:
@@ -154,15 +155,19 @@ class CoveringGraph:
     def distance(self, a: Cell, b: Cell) -> float:
         return float(self.sssp(a)[0][self.node_of(b)])
 
-    def path(self, a: Cell, b: Cell) -> list[Cell]:
+    def path(self, a: Cell, b: Cell) -> np.ndarray:
         return self.paths_from(a, np.array([b[0]]), np.array([b[1]]))[1][0]
 
     def paths_from(self, source: Cell, x: np.ndarray, y: np.ndarray
-                   ) -> tuple[np.ndarray, list[list[Cell]]]:
+                   ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Distances from ``source`` to the cells ``(x[i], y[i])``, as
         ``distance`` gives them, and their paths from ``source``, from one
         walk up the source's predecessor tree for all the cells at once;
-        ``path`` is the walk for one cell."""
+        ``path`` is the walk for one cell.
+
+        Each path is a read-only (m, 2) int32 array of cells ``[x, y]``, a
+        row slice of one array that holds them all.
+        """
         dist, pred = self.sssp(source)
         src, (h, w) = self.node_of(source), self.node.shape
         nodes = np.where((x >= 0) & (x < w) & (y >= 0) & (y < h), self.node[y % h, x % w], -1)
@@ -176,7 +181,8 @@ class CoveringGraph:
             raise GraphError(f"no path between {source} and {(int(x[bad]), int(y[bad]))}")
         up = pred.copy()
         up[src] = src   # a walk that reaches the source stays there
-        legs = []
+        # each list starts empty, so that no cells give no paths
+        walked, lengths = [np.empty(0, up.dtype)], [np.empty(0, np.int64)]
         for begin in range(0, nodes.size, PATHS_CHUNK):
             # column s holds each cell's ancestor s steps up, then the source
             walk = [nodes[begin:begin + PATHS_CHUNK].astype(up.dtype)]
@@ -185,11 +191,12 @@ class CoveringGraph:
             rows = np.stack(walk, axis=1)[:, ::-1]   # source first, padded with it in front
             steps = (rows != src).sum(axis=1)
             keep = np.arange(rows.shape[1]) >= rows.shape[1] - 1 - steps[:, None]
-            cy, cx = np.divmod(self._flat[rows[keep]], w)
-            cells = list(zip(cx.tolist(), cy.tolist()))
-            ends = np.cumsum(steps + 1).tolist()
-            legs += [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        return dist[nodes], legs
+            walked.append(rows[keep])
+            lengths.append(steps + 1)
+        cells = self._xy[np.concatenate(walked)]
+        cells.flags.writeable = False   # and so is every slice of it
+        ends = np.cumsum(np.concatenate(lengths)).tolist()
+        return dist[nodes], [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     def debug_dump(self) -> dict:
         """JSON-friendly dump of nodes and weighted edges."""

@@ -11,6 +11,11 @@ A list made only of two-int cells is rendered from two tables of pieces
 per indent, one for x (``"<nl>[<nl>  x,"``) and one for y
 (``"<nl>  y<nl>],"``), filled on first use and shared by every cell list at
 that indent within one encoding call.
+
+An integer ndarray of shape (n, 2), such as a plan's refill leg, is
+written as that same cell list: the text of
+``json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)``.
+Any other ndarray raises ``TypeError``, as any other unsupported type does.
 """
 from __future__ import annotations
 
@@ -18,12 +23,15 @@ import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 _INDENT = "  "
 CHUNK = 1 << 20   # characters buffered before ``dump`` writes
 
 
 def dumps(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte."""
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte; (n, 2)
+    int arrays as ``default=np.ndarray.tolist`` writes them."""
     parts: list[str] = []
     _encode(value, "\n", parts.append, {})
     return "".join(parts)
@@ -91,6 +99,23 @@ def _key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
+def _cells(flat, newline: str, emit, tables: dict) -> None:
+    """Emit the cells ``[flat[0], flat[1]], [flat[2], flat[3]], ...``, at least
+    one, from the piece tables of their indent."""
+    inner = newline + _INDENT
+    if inner not in tables:
+        tables[inner] = (_Pieces(f"{inner}[{inner}{_INDENT}%d,"),
+                         _Pieces(f"{inner}{_INDENT}%d{inner}],"))
+    xs, ys = tables[inner]
+    pieces = [""] * len(flat)
+    pieces[0::2] = map(xs.__getitem__, flat[0::2])
+    pieces[1::2] = map(ys.__getitem__, flat[1::2])
+    pieces[-1] = pieces[-1][:-1]   # no comma after the last cell
+    emit("[")
+    emit("".join(pieces))
+    emit(newline + "]")
+
+
 def _encode(value, newline: str, emit, tables: dict) -> None:
     """Emit ``value`` whose opening line is indented as ``newline`` says.
 
@@ -117,17 +142,7 @@ def _encode(value, newline: str, emit, tables: dict) -> None:
         if set(map(type, value)) <= {list, tuple} and set(map(len, value)) == {2}:
             flat = tuple(chain.from_iterable(value))
             if set(map(type, flat)) == {int}:
-                if inner not in tables:
-                    tables[inner] = (_Pieces(f"{inner}[{inner}{_INDENT}%d,"),
-                                     _Pieces(f"{inner}{_INDENT}%d{inner}],"))
-                xs, ys = tables[inner]
-                pieces = [""] * len(flat)
-                pieces[0::2] = map(xs.__getitem__, flat[0::2])
-                pieces[1::2] = map(ys.__getitem__, flat[1::2])
-                pieces[-1] = pieces[-1][:-1]   # no comma after the last cell
-                emit("[")
-                emit("".join(pieces))
-                emit(newline + "]")
+                _cells(flat, newline, emit, tables)
                 return
         sep = "[" + inner
         for item in value:
@@ -146,6 +161,12 @@ def _encode(value, newline: str, emit, tables: dict) -> None:
             sep = "," + inner
             _encode(item, inner, emit, tables)
         emit(newline + "}")
+    elif (isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+          and value.ndim == 2 and value.shape[1] == 2):
+        if value.size:
+            _cells(value.reshape(-1).tolist(), newline, emit, tables)
+        else:
+            emit("[]")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} "
                         f"is not JSON serializable")

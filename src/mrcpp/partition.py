@@ -62,8 +62,9 @@ class PartitionSet:
 class RefillTrip:
     serviced_index: int        # 0-based position of the break cell in the serviced order
     break_cell: Cell
-    outbound: list[Cell]       # break cell -> depot
-    inbound: list[Cell]        # depot -> break cell
+    # legs: read-only (m, 2) int arrays of cells [x, y]; outbound is inbound[::-1]
+    outbound: np.ndarray       # break cell -> depot
+    inbound: np.ndarray        # depot -> break cell
     cost: float
 
 
@@ -130,7 +131,9 @@ def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
     follows every ``capacity`` serviced cells while cells remain.  The
     weight adds, in walk order: the approach leg, each run's hops with each
     excursion right after its break cell, the legs between runs, and the
-    return leg.
+    return leg.  Each trip's ``inbound`` leg is a read-only row slice of
+    one array from ``CoveringGraph.paths_from`` and its ``outbound`` the
+    reversed view of it, so no leg is held twice.
     """
     runs = [run for run in runs if run[1]]
     if not runs:
@@ -147,20 +150,20 @@ def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
         prev = run[-1]
     serviced = np.concatenate(positions)
     offsets = np.array(_refill_offsets(len(serviced), capacity), dtype=np.int64)
-    refills = []
-    if offsets.size:
-        x, y = loop.x[serviced[offsets]], loop.y[serviced[offsets]]
-        dist, legs = g.paths_from(depot, x, y)
-        for off, cell, inbound, cost in zip(offsets.tolist(), zip(x.tolist(), y.tolist()),
-                                            legs, (2.0 * dist).tolist()):
-            refills.append(RefillTrip(serviced_index=off, break_cell=cell,
-                                      outbound=inbound[::-1], inbound=inbound, cost=cost))
     # row i: the cost of reaching serviced cell i, then of the trip that breaks
     # there (0.0 for none); the last row is the return leg
     increments = np.zeros((len(serviced) + 1, 2))
     increments[:-1, 0] = np.concatenate(reach)
-    increments[offsets, 1] = [t.cost for t in refills]
     increments[-1, 0] = g.distance(depot, prev)
+    refills = []
+    if offsets.size:
+        x, y = loop.x[serviced[offsets]], loop.y[serviced[offsets]]
+        dist, legs = g.paths_from(depot, x, y)
+        costs = increments[offsets, 1] = 2.0 * dist
+        refills = [RefillTrip(serviced_index=off, break_cell=cell, outbound=leg[::-1],
+                              inbound=leg, cost=cost)
+                   for off, cell, leg, cost in zip(offsets.tolist(), zip(x.tolist(), y.tolist()),
+                                                   legs, costs.tolist())]
     weight = np.cumsum(increments.ravel())[-1]
     return RobotPlan(robot=robot, depot=depot, runs=cells, refills=refills,
                      trips=trips_required(len(serviced), capacity), weight=float(weight))

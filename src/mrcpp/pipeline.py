@@ -130,9 +130,14 @@ def plan_document(result: PlanResult, scene: Scene, scene_id: str = "scene",
 
     The weighting and slope threshold recorded are those of
     ``result.config``, the config the plan was made with; an infinite
-    threshold is recorded as ``"inf"``.  Cells stay
-    ``(x, y)`` tuples, which ``jsontext.dumps`` writes as lists; every
-    list is the document's own, so editing it leaves the plans intact.
+    threshold is recorded as ``"inf"``.  Cells of ``path`` and ``runs``
+    stay ``(x, y)`` tuples in lists that are the document's own, so
+    editing them leaves the plans intact.  Each refill's ``outbound`` and
+    ``inbound`` leg is the plan's own read-only (m, 2) int array, shared,
+    not copied.  ``jsontext`` writes a leg as the cell list of its
+    ``tolist()``, so the file holds the text it would if the legs were
+    lists of cells; ``json.dumps`` of a document needs
+    ``default=np.ndarray.tolist``.
     """
     config = result.config
     # JSON (RFC 8259) has no infinity: an unbounded threshold gets capacity's label
@@ -151,8 +156,8 @@ def plan_document(result: PlanResult, scene: Scene, scene_id: str = "scene",
                     "index": t.serviced_index,
                     "cell": t.break_cell,
                     "cost": t.cost,
-                    "outbound": list(t.outbound),
-                    "inbound": list(t.inbound),
+                    "outbound": t.outbound,
+                    "inbound": t.inbound,
                 }
                 for t in p.refills
             ],

@@ -455,7 +455,7 @@ def reference_robot_plan(robot: int, depot, cell_runs, capacity: float,
                 inbound = g.path(depot, cell)
                 trip_cost = 2.0 * g.distance(depot, cell)
                 refills.append(RefillTrip(serviced_index=serviced - 1, break_cell=cell,
-                                          outbound=list(reversed(inbound)),
+                                          outbound=inbound[::-1],
                                           inbound=inbound, cost=trip_cost))
                 weight += trip_cost
         prev_cell = run[-1]
@@ -469,8 +469,8 @@ def reference_robot_plan(robot: int, depot, cell_runs, capacity: float,
 
 def plan_fields(plan: RobotPlan) -> tuple:
     """What a robot plan says, for comparing plans with ``==``: its runs, trips,
-    weight, and each refill's index, break cell, cost and legs."""
-    refills = [(t.serviced_index, t.break_cell, t.cost, t.outbound, t.inbound)
+    weight, and each refill's index, break cell, cost and legs (as lists)."""
+    refills = [(t.serviced_index, t.break_cell, t.cost, t.outbound.tolist(), t.inbound.tolist())
                for t in plan.refills]
     return plan.runs, plan.trips, plan.weight, refills
 

@@ -8,6 +8,7 @@ graph-size counters read what they name, and its plan validator reads G.
 """
 import importlib.util
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 from scipy.sparse import triu
 
 from mrcpp import partition
-from mrcpp.pipeline import ScenePlanner
+from mrcpp.pipeline import ScenePlanner, plan_document
+from mrcpp.scenegen import generate_scene
 
 from conftest import loop_instance, scan_spanning_graph
 
@@ -78,7 +80,7 @@ def test_probes_count_shortest_path_solves_and_paths():
         # one-leg walk that the probe counts
         plan = next(p for p in result.outcome.plans if p.refills)
         trip = plan.refills[0]
-        assert planner.graph.path(plan.depot, trip.break_cell) == trip.inbound
+        assert planner.graph.path(plan.depot, trip.break_cell).tolist() == trip.inbound.tolist()
     finally:
         probes.remove()
     metrics = tracing.layer_metrics(tracer)
@@ -103,3 +105,21 @@ def test_graph_oracle_matches_the_graph():
     for i, j in rng.integers(0, len(cells), (20, 2)):
         a, b = cells[i], cells[j]
         assert oracle.distance(a, b) == pytest.approx(g.distance(a, b), rel=1e-12)
+
+
+def test_bench_selftest_and_validator_accept_plan_documents(monkeypatch):
+    """The benchmark's self-test and plan validator read plan documents as
+    ``plan_document`` makes them: a change to the document's form fails
+    here, not in a benchmark run."""
+    # selftest.py imports the validator as ``validate``, from its own directory
+    validate = load_bench("validate")
+    monkeypatch.setitem(sys.modules, "validate", validate)
+    selftest = load_bench("selftest")
+    assert selftest.run_selftest() == []
+    scene = generate_scene("field", seed=3, width=32, height=32)
+    planner = ScenePlanner(scene)
+    doc = plan_document(planner.plan("balanced", 4, 3), scene)
+    legs = [t[leg] for p in doc["plans"] for t in p["refills"] for leg in ("outbound", "inbound")]
+    assert legs and all(isinstance(leg, np.ndarray) for leg in legs)
+    oracle = validate.GraphOracle(planner.graph, planner.loop.nodes)
+    assert validate.validate_plan(doc, oracle, scene.depots, 4, 3) == []

@@ -248,20 +248,27 @@ def test_plan_json_round_trips_through_render(tmp_path):
 
 
 def test_plan_document_shares_no_list_with_the_plans():
+    """The document's ``path`` and ``runs`` lists are its own; its refill
+    legs are the plans' arrays, which no one can write into."""
     scene = generate_scene("random", seed=4)
     result = ScenePlanner(scene).plan("balanced", 2, 5)
 
     def lists(plans):
         return [(p.runs, [(t.outbound, t.inbound) for t in p.refills]) for p in plans]
 
-    before = json.dumps(lists(result.outcome.plans))
+    before = json.dumps(lists(result.outcome.plans), default=np.ndarray.tolist)
     doc = plan_document(result, scene)
     assert any(plan["refills"] for plan in doc["plans"])
     for plan in doc["plans"]:
-        for lst in [plan["path"], plan["runs"], *plan["runs"],
-                    *(trip[leg] for trip in plan["refills"] for leg in ("outbound", "inbound"))]:
+        for lst in [plan["path"], plan["runs"], *plan["runs"]]:
             lst.clear()
-    assert json.dumps(lists(result.outcome.plans)) == before
+        for trip in plan["refills"]:
+            for leg in (trip["outbound"], trip["inbound"]):
+                with pytest.raises(ValueError, match="read-only"):
+                    leg[0] = leg[-1]
+                with pytest.raises(ValueError):
+                    leg.flags.writeable = True
+    assert json.dumps(lists(result.outcome.plans), default=np.ndarray.tolist) == before
 
 
 def test_identical_runspec_byte_identical_output(tmp_path):

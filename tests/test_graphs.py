@@ -211,7 +211,8 @@ def test_lookups_off_the_graph_raise_graph_error():
                 lookup(*args)
     with pytest.raises(GraphError, match=re.escape("cell (2, 1) is not a node")):
         build_covering_graph(tmap, PAPER_CFG, depots=[(0, 0), (2, 1)])
-    path = g.path((0, 0), (3, 2))   # the nodes around the blocked cell still work
+    # the nodes around the blocked cell still work
+    path = list(map(tuple, g.path((0, 0), (3, 2)).tolist()))
     assert path[0] == (0, 0) and path[-1] == (3, 2)
     assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 
@@ -228,15 +229,21 @@ def test_paths_from_equal_one_path_per_cell():
     source = cells[len(cells) // 2]
     x, y = np.array(cells[::-1]).T
     dist, legs = g.paths_from(source, x, y)
-    assert legs == [g.path(source, cell) for cell in cells[::-1]]
+    assert [leg.tolist() for leg in legs] == [g.path(source, cell).tolist()
+                                              for cell in cells[::-1]]
     assert dist.tolist() == [g.distance(source, cell) for cell in cells[::-1]]
-    assert g.path(source, source) == [source]
+    assert g.path(source, source).tolist() == [list(source)]
     _, pred = g.sssp(source)
     for cell in cells[::37]:
         walk = [g.node_of(cell)]
         while walk[-1] != g.node_of(source):
             walk.append(int(pred[walk[-1]]))
-        assert g.path(source, cell) == [cells[i] for i in walk[::-1]]
+        assert g.path(source, cell).tolist() == [list(cells[i]) for i in walk[::-1]]
+    # every path is a read-only int32 view of one array of all the cells
+    assert {leg.dtype for leg in legs} == {np.dtype(np.int32)}
+    assert len({id(leg.base) for leg in legs}) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        legs[0][0, 0] = 1
     # a wall at x = 2 splits this map in two
     tmap = steepness_filter(flat_scene(6, 3, depots=[(0, 0)],
                                        blocked_cells=[(2, 0), (2, 1), (2, 2)]), 25.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mrcpp import jsontext
 from mrcpp.jsontext import dump, dumps
@@ -19,6 +20,11 @@ from mrcpp.scenegen import generate_scene
 
 def reference(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
+
+
+def array_reference(value) -> str:
+    """The text ``dumps`` gives a value that holds (n, 2) int arrays."""
+    return json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 def _stable_id(value) -> str:
@@ -152,6 +158,75 @@ def test_dumps_rejects_what_json_dumps_rejects(value):
         dumps(value)
 
 
+def _leg_arrays() -> list:
+    """(n, 2) int arrays as refill legs come, and the views a leg can be."""
+    big = np.stack([np.arange(50_000) % 301 - 150, np.arange(50_000) // 301 - 80], axis=1)
+    wide = np.arange(-30, 30).reshape(10, 6)
+    return [np.zeros((0, 2), np.int32), np.zeros((0, 2), np.int64),
+            np.array([[3, 4]], np.int32), np.array([[-7, 2 ** 40]], np.int64),
+            big.astype(np.int32), big.astype(np.int64),
+            big.astype(np.int32)[::-1], big[::-7], big[5:0:-2],
+            wide[:, 2:4], wide[::-3, 4:], np.arange(20).reshape(2, 10).T,
+            np.array([[1, 2], [3, 4]], np.uint16)]
+
+
+def _array_document(legs: list) -> dict:
+    """Legs among ties (equal weights, one leg twice, a leg beside its
+    list twin) and non-finite floats, at several indents."""
+    return {
+        "plans": [{"inbound": leg, "outbound": leg[::-1], "weight": 2.5,
+                   "runs": [leg.tolist()[:3], [[1, 2]]], "cost": [math.nan, 2.5]}
+                  for leg in legs],
+        "shared": [legs[-1], legs[-1], [legs[0], {"x": legs[0][::-1]}]],
+        "global": {"max_weight": 2.5, "total_weight": math.inf, "low": -math.inf},
+    }
+
+
+def test_dumps_writes_int_arrays_as_cell_lists():
+    doc = _array_document(_leg_arrays())
+    text = array_reference(doc)
+    # compared as bools: pytest's diff of two texts of megabytes takes minutes
+    same = dumps(doc) == text
+    assert same
+    writes = _Writes()
+    with mock.patch.object(jsontext, "CHUNK", 64):
+        dump(doc, writes)
+    same = "".join(writes) == text + "\n"
+    assert same
+    assert all(len(chunk) >= 64 for chunk in writes[:-1])
+    writes = _Writes()
+    dump(doc, writes)
+    same = "".join(writes) == text + "\n"
+    assert same and len(writes) > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(hnp.arrays(st.sampled_from([np.int32, np.int64]),
+                           st.tuples(st.integers(0, 6), st.just(2)),
+                           elements=st.integers(-2 ** 31, 2 ** 31 - 1)),
+                min_size=1, max_size=4),
+       st.integers(1, 40))
+def test_int_array_documents_equal_json_dumps(legs, chunk):
+    doc = _array_document(legs)
+    assert dumps(doc) == array_reference(doc)
+    writes = _Writes()
+    with mock.patch.object(jsontext, "CHUNK", chunk):
+        dump(doc, writes)
+    assert "".join(writes) == array_reference(doc) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    np.zeros((3, 2)), np.zeros((0, 2), np.float32), np.arange(4), np.zeros(0, np.int32),
+    np.arange(6).reshape(2, 3), np.zeros((0, 3), np.int64), np.arange(8).reshape(2, 2, 2),
+    np.array([[True, False]]), np.int64(3),
+], ids=repr)
+def test_dumps_rejects_arrays_that_are_not_cells(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dumps({"a": [[1, 2]], "leg": value})
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dump([value], _Writes())
+
+
 @pytest.fixture(scope="module")
 def random_planner():
     scene = generate_scene("random", seed=4)
@@ -168,9 +243,9 @@ def test_plan_documents_written_as_json_dumps(tmp_path, random_planner, algorith
     if capacity == math.inf:
         assert not refills and all(p["refills"] == [] for p in doc["plans"])
     else:
-        assert any(t["outbound"] and t["inbound"] for t in refills)
+        assert any(len(t["outbound"]) > 1 and len(t["inbound"]) > 1 for t in refills)
     path = write_json_atomic(tmp_path / "plan.json", doc)
-    assert path.read_bytes() == (reference(doc) + "\n").encode("ascii")
+    assert path.read_bytes() == (array_reference(doc) + "\n").encode("ascii")
 
 
 def test_comparison_report_written_as_json_dumps(tmp_path, random_planner):

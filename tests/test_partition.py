@@ -148,8 +148,8 @@ def test_refill_legs_after_every_cell_and_at_the_depot():
     assert [t.serviced_index for t in plan.refills] == list(range(14))
     plan = checked_plan(depot, loop, [(at - 2, 7, 1)], 3.0, g)
     trip = plan.refills[0]
-    assert (trip.break_cell, trip.inbound, trip.outbound, trip.cost) == \
-        (depot, [depot], [depot], 0.0)
+    assert (trip.break_cell, trip.inbound.tolist(), trip.outbound.tolist(), trip.cost) == \
+        (depot, [list(depot)], [list(depot)], 0.0)
     assert max(len(t.inbound) for t in plan.refills) > 1
 
 

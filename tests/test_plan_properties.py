@@ -4,6 +4,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,5 +56,27 @@ def test_every_strategy_plans_a_valid_cover(request):
         assert [plan_fields(p) for p in plans] == [plan_fields(p) for p in rebuilt], algorithm
         assert result.max_weight == max(p.weight for p in rebuilt), algorithm
         doc = plan_document(result, scene)
-        reference = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        reference = json.dumps(doc, indent=2, sort_keys=True,
+                               default=np.ndarray.tolist) + "\n"
         assert _written(doc) == reference.encode("ascii"), algorithm
+
+
+@settings(max_examples=20, deadline=None)
+@given(requests().filter(lambda request: request[2] != math.inf))
+def test_refill_legs_are_shortest_walks_from_the_depot(request):
+    """Every refill's inbound leg walks edges of G from the depot to its
+    break cell at half the trip's cost, and its outbound leg is the same
+    walk reversed."""
+    scene, k, capacity = request
+    planner = ScenePlanner(scene)
+    g = planner.graph
+    for algorithm in STRATEGIES:
+        for p in planner.plan(algorithm, k, capacity).outcome.plans:
+            for t in p.refills:
+                inbound = t.inbound.tolist()
+                assert inbound[0] == list(p.depot), algorithm
+                assert inbound[-1] == list(t.break_cell), algorithm
+                hops = g.hop_weights(t.inbound[:, 0], t.inbound[:, 1])
+                assert np.isfinite(hops).all(), algorithm
+                assert math.isclose(math.fsum(hops), t.cost / 2, rel_tol=1e-9), algorithm
+                assert t.outbound.tolist() == inbound[::-1], algorithm
