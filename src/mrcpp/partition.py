@@ -131,8 +131,12 @@ def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
     follows every ``capacity`` serviced cells while cells remain.  The
     weight adds, in walk order: the approach leg, each run's hops with each
     excursion right after its break cell, the legs between runs, and the
-    return leg.  Each trip's ``inbound`` leg is a read-only row slice of
-    one array from ``CoveringGraph.paths_from`` and its ``outbound`` the
+    return leg.  Every leg with the depot at one end, a join into a run
+    that starts at the depot included, is read from the depot's own
+    shortest-path solve, so a plan solves no other source while its runs
+    meet only at the depot; a join between two other cells is priced from
+    its earlier cell.  Each trip's ``inbound`` leg is a read-only row slice
+    of one array from ``CoveringGraph.paths_from`` and its ``outbound`` the
     reversed view of it, so no leg is held twice.
     """
     runs = [run for run in runs if run[1]]
@@ -144,7 +148,8 @@ def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
         run = list(zip(loop.x[pos].tolist(), loop.y[pos].tolist()))
         # edge p joins positions p and p + 1, whichever way it is walked
         hops = loop.edge_weights[pos[:-1] if step > 0 else pos[1:]]
-        reach += [[g.distance(prev, run[0])], hops]
+        leg = g.distance(depot, prev) if run[0] == depot else g.distance(prev, run[0])
+        reach += [[leg], hops]
         cells.append(run)
         positions.append(pos)
         prev = run[-1]
@@ -229,12 +234,16 @@ class LoopCostModel:
         """Stride-c prefix sums of the refill terms, for finite capacity c:
         ``[r, p + c]`` is the sequential sum of ``2 * depot_dist[r, q % L]``
         over q = p, p - c, ... down to 0.  p runs from -c (the empty sum)
-        to 2L - 1, so every break of a tail or a run is read unwrapped."""
+        to 2L - 1, so every break of a tail or a run is read unwrapped.
+        Built in place in its one (k, rows * c) array: doubling is exact."""
         c, (k, length) = int(self.capacity), self.depot_dist.shape
         rows = -(-(2 * length) // c) + 1
         terms = np.zeros((k, rows * c))
-        terms[:, c:c + 2 * length] = np.tile(2.0 * self.depot_dist, 2)
-        return np.cumsum(terms.reshape(k, rows, c), axis=1).reshape(k, rows * c)
+        terms[:, c:c + length] = terms[:, c + length:c + 2 * length] = self.depot_dist
+        terms[:, c:c + 2 * length] *= 2.0
+        blocks = terms.reshape(k, rows, c)
+        np.cumsum(blocks, axis=1, out=blocks)
+        return terms
 
     @cached_property
     def _refill_prefix(self) -> list[memoryview]:
@@ -300,17 +309,19 @@ class LoopCostModel:
         return approx, np.where(refills > 0, self._refill_eps(refills, cost, top), 0.0)
 
     def greedy_binding(self, starts: list[int]) -> list[int]:
-        """Assign robots to segments greedily by cheapest approach leg."""
+        """Assign robots to segments greedily by cheapest approach leg.
+
+        The k * k approach distances, flattened in (robot, segment) order,
+        are sorted once by value; the sort is stable, so ties go to the
+        lower robot, then the lower segment.
+        """
         k = len(starts)
-        pairs = sorted([(dist[s], r, j) for r, dist in enumerate(self._depot_dist[:k])
-                        for j, s in enumerate(starts)])
-        binding = [-1] * k
-        used_robots = set()
-        for _, r, j in pairs:
-            if r in used_robots or binding[j] >= 0:
-                continue
-            binding[j] = r
-            used_robots.add(r)
+        flat = [dist[s] for dist in self._depot_dist[:k] for s in starts]
+        binding, free = [-1] * k, [True] * k
+        for i in sorted(range(k * k), key=flat.__getitem__):
+            r, j = divmod(i, k)
+            if free[r] and binding[j] < 0:
+                binding[j], free[r] = r, False
         return binding
 
     def placement_bounds(self, keys: list[int]
@@ -369,7 +380,7 @@ class LoopCostModel:
 
         The greedy binding is k rounds of ``argmin`` over each row's k * k
         depot distances flattened in (robot, segment) order, so ties go
-        the way the sorted (distance, robot, segment) triples break them;
+        the way ``greedy_binding``'s stable sort of that order breaks them;
         a taken robot's and a taken segment's pairs are masked with inf.
         The costs are ``segment_cost_bounds`` of the bound segments.
         """

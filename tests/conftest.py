@@ -290,8 +290,10 @@ def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
     exact: the per-offset oracle ``segment_costs``.
 
     Returns the depot keys in loop order, the split of each arc (the cells
-    handed to the next robot) and the plan weights by robot id.  The
-    oracle the tests hold ``mstc_bo``'s prefix-sum scan to.
+    handed to the next robot) and the plan weights by robot id, each from
+    ``reference_robot_plan``, so a tail's join to the depot is read from the
+    depot's solve.  The oracle the tests hold ``mstc_bo``'s prefix-sum scan
+    to.
     """
     length = len(loop)
     entries = sorted((loop.position(d), r) for r, d in enumerate(depots))
@@ -420,6 +422,24 @@ class ExactCostModel(LoopCostModel):
         return costs, None, binding
 
 
+def tuple_sort_binding(model: LoopCostModel, starts: list[int]) -> list[int]:
+    """The greedy depot binding from the sorted (distance, robot, segment)
+    triples: each pair, cheapest first, binds its robot to its segment when
+    both are still free.  The oracle ``LoopCostModel.greedy_binding`` is
+    held to."""
+    k = len(starts)
+    pairs = sorted([(float(model.depot_dist[r, s]), r, j) for r in range(k)
+                    for j, s in enumerate(starts)])
+    binding = [-1] * k
+    used_robots = set()
+    for _, r, j in pairs:
+        if r in used_robots or binding[j] >= 0:
+            continue
+        binding[j] = r
+        used_robots.add(r)
+    return binding
+
+
 def loop_cells(loop, start: int, count: int, step: int) -> list:
     """The cells of the loop range ``(start, count, step)``, one by one."""
     return [loop.nodes[(start + step * i) % len(loop)] for i in range(count)]
@@ -431,7 +451,10 @@ def reference_robot_plan(robot: int, depot, cell_runs, capacity: float,
 
     The oracle the tests hold ``build_robot_plan`` to: the approach leg, every
     hop (looked up in G), every refill trip, the legs between runs and the
-    return leg are added to one float in walk order.
+    return leg are added to one float in walk order.  A leg with the depot at
+    one end is the depot's distance to its other end, a join into a run that
+    starts at the depot included; a join between two other cells is the
+    distance from its earlier cell.
     """
     runs = [list(r) for r in cell_runs if r]
     if not runs:
@@ -443,7 +466,8 @@ def reference_robot_plan(robot: int, depot, cell_runs, capacity: float,
     prev_cell = None
     for run in runs:
         if prev_cell is not None:
-            weight += g.distance(prev_cell, run[0])
+            weight += (g.distance(depot, prev_cell) if run[0] == depot
+                       else g.distance(prev_cell, run[0]))
         for i, cell in enumerate(run):
             if i:
                 hop = g.weight(run[i - 1], cell)

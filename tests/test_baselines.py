@@ -1,13 +1,15 @@
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mrcpp import graphs
 from mrcpp.baselines import (BaselineError, ComparisonReport, _first_better_split,
                              format_comparison_table, mstc_bo, mstc_nb, reduction_ratio)
-from mrcpp.partition import LoopCostModel, capacity_partition, naive_mstc
+from mrcpp.partition import LoopCostModel, build_robot_plan, capacity_partition, naive_mstc
 from mrcpp.pipeline import ALGORITHMS, ScenePlanner
 from mrcpp.graphs import PlannerConfig
 from mrcpp.scenegen import generate_scene
@@ -171,6 +173,60 @@ def test_mstc_bo_matches_scalar_split_scan(kind, seed, size, robots, capacities)
             assert [p.weight for p in bo.plans] == weights
             moved += sum(splits)
     assert moved > 0
+
+
+def recording_sources(sources: list):
+    """Patch ``graphs.dijkstra`` to append every source it solves to ``sources``."""
+    solve = graphs.dijkstra
+    return mock.patch.object(graphs, "dijkstra",
+                             lambda *a, **kw: sources.extend(kw["indices"]) or solve(*a, **kw))
+
+
+def test_every_dijkstra_source_is_a_depot_solved_once():
+    """A planner solves one shortest-path source per depot it plans with,
+    once: MSTC-BO's tail joins the depot through the depot's own solve,
+    for every algorithm, robot count and capacity."""
+    planner = ScenePlanner(generate_scene("random", seed=4, width=12, height=12, robots=4,
+                                          depot_style="clustered"))
+    sources, tails = [], 0
+    with recording_sources(sources):
+        for algorithm, k, capacity in itertools.product(ALGORITHMS, (2, 4),
+                                                        (math.inf, 3, 25)):
+            plans = planner.plan(algorithm, k, capacity).outcome.plans
+            tails += algorithm == "mstc-bo" and any(len(p.runs) == 2 for p in plans)
+    assert tails > 0
+    assert sorted(sources) == sorted(map(planner.graph.node_of, planner.depots(4)))
+
+
+def test_mstc_bo_tail_joins_the_depot_from_the_depot_solve():
+    """On ``random`` 10x10 seed 1 the one MSTC-BO tail at k = 4 ends at a
+    cell whose distance to the depot differs in its last bit by direction;
+    the plan adds the depot's distance to it.  A join between two cells
+    that are not the depot is priced from the earlier one."""
+    planner = ScenePlanner(generate_scene("random", seed=1, width=10, height=10))
+    g = planner.graph
+    plan, = [p for p in planner.plan("mstc-bo", 4).outcome.plans if len(p.runs) == 2]
+    tail, ahead = plan.runs
+    assert ahead[0] == plan.depot
+    assert g.distance(plan.depot, tail[-1]) != g.distance(tail[-1], plan.depot)
+
+    def walk(join):   # the plan's terms, added in walk order
+        weight = g.distance(plan.depot, tail[0])
+        for a, b in zip(tail, tail[1:]):
+            weight += g.weight(a, b)
+        weight += join
+        for a, b in zip(ahead, ahead[1:]):
+            weight += g.weight(a, b)
+        return weight + g.distance(plan.depot, ahead[-1])
+
+    assert plan.weight == walk(g.distance(plan.depot, tail[-1]))
+    assert plan.weight != walk(g.distance(tail[-1], plan.depot))
+
+    planner = loop_instance(5, 4)
+    g, loop, depot, sources = planner.graph, planner.loop, planner.scene.depots[1], []
+    with recording_sources(sources):
+        build_robot_plan(0, depot, loop, [(30, 4, 1), (12, 3, -1)], math.inf, g)
+    assert sources == [g.node_of(depot), g.node_of(loop.nodes[33])]
 
 
 def full_split_walk(trial, split: int, best: float) -> int:

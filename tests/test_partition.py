@@ -26,7 +26,7 @@ from mrcpp.terrain import build_traversability, steepness_filter
 from conftest import (ExactCostModel, chain_directions, flat_scene, loop_cells, loop_instance,
                       memo_free_optimize_partition, plan_fields, reference_placement_cost_rows,
                       reference_robot_plan, scalar_scan_improvement, segment_costs,
-                      shortest_path, sorted_pair_order, tiny_loop_instances)
+                      shortest_path, sorted_pair_order, tiny_loop_instances, tuple_sort_binding)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -478,6 +478,62 @@ def test_segment_cost_bounds_hold_the_exact_costs(capacity):
                 rounded += int((approx != exact).sum())
     assert (rounded > 0) == (capacity < length)
     assert ("refill_prefix" in vars(model)) == (capacity < length)
+
+
+def table_model(table: np.ndarray, capacity: float = math.inf) -> LoopCostModel:
+    """A cost model over a unit-weight loop whose depot distances are ``table``."""
+    model = LoopCostModel(fake_loop(table.shape[1]), capacity=capacity)
+    model.depot_dist = table
+    model._depot_dist = [memoryview(row) for row in table]
+    return model
+
+
+@pytest.fixture(scope="module")
+def blocked_planners():
+    """Flat blocked 16x16 scenes with 16 depots: unit and diagonal hops, so
+    many depot distances tie exactly."""
+    return [ScenePlanner(generate_scene("blocked", seed, width=16, height=16, robots=16))
+            for seed in range(3)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_greedy_binding_equals_the_sorted_triples(k, blocked_planners):
+    """The stable sort of the flat distances binds as the sorted (distance,
+    robot, segment) triples do: on random tables, every other one drawn
+    from three values, and on flat blocked scenes, in any key order."""
+    rng = np.random.default_rng(k)
+    models = [table_model(rng.integers(0, 3, (k, 64)).astype(float) if t % 2
+                          else rng.random((k, 64))) for t in range(40)]
+    models += [LoopCostModel(p.loop, p.graph, p.depots(k)) for p in blocked_planners]
+    scene_ties = 0
+    for model in models:
+        for _ in range(100):
+            starts = rng.choice(model.length, size=k, replace=False).tolist()
+            assert model.greedy_binding(starts) == tuple_sort_binding(model, starts)
+            if model.depots is not None:
+                scene_ties += len(set(model.depot_dist[:, starts].ravel().tolist())) < k * k
+    assert (scene_ties > 0) == (k > 1), scene_ties
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 25])
+def test_refill_prefix_is_built_in_place(capacity):
+    """``refill_prefix`` equals the cumulative sum of the zero-padded, tiled,
+    doubled distances, and building it allocates little beyond the result."""
+    rng = np.random.default_rng(capacity)
+    model = table_model(rng.random((4, 20_000)) * 100.0, capacity)
+    c, (k, length) = capacity, model.depot_dist.shape
+    rows = -(-(2 * length) // c) + 1
+    terms = np.zeros((k, rows * c))
+    terms[:, c:c + 2 * length] = np.tile(2.0 * model.depot_dist, 2)
+    want = np.cumsum(terms.reshape(k, rows, c), axis=1).reshape(k, rows * c)
+    tracemalloc.start()
+    try:
+        got = model.refill_prefix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 1.1 * got.nbytes
 
 
 def test_virtual_placement_costs_equal_prefix_differences():
