@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,15 +38,21 @@ class PartitionError(ValueError):
 
 @dataclass
 class PartitionSet:
-    """k key positions into the loop; segment i = [keys[i], keys[i+1])."""
+    """k distinct key positions into the loop, in cyclic loop order;
+    segment i = [keys[i], keys[i+1])."""
     keys: list[int]
     loop_length: int
     weights: list[float] | None = None
 
     def __post_init__(self):
-        if len(set(self.keys)) != len(self.keys):
-            raise PartitionError("key positions must be distinct")
-        if self.keys and not 0 <= min(self.keys) <= max(self.keys) < self.loop_length:
+        keys = self.keys
+        if not keys:
+            return
+        # distinct keys in cyclic loop order descend exactly once, the wrap
+        # from the last key to the first included
+        if sum(map(operator.ge, keys, keys[1:])) + (keys[-1] >= keys[0]) != 1:
+            raise PartitionError("key positions must be distinct and in cyclic loop order")
+        if not 0 <= min(keys) <= max(keys) < self.loop_length:
             raise PartitionError("key positions outside the loop")
 
     def __len__(self) -> int:
@@ -175,24 +182,23 @@ def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
 
 
 class LoopCostModel:
-    """O(1) segment costs over a fixed loop via prefix sums.
+    """O(1) segment costs over one loop via prefix sums.
 
     With depots, a segment's cost includes approach/return legs and refill
     excursions against the greedily bound depot; without depots (the
     virtual-robot mode used under finite capacity) costs are coverage-only.
 
-    ``segment_cost_at`` prices one segment exactly, adding its refill
-    terms one by one; ``segment_cost_bounds`` bounds the same formula in
-    O(1) per segment over arrays, each refill sum a difference of the
-    stride-c prefix sums ``refill_prefix``, and prices a backtracked tail
-    too.  MSTC-BO searches with that approximation alone.
-    ``placement_costs`` prices one placement of k keys exactly;
-    ``placement_bounds`` bounds it, and ``placement_cost_bounds`` a whole
-    matrix of placements at once.  The searches decide from the bounds and
-    re-price exactly (``exact_costs``) only what the bounds leave open.
-    The scalar methods read the arrays through memoryviews, which share
-    their memory and index to Python floats: numpy scalars, which indexing
-    the arrays gives, make the scalar arithmetic several times slower.
+    ``placement_costs`` prices one placement of k keys exactly, adding
+    each segment's refill terms one by one.  ``segment_cost_bounds`` bounds
+    the same formula in O(1) per segment over arrays, each refill sum a
+    difference of the stride-c prefix sums ``refill_prefix``, and prices a
+    backtracked tail too; MSTC-BO searches with that approximation alone.
+    ``placement_cost_bounds`` bounds a whole matrix of placements at once,
+    and the refinement scan re-prices exactly only the rows its bounds
+    leave open.  The scalar code reads the arrays through memoryviews,
+    which share their memory and index to Python floats: numpy scalars,
+    which indexing the arrays gives, make the scalar arithmetic several
+    times slower.
     """
 
     def __init__(self, loop: CoverageLoop, g: CoveringGraph | None = None,
@@ -219,16 +225,6 @@ class LoopCostModel:
     def coverage_cost(self, start: int, size: int) -> float:
         return self._prefix[start + size - 1] - self._prefix[start]
 
-    def segment_cost_at(self, start: int, size: int, depot_idx: int) -> float:
-        """Full cost of servicing the ``size`` cells from ``start`` forward."""
-        d, length = self._depot_dist[depot_idx], self.length
-        cost = d[start]
-        cost += self.coverage_cost(start, size)
-        cost += d[(start + size - 1) % length]
-        for off in _refill_offsets(size, self.capacity):
-            cost += 2.0 * d[(start + off) % length]
-        return cost
-
     @cached_property
     def refill_prefix(self) -> np.ndarray:
         """Stride-c prefix sums of the refill terms, for finite capacity c:
@@ -244,10 +240,6 @@ class LoopCostModel:
         blocks = terms.reshape(k, rows, c)
         np.cumsum(blocks, axis=1, out=blocks)
         return terms
-
-    @cached_property
-    def _refill_prefix(self) -> list[memoryview]:
-        return [memoryview(q) for q in self.refill_prefix]
 
     def _refill_eps(self, refills, cost, top):
         """The error bound of a cost with ``refills`` refill terms whose
@@ -265,11 +257,12 @@ class LoopCostModel:
 
         Returns ``(approx, eps)`` with ``|exact - approx| <= eps``
         entrywise.  The exact cost adds the tail's two legs and coverage,
-        then ``segment_cost_at``'s terms, its refill terms one by one with
-        the tail's breaks first.  ``approx`` adds the same terms before the
-        refills in that order, a masked-out tail adding 0.0, then the
-        tail's and the forward run's refill sums, each a difference of
-        ``refill_prefix``.  Both sides start from the same float and add
+        then the forward run's approach leg, coverage and return leg, then
+        the refill terms one by one, the tail's breaks first, as
+        ``placement_costs`` does without a tail.  ``approx`` adds the same
+        terms before the refills in that order, a masked-out tail adding
+        0.0, then the tail's and the forward run's refill sums, each a
+        difference of ``refill_prefix``.  Both sides start from the same float and add
         non-negative terms recursively: the n refills, or at most N + 1
         prefix terms, N the rows of ``refill_prefix``.  By Higham's bound
         for recursive summation (Accuracy and Stability of Numerical
@@ -324,59 +317,54 @@ class LoopCostModel:
                 binding[j], free[r] = r, False
         return binding
 
-    def placement_bounds(self, keys: list[int]
-                         ) -> tuple[list[float], list[float] | None, list[int] | None]:
-        """``placement_costs`` of one placement to within a rigorous error
-        bound per segment, in O(k) plus the binding: ``(costs, eps,
-        binding)``, each refill sum a difference of ``refill_prefix`` as in
-        ``segment_cost_bounds``.  eps is None when no segment has a refill,
-        as at c = inf; then the costs are exact."""
+    def placement_costs(self, keys: list[int]) -> tuple[list[float], list[int] | None]:
+        """The exact costs of one placement of k keys, segment i from
+        ``keys[i]`` up to ``keys[(i + 1) % k]``, and its greedy depot
+        binding (None without depots).  A cost adds the approach leg, the
+        coverage and the return leg, then its refill terms one by one:
+        ``np.cumsum`` runs along each row of the zero-padded terms left to
+        right, and adding 0.0 changes no sum."""
         k, length = len(keys), self.length
         if self.depots is None:
             # coverage only: one prefix-sum difference per segment
             ring = np.array(keys + keys[:1])
             starts = ring[:-1]
             sizes = (ring[1:] - starts) % length if k > 1 else length
-            return (self.prefix[starts + sizes - 1] - self.prefix[starts]).tolist(), None, None
+            return (self.prefix[starts + sizes - 1] - self.prefix[starts]).tolist(), None
         binding = self.greedy_binding(keys)
         c = math.inf if self.capacity == math.inf else int(self.capacity)
-        costs, eps = [], None
+        costs, refills = [], []
         for i, (start, robot) in enumerate(zip(keys, binding)):
             size = (keys[(i + 1) % k] - start) % length or length   # k = 1: the whole loop
             d = self._depot_dist[robot]
-            cost = d[start] + self.coverage_cost(start, size) + d[(start + size - 1) % length]
-            refills = (size - 1) // c   # 0.0 at c = inf
-            if refills:
-                eps = eps or [0.0] * k
-                q, lo = self._refill_prefix[robot], start + c - 1
-                top = q[lo + refills * c]
-                eps[i] = self._refill_eps(refills, cost, top)
-                cost += top - q[lo]
-            costs.append(cost)
-        return costs, eps, binding
-
-    def exact_costs(self, keys: list[int], costs: list[float], eps: list[float] | None,
-                    binding: list[int] | None) -> list[float]:
-        """``placement_costs`` from ``placement_bounds``: the segments whose
-        bound is loose re-priced by ``segment_cost_at``, the others kept."""
-        if eps is None:
-            return costs
-        k, length = len(keys), self.length
-        return [self.segment_cost_at(start, (keys[(i + 1) % k] - start) % length or length,
-                                     robot) if e else cost
-                for i, (start, cost, e, robot) in enumerate(zip(keys, costs, eps, binding))]
-
-    def placement_costs(self, keys: list[int]) -> tuple[list[float], list[int] | None]:
-        costs, eps, binding = self.placement_bounds(keys)
-        return self.exact_costs(keys, costs, eps, binding), binding
+            costs.append(d[start] + self.coverage_cost(start, size)
+                         + d[(start + size - 1) % length])
+            refills.append((size - 1) // c)   # 0.0 at c = inf
+        if not any(refills):
+            return costs, binding
+        # row i: the cost so far, then the depot distances of the breaks at
+        # keys[i] + c - 1, keys[i] + 2c - 1, ..., read as strided slices
+        # that wrap past the loop's end at most once, then zeros
+        terms = np.zeros((k, int(max(refills)) + 1))
+        terms[:, 0] = costs
+        for row, start, robot, n in zip(terms, keys, binding, refills):
+            d, first = self.depot_dist[robot], (start + c - 1) % length
+            head = d[first::c][:n]
+            row[1:len(head) + 1] = head
+            if len(head) < n:
+                rest = first + len(head) * c - length
+                row[len(head) + 1:n + 1] = d[rest:rest + (n - len(head)) * c:c]
+        terms[:, 1:] *= 2.0
+        return np.cumsum(terms, axis=1)[:, -1].tolist(), binding
 
     def placement_cost_bounds(self, keys: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """``placement_bounds`` for every row of a (T, k) key matrix, as
-        ``(approx, eps, binding)`` arrays; eps is None where every cost is
-        exact.  Row t's binding equals ``placement_bounds(keys[t].tolist())``'s,
-        and its costs are within eps of ``placement_costs``, equal bit for
-        bit where eps is 0.0.
+        """``placement_costs`` of every row of a (T, k) key matrix, to within
+        a rigorous error bound per segment, as ``(approx, eps, binding)``
+        arrays; eps is None where every cost is exact, as at c = inf.  Row
+        t's binding equals ``placement_costs(keys[t].tolist())``'s, and its
+        costs are within eps of that call's, equal bit for bit where eps is
+        0.0.
 
         The greedy binding is k rounds of ``argmin`` over each row's k * k
         depot distances flattened in (robot, segment) order, so ties go
@@ -404,56 +392,6 @@ class LoopCostModel:
                 pairs[every, :, segment] = np.inf
         approx, eps = self.segment_cost_bounds(keys, sizes, binding)
         return approx, (eps if eps.any() else None), binding
-
-
-class _Placement:
-    """A placement's segment costs, each within ``eps[i]`` of its
-    ``placement_costs`` value (exact where eps is None), with bounds
-    ``lo <= max cost <= hi``.  A comparison is decided from the bounds
-    where they decide it, and from exact costs where they do not."""
-
-    def __init__(self, model: LoopCostModel, keys: list[int], costs: list[float],
-                 eps: list[float] | None, binding: list[int] | None):
-        self.model, self.keys, self.binding = model, keys, binding
-        self.costs, self.eps = costs, eps
-        if eps is None:
-            self.lo = self.hi = max(costs)
-        else:
-            self.lo = max(a - e for a, e in zip(costs, eps))
-            self.hi = max(a + e for a, e in zip(costs, eps))
-
-    def exact(self) -> list[float]:
-        if self.eps is not None:
-            self.costs = self.model.exact_costs(self.keys, self.costs, self.eps, self.binding)
-            self.eps = None
-            self.lo = self.hi = max(self.costs)
-        return self.costs
-
-    def below(self, other: float | _Placement, tol: float) -> bool:
-        """Whether the maximum cost is below ``other`` (a number, or another
-        placement's maximum cost) minus ``tol``, as exact costs decide it."""
-        number = isinstance(other, float)
-        lo, hi = (other, other) if number else (other.lo, other.hi)
-        if self.hi < lo - tol:
-            return True
-        if self.lo >= hi - tol:
-            return False
-        if not number:
-            other.exact()
-            hi = other.hi
-        self.exact()
-        return self.hi < hi - tol
-
-    def less(self, i: int, j: int) -> bool:
-        """Whether segment i costs less than segment j, as exact costs decide it."""
-        if self.eps is not None:
-            (a, b), (e, f) = (self.costs[i], self.costs[j]), (self.eps[i], self.eps[j])
-            if a + e < b - f:
-                return True
-            if a - e >= b + f:
-                return False
-            self.exact()
-        return self.costs[i] < self.costs[j]
 
 
 def naive_partition(loop: CoverageLoop, k: int) -> PartitionSet:
@@ -497,13 +435,8 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     Binary search on the cumulative shift: nodes move out of the heaviest
     segment through the in-between chain into the lightest, in-between
     node counts unchanged.  Returns the probed placement with the
-    smallest maximum segment cost, never worse than the input.  Probes
-    are priced by ``placement_bounds``; only the placement returned, and
-    a probe whose comparison its bounds leave open, are priced exactly.
-    ``pset.weights``, when set, must be ``model.placement_costs`` of its
-    keys: a segment neither of whose keys moves takes its weight when it
-    keeps its robot, so a probe whose maximum is such a segment ties the
-    input's exactly.
+    smallest maximum segment cost, never worse than the input, each probe
+    priced exactly by ``placement_costs``.
     """
     if min_idx == max_idx:
         raise PartitionError("min and max segments must differ")
@@ -514,37 +447,27 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     first, count, sign = _chain(k, min_idx, max_idx)
     moving = [(first + j) % k for j in range(count)]
     lo, hi = _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap)
-    weights, fixed = pset.weights, None
 
-    def probe(shift: int) -> _Placement:
-        nonlocal fixed
+    def probe(shift: int) -> tuple[list[int], list[float]]:
         shift = min(max(shift, lo), hi)
         keys = list(base)
         for idx in moving:
             keys[idx] = (base[idx] + sign * shift) % length
-        costs, eps, binding = model.placement_bounds(keys)
-        if eps is not None and weights is not None:
-            if fixed is None:   # the segments neither of whose keys moves, and their robots
-                still, robots = set(range(k)).difference(moving), model.greedy_binding(base)
-                fixed = [(s, robots[s]) for s in still if (s + 1) % k in still]
-            for s, robot in fixed:
-                if binding[s] == robot:
-                    costs[s], eps[s] = weights[s], 0.0
-        return _Placement(model, keys, costs, eps, binding)
+        return keys, model.placement_costs(keys)[0]
 
-    best = probe(0)
+    best_keys, best = probe(0)
     left, right = 0, sizes[min_idx] + sizes[max_idx]
     ref = (left + right) // 2   # probe shifts are midpoints relative to this
     while left < right:
         mid = (left + right) // 2
-        placement = probe(mid - ref)
-        if placement.below(best, 1e-15):
-            best = placement
-        if placement.less(min_idx, max_idx):
+        keys, costs = probe(mid - ref)
+        if max(costs) < max(best) - 1e-15:
+            best_keys, best = keys, costs
+        if costs[min_idx] < costs[max_idx]:
             left = mid + 1
         else:
             right = mid - 1
-    return PartitionSet(keys=best.keys, loop_length=length, weights=best.exact())
+    return PartitionSet(keys=best_keys, loop_length=length, weights=best)
 
 
 class _EvalBudget:
@@ -652,21 +575,20 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
     ``placement_cost_bounds`` prices whole pairs per call, up to a row count
     that starts at ``SCAN_FIRST_KEYS`` keys and doubles per call, or the
     next pair alone; replaying the rows in order keeps the result
-    independent of the chunking.  A row is priced exactly only when its
-    bounds leave a comparison open, or when it is taken.  A segment with
-    its current start, end and robot takes its current weight, exactly.
+    independent of the chunking.  A row with a loose bound is priced by
+    ``placement_costs`` only when its bounds leave a comparison open, or
+    when it is taken.  A segment with its current start, end and robot
+    takes its current weight, exactly.
     """
     k = len(current.keys)
     length = current.loop_length
     base = np.array(current.keys)
     sizes = current.sizes()
     cur_max = max(current.weights)
-    # keys in loop order stay distinct under any shift within a pair's bounds
-    in_order = sum(sizes) == length
     chunk = max(1, SCAN_CHUNK_KEYS // k)
     columns = np.arange(k)
     known = None   # the current weights and binding, once a chunk has loose bounds
-    best = None   # a _Placement
+    best = None   # the keys, exact costs and maximum cost of the best row
 
     def scan(moves: np.ndarray, chain: np.ndarray, t: np.ndarray, ends: list[int]) -> None:
         """Charge and price, as far as the budget goes, the placements that
@@ -686,35 +608,32 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
                         & (binding == known[1]))
                 costs, eps = np.where(same, known[0], costs), np.where(same, 0.0, eps)
             low = costs.max(axis=1) if eps is None else (costs - eps).max(axis=1)
-            if not in_order:
-                # a moved key can land on one that stays put: such a
-                # placement is charged but never taken
-                ordered = np.sort(keys, axis=1)
-                low[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)] = math.inf
             high = low if eps is None else (costs + eps).max(axis=1)
 
-            def placement(i):
-                return _Placement(model, keys[i].tolist(), costs[i].tolist(),
-                                  None if eps is None else eps[i].tolist(),
-                                  None if binding is None else binding[i].tolist())
+            def exact(i):
+                row = keys[i].tolist()
+                if eps is None or not eps[i].any():
+                    return row, costs[i].tolist(), low[i]
+                priced, _ = model.placement_costs(row)
+                return row, priced, max(priced)
 
             for i in np.flatnonzero(low < cur_max - 1e-12).tolist():
                 if begin + i >= stop:
                     break
                 row = None
                 if high[i] >= cur_max - 1e-12:   # maybe no improvement: decide exactly
-                    row = placement(i)
-                    if not row.below(cur_max, 1e-12):
+                    row = exact(i)
+                    if not row[2] < cur_max - 1e-12:
                         continue
                 if best is None:   # the scan ends with this pair
                     stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
-                elif high[i] >= best.lo - 1e-15:   # maybe not below best: decide exactly
-                    if low[i] >= best.hi - 1e-15:
+                elif high[i] >= best[2] - 1e-15:   # maybe not below best: decide exactly
+                    if low[i] >= best[2] - 1e-15:
                         continue
-                    row = row or placement(i)
-                    if not row.below(best, 1e-15):
+                    row = row or exact(i)
+                    if not row[2] < best[2] - 1e-15:
                         continue
-                best = row or placement(i)
+                best = row or exact(i)
             begin = end
         budget.charge(stop)
 
@@ -750,7 +669,7 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
              np.arange(1, length), [length - 1])
     if best is None:
         return None
-    return PartitionSet(keys=best.keys, loop_length=length, weights=best.exact())
+    return PartitionSet(keys=best[0], loop_length=length, weights=best[1])
 
 
 def _refine(model: LoopCostModel, current: PartitionSet, size_cap: int | None,

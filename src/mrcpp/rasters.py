@@ -30,8 +30,11 @@ def read_esri_ascii(path) -> tuple[np.ndarray, np.ndarray, float]:
         missing = [k for k in _ASC_HEADER_KEYS if k not in header]
         if missing:
             raise ValueError(f"{path}: .asc header missing {missing}")
-        ncols = int(header["ncols"])
-        nrows = int(header["nrows"])
+        ncols, nrows = header["ncols"], header["nrows"]
+        for key, size in (("ncols", ncols), ("nrows", nrows)):
+            if not (size.is_integer() and size >= 1):
+                raise ValueError(f"{path}: .asc {key} must be a positive integer, got {size!r}")
+        ncols, nrows = int(ncols), int(nrows)
         nodata = header["nodata_value"]
         body = fh.read().split()
     if len(body) != ncols * nrows:

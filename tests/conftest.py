@@ -348,8 +348,10 @@ def segment_costs(model: LoopCostModel, start: int, size, depot_idx: int,
 
     The terms are added in the order ``segment_cost_bounds`` states, each
     refill term one by one, and a masked-out tail or refill term adds
-    0.0: without a tail every entry equals ``model.segment_cost_at`` bit
-    for bit.  The exact oracle ``segment_cost_bounds`` is held to.  Each
+    0.0: without a tail every entry equals the left-to-right sum of the
+    approach leg, the coverage, the return leg and the refill terms.  The
+    exact oracle ``segment_cost_bounds`` and ``placement_costs`` are held
+    to.  Each
     refill offset is one pass over the arrays.
     """
     d, length, prefix = model.depot_dist[depot_idx], model.length, model.prefix
@@ -370,8 +372,10 @@ def segment_costs(model: LoopCostModel, start: int, size, depot_idx: int,
 def reference_placement_costs(model: LoopCostModel, keys: list[int]
                               ) -> tuple[list[float], list[int] | None]:
     """``model.placement_costs`` with every segment priced by the per-offset
-    oracle ``segment_costs``: the exact costs the bounded pricing is held to."""
-    sizes = PartitionSet(keys=list(keys), loop_length=model.length).sizes()
+    oracle ``segment_costs``, for any k keys, in loop order or not: the
+    exact costs ``placement_costs`` and the bounded pricing are held to."""
+    k, length = len(keys), model.length
+    sizes = [(keys[(i + 1) % k] - key) % length or length for i, key in enumerate(keys)]
     if model.depots is None:
         return [model.coverage_cost(start, size) for start, size in zip(keys, sizes)], None
     binding = model.greedy_binding(keys)
@@ -382,7 +386,7 @@ def reference_placement_costs(model: LoopCostModel, keys: list[int]
 def reference_placement_cost_rows(model: LoopCostModel, keys: np.ndarray):
     """Exact ``placement_costs`` for every row of a (T, k) key matrix, with
     the binding: the greedy binding as k rounds of ``argmin``, then one
-    masked (T, k) refill term per offset, added in ``segment_cost_at``'s
+    masked (T, k) refill term per offset, added in ``segment_costs``'
     order.  The full-matrix oracle ``placement_cost_bounds`` is held to."""
     rows, k = keys.shape
     length, prefix = model.length, model.prefix
@@ -408,14 +412,13 @@ def reference_placement_cost_rows(model: LoopCostModel, keys: np.ndarray):
 
 
 class ExactCostModel(LoopCostModel):
-    """A cost model whose bounds are the exact oracle costs with eps None, so
-    the searches run on them take every decision from exact costs, as they
-    did before they priced from bounds: the oracle the bounded searches are
-    held to."""
+    """A cost model that prices every placement with the per-offset oracle,
+    its bounds the exact costs with eps None, so the searches run on it
+    take every decision from exact costs: the oracle the bounded searches
+    are held to."""
 
-    def placement_bounds(self, keys):
-        costs, binding = reference_placement_costs(self, keys)
-        return costs, None, binding
+    def placement_costs(self, keys):
+        return reference_placement_costs(self, keys)
 
     def placement_cost_bounds(self, keys):
         costs, binding = reference_placement_cost_rows(self, keys)

@@ -86,6 +86,10 @@ def test_probes_count_shortest_path_solves_and_paths():
     metrics = tracing.layer_metrics(tracer)
     assert metrics["graphs.sssp.solves"] > 0
     assert metrics["graphs.path.calls"] == 1
+    # every binary-search probe of a cut is priced by placement_costs, so
+    # its probe times the cuts' pricing at finite capacity too
+    assert metrics["partition.balanced_cut.calls"] > 0
+    assert metrics["partition.placement_costs.calls"] >= metrics["partition.balanced_cut.calls"]
 
 
 def test_graph_oracle_matches_the_graph():

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from mrcpp import partition
 from mrcpp.graphs import PlannerConfig, build_covering_graph, build_spanning_graph
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet,
-                             _chain, _EvalBudget, _pairs_by_gap, _scan_improvement,
-                             _shift_bounds, balanced_cut, build_robot_plan,
+                             _chain, _EvalBudget, _pairs_by_gap, _refill_offsets,
+                             _scan_improvement, _shift_bounds, balanced_cut, build_robot_plan,
                              capacity_partition, max_weight, naive_mstc,
                              naive_partition, trips_required)
 from mrcpp.pipeline import ScenePlanner
@@ -25,8 +25,9 @@ from mrcpp.terrain import build_traversability, steepness_filter
 
 from conftest import (ExactCostModel, chain_directions, flat_scene, loop_cells, loop_instance,
                       memo_free_optimize_partition, plan_fields, reference_placement_cost_rows,
-                      reference_robot_plan, scalar_scan_improvement, segment_costs,
-                      shortest_path, sorted_pair_order, tiny_loop_instances, tuple_sort_binding)
+                      reference_placement_costs, reference_robot_plan, scalar_scan_improvement,
+                      segment_costs, shortest_path, sorted_pair_order, tiny_loop_instances,
+                      tuple_sort_binding)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -190,8 +191,12 @@ def test_naive_partition_rejects_bad_k():
 def test_partition_set_checks_its_keys():
     assert PartitionSet(keys=[], loop_length=8).keys == []
     assert PartitionSet(keys=[7, 0, 3], loop_length=8).sizes() == [1, 3, 4]
-    for keys, message in (([2, 5, 2], "must be distinct"), ([-1, 3], "outside the loop"),
-                          ([0, 8], "outside the loop")):
+    assert PartitionSet(keys=[5], loop_length=8).sizes() == [8]
+    # out of cyclic order, keys describe overlapping segments: [1, 5, 3]
+    # would give sizes 4, 6 and 6 on 8 cells
+    for keys, message in (([2, 5, 2], "must be distinct"), ([3, 3], "must be distinct"),
+                          ([1, 5, 3], "cyclic loop order"), ([7, 1, 0, 3], "cyclic loop order"),
+                          ([-1, 3], "outside the loop"), ([0, 8], "outside the loop")):
         with pytest.raises(PartitionError, match=message):
             PartitionSet(keys=keys, loop_length=8)
 
@@ -396,15 +401,13 @@ def test_plans_deterministic_across_runs():
 def test_cost_kernel_matches_built_plans(seed, k, capacity):
     """The segment costs the strategies search with equal the weight of the
     plan built for the same cells: ``segment_cost_bounds``' approximation,
-    which MSTC-BO takes, and the exact cost, ``segment_cost_at`` or, with
-    a backtracked tail, the oracle ``segment_costs``."""
+    which MSTC-BO takes, and the exact cost, the oracle ``segment_costs``."""
     planner = loop_instance(seed, k)
     g, loop, depots = planner.graph, planner.loop, planner.depots(k)
     model = LoopCostModel(loop, g, depots, capacity)
 
     def check(start, size, robot, behind, weight):
-        exact = (float(segment_costs(model, start, size, robot, behind)) if behind
-                 else model.segment_cost_at(start, size, robot))
+        exact = float(segment_costs(model, start, size, robot, behind))
         approx, _ = model.segment_cost_bounds(start, size, robot, behind)
         assert abs(exact - weight) <= 1e-9
         assert abs(float(approx) - weight) <= 1e-9
@@ -428,14 +431,22 @@ def test_cost_kernel_matches_built_plans(seed, k, capacity):
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0])
 def test_segment_costs_equal_scalar_kernel_bit_for_bit(capacity):
-    """The array oracle equals ``segment_cost_at`` exactly where there is no
-    tail, and both broadcast forms MSTC-BO scans with (an array of sizes
-    behind a fixed tail, an array of tails before a fixed size) give every
-    (tail, size) pair the same cost, bit for bit."""
+    """The array oracle equals the scalar left-to-right sum exactly where
+    there is no tail, and both broadcast forms MSTC-BO scans with (an
+    array of sizes behind a fixed tail, an array of tails before a fixed
+    size) give every (tail, size) pair the same cost, bit for bit."""
     planner = loop_instance(10, 3, width=6, height=6)   # a 20-node loop
     loop, k = planner.loop, 3
     model = LoopCostModel(loop, planner.graph, planner.depots(k), capacity)
     length = len(loop)
+
+    def scalar_cost(start, size, depot):
+        d = model.depot_dist[depot].tolist()
+        cost = d[start] + model.coverage_cost(start, size) + d[(start + size - 1) % length]
+        for off in _refill_offsets(size, capacity):
+            cost += 2.0 * d[(start + off) % length]
+        return cost
+
     for depot in range(k):
         for start in range(length):
             by_tail, by_size = {}, {}
@@ -449,7 +460,7 @@ def test_segment_costs_equal_scalar_kernel_bit_for_bit(capacity):
                 by_size.update(zip(((behind, size) for behind in behinds), got.tolist()))
             assert by_tail == by_size
             assert [by_tail[0, size] for size in range(1, length + 1)] == \
-                [model.segment_cost_at(start, size, depot) for size in range(1, length + 1)]
+                [scalar_cost(start, size, depot) for size in range(1, length + 1)]
 
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0, 1e12])
@@ -605,10 +616,9 @@ def test_chains_match_the_key_lists():
 def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
     """Every row of the full-matrix oracle equals ``placement_costs`` of that
     row's keys exactly, costs and depot binding both, and the bounded row
-    kernel and ``placement_bounds`` bind as they do and hold their costs
-    within eps, exactly where eps is 0.0 (everywhere at c = inf): on a
-    weighted scene, and on a flat walled scene where many depot distances
-    tie."""
+    kernel binds as they do and holds their costs within eps, exactly
+    where eps is 0.0 (everywhere at c = inf): on a weighted scene, and on
+    a flat walled scene where many depot distances tie."""
     rng = np.random.default_rng(11)
     for planner in (loop_instance(5, 1), ScenePlanner(generate_scene("blocked", seed=1))):
         loop, length = planner.loop, len(planner.loop)
@@ -621,14 +631,10 @@ def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
             for row, cost_row, binding_row in zip(keys.tolist(), costs.tolist(),
                                                   binding.tolist()):
                 assert (cost_row, binding_row) == model.placement_costs(row)
-                approx, eps, bound = model.placement_bounds(row)
-                eps = eps or [0.0] * k
-                assert bound == binding_row
-                assert all(abs(a - c) <= e and (e or a == c)
-                           for a, c, e in zip(approx, cost_row, eps))
             approx, eps, bound = model.placement_cost_bounds(keys)
             assert (bound == binding).all()
-            sizes = np.array([PartitionSet(row, length).sizes() for row in keys.tolist()])
+            sizes = ((np.roll(keys, -1, axis=1) - keys) % length if k > 1
+                     else np.full_like(keys, length))
             assert (eps is None) == (capacity == math.inf or (sizes <= capacity).all())
             eps = np.zeros_like(approx) if eps is None else eps
             assert (abs(approx - costs) <= eps).all()
@@ -640,6 +646,50 @@ def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
         assert costs.tolist() == [virtual.placement_costs(row)[0] for row in keys.tolist()]
         assert virtual.placement_cost_bounds(keys)[1:] == (None, None)
         assert (virtual.placement_cost_bounds(keys)[0] == costs).all()
+
+
+@pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0])
+def test_placement_costs_equal_the_per_offset_oracle(capacity):
+    """``placement_costs`` equals the per-offset oracle bit for bit, costs
+    and binding, for k in {1, 2, 3, 5, 16}: on keys in loop order that
+    wrap past the loop's end, and at finite c on segments of exactly c and
+    c + 1 cells, whose last break falls on their last cell or just before
+    it, laid from starts near the loop's end."""
+    planner = loop_instance(5, 1, width=28, height=28)   # a 568-node loop
+    loop, length = planner.loop, len(planner.loop)
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, 5, 16):
+        depots = [loop.nodes[p] for p in rng.choice(length, size=k, replace=False)]
+        model = LoopCostModel(loop, planner.graph, depots, capacity)
+        rows = []
+        for _ in range(20):
+            keys = sorted(rng.choice(length, size=k, replace=False).tolist())
+            turn = int(rng.integers(k))
+            rows.append(keys[turn:] + keys[:turn])
+        if capacity != math.inf:
+            c = int(capacity)
+            sizes = [c + j % 2 for j in range(k - 1)]
+            for start in (0, length - c, length - 1):
+                rows.append([(start + sum(sizes[:j])) % length for j in range(k)])
+        for keys in rows:
+            assert model.placement_costs(keys) == reference_placement_costs(model, keys)
+
+
+def test_cumsum_adds_each_row_left_to_right():
+    """``placement_costs`` adds a segment's refill terms with ``np.cumsum``
+    along each row of a zero-padded array: that must be the sequential
+    left-to-right sum, which pairwise summation of 1e16 + 1.0 + 1.0 + ...
+    is not, and a trailing 0.0 must change no bit."""
+    rng = np.random.default_rng(0)
+    terms = np.array([[1e16] + [1.0] * 99,
+                      [0.1] * 60 + [0.0] * 40,
+                      (rng.random(100) * 10.0 ** rng.integers(-8, 17, 100)).tolist()])
+    for row, got in zip(terms.tolist(), np.cumsum(terms, axis=1)[:, -1].tolist()):
+        total = 0.0
+        for term in row:
+            total += term
+        assert got == total
+    assert terms[0].sum() != np.cumsum(terms, axis=1)[0, -1]   # the values tell them apart
 
 
 def test_depot_that_cannot_reach_the_loop_is_rejected():
@@ -666,7 +716,8 @@ def test_loop_cell_that_is_not_a_node_is_rejected():
 
 def scan_cases():
     """(model, partition, size_cap) cases for the refinement scan: random
-    key sets, in loop order and not, under depot and virtual costs."""
+    key sets in loop order, half of them wrapping past the loop's end,
+    under depot and virtual costs."""
     rng = np.random.default_rng(5)
     weighted = loop_instance(5, 4, width=8, height=8)
     loop, length = weighted.loop, len(weighted.loop)
@@ -679,9 +730,9 @@ def scan_cases():
     for model in models:
         k = len(model.depots) if model.depots else 5
         for trial in range(4):
-            keys = rng.choice(model.length, size=k, replace=False).tolist()
-            if trial % 2:
-                keys.sort()
+            keys = sorted(rng.choice(model.length, size=k, replace=False).tolist())
+            if trial % 2 == 0:
+                keys = keys[trial // 2 + 1:] + keys[:trial // 2 + 1]
             for size_cap in (None, 2, 5):
                 weights, _ = model.placement_costs(keys)
                 yield model, PartitionSet(keys, model.length, weights), size_cap
@@ -735,8 +786,9 @@ def test_scan_skips_pairs_with_no_feasible_shift():
 def bounded_cases(capacity):
     """(model, oracle, keys, flat) cases at a finite capacity: the bounded
     model and the ``ExactCostModel`` over the same loop and depots, and key
-    sets in loop order and not.  A weighted scene, and a flat 8x8 one with
-    symmetric depots, whose integer hop costs tie exactly."""
+    sets in loop order, two of every three wrapping past the loop's end.  A
+    weighted scene, and a flat 8x8 one with symmetric depots, whose integer
+    hop costs tie exactly."""
     rng = np.random.default_rng(int(capacity))
     weighted = loop_instance(5, 4, width=8, height=8)
     for planner, layouts in ((weighted, [weighted.depots(k) for k in (2, 3, 4)]),
@@ -747,66 +799,71 @@ def bounded_cases(capacity):
             model = LoopCostModel(loop, planner.graph, depots, capacity)
             oracle = ExactCostModel(loop, planner.graph, depots, capacity)
             for trial in range(3):
-                keys = rng.choice(length, size=len(depots), replace=False).tolist()
-                yield model, oracle, sorted(keys) if trial else keys, layouts is None
+                keys = sorted(rng.choice(length, size=len(depots), replace=False).tolist())
+                yield model, oracle, keys[trial:] + keys[:trial], layouts is None
             yield model, oracle, naive_partition(loop, len(depots)).keys, layouts is None
 
 
-def count_undecided():
-    """A patch of ``_Placement``'s comparisons that counts, in the list it
-    returns, those whose bounds left them open, so that they re-priced."""
-    undecided, original = [], (partition._Placement.below, partition._Placement.less)
+def rejected_repricings(model, pset, size_cap, budget):
+    """``_scan_improvement`` of ``pset`` under ``model``, and how many rows
+    it re-priced with ``placement_costs`` and did not take.
 
-    def below(self, other, tol):
-        loose = [p for p in (self, other) if getattr(p, "eps", None) is not None]
-        result = original[0](self, other, tol)
-        undecided.extend(p for p in loose if p.eps is None)
-        return result
+    The scan prices a row only to decide a comparison its bounds leave
+    open, or to take it; its rule takes a row whose maximum cost is below
+    the current maximum by 1e-12 and below the best row's by 1e-15.
+    Replaying that rule over the priced rows' maxima counts the rows that
+    failed it: the best it replays is never below the scan's, which may
+    also take rows priced exactly by their bounds, so none is counted
+    that the scan took."""
+    original, maxima = LoopCostModel.placement_costs, []
 
-    def less(self, i, j):
-        loose = self.eps is not None
-        result = original[1](self, i, j)
-        undecided.extend([self] if loose and self.eps is None else [])
-        return result
+    def placement_costs(self, keys):
+        costs, binding = original(self, keys)
+        maxima.append(max(costs))
+        return costs, binding
 
-    patches = (mock.patch.object(partition._Placement, "below", below),
-               mock.patch.object(partition._Placement, "less", less))
-    return undecided, patches
+    with mock.patch.object(LoopCostModel, "placement_costs", placement_costs):
+        found = _scan_improvement(model, pset, size_cap, budget)
+    best, rejected = max(pset.weights) - 1e-12, 0
+    for cost in maxima:
+        if cost < best:
+            best = cost - 1e-15
+        else:
+            rejected += 1
+    return found, rejected
 
 
 @pytest.mark.parametrize("capacity", [1.0, 2.0, 3.0, 25.0])
 def test_bounded_searches_match_the_exact_oracle(capacity):
     """The scan, ``balanced_cut`` and ``optimize_partition`` priced from
     bounds return the keys and weights, and spend the budget, that they
-    do on exact per-offset costs; on the flat scene exact ties leave
-    comparisons open, and those re-price."""
-    undecided, patches = count_undecided()
-    ties = 0   # flat cases that re-priced
-    with patches[0], patches[1]:
-        for model, oracle, keys, flat in bounded_cases(capacity):
-            open_before = len(undecided)
-            weights, _ = model.placement_costs(keys)
-            assert weights == oracle.placement_costs(keys)[0]
-            pset = PartitionSet(keys, model.length, weights)
-            for size_cap in (None, 2 * int(capacity)):
-                for limit in (7, 10_000):
-                    budgets = _EvalBudget(limit), _EvalBudget(limit)
-                    got, want = (_scan_improvement(m, pset, size_cap, b)
-                                 for m, b in zip((model, oracle), budgets))
-                    assert (got is None) == (want is None)
-                    if want is not None:
-                        assert (got.keys, got.weights) == (want.keys, want.weights)
-                    assert budgets[0].used == budgets[1].used
-            if keys != sorted(keys):
-                continue   # cuts keep keys apart only when they are in loop order
-            for mn, mx in itertools.permutations(range(len(keys)), 2):
-                got, want = (balanced_cut(pset, mn, mx, m) for m in (model, oracle))
-                assert (got.keys, got.weights) == (want.keys, want.weights)
-            got, want = (partition.optimize_partition(m, PartitionSet(keys, model.length),
-                                                      64 * len(keys)) for m in (model, oracle))
-            assert (got[0].keys, got[0].weights, got[1]) == (want[0].keys, want[0].weights,
-                                                             want[1])
-            ties += flat and len(undecided) > open_before
+    do on exact per-offset costs; on the flat scene exact ties leave a
+    scan's comparisons open, and the scan re-prices those rows: it prices
+    rows that are no improvement."""
+    ties = 0   # flat cases whose scans re-priced a row they did not take
+    for model, oracle, keys, flat in bounded_cases(capacity):
+        weights, _ = model.placement_costs(keys)
+        assert weights == oracle.placement_costs(keys)[0]
+        pset = PartitionSet(keys, model.length, weights)
+        rejected = 0
+        for size_cap in (None, 2 * int(capacity)):
+            for limit in (7, 10_000):
+                budgets = _EvalBudget(limit), _EvalBudget(limit)
+                got, count = rejected_repricings(model, pset, size_cap, budgets[0])
+                rejected += count
+                want = _scan_improvement(oracle, pset, size_cap, budgets[1])
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert (got.keys, got.weights) == (want.keys, want.weights)
+                assert budgets[0].used == budgets[1].used
+        for mn, mx in itertools.permutations(range(len(keys)), 2):
+            got, want = (balanced_cut(pset, mn, mx, m) for m in (model, oracle))
+            assert (got.keys, got.weights) == (want.keys, want.weights)
+        got, want = (partition.optimize_partition(m, PartitionSet(keys, model.length),
+                                                  64 * len(keys)) for m in (model, oracle))
+        assert (got[0].keys, got[0].weights, got[1]) == (want[0].keys, want[0].weights,
+                                                         want[1])
+        ties += flat and rejected > 0
     assert ties
 
 

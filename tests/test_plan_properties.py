@@ -5,10 +5,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mrcpp.pipeline import STRATEGIES, ScenePlanner, plan_document, write_json_atomic
+from mrcpp.pipeline import (STRATEGIES, PlanningError, ScenePlanner, plan_document,
+                            write_json_atomic)
+from mrcpp.scene import SceneError, load_scene, save_scene
 from mrcpp.scenegen import generate_scene
 
 from conftest import plan_fields, reference_robot_plan
@@ -16,14 +18,48 @@ from conftest import plan_fields, reference_robot_plan
 
 @st.composite
 def requests(draw):
+    """A generated scene with some cells drawn out of its land-class mask
+    and some elevation samples drawn as NODATA, written by ``save_scene``
+    and read back by ``load_scene``; the cells of every depot's 2x2 block
+    stay workable, so the loop can start at the first and pass the others."""
     kind = draw(st.sampled_from(["random", "blocked", "field"]))
     width = draw(st.sampled_from([5, 7, 9, 11]))
     height = draw(st.sampled_from([5, 7, 9, 11]))
     scene = generate_scene(kind, seed=draw(st.integers(0, 10_000)), width=width,
                            height=height, robots=draw(st.integers(1, 5)))
+    kept = {(x // 2 * 2 + dx, y // 2 * 2 + dy) for x, y in scene.depots
+            for dx in (0, 1) for dy in (0, 1)}
+    cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)).filter(
+        lambda cell: cell not in kept)
+    unworkable = draw(st.lists(cells, max_size=width * height // 8))
+    nodata = draw(st.lists(cells, max_size=width * height // 8))
+    if unworkable:
+        scene.landclass = (np.ones((height, width), dtype=bool) if scene.landclass is None
+                           else scene.landclass.copy())
+        for x, y in unworkable:
+            scene.landclass[y, x] = False
+    if nodata:
+        scene.elevation = (np.zeros((height, width)) if scene.elevation is None
+                           else scene.elevation.copy())
+        for x, y in nodata:
+            scene.elevation[y, x] = -9999.0
+    with tempfile.TemporaryDirectory() as out:
+        scene = load_scene(save_scene(scene, Path(out) / "scene.json"))
+    assert all(scene.blocked[y, x] for x, y in nodata)
     k = draw(st.integers(1, len(scene.depots)))
     capacity = draw(st.sampled_from([1.0, math.inf]) | st.integers(2, 6).map(float))
     return scene, k, capacity
+
+
+def planner_for(scene, k) -> ScenePlanner:
+    """The scene's planner; a mask or NODATA cell can cut a depot, or its
+    block, off the loop, and such a draw is rejected."""
+    try:
+        planner = ScenePlanner(scene)
+    except (SceneError, PlanningError):
+        assume(False)
+    assume(all(planner.loop.position(depot) >= 0 for depot in planner.depots(k)))
+    return planner
 
 
 def _written(doc: dict) -> bytes:
@@ -39,7 +75,7 @@ def test_every_strategy_plans_a_valid_cover(request):
     walk of its runs builds, the reported maximum weight is the largest
     of their weights, and the plan file holds the text of ``json.dumps``."""
     scene, k, capacity = request
-    planner = ScenePlanner(scene)
+    planner = planner_for(scene, k)
     loop, g = planner.loop, planner.graph
     for algorithm in STRATEGIES:
         result = planner.plan(algorithm, k, capacity)
@@ -68,7 +104,7 @@ def test_refill_legs_are_shortest_walks_from_the_depot(request):
     break cell at half the trip's cost, and its outbound leg is the same
     walk reversed."""
     scene, k, capacity = request
-    planner = ScenePlanner(scene)
+    planner = planner_for(scene, k)
     g = planner.graph
     for algorithm in STRATEGIES:
         for p in planner.plan(algorithm, k, capacity).outcome.plans:

@@ -139,6 +139,22 @@ def test_load_scene_rejects_bad_raster_file(tmp_path, key, name, text):
         load_scene(path)
 
 
+@pytest.mark.parametrize("key, value", [("ncols", "3.5"), ("ncols", "-3"), ("nrows", "-2"),
+                                        ("nrows", "0"), ("ncols", "nan")])
+def test_load_scene_rejects_asc_sizes_that_are_not_positive_integers(tmp_path, key, value):
+    """An .asc ``ncols`` or ``nrows`` that is not a positive integer is
+    named in the error, not truncated or left to numpy's reshape."""
+    header = {"ncols": "3", "nrows": "2"} | {key: value}
+    (tmp_path / "e.asc").write_text(
+        f"ncols {header['ncols']}\nnrows {header['nrows']}\n"
+        "xllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n1 2 3\n4 5 6\n")
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"width": 3, "height": 2, "depots": [[0, 0]],
+                                "elevation_file": "e.asc"}))
+    with pytest.raises(SceneError, match=f"'elevation_file'.*{key} must be a positive integer"):
+        load_scene(path)
+
+
 def test_load_scene_rejects_non_object_document(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text("5")

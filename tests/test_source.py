@@ -67,11 +67,11 @@ def test_only_graphs_calls_dijkstra():
     assert callers == ["solve"]
 
 
-def test_only_partition_calls_segment_cost_at():
+def test_only_partition_calls_placement_costs():
     # the per-offset exact sum is ``balanced``'s tie-breaker; MSTC-BO and
     # every other search price from ``segment_cost_bounds``' prefix sums
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "partition.py"
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Attribute) and node.attr == "segment_cost_at"]
-    assert not found, f"segment_cost_at called outside partition: {found}"
+             if isinstance(node, ast.Attribute) and node.attr == "placement_costs"]
+    assert not found, f"placement_costs called outside partition: {found}"
