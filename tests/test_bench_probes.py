@@ -74,6 +74,29 @@ def test_probes_count_shortest_path_solves_and_paths():
     tracer = tracing.Tracer(time.process_time)
     probes = tracing.LayerProbes(tracer)
     probes.install()
+    # every binary-search probe of a cut is priced by placement_costs, so
+    # its probe times the cuts' pricing at finite capacity too: each cut
+    # prices its input and at least one probe, and every call its model
+    # receives is a traced span inside the cut's span
+    traced_cut, cuts = partition.balanced_cut, []
+
+    def counted_cut(pset, min_idx, max_idx, model, *args):
+        priced = []
+
+        def placement_costs(keys):
+            priced.append(keys)
+            return type(model).placement_costs(model, keys)
+
+        cut = len(tracer.spans)   # the span the cut's probe opens next
+        model.placement_costs = placement_costs
+        try:
+            return traced_cut(pset, min_idx, max_idx, model, *args)
+        finally:
+            del model.placement_costs
+            traced = [name for name, parent, *_ in tracer.spans[cut:] if parent == cut]
+            cuts.append((len(priced), traced))
+
+    partition.balanced_cut = counted_cut
     try:
         result = planner.plan("balanced", 2, 10.0)
         # plans take their refill legs from paths_from; path stays the
@@ -82,14 +105,14 @@ def test_probes_count_shortest_path_solves_and_paths():
         trip = plan.refills[0]
         assert planner.graph.path(plan.depot, trip.break_cell).tolist() == trip.inbound.tolist()
     finally:
+        partition.balanced_cut = traced_cut
         probes.remove()
     metrics = tracing.layer_metrics(tracer)
     assert metrics["graphs.sssp.solves"] > 0
     assert metrics["graphs.path.calls"] == 1
-    # every binary-search probe of a cut is priced by placement_costs, so
-    # its probe times the cuts' pricing at finite capacity too
-    assert metrics["partition.balanced_cut.calls"] > 0
-    assert metrics["partition.placement_costs.calls"] >= metrics["partition.balanced_cut.calls"]
+    assert cuts and len(cuts) == metrics["partition.balanced_cut.calls"]
+    assert all(priced >= 2 and traced == ["partition.placement_costs"] * priced
+               for priced, traced in cuts)
 
 
 def test_graph_oracle_matches_the_graph():

@@ -2,10 +2,11 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrcpp.pipeline import (STRATEGIES, PlanningError, ScenePlanner, plan_document,
@@ -18,10 +19,12 @@ from conftest import plan_fields, reference_robot_plan
 
 @st.composite
 def requests(draw):
-    """A generated scene with some cells drawn out of its land-class mask
-    and some elevation samples drawn as NODATA, written by ``save_scene``
-    and read back by ``load_scene``; the cells of every depot's 2x2 block
-    stay workable, so the loop can start at the first and pass the others."""
+    """A generated scene, with k and a capacity.  The scene comes as
+    generated and, when any cell is drawn, once more with the drawn cells
+    out of its land-class mask and as NODATA elevation samples, written by
+    ``save_scene`` and read back by ``load_scene``.  The cells of every
+    depot's 2x2 block stay workable, so the loop can start at the first
+    and pass the others."""
     kind = draw(st.sampled_from(["random", "blocked", "field"]))
     width = draw(st.sampled_from([5, 7, 9, 11]))
     height = draw(st.sampled_from([5, 7, 9, 11]))
@@ -33,33 +36,44 @@ def requests(draw):
         lambda cell: cell not in kept)
     unworkable = draw(st.lists(cells, max_size=width * height // 8))
     nodata = draw(st.lists(cells, max_size=width * height // 8))
-    if unworkable:
-        scene.landclass = (np.ones((height, width), dtype=bool) if scene.landclass is None
-                           else scene.landclass.copy())
-        for x, y in unworkable:
-            scene.landclass[y, x] = False
-    if nodata:
-        scene.elevation = (np.zeros((height, width)) if scene.elevation is None
-                           else scene.elevation.copy())
-        for x, y in nodata:
-            scene.elevation[y, x] = -9999.0
-    with tempfile.TemporaryDirectory() as out:
-        scene = load_scene(save_scene(scene, Path(out) / "scene.json"))
-    assert all(scene.blocked[y, x] for x, y in nodata)
+    scenes = [(scene, False)]
+    if unworkable or nodata:
+        masked = replace(scene)
+        if unworkable:
+            masked.landclass = (np.ones((height, width), dtype=bool)
+                                if scene.landclass is None else scene.landclass.copy())
+            for x, y in unworkable:
+                masked.landclass[y, x] = False
+        if nodata:
+            masked.elevation = (np.zeros((height, width)) if scene.elevation is None
+                                else scene.elevation.copy())
+            for x, y in nodata:
+                masked.elevation[y, x] = -9999.0
+        with tempfile.TemporaryDirectory() as out:
+            masked = load_scene(save_scene(masked, Path(out) / "scene.json"))
+        assert all(masked.blocked[y, x] for x, y in nodata)
+        scenes.append((masked, True))
     k = draw(st.integers(1, len(scene.depots)))
     capacity = draw(st.sampled_from([1.0, math.inf]) | st.integers(2, 6).map(float))
-    return scene, k, capacity
+    return scenes, k, capacity
 
 
-def planner_for(scene, k) -> ScenePlanner:
-    """The scene's planner; a mask or NODATA cell can cut a depot, or its
-    block, off the loop, and such a draw is rejected."""
-    try:
-        planner = ScenePlanner(scene)
-    except (SceneError, PlanningError):
-        assume(False)
-    assume(all(planner.loop.position(depot) >= 0 for depot in planner.depots(k)))
-    return planner
+def planners(scenes, k):
+    """The planner of each scene.  A generated scene must plan with every
+    depot on the loop; a drawn mask or NODATA cell can cut a depot, or
+    its block, off the loop, and such a masked scene is left out."""
+    for scene, masked in scenes:
+        try:
+            planner = ScenePlanner(scene)
+        except (SceneError, PlanningError):
+            if masked:
+                continue
+            raise
+        on_loop = all(planner.loop.position(depot) >= 0 for depot in planner.depots(k))
+        if masked and not on_loop:
+            continue
+        assert on_loop
+        yield scene, planner
 
 
 def _written(doc: dict) -> bytes:
@@ -74,27 +88,29 @@ def test_every_strategy_plans_a_valid_cover(request):
     refills follow the capacity, every plan equals the one a cell-by-cell
     walk of its runs builds, the reported maximum weight is the largest
     of their weights, and the plan file holds the text of ``json.dumps``."""
-    scene, k, capacity = request
-    planner = planner_for(scene, k)
-    loop, g = planner.loop, planner.graph
-    for algorithm in STRATEGIES:
-        result = planner.plan(algorithm, k, capacity)
-        plans = result.outcome.plans
-        assert sorted(p.robot for p in plans) == list(range(k))
-        serviced = [cell for p in plans for cell in p.segment]
-        assert sorted(serviced) == sorted(loop.nodes), algorithm
-        for p in plans:
-            size = len(p.segment)
-            trips = 1 if capacity == math.inf else math.ceil(size / capacity)
-            assert p.trips == trips, algorithm
-            assert len(p.refills) == trips - 1, algorithm
-        rebuilt = [reference_robot_plan(p.robot, p.depot, p.runs, capacity, g) for p in plans]
-        assert [plan_fields(p) for p in plans] == [plan_fields(p) for p in rebuilt], algorithm
-        assert result.max_weight == max(p.weight for p in rebuilt), algorithm
-        doc = plan_document(result, scene)
-        reference = json.dumps(doc, indent=2, sort_keys=True,
-                               default=np.ndarray.tolist) + "\n"
-        assert _written(doc) == reference.encode("ascii"), algorithm
+    scenes, k, capacity = request
+    for scene, planner in planners(scenes, k):
+        loop, g = planner.loop, planner.graph
+        for algorithm in STRATEGIES:
+            result = planner.plan(algorithm, k, capacity)
+            plans = result.outcome.plans
+            assert sorted(p.robot for p in plans) == list(range(k))
+            serviced = [cell for p in plans for cell in p.segment]
+            assert sorted(serviced) == sorted(loop.nodes), algorithm
+            for p in plans:
+                size = len(p.segment)
+                trips = 1 if capacity == math.inf else math.ceil(size / capacity)
+                assert p.trips == trips, algorithm
+                assert len(p.refills) == trips - 1, algorithm
+            rebuilt = [reference_robot_plan(p.robot, p.depot, p.runs, capacity, g)
+                       for p in plans]
+            assert [plan_fields(p) for p in plans] == [plan_fields(p) for p in rebuilt], \
+                algorithm
+            assert result.max_weight == max(p.weight for p in rebuilt), algorithm
+            doc = plan_document(result, scene)
+            reference = json.dumps(doc, indent=2, sort_keys=True,
+                                   default=np.ndarray.tolist) + "\n"
+            assert _written(doc) == reference.encode("ascii"), algorithm
 
 
 @settings(max_examples=20, deadline=None)
@@ -103,16 +119,16 @@ def test_refill_legs_are_shortest_walks_from_the_depot(request):
     """Every refill's inbound leg walks edges of G from the depot to its
     break cell at half the trip's cost, and its outbound leg is the same
     walk reversed."""
-    scene, k, capacity = request
-    planner = planner_for(scene, k)
-    g = planner.graph
-    for algorithm in STRATEGIES:
-        for p in planner.plan(algorithm, k, capacity).outcome.plans:
-            for t in p.refills:
-                inbound = t.inbound.tolist()
-                assert inbound[0] == list(p.depot), algorithm
-                assert inbound[-1] == list(t.break_cell), algorithm
-                hops = g.hop_weights(t.inbound[:, 0], t.inbound[:, 1])
-                assert np.isfinite(hops).all(), algorithm
-                assert math.isclose(math.fsum(hops), t.cost / 2, rel_tol=1e-9), algorithm
-                assert t.outbound.tolist() == inbound[::-1], algorithm
+    scenes, k, capacity = request
+    for _, planner in planners(scenes, k):
+        g = planner.graph
+        for algorithm in STRATEGIES:
+            for p in planner.plan(algorithm, k, capacity).outcome.plans:
+                for t in p.refills:
+                    inbound = t.inbound.tolist()
+                    assert inbound[0] == list(p.depot), algorithm
+                    assert inbound[-1] == list(t.break_cell), algorithm
+                    hops = g.hop_weights(t.inbound[:, 0], t.inbound[:, 1])
+                    assert np.isfinite(hops).all(), algorithm
+                    assert math.isclose(math.fsum(hops), t.cost / 2, rel_tol=1e-9), algorithm
+                    assert t.outbound.tolist() == inbound[::-1], algorithm
