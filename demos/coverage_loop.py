@@ -21,7 +21,7 @@ scene = Scene(width=10, height=10, depots=[(0, 0)], elevation=elevation)
 config = PlannerConfig()  # alpha=1/3, beta=2/3, threshold 25deg
 
 tmap = build_traversability(scene, config.slope_threshold)
-g = build_covering_graph(tmap, config, depots=scene.depots)
+g = build_covering_graph(tmap, config)
 h = build_spanning_graph(tmap, config)
 print(f"covering graph: {len(g)} cells, {len(g.weights)} edges")
 print(f"spanning graph: {len(h)} blocks, {len(h.edges)} edges")

@@ -198,15 +198,8 @@ class CoveringGraph:
         ends = np.cumsum(np.concatenate(lengths)).tolist()
         return dist[nodes], [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
-    def debug_dump(self) -> dict:
-        """JSON-friendly dump of nodes and weighted edges."""
-        cells, edges = self.cells, sorted(self.weights.items())
-        return {"nodes": [list(c) for c in cells],
-                "edges": [[list(cells[i]), list(cells[j]), w] for (i, j), w in edges]}
 
-
-def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig,
-                         depots: list[Cell] = ()) -> CoveringGraph:
+def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig) -> CoveringGraph:
     """Build G: orthogonal unit edges plus intact-block diagonals."""
     a, b, slopes = grid_edges(tmap.slope_x, tmap.slope_y)
     if not slopes.size:
@@ -229,10 +222,7 @@ def build_covering_graph(tmap: TraversabilityMap, config: PlannerConfig,
     weight = np.concatenate([unit, diagonal, diagonal])
     matrix = csr_matrix((np.concatenate([weight, weight]),
                          (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
-    g = CoveringGraph(node.reshape(h, w), steps.reshape(3, h, w), matrix)
-    for d in depots:
-        g.node_of(d)   # a depot that is not a free cell raises GraphError
-    return g
+    return CoveringGraph(node.reshape(h, w), steps.reshape(3, h, w), matrix)
 
 
 @dataclass
@@ -286,12 +276,6 @@ class SpanningGraph:
         keep = self.intact & (labels == labels[block[1], block[0]])
         return SpanningGraph(keep, np.where(keep[:, :-1], self.east, np.nan),
                              np.where(keep[:-1, :], self.north, np.nan))
-
-    def debug_dump(self) -> dict:
-        return {
-            "nodes": [list(b) for b in self.blocks],
-            "edges": [[list(a), list(b), w] for (a, b), w in sorted(self.edges.items())],
-        }
 
 
 def build_spanning_graph(tmap: TraversabilityMap, config: PlannerConfig) -> SpanningGraph:

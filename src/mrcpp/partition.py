@@ -6,6 +6,11 @@ is the full robot cost: approach leg from the depot, the coverage hops,
 a refill excursion to the depot after every ``capacity`` serviced cells,
 and the final return leg.
 
+Every strategy holds the capacity as whole cells per load
+(``_cells_per_load``): inf, or any capacity of at least the cells to
+service, becomes that count, so nothing refills and one integer code path
+serves every capacity; below 1, or nan, it raises ``PartitionError``.
+
 The balanced optimizer starts from the naive equal-count partition and
 repeatedly shifts key nodes between the currently heaviest and lightest
 segments (binary search on the shift amount), accepting a placement only
@@ -112,18 +117,21 @@ def max_weight(plans) -> float:
     return max(p.weight for p in plans)
 
 
-def _refill_offsets(size: int, capacity: float) -> range:
-    # break after every `capacity` serviced cells, unless the segment ends there
-    if capacity == math.inf:
-        return range(0)
-    c = int(capacity)
+def _cells_per_load(capacity: float, cells: int) -> int:
+    """The whole cells one load services, out of ``cells`` to service: a
+    capacity of at least ``cells``, inf included, becomes ``cells``."""
+    if not capacity >= 1:   # nan too
+        raise PartitionError(f"capacity must be >= 1, got {capacity!r}")
+    return int(min(capacity, cells))
+
+
+def _refill_offsets(size: int, c: int) -> range:
+    # break after every c serviced cells, unless the segment ends there
     return range(c - 1, size - 1, c)
 
 
-def trips_required(size: int, capacity: float) -> int:
-    if capacity == math.inf:
-        return 1
-    return (size + int(capacity) - 1) // int(capacity)
+def trips_required(size: int, c: int) -> int:
+    return (size + c - 1) // c
 
 
 def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
@@ -161,7 +169,8 @@ def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
         positions.append(pos)
         prev = run[-1]
     serviced = np.concatenate(positions)
-    offsets = np.array(_refill_offsets(len(serviced), capacity), dtype=np.int64)
+    c = _cells_per_load(capacity, len(serviced))
+    offsets = np.array(_refill_offsets(len(serviced), c), dtype=np.int64)
     # row i: the cost of reaching serviced cell i, then of the trip that breaks
     # there (0.0 for none); the last row is the return leg
     increments = np.zeros((len(serviced) + 1, 2))
@@ -178,7 +187,7 @@ def build_robot_plan(robot: int, depot: Cell, loop: CoverageLoop,
                                                    legs, costs.tolist())]
     weight = np.cumsum(increments.ravel())[-1]
     return RobotPlan(robot=robot, depot=depot, runs=cells, refills=refills,
-                     trips=trips_required(len(serviced), capacity), weight=float(weight))
+                     trips=trips_required(len(serviced), c), weight=float(weight))
 
 
 class LoopCostModel:
@@ -187,6 +196,8 @@ class LoopCostModel:
     With depots, a segment's cost includes approach/return legs and refill
     excursions against the greedily bound depot; without depots (the
     virtual-robot mode used under finite capacity) costs are coverage-only.
+    ``capacity`` is held as whole cells per load, the loop length L at most:
+    no segment exceeds L cells, so at L nothing refills.
 
     ``placement_costs`` prices one placement of k keys exactly, adding
     each segment's refill terms one by one.  ``segment_cost_bounds`` bounds
@@ -205,7 +216,7 @@ class LoopCostModel:
                  depots: list[Cell] | None = None, capacity: float = math.inf):
         self.loop = loop
         self.length = len(loop)
-        self.capacity = capacity
+        self.capacity = _cells_per_load(capacity, self.length)
         self.prefix = np.concatenate(([0.0], np.cumsum(np.tile(loop.edge_weights, 2))))
         self._prefix = memoryview(self.prefix)
         self.depots = list(depots) if depots else None
@@ -232,7 +243,7 @@ class LoopCostModel:
         over q = p, p - c, ... down to 0.  p runs from -c (the empty sum)
         to 2L - 1, so every break of a tail or a run is read unwrapped.
         Built in place in its one (k, rows * c) array: doubling is exact."""
-        c, (k, length) = int(self.capacity), self.depot_dist.shape
+        c, (k, length) = self.capacity, self.depot_dist.shape
         rows = -(-(2 * length) // c) + 1
         terms = np.zeros((k, rows * c))
         terms[:, c:c + length] = terms[:, c + length:c + 2 * length] = self.depot_dist
@@ -244,7 +255,7 @@ class LoopCostModel:
     def _refill_eps(self, refills, cost, top):
         """The error bound of a cost with ``refills`` refill terms whose
         prefixes read reach ``top``: numbers or arrays alike."""
-        rows = self.refill_prefix.shape[1] // int(self.capacity)
+        rows = self.refill_prefix.shape[1] // self.capacity
         return 2.0 * (refills + rows + 8) * UNIT_ROUNDOFF * (cost + 2.0 * top)
 
     def segment_cost_bounds(self, start, size, depot_idx, behind=0
@@ -270,7 +281,7 @@ class LoopCostModel:
         (n + N + 5) u M, u the unit roundoff and M the cost plus the
         prefixes read; eps is over twice that, which covers its own
         rounding too.  Where a segment has no refill, as everywhere at
-        c = inf, eps is 0.0 and ``approx`` is the exact cost bit for bit.
+        c = L, eps is 0.0 and ``approx`` is the exact cost bit for bit.
         Tails must be shorter than the loop, and runs no longer.
         """
         d, length, prefix = self.depot_dist, self.length, self.prefix
@@ -284,10 +295,9 @@ class LoopCostModel:
         cost = cost + (prefix[start + size - 1] - prefix[start])
         cost = cost + d[depot, (start + size - 1) % length]
         c = self.capacity
-        refills = None if c == math.inf else (behind + size - 1) // int(c)
-        if refills is None or not refills.any():   # nor is refill_prefix built then
+        refills = (behind + size - 1) // c
+        if not refills.any():   # nor is refill_prefix built then
             return cost, np.zeros_like(cost)
-        c = int(c)
         q, back = self.refill_prefix, behind // c
         # the forward run's breaks sit at start + (i + 1) c - 1 - behind for
         # i = back .. refills - 1
@@ -332,20 +342,20 @@ class LoopCostModel:
             sizes = (ring[1:] - starts) % length if k > 1 else length
             return (self.prefix[starts + sizes - 1] - self.prefix[starts]).tolist(), None
         binding = self.greedy_binding(keys)
-        c = math.inf if self.capacity == math.inf else int(self.capacity)
+        c = self.capacity
         costs, refills = [], []
         for i, (start, robot) in enumerate(zip(keys, binding)):
             size = (keys[(i + 1) % k] - start) % length or length   # k = 1: the whole loop
             d = self._depot_dist[robot]
             costs.append(d[start] + self.coverage_cost(start, size)
                          + d[(start + size - 1) % length])
-            refills.append((size - 1) // c)   # 0.0 at c = inf
+            refills.append((size - 1) // c)
         if not any(refills):
             return costs, binding
         # row i: the cost so far, then the depot distances of the breaks at
         # keys[i] + c - 1, keys[i] + 2c - 1, ..., read as strided slices
         # that wrap past the loop's end at most once, then zeros
-        terms = np.zeros((k, int(max(refills)) + 1))
+        terms = np.zeros((k, max(refills) + 1))
         terms[:, 0] = costs
         for row, start, robot, n in zip(terms, keys, binding, refills):
             d, first = self.depot_dist[robot], (start + c - 1) % length
@@ -361,7 +371,7 @@ class LoopCostModel:
                               ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """``placement_costs`` of every row of a (T, k) key matrix, to within
         a rigorous error bound per segment, as ``(approx, eps, binding)``
-        arrays; eps is None where every cost is exact, as at c = inf.  Row
+        arrays; eps is None where every cost is exact, as at c = L.  Row
         t's binding equals ``placement_costs(keys[t].tolist())``'s, and its
         costs are within eps of that call's, equal bit for bit where eps is
         0.0.
@@ -418,14 +428,10 @@ def _chain(k: int, min_idx, max_idx, other=False):
     return first, forward + backward * (k - 2 * forward), 2 * backward - 1
 
 
-def _shift_bounds(min_size: int, max_size: int, size_cap: int | None) -> tuple[int, int]:
+def _shift_bounds(min_size: int, max_size: int, size_cap: int) -> tuple[int, int]:
     """The shifts t that keep the min and max segments, t nodes moved from
     the max one into the min one, non-empty and within ``size_cap``."""
-    lo, hi = 1 - min_size, max_size - 1
-    if size_cap is not None:
-        lo = max(lo, max_size - size_cap)
-        hi = min(hi, size_cap - min_size)
-    return lo, hi
+    return max(1 - min_size, max_size - size_cap), min(max_size - 1, size_cap - min_size)
 
 
 def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
@@ -434,7 +440,8 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
 
     Binary search on the cumulative shift: nodes move out of the heaviest
     segment through the in-between chain into the lightest, in-between
-    node counts unchanged.  Returns the probed placement with the
+    node counts unchanged, sizes within ``size_cap`` (by default the loop
+    length, which binds nothing).  Returns the probed placement with the
     smallest maximum segment cost, never worse than the input, each probe
     priced exactly by ``placement_costs``.
     """
@@ -446,7 +453,7 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     k = len(base)
     first, count, sign = _chain(k, min_idx, max_idx)
     moving = [(first + j) % k for j in range(count)]
-    lo, hi = _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap)
+    lo, hi = _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap or length)
 
     def probe(shift: int) -> tuple[list[int], list[float]]:
         shift = min(max(shift, lo), hi)
@@ -470,27 +477,8 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     return PartitionSet(keys=best_keys, loop_length=length, weights=best)
 
 
-class _EvalBudget:
-    """Counts placement evaluations spent by the refinement phase."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, n: int = 1):
-        self.used += n
-
-    @property
-    def left(self) -> int:
-        return max(0, self.limit - self.used)
-
-    @property
-    def ok(self) -> bool:
-        return self.used < self.limit
-
-
 def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
-                 size_cap: int | None) -> tuple[PartitionSet, int]:
+                 size_cap: int) -> tuple[PartitionSet, int]:
     """The outer greedy loop: rebalance the heaviest/lightest pair until stuck."""
     iterations = 0
     while iterations < max_iters and len(current.keys) > 1:
@@ -509,7 +497,7 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
     return current, iterations
 
 
-def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int | None,
+def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int,
                   limit: int) -> Iterator[tuple[int, int, int, int]]:
     """The first ``limit`` ordered segment pairs (mn, mx) with a nonzero
     shift within ``_shift_bounds``, by cost gap ``weights[mn] - weights[mx]``,
@@ -526,11 +514,8 @@ def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int | None,
     """
     w = weights
     heavy = sorted(range(len(w)), key=lambda i: (-w[i], i))
-    if size_cap is None:
-        columns = [heavy] * len(w)
-    else:
-        heavy_below = [i for i in heavy if sizes[i] < size_cap]
-        columns = [heavy if s < size_cap else heavy_below for s in sizes]
+    heavy_below = [i for i in heavy if sizes[i] < size_cap]
+    columns = [heavy if s < size_cap else heavy_below for s in sizes]
     heap = [(w[mn] - w[cols[0]], mn, 0) for mn, cols in enumerate(columns) if cols]
     heapq.heapify(heap)
     while heap and limit > 0:
@@ -562,23 +547,25 @@ SCAN_CHUNK_KEYS = 1 << 14
 SCAN_FIRST_KEYS = 256
 
 
-def _scan_improvement(model: LoopCostModel, current: PartitionSet,
-                      size_cap: int | None, budget: _EvalBudget
-                      ) -> PartitionSet | None:
+def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int,
+                      budget: int) -> tuple[PartitionSet | None, int]:
     """Exhaustive chain scan over segment pairs, largest cost gap first.
 
-    Returns the best strictly improving placement found before the budget
-    runs out, or None when the partition is pairwise optimal.  A pair's
-    placements are its shifts along each of its two ``_chain``s; the scan
-    ends with the first pair that has a strictly better one, charged one
-    evaluation per placement, and with none sweeps the rotations.
-    ``placement_cost_bounds`` prices whole pairs per call, up to a row count
-    that starts at ``SCAN_FIRST_KEYS`` keys and doubles per call, or the
-    next pair alone; replaying the rows in order keeps the result
-    independent of the chunking.  A row with a loose bound is priced by
-    ``placement_costs`` only when its bounds leave a comparison open, or
-    when it is taken.  A segment with its current start, end and robot
-    takes its current weight, exactly.
+    Returns the best strictly improving placement found within ``budget``
+    evaluations, or None when the partition is pairwise optimal, and the
+    evaluations it charged.  A pair's placements are its shifts along each
+    of its two ``_chain``s; the scan ends with the first pair that has a
+    strictly better one, charged one evaluation per placement, and with
+    none sweeps the rotations.  ``placement_cost_bounds`` prices whole
+    pairs per call, up to a row count that starts at ``SCAN_FIRST_KEYS``
+    keys and doubles per call, or the next pair alone; replaying the rows
+    in order keeps the result independent of the chunking.  The bar is
+    the current maximum cost less 1e-12, or once a row is taken the best
+    row's maximum less 1e-15.  A row whose lower bound, the maximum of
+    its costs less eps, is not below the bar is skipped; any other is
+    priced exactly (by ``placement_costs`` where eps is not 0.0) and
+    taken when its maximum is below the bar.  A segment with its current
+    start, end and robot takes its current weight, exactly.
     """
     k = len(current.keys)
     length = current.loop_length
@@ -589,13 +576,14 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
     columns = np.arange(k)
     known = None   # the current weights and binding, once a chunk has loose bounds
     best = None   # the keys, exact costs and maximum cost of the best row
+    charged = 0
 
     def scan(moves: np.ndarray, chain: np.ndarray, t: np.ndarray, ends: list[int]) -> None:
         """Charge and price, as far as the budget goes, the placements that
         add ``t[i] * moves[chain[i]]`` to the keys, one per row i, a chunk
         at a time; ``ends`` are the pairs' row ends."""
-        nonlocal best, known
-        stop = min(len(t), budget.left)
+        nonlocal best, known, charged
+        stop = min(len(t), budget - charged)
         begin = 0
         while begin < stop:
             end = min(begin + chunk, stop)
@@ -608,42 +596,33 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
                         & (binding == known[1]))
                 costs, eps = np.where(same, known[0], costs), np.where(same, 0.0, eps)
             low = costs.max(axis=1) if eps is None else (costs - eps).max(axis=1)
-            high = low if eps is None else (costs + eps).max(axis=1)
-
-            def exact(i):
-                row = keys[i].tolist()
-                if eps is None or not eps[i].any():
-                    return row, costs[i].tolist(), low[i]
-                priced, _ = model.placement_costs(row)
-                return row, priced, max(priced)
-
             for i in np.flatnonzero(low < cur_max - 1e-12).tolist():
                 if begin + i >= stop:
                     break
-                row = None
-                if high[i] >= cur_max - 1e-12:   # maybe no improvement: decide exactly
-                    row = exact(i)
-                    if not row[2] < cur_max - 1e-12:
-                        continue
+                bar = cur_max - 1e-12 if best is None else best[2] - 1e-15
+                if not low[i] < bar:
+                    continue
+                row = keys[i].tolist()
+                if eps is None or not eps[i].any():
+                    priced, top = costs[i].tolist(), low[i]
+                else:
+                    priced, _ = model.placement_costs(row)
+                    top = max(priced)
+                if not top < bar:
+                    continue
                 if best is None:   # the scan ends with this pair
                     stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
-                elif high[i] >= best[2] - 1e-15:   # maybe not below best: decide exactly
-                    if low[i] >= best[2] - 1e-15:
-                        continue
-                    row = row or exact(i)
-                    if not row[2] < best[2] - 1e-15:
-                        continue
-                best = row or exact(i)
+                best = row, priced, top
             begin = end
-        budget.charge(stop)
+        charged += stop
 
-    pairs = _pairs_by_gap(current.weights, sizes, size_cap, budget.left)
+    pairs = _pairs_by_gap(current.weights, sizes, size_cap, budget)
     pair, target = next(pairs, None), max(1, SCAN_FIRST_KEYS // k)
-    while pair is not None and best is None and budget.ok:
+    while pair is not None and best is None and charged < budget:
         # whole pairs up to the target, or the next pair alone: a pair's rows
         # are its shifts along one chain, then along the other, and rows past
         # the budget are never priced, so none is built
-        chains, chain, t, ends, left = [], [], [], [], budget.left
+        chains, chain, t, ends, left = [], [], [], [], budget - charged
         while pair is not None and len(t) < left:
             mn, mx, lo, hi = pair
             below, above = range(lo, min(hi, -1) + 1), range(max(lo, 1), hi + 1)
@@ -668,50 +647,53 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet,
         scan(np.ones((1, k), dtype=base.dtype), np.zeros(length - 1, dtype=np.intp),
              np.arange(1, length), [length - 1])
     if best is None:
-        return None
-    return PartitionSet(keys=best[0], loop_length=length, weights=best[1])
+        return None, charged
+    return PartitionSet(keys=best[0], loop_length=length, weights=best[1]), charged
 
 
-def _refine(model: LoopCostModel, current: PartitionSet, size_cap: int | None,
-            budget: _EvalBudget, memo: dict) -> PartitionSet:
-    """Scan until a scan finds no improvement or the budget is spent.
+def _refine(model: LoopCostModel, current: PartitionSet, size_cap: int,
+            budget: int, memo: dict) -> tuple[PartitionSet, int]:
+    """Scan until a scan finds no improvement or ``budget`` evaluations are
+    spent; returns the placement and the budget left.
 
     ``memo`` maps the start keys of every scan that ended with budget left
     to the evaluations it charged and the keys and weights it returned, or
     None.  Such a scan runs the same from any budget that covers its
     charge, so it is replayed when one does.
     """
-    while budget.ok and len(current.keys) > 1:
+    while budget > 0 and len(current.keys) > 1:
         start = tuple(current.keys)
         charged, found = memo.get(start, (math.inf, None))
-        if charged <= budget.left:
-            budget.charge(charged)
-        else:
-            used = budget.used
-            improved = _scan_improvement(model, current, size_cap, budget)
+        if charged > budget:
+            improved, charged = _scan_improvement(model, current, size_cap, budget)
             found = None if improved is None else (tuple(improved.keys),
                                                    tuple(improved.weights))
-            if budget.ok:
-                memo[start] = (budget.used - used, found)
+            if charged < budget:
+                memo[start] = (charged, found)
+        budget -= charged
         if found is None:
             break
         current = PartitionSet(keys=list(found[0]), loop_length=current.loop_length,
                                weights=list(found[1]))
-    return current
+    return current, budget
+
+
+def _eval_limit(k: int, length: int) -> int:
+    """The placement evaluations the refinement of k keys may charge."""
+    return max(2000, min(50_000, 400_000 // (k * max(1, length // 8))))
 
 
 def optimize_partition(model: LoopCostModel, initial: PartitionSet,
-                       max_iters: int, size_cap: int | None = None
-                       ) -> tuple[PartitionSet, int]:
+                       size_cap: int) -> tuple[PartitionSet, int]:
     """Balance a partition: greedy binary-search cuts plus bounded refinement.
 
-    After the primary greedy pass, the remaining evaluation budget is
-    spent on exact pair scans and on restarting the greedy from rotations
-    of the initial keys, keeping the best placement seen.  Small loops
-    get an effectively exhaustive search; large ones a few targeted
-    scans.  Deterministic throughout, and never worse than the primary
-    greedy result.  The restarts often reach placements scanned before,
-    whose scans one memo replays.
+    The primary greedy pass makes at most 64 cuts per key.  After it, the
+    ``_eval_limit`` evaluations are spent on exact pair scans and on
+    restarting the greedy from rotations of the initial keys, keeping the
+    best placement seen.  Small loops get an effectively exhaustive
+    search; large ones a few targeted scans.  Deterministic throughout,
+    and never worse than the primary greedy result.  The restarts often
+    reach placements scanned before, whose scans one memo replays.
     """
     k = len(initial.keys)
     length = initial.loop_length
@@ -719,21 +701,20 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
     current = PartitionSet(keys=list(initial.keys), loop_length=length, weights=costs)
     if k == 1:
         return current, 0
-    budget = _EvalBudget(max(2000, min(50_000, 400_000 // (k * max(1, length // 8)))))
-    memo = {}
+    budget, memo = _eval_limit(k, length), {}
 
-    best, iterations = _greedy_pass(model, current, max_iters, size_cap)
-    best = _refine(model, best, size_cap, budget, memo)
+    best, iterations = _greedy_pass(model, current, 64 * k, size_cap)
+    best, budget = _refine(model, best, size_cap, budget, memo)
     for rot in range(1, length):
-        if not budget.ok:
+        if budget <= 0:
             break
         keys = [(p + rot) % length for p in initial.keys]
-        budget.charge(k)
+        budget -= k
         rc, _ = model.placement_costs(keys)
         cand = PartitionSet(keys=keys, loop_length=length, weights=rc)
         # polish-only restarts: the greedy pass would funnel most rotated
         # starts into the same basin, defeating the restart diversity
-        cand = _refine(model, cand, size_cap, budget, memo)
+        cand, budget = _refine(model, cand, size_cap, budget, memo)
         if max(cand.weights) < max(best.weights) - 1e-15:
             best = cand
     return best, iterations
@@ -763,30 +744,26 @@ def capacity_partition(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
                        capacity: float = math.inf) -> PlanOutcome:
     """Balanced min-max partition of the loop for k robots (MSTC*).
 
-    The start keys and the segment size cap depend on the capacity c:
-    at c = inf the naive keys and no cap; when one load per robot
-    suffices the naive keys with sizes capped at c.  Otherwise the loop
-    is first balanced by coverage cost into n = sum(ceil(size_i / c))
-    virtual sub-partitions of at most c cells, and robot i starts at
-    virtual key ``i * (n // k) + min(i, n % k)``, so runs of adjacent
-    sub-partitions merge into one segment per robot.  The start keys are
+    The start keys and the segment size cap depend on the capacity c,
+    in whole cells per load of the L-cell loop (inf becomes L).  When one
+    load per robot suffices, k * c >= L, they are the naive keys with
+    sizes capped at c.  Otherwise the loop is first balanced by coverage
+    cost into n = sum(ceil(size_i / c)) virtual sub-partitions of at most
+    c cells, and robot i starts at virtual key
+    ``i * (n // k) + min(i, n % k)``, so runs of adjacent sub-partitions
+    merge into one segment per robot, capped at L.  The start keys are
     then rebalanced under the full cost model, refill excursions
     included, and bound to the depots.
     """
-    if capacity != math.inf and capacity < 1:
-        raise PartitionError("capacity must be >= 1")
     k, length = len(depots), len(loop)
-    start, size_cap, iterations = naive_partition(loop, k), None, 0
-    if capacity != math.inf:
-        c = int(capacity)
-        if c >= -(-length // k):
-            size_cap = c
-        else:
-            n = sum(trips_required(s, c) for s in start.sizes())
-            virtual, iterations = optimize_partition(LoopCostModel(loop), naive_partition(loop, n),
-                                                     64 * n, size_cap=c)
-            start = PartitionSet(keys=[virtual.keys[i * (n // k) + min(i, n % k)]
-                                       for i in range(k)], loop_length=length)
+    c = _cells_per_load(capacity, length)
+    start, size_cap, iterations = naive_partition(loop, k), c, 0
+    if k * c < length:
+        n = sum(trips_required(s, c) for s in start.sizes())
+        virtual, iterations = optimize_partition(LoopCostModel(loop), naive_partition(loop, n), c)
+        start = PartitionSet(keys=[virtual.keys[i * (n // k) + min(i, n % k)]
+                                   for i in range(k)], loop_length=length)
+        size_cap = length
     model = LoopCostModel(loop, g, depots, capacity)
-    final, more = optimize_partition(model, start, 64 * k, size_cap)
+    final, more = optimize_partition(model, start, size_cap)
     return _bound_outcome(g, model, final, iterations + more)

@@ -64,8 +64,7 @@ class ScenePlanner:
         self.config = config or PlannerConfig()
         scene.validate()
         self.tmap = build_traversability(scene, self.config.slope_threshold)
-        self.graph: CoveringGraph = build_covering_graph(self.tmap, self.config,
-                                                         scene.depots)
+        self.graph: CoveringGraph = build_covering_graph(self.tmap, self.config)
         h_full = build_spanning_graph(self.tmap, self.config)
         start = scene.depots[0]
         root = h_full.block_of(start)

@@ -27,13 +27,14 @@ from .terrain import DEFAULT_SLOPE_THRESHOLD, merge_masks, steepness_filter
 KINDS = ("blocked", "random", "field")
 
 
-def _largest_component_cells(scene: Scene, threshold: float) -> list:
-    """Covered cells of the largest spanning-graph component, block by block in
-    row-major order; of equal components, the one whose first block comes first."""
-    tmap = steepness_filter(scene, threshold)
+def _largest_component_cells(scene: Scene) -> list:
+    """Covered cells of the largest spanning-graph component at the default
+    slope threshold, block by block in row-major order; of equal
+    components, the one whose first block comes first."""
+    tmap = steepness_filter(scene, DEFAULT_SLOPE_THRESHOLD)
     if scene.landclass is not None:
         tmap = merge_masks(tmap, scene.landclass)
-    h = build_spanning_graph(tmap, PlannerConfig(slope_threshold=threshold))
+    h = build_spanning_graph(tmap, PlannerConfig())
     labels = h.labels()
     nodes = labels[h.intact]   # row-major
     if not nodes.size:
@@ -55,22 +56,22 @@ def _pick_depots(cells: list, k: int, style: str, rng: np.random.Generator,
 
 
 def _smooth_field(rng: np.random.Generator, height: int, width: int,
-                  passes: int = 3, size: int = 5) -> np.ndarray:
+                  passes: int, size: int) -> np.ndarray:
     field = rng.normal(0.0, 1.0, (height, width))
     for _ in range(passes):
         field = uniform_filter(field, size=size, mode="nearest")
     return field
 
 
-def _scale_elevation(field: np.ndarray, cell_size: float,
-                     target_p95_deg: float) -> np.ndarray:
+def _scale_elevation(field: np.ndarray, target_p95_deg: float) -> np.ndarray:
+    # scene cells are 1.0 wide, so a slope's tangent is the height step
     dx = np.abs(np.diff(field, axis=1))
     dy = np.abs(np.diff(field, axis=0))
     grads = np.concatenate([dx.ravel(), dy.ravel()])
     p95 = np.percentile(grads, 95) if grads.size else 1.0
     if p95 <= 0:
         return field
-    return field * (math.tan(math.radians(target_p95_deg)) * cell_size / p95)
+    return field * (math.tan(math.radians(target_p95_deg)) / p95)
 
 
 def _whole(value) -> bool:
@@ -79,8 +80,7 @@ def _whole(value) -> bool:
 
 def generate_scene(kind: str, seed: int, width: int | None = None,
                    height: int | None = None, robots: int | None = None,
-                   depot_style: str | None = None,
-                   threshold: float = DEFAULT_SLOPE_THRESHOLD) -> Scene:
+                   depot_style: str | None = None) -> Scene:
     """Generate a planner-ready scene; deterministic in (kind, seed, dims).
 
     ``seed`` is a non-negative integer; ``width``, ``height`` and ``robots``
@@ -102,14 +102,13 @@ def generate_scene(kind: str, seed: int, width: int | None = None,
         for attempt in range(24):
             rng = np.random.default_rng(int(seed) * 1000003 + attempt)
             scene = _generate_once(kind, rng, width, height, robots, depot_style,
-                                   threshold, cells_per_robot)
+                                   cells_per_robot)
             if scene is not None:
                 return scene
     raise SceneError(f"could not generate a valid '{kind}' scene from seed {seed}")
 
 
-def _generate_once(kind, rng, width, height, robots, depot_style, threshold,
-                   cells_per_robot):
+def _generate_once(kind, rng, width, height, robots, depot_style, cells_per_robot):
     if kind == "blocked":
         width = width or 16
         height = height or 16
@@ -128,7 +127,7 @@ def _generate_once(kind, rng, width, height, robots, depot_style, threshold,
         depot_style = depot_style or "scattered"
         blocked = rng.random((height, width)) < 0.08
         elevation = _scale_elevation(_smooth_field(rng, height, width, passes=2, size=3),
-                                     1.0, target_p95_deg=18.0)
+                                     target_p95_deg=18.0)
         scene = Scene(width=width, height=height, blocked=blocked, elevation=elevation)
     else:  # field
         width = width or 256
@@ -142,12 +141,12 @@ def _generate_once(kind, rng, width, height, robots, depot_style, threshold,
             sigma = rng.uniform(0.06, 0.22) * max(width, height)
             amp = rng.uniform(-1.0, 1.0)
             elevation += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sigma ** 2))
-        elevation = _scale_elevation(elevation, 1.0, target_p95_deg=16.0)
+        elevation = _scale_elevation(elevation, target_p95_deg=16.0)
         landclass = uniform_filter(rng.random((height, width)), size=15,
                                    mode="nearest") > 0.47
         scene = Scene(width=width, height=height, elevation=elevation,
                       landclass=landclass)
-    cells = _largest_component_cells(scene, threshold)
+    cells = _largest_component_cells(scene)
     if not cells or len(cells) < cells_per_robot * robots:
         return None
     anchor = None

@@ -11,7 +11,7 @@ import pytest
 
 from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph, edge_weight
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet, RefillTrip, RobotPlan,
-                             _greedy_pass, _refill_offsets, _scan_improvement, trips_required)
+                             _greedy_pass, _refill_offsets, _scan_improvement)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -487,7 +487,7 @@ def reference_robot_plan(robot: int, depot, cell_runs, capacity: float,
                 weight += trip_cost
         prev_cell = run[-1]
     weight += g.distance(depot, prev_cell)
-    trips = trips_required(total, capacity)
+    trips = 1 if capacity == math.inf else -(-total // int(capacity))
     if len(refills) != trips - 1:
         raise PartitionError(f"{len(refills)} refills for {trips} trips")
     return RobotPlan(robot=robot, depot=depot, runs=runs, refills=refills,
@@ -530,12 +530,12 @@ def chain_directions(k: int, min_idx: int, max_idx: int):
 
 
 def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
-                            size_cap, budget) -> PartitionSet | None:
+                            size_cap: int, budget: int) -> tuple[PartitionSet | None, int]:
     """The refinement scan, one exact ``reference_placement_costs`` call per
-    placement.
+    placement, and the evaluations it charged.
 
     Segment pairs by cost gap, then every shift of both key chains of a
-    pair, charging the budget one evaluation per shift and skipping
+    pair, charging one evaluation per shift, up to ``budget``, and skipping
     colliding keys; with no improving shift, every rotation.  The oracle
     the tests hold the batched ``_scan_improvement`` to.
     """
@@ -545,20 +545,18 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
     sizes = current.sizes()
     weights = current.weights
     cur_max = max(weights)
-    best = None
+    best, used = None, 0
     for mn, mx in sorted_pair_order(weights):
         for moving, sign in chain_directions(k, mn, mx):
-            lo, hi = 1 - sizes[mn], sizes[mx] - 1
-            if size_cap is not None:
-                lo = max(lo, sizes[mx] - size_cap)
-                hi = min(hi, size_cap - sizes[mn])
+            lo = max(1 - sizes[mn], sizes[mx] - size_cap)
+            hi = min(sizes[mx] - 1, size_cap - sizes[mn])
             for t in range(lo, hi + 1):
                 if t == 0:
                     continue
-                if not budget.ok:
+                if used >= budget:
                     return best and PartitionSet(keys=best[1], loop_length=length,
-                                                 weights=best[2])
-                budget.charge()
+                                                 weights=best[2]), used
+                used += 1
                 keys = list(base)
                 for idx in moving:
                     keys[idx] = (base[idx] + sign * t) % length
@@ -573,56 +571,59 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
     if best is None:
         # whole-partition rotations (size-preserving) as a plateau escape
         for rot in range(1, length):
-            if not budget.ok:
+            if used >= budget:
                 break
-            budget.charge()
+            used += 1
             keys = [(p + rot) % length for p in base]
             costs, _ = reference_placement_costs(model, keys)
             m = max(costs)
             if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
                 best = (m, keys, costs)
     if best is None:
-        return None
-    return PartitionSet(keys=best[1], loop_length=length, weights=best[2])
+        return None, used
+    return PartitionSet(keys=best[1], loop_length=length, weights=best[2]), used
 
 
-def memo_free_optimize_partition(model: LoopCostModel, initial: PartitionSet, max_iters: int,
-                                 size_cap, budget, scans: list | None = None):
-    """``optimize_partition`` under ``budget`` with every refinement scan run
-    afresh: the oracle the tests hold its memo of scans to.
+def memo_free_optimize_partition(model: LoopCostModel, initial: PartitionSet, size_cap: int,
+                                 limit: int, scans: list | None = None):
+    """``optimize_partition`` under an evaluation limit with every
+    refinement scan run afresh, and the evaluations it charged: the oracle
+    the tests hold its memo of scans to.
 
-    Each scan is logged to ``scans`` as (start keys, budget used before,
-    budget used after).
+    Each scan is logged to ``scans`` as (start keys, evaluations charged
+    before, evaluations charged after).
     """
     k, length = len(initial.keys), initial.loop_length
     costs, _ = model.placement_costs(initial.keys)
     current = PartitionSet(keys=list(initial.keys), loop_length=length, weights=costs)
     if k == 1:
-        return current, 0
+        return current, 0, 0
+    used = 0
 
     def refine(current):
-        while budget.ok and len(current.keys) > 1:
-            used = budget.used
-            improved = _scan_improvement(model, current, size_cap, budget)
+        nonlocal used
+        while used < limit and len(current.keys) > 1:
+            improved, charged = _scan_improvement(model, current, size_cap, limit - used)
             if scans is not None:
-                scans.append((tuple(current.keys), used, budget.used))
+                scans.append((tuple(current.keys), used, used + charged))
+            used += charged
             if improved is None:
                 break
             current = improved
         return current
 
-    best, iterations = _greedy_pass(model, current, max_iters, size_cap)
+    best, iterations = _greedy_pass(model, current, 64 * k, size_cap)
     best = refine(best)
     for rot in range(1, length):
-        if not budget.ok:
+        if used >= limit:
             break
         keys = [(p + rot) % length for p in initial.keys]
-        budget.charge(k)
+        used += k
         cand = refine(PartitionSet(keys=keys, loop_length=length,
                                    weights=model.placement_costs(keys)[0]))
         if max(cand.weights) < max(best.weights) - 1e-15:
             best = cand
-    return best, iterations
+    return best, iterations, used
 
 
 def loop_instance(seed: int, k: int, width: int = 14, height: int = 14) -> ScenePlanner:

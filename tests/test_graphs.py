@@ -63,7 +63,7 @@ def test_edge_weight_rejects_out_of_bounds_slope():
 
 def test_covering_graph_flat_block_edges():
     tmap = build_traversability(flat_scene(2, 2, depots=[(0, 0)]), 25.0)
-    g = build_covering_graph(tmap, PAPER_CFG, depots=[(0, 0)])
+    g = build_covering_graph(tmap, PAPER_CFG)
     orth = [w for (i, j), w in g.weights.items()
             if abs(g.cells[i][0] - g.cells[j][0]) + abs(g.cells[i][1] - g.cells[j][1]) == 1]
     diag = [w for (i, j), w in g.weights.items()
@@ -76,7 +76,7 @@ def test_covering_graph_flat_block_edges():
 def test_covering_graph_unweighted_mode_weights():
     cfg = PlannerConfig(alpha=1.0, beta=0.0)
     tmap = build_traversability(flat_scene(4, 4, depots=[(0, 0)]), 25.0)
-    g = build_covering_graph(tmap, cfg, depots=[(0, 0)])
+    g = build_covering_graph(tmap, cfg)
     assert set(round(w, 12) for w in g.weights.values()) == {1.0, round(SQRT2, 12)}
 
 
@@ -209,8 +209,10 @@ def test_lookups_off_the_graph_raise_graph_error():
                              (g.path, [cell, (0, 0)]), (g.path, [(0, 0), cell])):
             with pytest.raises(GraphError, match=re.escape(f"cell {cell} is not a node")):
                 lookup(*args)
-    with pytest.raises(GraphError, match=re.escape("cell (2, 1) is not a node")):
-        build_covering_graph(tmap, PAPER_CFG, depots=[(0, 0), (2, 1)])
+    # a depot that is not a node is refused before G is built
+    with pytest.raises(SceneError, match=re.escape("depot (2, 1) is not traversable")):
+        build_traversability(flat_scene(4, 3, depots=[(0, 0), (2, 1)],
+                                        blocked_cells=[(2, 1)]), 25.0)
     # the nodes around the blocked cell still work
     path = list(map(tuple, g.path((0, 0), (3, 2)).tolist()))
     assert path[0] == (0, 0) and path[-1] == (3, 2)
@@ -276,7 +278,7 @@ def test_components_match_bfs_oracle(seed):
     assert len({labels[y, x] for (x, y), *_ in groups}) == len(groups)
     assert len({len(group) for group in groups}) < len(groups)  # some sizes tie
     # scene generation draws its depots from the largest group, the first on ties
-    assert _largest_component_cells(scene, 25.0) == [
+    assert _largest_component_cells(scene) == [
         cell for b in groups[0] for cell in h.block_cells(b)]
 
 
@@ -450,13 +452,3 @@ def test_triangle_inequality_sampled():
         except GraphError:
             continue
         assert ac <= ab + bc + 1e-9
-
-
-def test_debug_dump_shape():
-    tmap = build_traversability(flat_scene(2, 2, depots=[(0, 0)]), 25.0)
-    g = build_covering_graph(tmap, PAPER_CFG)
-    dump = g.debug_dump()
-    assert len(dump["nodes"]) == 4
-    assert len(dump["edges"]) == 6
-    h = build_spanning_graph(tmap, PAPER_CFG)
-    assert build_spanning_graph(tmap, PAPER_CFG).debug_dump() == h.debug_dump()

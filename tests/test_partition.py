@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrcpp import partition
+from mrcpp.baselines import mstc_bo, mstc_nb
 from mrcpp.graphs import PlannerConfig, build_covering_graph, build_spanning_graph
 from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet,
-                             _chain, _EvalBudget, _pairs_by_gap, _refill_offsets,
+                             _chain, _pairs_by_gap, _refill_offsets,
                              _scan_improvement, _shift_bounds, balanced_cut, build_robot_plan,
                              capacity_partition, max_weight, naive_mstc,
                              naive_partition, trips_required)
@@ -30,6 +31,8 @@ from conftest import (ExactCostModel, chain_directions, flat_scene, loop_cells, 
                       tuple_sort_binding)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
+STRATEGIES = {"naive": naive_mstc, "balanced": capacity_partition,
+              "mstc-nb": mstc_nb, "mstc-bo": mstc_bo}
 
 
 def fake_loop(length: int, weight: float = 1.0) -> CoverageLoop:
@@ -272,7 +275,7 @@ def test_balanced_mstc_symmetric_uniform_loop():
 
     loop = fake_loop(16)
     model = LoopCostModel(loop)
-    final, iterations = optimize_partition(model, naive_partition(loop, 4), 64 * 4)
+    final, iterations = optimize_partition(model, naive_partition(loop, 4), len(loop))
     assert iterations <= 1
     assert max(final.weights) == pytest.approx(min(final.weights))
     assert sorted(final.sizes()) == [4, 4, 4, 4]
@@ -326,7 +329,7 @@ def test_capacity_partition_24_nodes_two_robots_cap_4(monkeypatch):
     # cumulative counts [3, 3]: robots start at virtual keys 0 and 3
     assert merged_keys == [virtual.keys[0], virtual.keys[3]]
     for plan in outcome.plans:
-        assert plan.trips == trips_required(len(plan.segment), 4.0)
+        assert plan.trips == trips_required(len(plan.segment), 4)
 
 
 def test_capacity_partition_merges_larger_runs_first(monkeypatch):
@@ -369,6 +372,53 @@ def test_capacity_sub_partitions_cover_loop_once(monkeypatch):
     assert len(sizes) == 6
     assert sum(sizes) == len(planner.loop)
     assert max(sizes) <= 4
+
+
+@pytest.mark.parametrize("capacity", [0, 0.5, -1, math.nan])
+@pytest.mark.parametrize("strategy", [*STRATEGIES, "build_robot_plan"])
+def test_capacity_below_one_raises_partition_error(strategy, capacity):
+    """Every strategy, and a plan built on its own, refuses a capacity
+    below one cell, or nan, with ``PartitionError`` before any refill
+    stride or division uses it."""
+    planner = loop_instance(5, 4)
+    g, loop, depots = planner.graph, planner.loop, planner.depots(4)
+    with pytest.raises(PartitionError, match="capacity must be >= 1"):
+        if strategy == "build_robot_plan":
+            build_robot_plan(0, depots[0], loop, [(0, 5, 1)], capacity, g)
+        else:
+            STRATEGIES[strategy](g, loop, depots, capacity)
+
+
+@pytest.mark.parametrize("kind, seed, side, k", [("random", 1, 10, 2), ("blocked", 2, 16, 4),
+                                                 ("field", 3, 32, 4), ("field", 5, 32, 1)])
+def test_capacity_of_the_loop_length_or_more_plans_as_inf(kind, seed, side, k):
+    """A capacity of the loop length L or more is held as L, as inf is, and
+    plans as inf does: every strategy gives the same keys, binding,
+    weights, iterations and plans, and the cost model the same single and
+    batched placement costs."""
+    planner = ScenePlanner(generate_scene(kind, seed=seed, width=side, height=side))
+    g, loop, depots = planner.graph, planner.loop, planner.depots(k)
+    length = len(loop)
+    capacities = [length, length + 1, 3.5 * length, 1e12]
+    for strategy in STRATEGIES.values():
+        want = strategy(g, loop, depots, math.inf)
+        for capacity in capacities:
+            got = strategy(g, loop, depots, capacity)
+            assert (got.partition.keys, got.binding, got.partition.weights, got.iterations) == \
+                (want.partition.keys, want.binding, want.partition.weights, want.iterations)
+            assert [plan_fields(p) for p in got.plans] == [plan_fields(p) for p in want.plans]
+    rng = np.random.default_rng(seed)
+    keys = np.sort([rng.choice(length, size=k, replace=False) for _ in range(30)], axis=1)
+    inf = LoopCostModel(loop, g, depots)
+    want = inf.placement_cost_bounds(keys)
+    for capacity in capacities:
+        model = LoopCostModel(loop, g, depots, capacity)
+        assert model.capacity == inf.capacity == length
+        for row in keys.tolist():
+            assert model.placement_costs(row) == inf.placement_costs(row)
+        approx, eps, binding = model.placement_cost_bounds(keys)
+        assert want[1] is eps is None
+        assert (approx == want[0]).all() and (binding == want[2]).all()
 
 
 def test_max_weight():
@@ -443,7 +493,7 @@ def test_segment_costs_equal_scalar_kernel_bit_for_bit(capacity):
     def scalar_cost(start, size, depot):
         d = model.depot_dist[depot].tolist()
         cost = d[start] + model.coverage_cost(start, size) + d[(start + size - 1) % length]
-        for off in _refill_offsets(size, capacity):
+        for off in _refill_offsets(size, model.capacity):
             cost += 2.0 * d[(start + off) % length]
         return cost
 
@@ -571,7 +621,8 @@ def pair_order_cases(draw):
                            min_size=1, max_size=6))
     weights = draw(st.lists(st.sampled_from(values), min_size=k, max_size=k))
     sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
-    return (weights, sizes, draw(st.sampled_from([None, 1, 2, 3])),
+    # a cap of the loop length, sum(sizes), binds no shift
+    return (weights, sizes, draw(st.sampled_from([sum(sizes), 1, 2, 3])),
             draw(st.integers(0, k * k)))
 
 
@@ -580,10 +631,10 @@ def pair_order_cases(draw):
 # distinct weights whose gaps round to one float: 1e17 - 1.0 == 1e17 - 0.0
 # and 1.0 - 1e17 == 0.0 - 1e17, so (mn, mx) orders them, within a row and
 # across rows
-@example(([1e17, 0.0, 1.0], [3, 3, 3], None, 6))
-@example(([1.0, 1e17, 0.0, 1e17, 2.0, 0.0], [2, 1, 3, 1, 2, 2], None, 30))
+@example(([1e17, 0.0, 1.0], [3, 3, 3], 9, 6))
+@example(([1.0, 1e17, 0.0, 1e17, 2.0, 0.0], [2, 1, 3, 1, 2, 2], 11, 30))
 @example(([0.0, 1e17, 1.0, 1e17, 2.0, 0.0], [1, 2, 3, 2, 1, 2], 3, 30))
-@example(([1.0, 5e-324, 0.0, 1.0], [2, 2, 2, 2], None, 12))
+@example(([1.0, 5e-324, 0.0, 1.0], [2, 2, 2, 2], 8, 12))
 def test_pair_order_matches_sorted_oracle_with_ties(case):
     """The refinement visits the first pairs with a nonzero shift within
     their bounds by cost gap, ties by (mn, mx), with each pair's bounds."""
@@ -695,7 +746,7 @@ def test_cumsum_adds_each_row_left_to_right():
 def test_depot_that_cannot_reach_the_loop_is_rejected():
     # a wall splits G in two; the loop runs on the left side only
     walled = flat_scene(6, 2, depots=[(0, 0)], blocked_cells=[(2, 0), (2, 1)])
-    g = build_covering_graph(steepness_filter(walled), UNWEIGHTED, depots=[(0, 0)])
+    g = build_covering_graph(steepness_filter(walled), UNWEIGHTED)
     loop = CoverageLoop(np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1]), np.ones(4), 4.0)
     LoopCostModel(loop, g, [(0, 0), (1, 1)])
     with pytest.raises(PartitionError, match="cannot reach"):
@@ -733,7 +784,7 @@ def scan_cases():
             keys = sorted(rng.choice(model.length, size=k, replace=False).tolist())
             if trial % 2 == 0:
                 keys = keys[trial // 2 + 1:] + keys[:trial // 2 + 1]
-            for size_cap in (None, 2, 5):
+            for size_cap in (model.length, 2, 5):
                 weights, _ = model.placement_costs(keys)
                 yield model, PartitionSet(keys, model.length, weights), size_cap
     # coverage only, n * c at or just above L: all segments but a few at the cap,
@@ -753,13 +804,12 @@ def test_batched_scan_matches_scalar_scan(limit):
     spends the same budget, also when the budget runs out mid-matrix or
     inside a call that prices several pairs."""
     for model, pset, size_cap in scan_cases():
-        scalar_budget, batched_budget = _EvalBudget(limit), _EvalBudget(limit)
-        want = scalar_scan_improvement(model, pset, size_cap, scalar_budget)
-        got = _scan_improvement(model, pset, size_cap, batched_budget)
+        want, scalar_used = scalar_scan_improvement(model, pset, size_cap, limit)
+        got, batched_used = _scan_improvement(model, pset, size_cap, limit)
         assert (got is None) == (want is None)
         if want is not None:
             assert (got.keys, got.weights) == (want.keys, want.weights)
-        assert batched_budget.used == scalar_budget.used
+        assert batched_used == scalar_used
 
 
 def test_scan_skips_pairs_with_no_feasible_shift():
@@ -773,11 +823,9 @@ def test_scan_skips_pairs_with_no_feasible_shift():
     weights, _ = model.placement_costs(keys)
     sizes = np.full(len(keys), cap)
     assert list(_pairs_by_gap(weights, sizes, cap, length ** 2)) == []
-    budget = _EvalBudget(10_000)
-    got = _scan_improvement(model, PartitionSet(keys, length, weights), cap, budget)
-    assert budget.used == length - 1               # the rotation sweep alone
-    want = scalar_scan_improvement(model, PartitionSet(keys, length, weights), cap,
-                                   _EvalBudget(10_000))
+    got, used = _scan_improvement(model, PartitionSet(keys, length, weights), cap, 10_000)
+    assert used == length - 1               # the rotation sweep alone
+    want, _ = scalar_scan_improvement(model, PartitionSet(keys, length, weights), cap, 10_000)
     assert (got is None) == (want is None)
     if want is not None:
         assert (got.keys, got.weights) == (want.keys, want.weights)
@@ -805,12 +853,13 @@ def bounded_cases(capacity):
 
 
 def rejected_repricings(model, pset, size_cap, budget):
-    """``_scan_improvement`` of ``pset`` under ``model``, and how many rows
-    it re-priced with ``placement_costs`` and did not take.
+    """``_scan_improvement`` of ``pset`` under ``model`` (its placement and
+    charge), and how many rows it re-priced with ``placement_costs`` and
+    did not take.
 
-    The scan prices a row only to decide a comparison its bounds leave
-    open, or to take it; its rule takes a row whose maximum cost is below
-    the current maximum by 1e-12 and below the best row's by 1e-15.
+    The scan re-prices a row whose lower bound its bar does not rule out
+    and whose eps is not 0.0; its rule takes a row whose maximum cost is
+    below the current maximum by 1e-12 and below the best row's by 1e-15.
     Replaying that rule over the priced rows' maxima counts the rows that
     failed it: the best it replays is never below the scan's, which may
     also take rows priced exactly by their bounds, so none is counted
@@ -846,21 +895,20 @@ def test_bounded_searches_match_the_exact_oracle(capacity):
         assert weights == oracle.placement_costs(keys)[0]
         pset = PartitionSet(keys, model.length, weights)
         rejected = 0
-        for size_cap in (None, 2 * int(capacity)):
+        for size_cap in (model.length, 2 * int(capacity)):
             for limit in (7, 10_000):
-                budgets = _EvalBudget(limit), _EvalBudget(limit)
-                got, count = rejected_repricings(model, pset, size_cap, budgets[0])
+                (got, got_used), count = rejected_repricings(model, pset, size_cap, limit)
                 rejected += count
-                want = _scan_improvement(oracle, pset, size_cap, budgets[1])
+                want, want_used = _scan_improvement(oracle, pset, size_cap, limit)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert (got.keys, got.weights) == (want.keys, want.weights)
-                assert budgets[0].used == budgets[1].used
+                assert got_used == want_used
         for mn, mx in itertools.permutations(range(len(keys)), 2):
             got, want = (balanced_cut(pset, mn, mx, m) for m in (model, oracle))
             assert (got.keys, got.weights) == (want.keys, want.weights)
         got, want = (partition.optimize_partition(m, PartitionSet(keys, model.length),
-                                                  64 * len(keys)) for m in (model, oracle))
+                                                  model.length) for m in (model, oracle))
         assert (got[0].keys, got[0].weights, got[1]) == (want[0].keys, want[0].weights,
                                                          want[1])
         ties += flat and rejected > 0
@@ -868,32 +916,39 @@ def test_bounded_searches_match_the_exact_oracle(capacity):
 
 
 def memo_cases():
-    """(model, start, max_iters, size_cap) cases for ``optimize_partition``:
-    tiny loops, and random 10x10 loops under depot costs, a finite capacity
-    and coverage-only costs with a size cap."""
+    """(model, start, size_cap) cases for ``optimize_partition``: tiny
+    loops, and random 10x10 loops under depot costs, a finite capacity and
+    coverage-only costs with a size cap."""
     for planner, k in tiny_loop_instances(6):
         yield (LoopCostModel(planner.loop, planner.graph, planner.depots(k)),
-               naive_partition(planner.loop, k), 64 * k, None)
+               naive_partition(planner.loop, k), len(planner.loop))
     for seed in (1, 4):
         planner = ScenePlanner(generate_scene("random", seed=seed, width=10, height=10))
         loop, n = planner.loop, -(-len(planner.loop) // 4)
         for capacity in (math.inf, 5.0):
             yield (LoopCostModel(loop, planner.graph, planner.depots(4), capacity),
-                   naive_partition(loop, 4), 256, None)
-        yield LoopCostModel(loop), naive_partition(loop, n), 64 * n, 5
+                   naive_partition(loop, 4), len(loop))
+        yield LoopCostModel(loop), naive_partition(loop, n), 5
 
 
-def memoized_run(model, start, max_iters, size_cap, limit=None):
-    """``optimize_partition`` with its budget's limit set to ``limit``, and that budget."""
-    budgets = []
+def memoized_run(model, start, size_cap, limit=None):
+    """``optimize_partition`` with its evaluation limit set to ``limit``, and
+    that limit; the evaluations it charged are the limit less the budget
+    its last ``_refine`` call left."""
+    limits, left, default, refine = [], [], partition._eval_limit, partition._refine
 
-    def budget_with_limit(default):
-        budgets.append(_EvalBudget(default if limit is None else limit))
-        return budgets[-1]
+    def eval_limit(k, length):
+        limits.append(default(k, length) if limit is None else limit)
+        return limits[-1]
 
-    with mock.patch.object(partition, "_EvalBudget", budget_with_limit):
-        pset, iterations = partition.optimize_partition(model, start, max_iters, size_cap)
-    return (pset.keys, pset.weights, iterations, budgets[0].used), budgets[0].limit
+    def counted_refine(*args):
+        current, budget = refine(*args)
+        left.append(budget)
+        return current, budget
+
+    with mock.patch.multiple(partition, _eval_limit=eval_limit, _refine=counted_refine):
+        pset, iterations = partition.optimize_partition(model, start, size_cap)
+    return (pset.keys, pset.weights, iterations, limits[0] - left[-1]), limits[0]
 
 
 def test_memoized_refinement_matches_memo_free_reference():
@@ -902,12 +957,12 @@ def test_memoized_refinement_matches_memo_free_reference():
     as much of its budget, also when the budget runs out inside a scan that
     the memo replays when the budget has room."""
     repeats = 0
-    for model, start, max_iters, size_cap in memo_cases():
-        got, limit = memoized_run(model, start, max_iters, size_cap)
-        scans, budget = [], _EvalBudget(limit)
-        pset, iterations = memo_free_optimize_partition(model, start, max_iters, size_cap,
-                                                        budget, scans)
-        assert got == (pset.keys, pset.weights, iterations, budget.used)
+    for model, start, size_cap in memo_cases():
+        got, limit = memoized_run(model, start, size_cap)
+        scans = []
+        pset, iterations, used = memo_free_optimize_partition(model, start, size_cap, limit,
+                                                              scans)
+        assert got == (pset.keys, pset.weights, iterations, used)
         seen, replayed = set(), []
         for keys, before, after in scans:
             if keys in seen:
@@ -918,25 +973,23 @@ def test_memoized_refinement_matches_memo_free_reference():
         limits = {bound for before, after in replayed[:1] + replayed[len(replayed) // 2:][:1]
                   + replayed[-1:] for bound in (before + 1, (before + after) // 2, after)}
         for limit in sorted(limits):
-            budget = _EvalBudget(limit)
-            pset, iterations = memo_free_optimize_partition(model, start, max_iters, size_cap,
-                                                            budget)
-            got, _ = memoized_run(model, start, max_iters, size_cap, limit)
-            assert got == (pset.keys, pset.weights, iterations, budget.used), limit
+            pset, iterations, used = memo_free_optimize_partition(model, start, size_cap, limit)
+            got, _ = memoized_run(model, start, size_cap, limit)
+            assert got == (pset.keys, pset.weights, iterations, used), limit
     assert repeats > 0
 
 
 def test_memo_holds_no_scan_the_budget_cut_short():
     """A scan the budget cuts short is not stored, so a memo that outlives
     that budget replays nothing it should not."""
-    for model, start, _, size_cap in list(memo_cases())[-6:]:
+    for model, start, size_cap in list(memo_cases())[-6:]:
         pset = PartitionSet(list(start.keys), start.loop_length,
                             model.placement_costs(start.keys)[0])
-        memo, budget, fresh = {}, _EvalBudget(10_000), _EvalBudget(10_000)
-        partition._refine(model, pset, size_cap, _EvalBudget(3), memo)
-        got = partition._refine(model, pset, size_cap, budget, memo)
-        want = partition._refine(model, pset, size_cap, fresh, {})
-        assert (got.keys, got.weights, budget.used) == (want.keys, want.weights, fresh.used)
+        memo = {}
+        partition._refine(model, pset, size_cap, 3, memo)
+        got, got_left = partition._refine(model, pset, size_cap, 10_000, memo)
+        want, want_left = partition._refine(model, pset, size_cap, 10_000, {})
+        assert (got.keys, got.weights, got_left) == (want.keys, want.weights, want_left)
 
 
 @pytest.mark.parametrize("size_cap", [25, 26])
@@ -950,7 +1003,7 @@ def test_scan_memory_is_not_quadratic_in_the_segments(size_cap):
     pset.weights, _ = model.placement_costs(pset.keys)
     tracemalloc.start()
     try:
-        _scan_improvement(model, pset, size_cap, _EvalBudget(2_000))
+        _scan_improvement(model, pset, size_cap, 2_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

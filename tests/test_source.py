@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import mrcpp
@@ -75,3 +76,17 @@ def test_only_partition_calls_placement_costs():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "placement_costs"]
     assert not found, f"placement_costs called outside partition: {found}"
+
+
+def test_partition_compares_with_inf_only_in_the_capacity_helper():
+    # every strategy holds the capacity as whole cells per load, inf as the
+    # loop length, so no search needs a branch of its own for inf
+    tree = ast.parse((SOURCES[0].parent / "partition.py").read_text())
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_cells_per_load")
+    inside = set(map(id, ast.walk(helper)))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Compare) and id(node) not in inside
+             and any(re.fullmatch(r"-?(math|np|numpy)\.inf|float\('-?inf'\)", ast.unparse(op))
+                     for op in [node.left, *node.comparators])]
+    assert not found, f"partition.py compares with inf on lines {found}"

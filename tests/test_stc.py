@@ -24,7 +24,7 @@ UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
 def build_pipeline(scene, config=UNWEIGHTED):
     tmap = build_traversability(scene, config.slope_threshold)
-    g = build_covering_graph(tmap, config, depots=scene.depots)
+    g = build_covering_graph(tmap, config)
     h = build_spanning_graph(tmap, config)
     return g, h
 
