@@ -1,11 +1,13 @@
-"""The package's JSON text: ``json.dumps(value, indent=2, sort_keys=True)``.
+"""The package's JSON text: ``json.dumps(value, indent=2, sort_keys=True,
+allow_nan=False)``, RFC 8259 JSON, for values whose dict keys are strings.
 
 CPython runs ``json.dumps`` in its pure-Python encoder whenever ``indent``
 is set, and a plan document of a large field holds hundreds of thousands of
 ``[x, y]`` cells.  ``dumps`` writes exactly the same text (ASCII, two-space
-indent, sorted keys, ``NaN``/``Infinity`` for non-finite floats, no trailing
-newline); ``dump`` writes it to a file in chunks of about ``CHUNK``
-characters, so no whole-document string is built.
+indent, sorted keys, no trailing newline); ``dump`` writes it to a file in
+chunks of about ``CHUNK`` characters, so no whole-document string is built.
+A non-finite float raises ``ValueError``, as ``allow_nan=False`` does, and
+a dict key that is not a ``str`` raises ``TypeError``.
 
 A list made only of two-int cells is rendered from two tables of pieces
 per indent, one for x (``"<nl>[<nl>  x,"``) and one for y
@@ -13,9 +15,9 @@ per indent, one for x (``"<nl>[<nl>  x,"``) and one for y
 that indent within one encoding call.
 
 An integer ndarray of shape (n, 2), such as a plan's refill leg, is
-written as that same cell list: the text of
-``json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)``.
-Any other ndarray raises ``TypeError``, as any other unsupported type does.
+written as that same cell list, the text ``default=np.ndarray.tolist``
+gives; any other ndarray raises ``TypeError``, as any other unsupported
+type does.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ CHUNK = 1 << 20   # characters buffered before ``dump`` writes
 
 
 def dumps(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte; (n, 2)
-    int arrays as ``default=np.ndarray.tolist`` writes them."""
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, byte
+    for byte; (n, 2) int arrays as ``default=np.ndarray.tolist`` writes them."""
     parts: list[str] = []
     _encode(value, "\n", parts.append, {})
     return "".join(parts)
@@ -71,34 +73,6 @@ class _Pieces(dict):
         return piece
 
 
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key(key) -> str:
-    # json.dumps turns these key types into strings, in this order of tests
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def _cells(flat, newline: str, emit, tables: dict) -> None:
     """Emit the cells ``[flat[0], flat[1]], [flat[2], flat[3]], ...``, at least
     one, from the piece tables of their indent."""
@@ -132,7 +106,9 @@ def _encode(value, newline: str, emit, tables: dict) -> None:
     elif isinstance(value, int):
         emit(int.__repr__(value))
     elif isinstance(value, float):
-        emit(_float(value))
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant")
+        emit(float.__repr__(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             emit("[]")
@@ -157,7 +133,9 @@ def _encode(value, newline: str, emit, tables: dict) -> None:
         inner = newline + _INDENT
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            emit(sep + encode_basestring_ascii(_key(key)) + ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            emit(sep + encode_basestring_ascii(key) + ": ")
             sep = "," + inner
             _encode(item, inner, emit, tables)
         emit(newline + "}")

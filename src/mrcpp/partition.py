@@ -7,15 +7,16 @@ a refill excursion to the depot after every ``capacity`` serviced cells,
 and the final return leg.
 
 Every strategy holds the capacity as whole cells per load
-(``_cells_per_load``): inf, or any capacity of at least the cells to
-service, becomes that count, so nothing refills and one integer code path
-serves every capacity; below 1, or nan, it raises ``PartitionError``.
+(``_cells_per_load``): it must be inf or a whole number of at least 1, or
+``PartitionError`` is raised (2.5, 0, nan), and inf, or any capacity of
+at least the cells to service, becomes that count, so nothing refills and
+one integer code path serves every capacity.
 
 The balanced optimizer starts from the naive equal-count partition and
 repeatedly shifts key nodes between the currently heaviest and lightest
-segments (binary search on the shift amount), accepting a placement only
-when the maximum segment cost does not increase, so the maximum cost is
-non-increasing across iterations.
+segments (binary search on the shift amount), never raising the maximum
+segment cost; a bounded refinement then scans shifts of segment pairs by
+cost gap, and last the rotations, as groups that one loop prices.
 """
 from __future__ import annotations
 
@@ -120,8 +121,8 @@ def max_weight(plans) -> float:
 def _cells_per_load(capacity: float, cells: int) -> int:
     """The whole cells one load services, out of ``cells`` to service: a
     capacity of at least ``cells``, inf included, becomes ``cells``."""
-    if not capacity >= 1:   # nan too
-        raise PartitionError(f"capacity must be >= 1, got {capacity!r}")
+    if not (capacity == math.inf or capacity >= 1 and capacity % 1 == 0):   # nan too
+        raise PartitionError(f"capacity must be >= 1 and whole, or inf, got {capacity!r}")
     return int(min(capacity, cells))
 
 
@@ -497,11 +498,11 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
     return current, iterations
 
 
-def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int,
-                  limit: int) -> Iterator[tuple[int, int, int, int]]:
-    """The first ``limit`` ordered segment pairs (mn, mx) with a nonzero
-    shift within ``_shift_bounds``, by cost gap ``weights[mn] - weights[mx]``,
-    ties broken by (mn, mx), as tuples ``(mn, mx, lo, hi)``.
+def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int
+                  ) -> Iterator[tuple[int, int, int, int]]:
+    """The ordered segment pairs (mn, mx) with a nonzero shift within
+    ``_shift_bounds``, by cost gap ``weights[mn] - weights[mx]``, ties
+    broken by (mn, mx), as tuples ``(mn, mx, lo, hi)``, lazily.
 
     A shift needs room in the segment that grows, so row mn pairs with
     every segment when it is below the size cap, else with those below it.
@@ -518,7 +519,7 @@ def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int,
     columns = [heavy if s < size_cap else heavy_below for s in sizes]
     heap = [(w[mn] - w[cols[0]], mn, 0) for mn, cols in enumerate(columns) if cols]
     heapq.heapify(heap)
-    while heap and limit > 0:
+    while heap:
         gap, mn, first = heapq.heappop(heap)
         cols, w_mn, end = columns[mn], w[mn], first + 1
         while end < len(cols) and w_mn - w[cols[end]] == gap:
@@ -530,11 +531,20 @@ def _pairs_by_gap(weights: list[float], sizes: list[int], size_cap: int,
             lo, hi = _shift_bounds(sizes[mn], sizes[mx], size_cap)
             if mx != mn and lo <= hi and (lo, hi) != (0, 0):
                 yield mn, mx, lo, hi
-                limit -= 1
-                if not limit:
-                    return
         if end < len(cols):
             heapq.heappush(heap, (w_mn - w[cols[end]], mn, end))
+
+
+def _scan_groups(current: PartitionSet, size_cap: int) -> Iterator[tuple[tuple, range, range]]:
+    """The refinement scan's candidate groups in order, as (chains, below,
+    above), rows the shifts t in ``below``, then ``above``, along each chain
+    in turn (t = 0, no move, lies between): each pair of ``_pairs_by_gap``
+    along both its ``_chain``s, then the rotations, a plateau escape."""
+    k = len(current.keys)
+    for mn, mx, lo, hi in _pairs_by_gap(current.weights, current.sizes(), size_cap):
+        yield ((_chain(k, mn, mx), _chain(k, mn, mx, True)),
+               range(lo, min(hi, -1) + 1), range(max(lo, 1), hi + 1))
+    yield ((0, k, 1),), range(0), range(1, current.loop_length)
 
 
 # a batched scan prices at most this many keys per ``placement_cost_bounds``
@@ -549,42 +559,55 @@ SCAN_FIRST_KEYS = 256
 
 def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int,
                       budget: int) -> tuple[PartitionSet | None, int]:
-    """Exhaustive chain scan over segment pairs, largest cost gap first.
+    """Scan the ``_scan_groups`` for the best strictly improving placement
+    within ``budget`` evaluations, one per row; returns it, or None, and
+    the evaluations charged.  The scan ends with the first group that has
+    a strictly better row.
 
-    Returns the best strictly improving placement found within ``budget``
-    evaluations, or None when the partition is pairwise optimal, and the
-    evaluations it charged.  A pair's placements are its shifts along each
-    of its two ``_chain``s; the scan ends with the first pair that has a
-    strictly better one, charged one evaluation per placement, and with
-    none sweeps the rotations.  ``placement_cost_bounds`` prices whole
-    pairs per call, up to a row count that starts at ``SCAN_FIRST_KEYS``
-    keys and doubles per call, or the next pair alone; replaying the rows
-    in order keeps the result independent of the chunking.  The bar is
-    the current maximum cost less 1e-12, or once a row is taken the best
-    row's maximum less 1e-15.  A row whose lower bound, the maximum of
-    its costs less eps, is not below the bar is skipped; any other is
-    priced exactly (by ``placement_costs`` where eps is not 0.0) and
-    taken when its maximum is below the bar.  A segment with its current
-    start, end and robot takes its current weight, exactly.
+    One loop prices every group: ``placement_cost_bounds`` takes whole
+    groups per call, up to a row count that starts at ``SCAN_FIRST_KEYS``
+    keys and doubles per call, or the next group alone, in chunks of at
+    most ``SCAN_CHUNK_KEYS`` keys.  Replaying the rows in order keeps the
+    result independent of the chunking; rows past the budget are never
+    built.  The bar is the current maximum cost less 1e-12, or once a row
+    is taken the best row's maximum less 1e-15.  A row whose lower bound,
+    the maximum of its costs less eps, is not below the bar is skipped;
+    any other is priced exactly (by ``placement_costs`` where eps is not
+    0.0) and taken when its maximum is below the bar.  A segment with its
+    current start, end and robot takes its current weight, exactly.
     """
     k = len(current.keys)
     length = current.loop_length
     base = np.array(current.keys)
-    sizes = current.sizes()
     cur_max = max(current.weights)
     chunk = max(1, SCAN_CHUNK_KEYS // k)
-    columns = np.arange(k)
     known = None   # the current weights and binding, once a chunk has loose bounds
     best = None   # the keys, exact costs and maximum cost of the best row
     charged = 0
-
-    def scan(moves: np.ndarray, chain: np.ndarray, t: np.ndarray, ends: list[int]) -> None:
-        """Charge and price, as far as the budget goes, the placements that
-        add ``t[i] * moves[chain[i]]`` to the keys, one per row i, a chunk
-        at a time; ``ends`` are the pairs' row ends."""
-        nonlocal best, known, charged
-        stop = min(len(t), budget - charged)
-        begin = 0
+    groups = _scan_groups(current, size_cap)
+    group, target = next(groups), max(1, SCAN_FIRST_KEYS // k)
+    while group is not None and best is None and charged < budget:
+        # row i moves the keys by t[i] along chains[chain[i]]; ends[j + 1] is
+        # where group j's rows end, the rows past the budget counted
+        chains, chain, t, ends, left = [], [], [], [0], budget - charged
+        while group is not None and len(t) < left:
+            group_chains, below, above = group
+            n = len(group_chains) * (len(below) + len(above))
+            if len(ends) > 1 and ends[-1] + n > target:
+                break
+            for move in group_chains:
+                room = left - len(t)
+                shifts = [*below[:room], *above[:max(0, room - len(below))]]
+                chain += [len(chains)] * len(shifts)
+                chains.append(move)
+                t += shifts
+            ends.append(ends[-1] + n)
+            group = next(groups, None)
+        target = min(2 * target, chunk)
+        first, count, sign = np.array(chains).T
+        moves = np.where((np.arange(k) - first[:, None]) % k < count[:, None], sign[:, None], 0)
+        chain, t = np.array(chain), np.array(t)
+        begin, stop = 0, len(t)
         while begin < stop:
             end = min(begin + chunk, stop)
             keys = (base + moves[chain[begin:end]] * t[begin:end, None]) % length
@@ -610,42 +633,11 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
                     top = max(priced)
                 if not top < bar:
                     continue
-                if best is None:   # the scan ends with this pair
+                if best is None:   # the scan ends with this group
                     stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
                 best = row, priced, top
             begin = end
         charged += stop
-
-    pairs = _pairs_by_gap(current.weights, sizes, size_cap, budget)
-    pair, target = next(pairs, None), max(1, SCAN_FIRST_KEYS // k)
-    while pair is not None and best is None and charged < budget:
-        # whole pairs up to the target, or the next pair alone: a pair's rows
-        # are its shifts along one chain, then along the other, and rows past
-        # the budget are never priced, so none is built
-        chains, chain, t, ends, left = [], [], [], [], budget - charged
-        while pair is not None and len(t) < left:
-            mn, mx, lo, hi = pair
-            below, above = range(lo, min(hi, -1) + 1), range(max(lo, 1), hi + 1)
-            n = len(below) + len(above)   # t = 0 is no move
-            if ends and ends[-1] + 2 * n > target:
-                break
-            for other in (False, True):
-                room = left - len(t)
-                shifts = [*below[:room], *above[:max(0, room - len(below))]]
-                chain += [len(chains)] * len(shifts)
-                chains.append(_chain(k, mn, mx, other))
-                t += shifts
-            ends.append(2 * n + (ends[-1] if ends else 0))
-            pair = next(pairs, None)
-        target = min(2 * target, chunk)
-        first, count, sign = np.array(chains).T
-        moves = np.where((columns - first[:, None]) % k < count[:, None], sign[:, None], 0)
-        scan(moves, np.array(chain), np.array(t), ends)
-    if best is None:
-        # whole-partition rotations (size-preserving) as a plateau escape;
-        # a spent budget prices none of them
-        scan(np.ones((1, k), dtype=base.dtype), np.zeros(length - 1, dtype=np.intp),
-             np.arange(1, length), [length - 1])
     if best is None:
         return None, charged
     return PartitionSet(keys=best[0], loop_length=length, weights=best[1]), charged

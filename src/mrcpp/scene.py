@@ -45,8 +45,8 @@ class Scene:
     def validate(self) -> None:
         if self.width < 1 or self.height < 1:
             raise SceneError("scene dimensions must be positive")
-        if self.cell_size <= 0:
-            raise SceneError("cell_size must be positive")
+        if not 0 < self.cell_size < math.inf:   # nan too
+            raise SceneError(f"cell_size must be positive and finite, got {self.cell_size!r}")
         if self.blocked.shape != (self.height, self.width):
             raise SceneError("blocked raster size mismatch")
         if self.elevation is not None and self.elevation.shape != (self.height, self.width):
@@ -106,7 +106,9 @@ def load_scene(path) -> Scene:
     """Load and validate a scene JSON document.
 
     Raster paths in the document are resolved relative to the document's
-    directory.  NODATA elevation cells are folded into the blocked set.
+    directory.  An elevation raster's ``cellsize`` must equal the scene's
+    ``cell_size`` (1.0 when the document has none), which sets its slopes.
+    NODATA elevation cells are folded into the blocked set.
     """
     path = Path(path)
     try:
@@ -130,13 +132,16 @@ def load_scene(path) -> Scene:
 
     elevation = None
     if doc.get("elevation_file"):
-        elev_path, (values, nodata, _) = _raster(path, doc, "elevation_file",
-                                                 rasters.read_esri_ascii)
+        elev_path, (values, nodata, cellsize) = _raster(path, doc, "elevation_file",
+                                                        rasters.read_esri_ascii)
         if values.shape != (height, width):
             raise SceneError(
                 f"{elev_path}: elevation raster size mismatch "
                 f"({values.shape[0]}x{values.shape[1]} vs {height}x{width})"
             )
+        if cellsize != cell_size:
+            raise SceneError(f"{path}: 'elevation_file' {elev_path} has cellsize {cellsize!r}, "
+                             f"but the scene's cell_size is {cell_size!r}")
         bad = ~(np.isfinite(values) | nodata)
         if bad.any():
             y, x = np.argwhere(bad)[0].tolist()

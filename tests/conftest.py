@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import itertools
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,16 @@ from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
 from mrcpp.stc import SpanningTree
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name: str):
+    """The benchmark's module ``bench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def flat_scene(width: int, height: int, depots, blocked_cells=()) -> Scene:

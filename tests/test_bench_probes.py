@@ -6,11 +6,9 @@ graph-size counters read what they name, and its plan validator reads G.
 ``optimize_partition``), so renaming one of them would break
 ``bench/run.py --trace 1``.
 """
-import importlib.util
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,16 +18,7 @@ from mrcpp import partition
 from mrcpp.pipeline import ScenePlanner, plan_document
 from mrcpp.scenegen import generate_scene
 
-from conftest import loop_instance, scan_spanning_graph
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def load_bench(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_bench, loop_instance, scan_spanning_graph
 
 
 def load_tracing():

@@ -18,13 +18,36 @@ from mrcpp.scene import save_scene
 from mrcpp.scenegen import generate_scene
 
 
-def reference(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True)
+def _keys(value):
+    """Every dict key in ``value``, at any depth of dicts, lists and tuples."""
+    if isinstance(value, dict):
+        yield from value
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _keys(item)
+
+
+def reference(value, **options) -> str:
+    """The package's contract in ``json.dumps``'s terms: RFC 8259 text, so
+    no NaN or Infinity (``allow_nan=False`` raises ``ValueError``), and
+    string keys only (any other raises ``TypeError``)."""
+    if not all(isinstance(key, str) for key in _keys(value)):
+        raise TypeError("keys must be str")
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False, **options)
 
 
 def array_reference(value) -> str:
     """The text ``dumps`` gives a value that holds (n, 2) int arrays."""
-    return json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    return reference(value, default=np.ndarray.tolist)
+
+
+def _outcome(encode, value):
+    """The text ``encode`` gives ``value``, or the type of error it raises."""
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as error:
+        return type(error)
 
 
 def _stable_id(value) -> str:
@@ -38,8 +61,8 @@ _cell_like = st.lists(
     | st.tuples(st.integers(), st.integers())
     | st.lists(st.integers(), min_size=2, max_size=2),
     max_size=5)
-_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
-            | st.text())
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.none() | st.booleans() | st.integers() | _finite | st.text()
 json_values = st.recursive(
     _scalars | _cell_like,
     lambda children: (st.lists(children, max_size=4)
@@ -64,8 +87,8 @@ _cells = st.lists(st.tuples(_coords, _coords) | st.lists(_coords, min_size=2, ma
 # Items that a cell list must not be taken for: wrong item type, length or
 # coordinate type; ``"ab"`` and the two-key dict have length 2.
 _look_alikes = (st.sampled_from([True, 1.0, "ab", {"a": 1, "b": 2}, [1, 2, 3], (4,), []])
-                | st.tuples(_coords, st.booleans() | st.floats() | st.none())
-                | st.lists(st.booleans() | st.floats(), min_size=2, max_size=2))
+                | st.tuples(_coords, st.booleans() | _finite | st.none())
+                | st.lists(st.booleans() | _finite, min_size=2, max_size=2))
 
 
 @st.composite
@@ -106,12 +129,12 @@ def test_dump_in_small_chunks_equals_json_dumps(value):
 
 
 def _large_document():
-    """More than two chunks of text, with non-finite floats and int and float keys."""
+    """More than two chunks of text, with floats and keys that sort as text."""
     cells = [(i % 256, i // 256 - 40) for i in range(90_000)]
     return {
         "paths": [cells[i:i + 20_000] for i in range(0, len(cells), 20_000)],
         "runs": [cells[:5], [list(c) for c in cells[5:9]]],
-        "weights": {1: math.nan, 2.5: math.inf, -3: -math.inf, 0.1: -0.0},
+        "weights": {"1": 0.5, "2.5": 1e300, "-3": -2.5e-300, "0.1": -0.0},
         "zeta": [[1, 2], [True, 3]],
     }
 
@@ -143,7 +166,34 @@ def _large_document():
     {"a": [[1, 2], [3, 4]], "b": [[3, 4], [-5, 2 ** 64]], "c": {"d": [(3, 4)], "e": [[1, 2]]}},
 ], ids=repr)
 def test_dumps_edge_cases(value):
-    assert dumps(value) == reference(value)
+    """The text ``json.dumps`` gives, or, for a non-finite float or a key
+    that is not a string, the error the contract names."""
+    assert _outcome(dumps, value) == _outcome(reference, value)
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, [1.0, math.nan], {"w": [2.5, -math.inf]},
+    np.float64("nan"), [[1, 2], [3, 4], {"cost": math.inf}],
+], ids=repr)
+def test_dumps_refuses_non_finite_floats(value):
+    # the message of json.dumps(..., allow_nan=False)
+    message = "Out of range float values are not JSON compliant"
+    with pytest.raises(ValueError, match=message):
+        json.dumps(value, allow_nan=False)
+    with pytest.raises(ValueError, match=message):
+        dumps(value)
+    with pytest.raises(ValueError, match=message):
+        dump(value, _Writes())
+
+
+@pytest.mark.parametrize("value", [
+    {1: "int key"}, {2.5: "float key"}, {True: 1}, {None: 1}, {"a": [{"b": {3: 1}}]},
+], ids=repr)
+def test_dumps_refuses_keys_that_are_not_strings(value):
+    with pytest.raises(TypeError, match="keys must be str, not "):
+        dumps(value)
+    with pytest.raises(TypeError, match="keys must be str, not "):
+        dump(value, _Writes())
 
 
 @pytest.mark.parametrize("value", [
@@ -172,13 +222,13 @@ def _leg_arrays() -> list:
 
 def _array_document(legs: list) -> dict:
     """Legs among ties (equal weights, one leg twice, a leg beside its
-    list twin) and non-finite floats, at several indents."""
+    list twin) and floats, at several indents."""
     return {
         "plans": [{"inbound": leg, "outbound": leg[::-1], "weight": 2.5,
-                   "runs": [leg.tolist()[:3], [[1, 2]]], "cost": [math.nan, 2.5]}
+                   "runs": [leg.tolist()[:3], [[1, 2]]], "cost": [0.1, 2.5]}
                   for leg in legs],
         "shared": [legs[-1], legs[-1], [legs[0], {"x": legs[0][::-1]}]],
-        "global": {"max_weight": 2.5, "total_weight": math.inf, "low": -math.inf},
+        "global": {"max_weight": 2.5, "total_weight": 1e300, "low": -5e-324},
     }
 
 
@@ -292,7 +342,7 @@ def test_write_json_atomic_never_touches_the_umask(tmp_path, monkeypatch):
 
 
 def test_dump_writes_a_small_document_in_one_call():
-    doc = {"cells": [[1, 2], [3, 4]], "weight": math.inf}
+    doc = {"cells": [[1, 2], [3, 4]], "weight": 2.5}
     writes = _Writes()
     dump(doc, writes)
     assert writes == [reference(doc) + "\n"]
@@ -319,5 +369,10 @@ def test_write_json_atomic_rejects_unserializable_without_leftovers(tmp_path):
     assert len(dumps(doc)) > jsontext.CHUNK
     doc["zz"] = [[1, 2], [3, np.int64(4)]]
     with pytest.raises(TypeError):
+        write_json_atomic(tmp_path / "plan.json", doc)
+    assert list(tmp_path.iterdir()) == []
+    # nor does a non-finite float, which RFC 8259 JSON cannot hold
+    doc["zz"] = {"weight": math.nan}
+    with pytest.raises(ValueError):
         write_json_atomic(tmp_path / "plan.json", doc)
     assert list(tmp_path.iterdir()) == []

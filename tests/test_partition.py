@@ -374,15 +374,18 @@ def test_capacity_sub_partitions_cover_loop_once(monkeypatch):
     assert max(sizes) <= 4
 
 
-@pytest.mark.parametrize("capacity", [0, 0.5, -1, math.nan])
+@pytest.mark.parametrize("capacity", [0, 0.5, -1, math.nan, 1.5, 2.5, 1e6 + 0.5])
 @pytest.mark.parametrize("strategy", [*STRATEGIES, "build_robot_plan"])
 def test_capacity_below_one_raises_partition_error(strategy, capacity):
     """Every strategy, and a plan built on its own, refuses a capacity
     below one cell, or nan, with ``PartitionError`` before any refill
-    stride or division uses it."""
+    stride or division uses it, and, as ``ScenePlanner.plan`` does, a
+    finite one that is not a whole number of cells, never truncating it:
+    1.5 planned as 1 and 1e6 + 0.5, beyond the loop length, as inf."""
     planner = loop_instance(5, 4)
     g, loop, depots = planner.graph, planner.loop, planner.depots(4)
-    with pytest.raises(PartitionError, match="capacity must be >= 1"):
+    with pytest.raises(PartitionError, match=f"capacity must be >= 1 and whole, or inf, "
+                                             f"got {capacity!r}"):
         if strategy == "build_robot_plan":
             build_robot_plan(0, depots[0], loop, [(0, 5, 1)], capacity, g)
         else:
@@ -644,7 +647,8 @@ def test_pair_order_matches_sorted_oracle_with_ties(case):
         lo, hi = _shift_bounds(sizes[mn], sizes[mx], size_cap)
         if lo <= hi and (lo, hi) != (0, 0):
             want.append((mn, mx, lo, hi))
-    assert list(_pairs_by_gap(weights, sizes, size_cap, limit)) == want[:limit]
+    assert list(itertools.islice(_pairs_by_gap(weights, sizes, size_cap), limit)) == \
+        want[:limit]
 
 
 def test_chains_match_the_key_lists():
@@ -822,7 +826,7 @@ def test_scan_skips_pairs_with_no_feasible_shift():
     keys = list(range(0, length, cap))
     weights, _ = model.placement_costs(keys)
     sizes = np.full(len(keys), cap)
-    assert list(_pairs_by_gap(weights, sizes, cap, length ** 2)) == []
+    assert list(_pairs_by_gap(weights, sizes, cap)) == []
     got, used = _scan_improvement(model, PartitionSet(keys, length, weights), cap, 10_000)
     assert used == length - 1               # the rotation sweep alone
     want, _ = scalar_scan_improvement(model, PartitionSet(keys, length, weights), cap, 10_000)

@@ -14,7 +14,11 @@ from mrcpp.pipeline import (STRATEGIES, PlanningError, ScenePlanner, plan_docume
 from mrcpp.scene import SceneError, load_scene, save_scene
 from mrcpp.scenegen import generate_scene
 
-from conftest import plan_fields, reference_robot_plan
+from conftest import load_bench, plan_fields, reference_robot_plan
+
+# the benchmark's plan validator, which re-derives each plan from G with
+# Dijkstra solves of its own
+validate = load_bench("validate")
 
 
 @st.composite
@@ -87,10 +91,13 @@ def test_every_strategy_plans_a_valid_cover(request):
     """Each loop cell is serviced exactly once, each robot's trips and
     refills follow the capacity, every plan equals the one a cell-by-cell
     walk of its runs builds, the reported maximum weight is the largest
-    of their weights, and the plan file holds the text of ``json.dumps``."""
+    of their weights, the plan file holds the text of ``json.dumps``, and
+    the benchmark's validator, walking the document with its own graph
+    and shortest paths, finds no fault in it."""
     scenes, k, capacity = request
     for scene, planner in planners(scenes, k):
         loop, g = planner.loop, planner.graph
+        oracle = validate.GraphOracle(g, loop.nodes)
         for algorithm in STRATEGIES:
             result = planner.plan(algorithm, k, capacity)
             plans = result.outcome.plans
@@ -108,7 +115,9 @@ def test_every_strategy_plans_a_valid_cover(request):
                 algorithm
             assert result.max_weight == max(p.weight for p in rebuilt), algorithm
             doc = plan_document(result, scene)
-            reference = json.dumps(doc, indent=2, sort_keys=True,
+            assert validate.validate_plan(doc, oracle, scene.depots, k, capacity) == [], \
+                algorithm
+            reference = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
                                    default=np.ndarray.tolist) + "\n"
             assert _written(doc) == reference.encode("ascii"), algorithm
 

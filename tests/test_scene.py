@@ -5,6 +5,7 @@ import pytest
 
 from mrcpp.rasters import (read_esri_ascii, read_mask_grid, write_esri_ascii,
                            write_mask_grid)
+from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene, SceneError, load_scene, save_scene
 from mrcpp.scenegen import generate_scene
 
@@ -184,6 +185,40 @@ def test_nodata_becomes_blocked(tmp_path):
     path.write_text(json.dumps(doc))
     scene = load_scene(path)
     assert scene.blocked[2, 2]
+
+
+@pytest.mark.parametrize("cell_size", [float("nan"), float("inf"), 0.0, -1.0])
+def test_scene_validate_rejects_a_cell_size_that_is_not_positive_and_finite(cell_size):
+    """A scene made in code is held to what ``load_scene`` asks of a
+    document: nan failed later as an untraversable depot, and inf planned
+    with every slope 0."""
+    scene = generate_scene("random", seed=2)
+    scene.cell_size = cell_size
+    with pytest.raises(SceneError, match="cell_size must be positive and finite"):
+        scene.validate()
+    with pytest.raises(SceneError, match="cell_size must be positive and finite"):
+        ScenePlanner(scene)
+
+
+@pytest.mark.parametrize("doc_cell_size, asc_cell_size", [(None, 30.0), (2.0, 1.0), (0.5, 2.0)])
+def test_load_scene_rejects_an_elevation_cellsize_unlike_the_scene(tmp_path, doc_cell_size,
+                                                                   asc_cell_size):
+    """A DEM's cellsize sets its slopes: a 30 m raster under a document
+    without ``cell_size`` (1.0) would plan 30 times too steep, so the two
+    must agree."""
+    write_esri_ascii(tmp_path / "e.asc", np.zeros((4, 4)), cell_size=asc_cell_size)
+    doc = {"width": 4, "height": 4, "depots": [[0, 0]], "elevation_file": "e.asc"}
+    if doc_cell_size is not None:
+        doc["cell_size"] = doc_cell_size
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    want = doc_cell_size or 1.0
+    with pytest.raises(SceneError, match=rf"'elevation_file'.*cellsize {asc_cell_size!r}, "
+                                         rf"but the scene's cell_size is {want!r}"):
+        load_scene(path)
+    # a raster of the scene's own cell size loads
+    write_esri_ascii(tmp_path / "e.asc", np.zeros((4, 4)), cell_size=want)
+    assert load_scene(path).cell_size == want
 
 
 def test_scene_validate_out_of_bounds_depot():
