@@ -96,15 +96,14 @@ def _split_trials(model: LoopCostModel, keys: list[int], arc_len: list[int],
 
     Robot j keeps ``arc_len[j] - t`` cells and the next robot services
     the t cells behind its depot.  MSTC-BO's cost is by definition
-    ``segment_cost_bounds``' approximation, whose refill sums are
-    prefix-sum differences; their rounding lies far below the rule's
-    1e-12 margin.
+    ``prefix_segment_costs``, whose refill sums are prefix-sum
+    differences; their rounding lies far below the rule's 1e-12 margin.
     """
     k = len(keys)
     nxt, behind = (j + 1) % k, splits[(j - 1) % k]
     t = np.arange(arc_len[j])
-    own, _ = model.segment_cost_bounds(keys[j], arc_len[j] - t, j, behind=behind)
-    taker, _ = model.segment_cost_bounds(keys[nxt], arc_len[nxt] - splits[nxt], nxt, behind=t)
+    own = model.prefix_segment_costs(keys[j], arc_len[j] - t, j, behind=behind)
+    taker = model.prefix_segment_costs(keys[nxt], arc_len[nxt] - splits[nxt], nxt, behind=t)
     others = max((current[i] for i in range(k) if i not in (j, nxt)), default=-math.inf)
     return np.maximum(np.maximum(own, taker), others)
 
@@ -117,7 +116,7 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
     it walking backward from behind its own depot before covering its
     forward arc.  Splits are chosen by coordinate descent, accepting a
     split only when the maximum robot cost strictly decreases.  Each scan
-    prices every split of an arc in O(arc) with ``segment_cost_bounds``.
+    prices every split of an arc in O(arc) with ``prefix_segment_costs``.
     """
     pset, binding = _depot_partition(loop, depots)
     k, keys, arc_len = len(binding), pset.keys, pset.sizes()
@@ -127,8 +126,8 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
     def robot_costs() -> list[float]:
         # robot j services the tail split off the arc behind it, then its own arc
         s = np.array(splits)
-        return model.segment_cost_bounds(keys, np.subtract(arc_len, s), np.arange(k),
-                                         behind=np.roll(s, 1))[0].tolist()
+        return model.prefix_segment_costs(keys, np.subtract(arc_len, s), np.arange(k),
+                                          behind=np.roll(s, 1)).tolist()
 
     if k > 1:
         current = robot_costs()

@@ -35,7 +35,6 @@ from .scene import Cell
 from .stc import CoverageLoop
 
 REL_IMPROVEMENT_EPS = 1e-9
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class PartitionError(ValueError):
@@ -201,16 +200,15 @@ class LoopCostModel:
     no segment exceeds L cells, so at L nothing refills.
 
     ``placement_costs`` prices one placement of k keys exactly, adding
-    each segment's refill terms one by one.  ``segment_cost_bounds`` bounds
-    the same formula in O(1) per segment over arrays, each refill sum a
-    difference of the stride-c prefix sums ``refill_prefix``, and prices a
-    backtracked tail too; MSTC-BO searches with that approximation alone.
-    ``placement_cost_bounds`` bounds a whole matrix of placements at once,
-    and the refinement scan re-prices exactly only the rows its bounds
-    leave open.  The scalar code reads the arrays through memoryviews,
-    which share their memory and index to Python floats: numpy scalars,
-    which indexing the arrays gives, make the scalar arithmetic several
-    times slower.
+    each segment's refill terms one by one, and ``placement_cost_rows`` a
+    whole matrix of placements the same way, bit for bit, so every
+    ``balanced`` decision is taken from exact costs.  MSTC-BO alone prices
+    with ``prefix_segment_costs``, O(1) per segment over arrays, a
+    backtracked tail included, each refill sum a difference of the
+    stride-c prefix sums ``refill_prefix``.  The scalar code reads the
+    arrays through memoryviews, which share their memory and index to
+    Python floats: numpy scalars, which indexing the arrays gives, make
+    the scalar arithmetic several times slower.
     """
 
     def __init__(self, loop: CoverageLoop, g: CoveringGraph | None = None,
@@ -238,6 +236,18 @@ class LoopCostModel:
         return self._prefix[start + size - 1] - self._prefix[start]
 
     @cached_property
+    def refill_terms(self) -> np.ndarray:
+        """The refill terms for finite capacity: ``[r, p]`` is
+        ``2 * depot_dist[r, p % L]`` for p below 2L, so every break of a
+        segment is read unwrapped.  Built in place in its one (k, 2L) array:
+        doubling is exact."""
+        k, length = self.depot_dist.shape
+        terms = np.empty((k, 2 * length))
+        np.multiply(self.depot_dist, 2.0, out=terms[:, :length])
+        np.multiply(self.depot_dist, 2.0, out=terms[:, length:])
+        return terms
+
+    @cached_property
     def refill_prefix(self) -> np.ndarray:
         """Stride-c prefix sums of the refill terms, for finite capacity c:
         ``[r, p + c]`` is the sequential sum of ``2 * depot_dist[r, q % L]``
@@ -253,37 +263,19 @@ class LoopCostModel:
         np.cumsum(blocks, axis=1, out=blocks)
         return terms
 
-    def _refill_eps(self, refills, cost, top):
-        """The error bound of a cost with ``refills`` refill terms whose
-        prefixes read reach ``top``: numbers or arrays alike."""
-        rows = self.refill_prefix.shape[1] // self.capacity
-        return 2.0 * (refills + rows + 8) * UNIT_ROUNDOFF * (cost + 2.0 * top)
-
-    def segment_cost_bounds(self, start, size, depot_idx, behind=0
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """The cost of servicing ``behind`` cells walking backward from
+    def prefix_segment_costs(self, start, size, depot_idx, behind=0) -> np.ndarray:
+        """MSTC-BO's cost of servicing ``behind`` cells walking backward from
         ``start - 1``, then the ``size`` cells from ``start`` forward, for
         arrays of ``start``, ``size``, ``depot_idx`` and ``behind``,
-        broadcast together, to within a rigorous float error bound, in
-        O(len).
+        broadcast together, in O(len).
 
-        Returns ``(approx, eps)`` with ``|exact - approx| <= eps``
-        entrywise.  The exact cost adds the tail's two legs and coverage,
-        then the forward run's approach leg, coverage and return leg, then
-        the refill terms one by one, the tail's breaks first, as
-        ``placement_costs`` does without a tail.  ``approx`` adds the same
-        terms before the refills in that order, a masked-out tail adding
-        0.0, then the tail's and the forward run's refill sums, each a
-        difference of ``refill_prefix``.  Both sides start from the same float and add
-        non-negative terms recursively: the n refills, or at most N + 1
-        prefix terms, N the rows of ``refill_prefix``.  By Higham's bound
-        for recursive summation (Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., §4.2) they differ by at most about
-        (n + N + 5) u M, u the unit roundoff and M the cost plus the
-        prefixes read; eps is over twice that, which covers its own
-        rounding too.  Where a segment has no refill, as everywhere at
-        c = L, eps is 0.0 and ``approx`` is the exact cost bit for bit.
-        Tails must be shorter than the loop, and runs no longer.
+        It adds the tail's two legs and coverage (0.0 for no tail), then the
+        forward run's approach leg, coverage and return leg, then the
+        tail's and the forward run's refill sums, each a difference of
+        ``refill_prefix``.  Where a segment has no refill, as everywhere at
+        c = L, that is the exact cost bit for bit; elsewhere the differences
+        may round otherwise than adding the terms one by one does.  Tails
+        must be shorter than the loop, and runs no longer.
         """
         d, length, prefix = self.depot_dist, self.length, self.prefix
         start, size, depot, behind = map(np.asarray, (start, size, depot_idx, behind))
@@ -298,19 +290,13 @@ class LoopCostModel:
         c = self.capacity
         refills = (behind + size - 1) // c
         if not refills.any():   # nor is refill_prefix built then
-            return cost, np.zeros_like(cost)
+            return cost
         q, back = self.refill_prefix, behind // c
-        # the forward run's breaks sit at start + (i + 1) c - 1 - behind for
-        # i = back .. refills - 1
+        if back.any():   # the tail's breaks at start - c, start - 2c, ...
+            cost = cost + (q[depot, start + length] - q[depot, start + length - back * c])
+        # the forward run's at start + (i + 1) c - 1 - behind for i = back .. refills - 1
         fwd_lo = start + (back + 1) * c - 1 - behind
-        fwd_hi = q[depot, fwd_lo + (refills - back) * c]
-        approx, top = cost, fwd_hi
-        if back.any():   # the tail's at start - c, start - 2c, ...
-            back_hi = q[depot, start + length]
-            approx = approx + (back_hi - q[depot, start + length - back * c])
-            top = back_hi + fwd_hi
-        approx = approx + (fwd_hi - q[depot, fwd_lo])
-        return approx, np.where(refills > 0, self._refill_eps(refills, cost, top), 0.0)
+        return cost + (q[depot, fwd_lo + (refills - back) * c] - q[depot, fwd_lo])
 
     def greedy_binding(self, starts: list[int]) -> list[int]:
         """Assign robots to segments greedily by cheapest approach leg.
@@ -353,35 +339,27 @@ class LoopCostModel:
             refills.append((size - 1) // c)
         if not any(refills):
             return costs, binding
-        # row i: the cost so far, then the depot distances of the breaks at
-        # keys[i] + c - 1, keys[i] + 2c - 1, ..., read as strided slices
-        # that wrap past the loop's end at most once, then zeros
+        # row i: the cost so far, then the refill terms of the breaks at
+        # keys[i] + c - 1, keys[i] + 2c - 1, ..., one strided slice of
+        # ``refill_terms``, then zeros
         terms = np.zeros((k, max(refills) + 1))
         terms[:, 0] = costs
         for row, start, robot, n in zip(terms, keys, binding, refills):
-            d, first = self.depot_dist[robot], (start + c - 1) % length
-            head = d[first::c][:n]
-            row[1:len(head) + 1] = head
-            if len(head) < n:
-                rest = first + len(head) * c - length
-                row[len(head) + 1:n + 1] = d[rest:rest + (n - len(head)) * c:c]
-        terms[:, 1:] *= 2.0
+            row[1:n + 1] = self.refill_terms[robot, start + c - 1:start + n * c:c]
         return np.cumsum(terms, axis=1)[:, -1].tolist(), binding
 
-    def placement_cost_bounds(self, keys: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """``placement_costs`` of every row of a (T, k) key matrix, to within
-        a rigorous error bound per segment, as ``(approx, eps, binding)``
-        arrays; eps is None where every cost is exact, as at c = L.  Row
-        t's binding equals ``placement_costs(keys[t].tolist())``'s, and its
-        costs are within eps of that call's, equal bit for bit where eps is
-        0.0.
+    def placement_cost_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``placement_costs`` of every row of a (T, k) key matrix, bit for
+        bit, as ``(costs, binding)`` arrays, binding None without depots.
 
         The greedy binding is k rounds of ``argmin`` over each row's k * k
         depot distances flattened in (robot, segment) order, so ties go
         the way ``greedy_binding``'s stable sort of that order breaks them;
         a taken robot's and a taken segment's pairs are masked with inf.
-        The costs are ``segment_cost_bounds`` of the bound segments.
+        A cost adds the approach leg, the coverage and the return leg, then
+        its refill terms one by one: with the segments sorted by refill
+        count, most first, step j adds the j-th term of each segment with
+        more than j, a prefix that shrinks, from ``refill_terms``.
         """
         rows, k = keys.shape
         length, prefix = self.length, self.prefix
@@ -389,8 +367,9 @@ class LoopCostModel:
             sizes = np.full_like(keys, length)
         else:
             sizes = (keys[:, list(range(1, k)) + [0]] - keys) % length
+        coverage = prefix[keys + sizes - 1] - prefix[keys]
         if self.depots is None:
-            return prefix[keys + sizes - 1] - prefix[keys], None, None
+            return coverage, None
         pairs = self.depot_dist[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
         flat = pairs.reshape(rows, k * k)
         binding = np.empty_like(keys)
@@ -401,8 +380,25 @@ class LoopCostModel:
             if r < k - 1:   # the last round takes the one pair left
                 pairs[every, robot, :] = np.inf
                 pairs[every, :, segment] = np.inf
-        approx, eps = self.segment_cost_bounds(keys, sizes, binding)
-        return approx, (eps if eps.any() else None), binding
+        d, c = self.depot_dist, self.capacity
+        costs = d[binding, keys] + coverage
+        costs += d[binding, (keys + sizes - 1) % length]
+        refills = ((sizes - 1) // c).ravel()
+        most = int(refills.max())
+        if not most:
+            return costs, binding
+        order = np.argsort(-refills, kind="stable")
+        acc = costs.ravel()[order]
+        at = (binding * (2 * length) + keys + (c - 1)).ravel()[order]
+        terms = self.refill_terms.ravel()
+        # the counts descend, so searching their negations for -j counts the
+        # segments with more than j refills
+        for m in np.searchsorted(-refills[order], -np.arange(most)).tolist():
+            acc[:m] += terms[at[:m]]
+            at[:m] += c
+        costs = np.empty_like(acc)
+        costs[order] = acc
+        return costs.reshape(rows, k), binding
 
 
 def naive_partition(loop: CoverageLoop, k: int) -> PartitionSet:
@@ -547,7 +543,7 @@ def _scan_groups(current: PartitionSet, size_cap: int) -> Iterator[tuple[tuple, 
     yield ((0, k, 1),), range(0), range(1, current.loop_length)
 
 
-# a batched scan prices at most this many keys per ``placement_cost_bounds``
+# a batched scan prices at most this many keys per ``placement_cost_rows``
 # call, which bounds the memory of its (rows, k, k) binding array
 SCAN_CHUNK_KEYS = 1 << 14
 # and at most this many keys, in whole pairs, in its first call (64 rows at
@@ -564,25 +560,23 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
     the evaluations charged.  The scan ends with the first group that has
     a strictly better row.
 
-    One loop prices every group: ``placement_cost_bounds`` takes whole
+    One loop prices every group: ``placement_cost_rows`` takes whole
     groups per call, up to a row count that starts at ``SCAN_FIRST_KEYS``
     keys and doubles per call, or the next group alone, in chunks of at
     most ``SCAN_CHUNK_KEYS`` keys.  Replaying the rows in order keeps the
     result independent of the chunking; rows past the budget are never
     built.  The bar is the current maximum cost less 1e-12, or once a row
-    is taken the best row's maximum less 1e-15.  A row whose lower bound,
-    the maximum of its costs less eps, is not below the bar is skipped;
-    any other is priced exactly (by ``placement_costs`` where eps is not
-    0.0) and taken when its maximum is below the bar.  A segment with its
-    current start, end and robot takes its current weight, exactly.
+    is taken the best row's maximum less 1e-15, and a row is taken when
+    the maximum of its exact costs is below the bar.  A cost is a sum of
+    non-negative terms, so with a bar of 0.0 or less nothing is scanned.
     """
-    k = len(current.keys)
-    length = current.loop_length
+    k, length = len(current.keys), current.loop_length
     base = np.array(current.keys)
     cur_max = max(current.weights)
+    if cur_max <= 1e-12:
+        return None, 0
     chunk = max(1, SCAN_CHUNK_KEYS // k)
-    known = None   # the current weights and binding, once a chunk has loose bounds
-    best = None   # the keys, exact costs and maximum cost of the best row
+    best = None   # the keys, costs and maximum cost of the best row
     charged = 0
     groups = _scan_groups(current, size_cap)
     group, target = next(groups), max(1, SCAN_FIRST_KEYS // k)
@@ -611,31 +605,16 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
         while begin < stop:
             end = min(begin + chunk, stop)
             keys = (base + moves[chain[begin:end]] * t[begin:end, None]) % length
-            costs, eps, binding = model.placement_cost_bounds(keys)
-            if eps is not None:
-                if known is None:
-                    known = np.array(current.weights), np.array(model.greedy_binding(current.keys))
-                same = ((keys == base) & (np.roll(keys, -1, axis=1) == np.roll(base, -1))
-                        & (binding == known[1]))
-                costs, eps = np.where(same, known[0], costs), np.where(same, 0.0, eps)
-            low = costs.max(axis=1) if eps is None else (costs - eps).max(axis=1)
-            for i in np.flatnonzero(low < cur_max - 1e-12).tolist():
+            costs, _ = model.placement_cost_rows(keys)
+            top = costs.max(axis=1)
+            for i in np.flatnonzero(top < cur_max - 1e-12).tolist():
                 if begin + i >= stop:
                     break
-                bar = cur_max - 1e-12 if best is None else best[2] - 1e-15
-                if not low[i] < bar:
-                    continue
-                row = keys[i].tolist()
-                if eps is None or not eps[i].any():
-                    priced, top = costs[i].tolist(), low[i]
-                else:
-                    priced, _ = model.placement_costs(row)
-                    top = max(priced)
-                if not top < bar:
+                if not top[i] < (cur_max - 1e-12 if best is None else best[2] - 1e-15):
                     continue
                 if best is None:   # the scan ends with this group
                     stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
-                best = row, priced, top
+                best = keys[i].tolist(), costs[i].tolist(), top[i]
             begin = end
         charged += stop
     if best is None:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from pathlib import Path
+
+import numpy as np
 
 from .scene import Scene
 
@@ -22,6 +25,19 @@ PALETTE = (
 
 class RenderError(ValueError):
     pass
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise RenderError(f"{what} holds {reprlib.repr(value)}, not an object")
+    return value
+
+
+def _list(value, what: str):
+    # a document not yet written holds tuples and arrays where its file has lists
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise RenderError(f"{what} holds {reprlib.repr(value)}, not a list")
+    return value
 
 
 def _fmt(v: float) -> str:
@@ -73,8 +89,11 @@ def _star(cx: float, cy: float, radius: float) -> list:
 
 
 def render_plan_svg(scene: Scene, plan_doc: dict) -> str:
-    """Render a plan document over its scene as an SVG string."""
-    meta = plan_doc.get("scene", {})
+    """Render a plan document over its scene as an SVG string; a document
+    of the wrong shape raises a ``RenderError`` that names the field."""
+    _object(plan_doc, "the plan document")
+    meta = _object(plan_doc.get("scene", {}), "scene")
+    plans = _list(plan_doc.get("plans", []), "plans")
     if meta and (meta.get("width") != scene.width or meta.get("height") != scene.height):
         raise RenderError("plan document does not match the scene dimensions")
     W, H = scene.width * CELL_PX, scene.height * CELL_PX
@@ -102,21 +121,30 @@ def render_plan_svg(scene: Scene, plan_doc: dict) -> str:
                 svg.line(cx - r, cy - r, cx + r, cy + r, "#555555", 1.2)
                 svg.line(cx - r, cy + r, cx + r, cy - r, "#555555", 1.2)
 
-    for i, plan in enumerate(plan_doc.get("plans", [])):
+    for i, plan in enumerate(plans):
+        if "depot" not in _object(plan, f"plan {i}"):
+            raise RenderError(f"plan {i}: depot is missing")
         color = PALETTE[i % len(PALETTE)]
-        for r, run in enumerate(plan.get("runs", [plan.get("path", [])])):
-            if len(run) >= 2:
-                field = f"runs[{r}]" if "runs" in plan else "path"
+        if "runs" in plan:
+            runs = [(f"runs[{r}]", run)
+                    for r, run in enumerate(_list(plan["runs"], f"plan {i}: runs"))]
+        else:
+            runs = [("path", plan.get("path", []))]
+        for field, run in runs:
+            if len(_list(run, f"plan {i}: {field}")) >= 2:
                 svg.polyline([center(c, i, field) for c in run], color, width=CELL_PX * 0.1)
-        for j, trip in enumerate(plan.get("refills", [])):
-            if len(trip.get("outbound", [])) >= 2:
-                svg.polyline([center(c, i, f"refills[{j}].outbound") for c in trip["outbound"]],
+        for j, trip in enumerate(_list(plan.get("refills", []), f"plan {i}: refills")):
+            field = f"refills[{j}].outbound"
+            leg = _list(_object(trip, f"plan {i}: refills[{j}]").get("outbound", []),
+                        f"plan {i}: {field}")
+            if len(leg) >= 2:
+                svg.polyline([center(c, i, field) for c in leg],
                              color, width=CELL_PX * 0.06, dashed=True, opacity=0.7)
 
-    for i, plan in enumerate(plan_doc.get("plans", [])):
+    for i, plan in enumerate(plans):
         cx, cy = center(plan["depot"], i, "depot")
         svg.polygon(_star(cx, cy, CELL_PX * 0.38), "#ffd700")
-    if not plan_doc.get("plans"):
+    if not plans:
         for depot in scene.depots:
             cx, cy = center(depot)
             svg.polygon(_star(cx, cy, CELL_PX * 0.38), "#ffd700")

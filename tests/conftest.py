@@ -358,13 +358,13 @@ def segment_costs(model: LoopCostModel, start: int, size, depot_idx: int,
     ``start - 1``, then the ``size`` cells from ``start`` forward, for
     arrays of ``size`` and ``behind``.
 
-    The terms are added in the order ``segment_cost_bounds`` states, each
-    refill term one by one, and a masked-out tail or refill term adds
-    0.0: without a tail every entry equals the left-to-right sum of the
-    approach leg, the coverage, the return leg and the refill terms.  The
-    exact oracle ``segment_cost_bounds`` and ``placement_costs`` are held
-    to.  Each
-    refill offset is one pass over the arrays.
+    It adds the tail's two legs and coverage, then the forward run's
+    approach leg, coverage and return leg, then each refill term one by
+    one, the tail's breaks first; a masked-out tail or refill term adds
+    0.0.  Without a tail every entry is the left-to-right sum that
+    ``placement_costs`` and ``placement_cost_rows`` take, the exact cost
+    they are held to; ``prefix_segment_costs`` is held to it within its
+    rounding.  Each refill offset is one pass over the arrays.
     """
     d, length, prefix = model.depot_dist[depot_idx], model.length, model.prefix
     size, behind = np.asarray(size), np.asarray(behind)
@@ -385,7 +385,8 @@ def reference_placement_costs(model: LoopCostModel, keys: list[int]
                               ) -> tuple[list[float], list[int] | None]:
     """``model.placement_costs`` with every segment priced by the per-offset
     oracle ``segment_costs``, for any k keys, in loop order or not: the
-    exact costs ``placement_costs`` and the bounded pricing are held to."""
+    exact costs ``placement_costs`` and ``placement_cost_rows`` are held
+    to."""
     k, length = len(keys), model.length
     sizes = [(keys[(i + 1) % k] - key) % length or length for i, key in enumerate(keys)]
     if model.depots is None:
@@ -399,7 +400,7 @@ def reference_placement_cost_rows(model: LoopCostModel, keys: np.ndarray):
     """Exact ``placement_costs`` for every row of a (T, k) key matrix, with
     the binding: the greedy binding as k rounds of ``argmin``, then one
     masked (T, k) refill term per offset, added in ``segment_costs``'
-    order.  The full-matrix oracle ``placement_cost_bounds`` is held to."""
+    order.  The full-matrix oracle ``placement_cost_rows`` is held to."""
     rows, k = keys.shape
     length, prefix = model.length, model.prefix
     sizes = np.full_like(keys, length) if k == 1 else (np.roll(keys, -1, axis=1) - keys) % length
@@ -424,17 +425,15 @@ def reference_placement_cost_rows(model: LoopCostModel, keys: np.ndarray):
 
 
 class ExactCostModel(LoopCostModel):
-    """A cost model that prices every placement with the per-offset oracle,
-    its bounds the exact costs with eps None, so the searches run on it
-    take every decision from exact costs: the oracle the bounded searches
-    are held to."""
+    """A cost model that prices every placement, single or a matrix of them,
+    with the per-offset oracle, so the searches run on it take every
+    decision from the oracle's costs: what the searches are held to."""
 
     def placement_costs(self, keys):
         return reference_placement_costs(self, keys)
 
-    def placement_cost_bounds(self, keys):
-        costs, binding = reference_placement_cost_rows(self, keys)
-        return costs, None, binding
+    def placement_cost_rows(self, keys):
+        return reference_placement_cost_rows(self, keys)
 
 
 def tuple_sort_binding(model: LoopCostModel, starts: list[int]) -> list[int]:
@@ -548,8 +547,10 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
 
     Segment pairs by cost gap, then every shift of both key chains of a
     pair, charging one evaluation per shift, up to ``budget``, and skipping
-    colliding keys; with no improving shift, every rotation.  The oracle
-    the tests hold the batched ``_scan_improvement`` to.
+    colliding keys; with no improving shift, every rotation.  No cost is
+    below 0.0, so with a current maximum of at most 1e-12 it charges
+    nothing.  The oracle the tests hold the batched ``_scan_improvement``
+    to.
     """
     k = len(current.keys)
     length = current.loop_length
@@ -557,6 +558,8 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
     sizes = current.sizes()
     weights = current.weights
     cur_max = max(weights)
+    if cur_max <= 1e-12:
+        return None, 0
     best, used = None, 0
     for mn, mx in sorted_pair_order(weights):
         for moving, sign in chain_directions(k, mn, mx):

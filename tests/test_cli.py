@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import re
 import warnings
 
@@ -231,6 +233,42 @@ def test_render_rejects_a_malformed_cell_naming_plan_field_and_value(tmp_path, c
     assert main(argv) == 2
     assert capsys.readouterr().err == (f"error: plan 1: runs[0] holds {cell!r}, "
                                        "not a cell [x, y] of two integers\n")
+    assert not (tmp_path / "x.svg").exists()
+    with pytest.raises(RenderError):
+        main(argv + ["--debug"])
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("plans", 1, "depot"), DELETE, "plan 1: depot is missing"),
+    (("plans", 0, "refills", 0, "outbound"), 5, "plan 0: refills[0].outbound holds 5, not a list"),
+    (("plans", 0, "runs", 0), 7, "plan 0: runs[0] holds 7, not a list"),
+    (("scene",), "x", "scene holds 'x', not an object"),
+    (("plans",), {}, "plans holds {}, not a list"),
+    ((), [1, 2], "the plan document holds [1, 2], not an object"),
+], ids=["no-depot", "outbound-int", "run-int", "scene-str", "plans-object", "list-document"])
+def test_render_rejects_a_malformed_document_naming_the_field(tmp_path, capsys, path, value,
+                                                              message):
+    """A plan document with ``value`` at ``path`` (the field dropped for
+    DELETE) exits 2 with a message that names the field, not with the error
+    of some lookup, and writes no SVG."""
+    scene = generate_scene("random", seed=4)
+    scene_path = save_scene(scene, tmp_path / "scene.json")
+    doc = json.loads(write_json_atomic(tmp_path / "plan.json", plan_document(
+        ScenePlanner(scene).plan("balanced", 2, 5), scene)).read_text())
+    if not path:
+        doc = value
+    elif value is DELETE:
+        del functools.reduce(operator.getitem, path[:-1], doc)[path[-1]]
+    else:
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    plan_path = write_json_atomic(tmp_path / "bad.json", doc)
+    argv = ["render", "--plan", str(plan_path), "--scene", str(scene_path),
+            "--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.svg").exists()
     with pytest.raises(RenderError):
         main(argv + ["--debug"])

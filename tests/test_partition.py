@@ -413,15 +413,14 @@ def test_capacity_of_the_loop_length_or_more_plans_as_inf(kind, seed, side, k):
     rng = np.random.default_rng(seed)
     keys = np.sort([rng.choice(length, size=k, replace=False) for _ in range(30)], axis=1)
     inf = LoopCostModel(loop, g, depots)
-    want = inf.placement_cost_bounds(keys)
+    want_costs, want_binding = inf.placement_cost_rows(keys)
     for capacity in capacities:
         model = LoopCostModel(loop, g, depots, capacity)
         assert model.capacity == inf.capacity == length
         for row in keys.tolist():
             assert model.placement_costs(row) == inf.placement_costs(row)
-        approx, eps, binding = model.placement_cost_bounds(keys)
-        assert want[1] is eps is None
-        assert (approx == want[0]).all() and (binding == want[2]).all()
+        costs, binding = model.placement_cost_rows(keys)
+        assert (costs == want_costs).all() and (binding == want_binding).all()
 
 
 def test_max_weight():
@@ -453,15 +452,15 @@ def test_plans_deterministic_across_runs():
 @pytest.mark.parametrize("capacity", [math.inf, 3.0])
 def test_cost_kernel_matches_built_plans(seed, k, capacity):
     """The segment costs the strategies search with equal the weight of the
-    plan built for the same cells: ``segment_cost_bounds``' approximation,
-    which MSTC-BO takes, and the exact cost, the oracle ``segment_costs``."""
+    plan built for the same cells: ``prefix_segment_costs``, which MSTC-BO
+    takes, and the exact cost, the oracle ``segment_costs``."""
     planner = loop_instance(seed, k)
     g, loop, depots = planner.graph, planner.loop, planner.depots(k)
     model = LoopCostModel(loop, g, depots, capacity)
 
     def check(start, size, robot, behind, weight):
         exact = float(segment_costs(model, start, size, robot, behind))
-        approx, _ = model.segment_cost_bounds(start, size, robot, behind)
+        approx = model.prefix_segment_costs(start, size, robot, behind)
         assert abs(exact - weight) <= 1e-9
         assert abs(float(approx) - weight) <= 1e-9
 
@@ -518,11 +517,11 @@ def test_segment_costs_equal_scalar_kernel_bit_for_bit(capacity):
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0, 1e12])
 def test_segment_cost_bounds_hold_the_exact_costs(capacity):
-    """The exact costs lie within ``approx +- eps`` of
-    ``segment_cost_bounds``, in both of MSTC-BO's broadcast forms; eps is
-    0.0 exactly where the approximate cost is exact, as it is everywhere
-    at c = inf, and somewhere the approximation really rounds.  A
-    capacity beyond every segment builds no prefix sums."""
+    """``prefix_segment_costs``, MSTC-BO's approximation, in both of its
+    broadcast forms: the exact cost bit for bit where a segment has no
+    refill, as everywhere at c = inf, else within 1e-12 of it relatively,
+    and somewhere its prefix differences really round.  A capacity beyond
+    every segment builds no prefix sums."""
     planner = loop_instance(10, 3)
     loop, k = planner.loop, 3
     model = LoopCostModel(loop, planner.graph, planner.depots(k), capacity)
@@ -535,10 +534,10 @@ def test_segment_cost_bounds_hold_the_exact_costs(capacity):
             forms += [(size, np.arange(length - size + 1)) for size in range(1, length + 1, 4)]
             for size, behind in forms:
                 exact = segment_costs(model, start, size, depot, behind=behind)
-                approx, eps = model.segment_cost_bounds(start, size, depot, behind=behind)
-                assert (abs(exact - approx) <= eps).all()
-                assert (approx[eps == 0] == exact[eps == 0]).all()
-                assert ((eps == 0) == ((np.asarray(behind) + size - 1) // capacity < 1)).all()
+                approx = model.prefix_segment_costs(start, size, depot, behind=behind)
+                none = (np.asarray(behind) + size - 1) // model.capacity < 1
+                assert (approx[none] == exact[none]).all()
+                assert (abs(approx - exact) <= 1e-12 * exact).all()
                 rounded += int((approx != exact).sum())
     assert (rounded > 0) == (capacity < length)
     assert ("refill_prefix" in vars(model)) == (capacity < length)
@@ -581,23 +580,26 @@ def test_greedy_binding_equals_the_sorted_triples(k, blocked_planners):
 
 @pytest.mark.parametrize("capacity", [1, 2, 25])
 def test_refill_prefix_is_built_in_place(capacity):
-    """``refill_prefix`` equals the cumulative sum of the zero-padded, tiled,
-    doubled distances, and building it allocates little beyond the result."""
+    """``refill_terms`` equals the tiled, doubled distances and
+    ``refill_prefix`` the cumulative sum of them zero-padded, and building
+    either allocates little beyond the result."""
     rng = np.random.default_rng(capacity)
     model = table_model(rng.random((4, 20_000)) * 100.0, capacity)
     c, (k, length) = capacity, model.depot_dist.shape
     rows = -(-(2 * length) // c) + 1
+    tiled = np.tile(2.0 * model.depot_dist, 2)
     terms = np.zeros((k, rows * c))
-    terms[:, c:c + 2 * length] = np.tile(2.0 * model.depot_dist, 2)
+    terms[:, c:c + 2 * length] = tiled
     want = np.cumsum(terms.reshape(k, rows, c), axis=1).reshape(k, rows * c)
-    tracemalloc.start()
-    try:
-        got = model.refill_prefix
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert peak < 1.1 * got.nbytes
+    for name, table in (("refill_terms", tiled), ("refill_prefix", want)):
+        tracemalloc.start()
+        try:
+            got = getattr(model, name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, table)
+        assert peak < 1.1 * got.nbytes
 
 
 def test_virtual_placement_costs_equal_prefix_differences():
@@ -667,40 +669,54 @@ def test_chains_match_the_key_lists():
                 assert sign == want_sign
 
 
-@pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0])
+@pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0, "L - 1"])
 def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
-    """Every row of the full-matrix oracle equals ``placement_costs`` of that
-    row's keys exactly, costs and depot binding both, and the bounded row
-    kernel binds as they do and holds their costs within eps, exactly
-    where eps is 0.0 (everywhere at c = inf): on a weighted scene, and on
-    a flat walled scene where many depot distances tie."""
+    """``placement_cost_rows`` equals the full-matrix oracle bit for bit, costs
+    and depot binding, and so does ``placement_costs`` of each row's keys,
+    for k in {1, 2, 3, 5, 16} and c up to L - 1: on a weighted scene, and
+    on a flat walled scene where many depot distances tie; on rows in loop
+    order, rows that are not, and rows of segments of c - 1 to 2c + 1
+    cells, laid from starts near the loop's end.  Below c = L - 1 rows hold
+    segments of unlike refill counts, and at finite c breaks lie past the
+    loop's end.  Without a refill no ``refill_terms`` are built."""
     rng = np.random.default_rng(11)
+    unlike = wrapped = 0
     for planner in (loop_instance(5, 1), ScenePlanner(generate_scene("blocked", seed=1))):
         loop, length = planner.loop, len(planner.loop)
+        c = length - 1 if capacity == "L - 1" else capacity
         for k in (1, 2, 3, 5, 16):
             depots = [loop.nodes[p] for p in rng.choice(length, size=k, replace=False)]
-            model = LoopCostModel(loop, planner.graph, depots, capacity)
+            model = LoopCostModel(loop, planner.graph, depots, c)
             keys = np.array([rng.choice(length, size=k, replace=False) for _ in range(40)])
             keys[:20].sort(axis=1)               # half the rows in loop order
-            costs, binding = reference_placement_cost_rows(model, keys)
+            if k > 1 and c < length:
+                sizes = np.clip(model.capacity + rng.integers(-1, model.capacity + 2, (20, k)),
+                                1, length // k)
+                starts = length - 1 - rng.integers(0, model.capacity, (20, 1))
+                keys = np.vstack([keys, (starts + np.cumsum(sizes, axis=1) - sizes) % length])
+            costs, binding = model.placement_cost_rows(keys)
+            want_costs, want_binding = reference_placement_cost_rows(model, keys)
+            assert costs.tolist() == want_costs.tolist()
+            assert (binding == want_binding).all()
             for row, cost_row, binding_row in zip(keys.tolist(), costs.tolist(),
                                                   binding.tolist()):
                 assert (cost_row, binding_row) == model.placement_costs(row)
-            approx, eps, bound = model.placement_cost_bounds(keys)
-            assert (bound == binding).all()
             sizes = ((np.roll(keys, -1, axis=1) - keys) % length if k > 1
                      else np.full_like(keys, length))
-            assert (eps is None) == (capacity == math.inf or (sizes <= capacity).all())
-            eps = np.zeros_like(approx) if eps is None else eps
-            assert (abs(approx - costs) <= eps).all()
-            assert (approx[eps == 0] == costs[eps == 0]).all()
+            refills = (sizes - 1) // model.capacity
+            assert ("refill_terms" in vars(model)) == bool(refills.any())
+            unlike += int((refills.min(axis=1) < refills.max(axis=1)).sum())
+            wrapped += int((keys + refills * model.capacity - 1 >= length)[refills > 0].sum())
         virtual = LoopCostModel(loop)
         keys = np.array([rng.choice(length, size=7, replace=False) for _ in range(20)])
         costs, binding = reference_placement_cost_rows(virtual, keys)
         assert binding is None
         assert costs.tolist() == [virtual.placement_costs(row)[0] for row in keys.tolist()]
-        assert virtual.placement_cost_bounds(keys)[1:] == (None, None)
-        assert (virtual.placement_cost_bounds(keys)[0] == costs).all()
+        got, binding = virtual.placement_cost_rows(keys)
+        assert binding is None and got.tolist() == costs.tolist()
+    # at c = L - 1 only the whole loop, k = 1, refills
+    assert (unlike > 0) == (capacity not in (math.inf, "L - 1"))
+    assert (wrapped > 0) == (capacity != math.inf)
 
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0])
@@ -769,6 +785,20 @@ def test_loop_cell_that_is_not_a_node_is_rejected():
             LoopCostModel(loop, g, [(0, 0)])
 
 
+def test_scan_charges_nothing_when_no_cost_can_beat_its_bar():
+    """No cost is below 0.0, so a placement whose heaviest segment costs
+    0.0, L one-cell segments of coverage only, is not scanned at all."""
+    planner = loop_instance(5, 1)
+    loop, length = planner.loop, len(planner.loop)
+    model = LoopCostModel(loop)
+    pset = naive_partition(loop, length)
+    pset.weights = model.placement_costs(pset.keys)[0]
+    assert max(pset.weights) == 0.0
+    for budget in (1, 7, 10_000):
+        assert _scan_improvement(model, pset, 1, budget) == (None, 0)
+        assert scalar_scan_improvement(model, pset, 1, budget) == (None, 0)
+
+
 def scan_cases():
     """(model, partition, size_cap) cases for the refinement scan: random
     key sets in loop order, half of them wrapping past the loop's end,
@@ -835,10 +865,10 @@ def test_scan_skips_pairs_with_no_feasible_shift():
         assert (got.keys, got.weights) == (want.keys, want.weights)
 
 
-def bounded_cases(capacity):
-    """(model, oracle, keys, flat) cases at a finite capacity: the bounded
-    model and the ``ExactCostModel`` over the same loop and depots, and key
-    sets in loop order, two of every three wrapping past the loop's end.  A
+def oracle_cases(capacity):
+    """(model, oracle, keys) cases at a finite capacity: the cost model and
+    the ``ExactCostModel`` over the same loop and depots, and key sets in
+    loop order, two of every three wrapping past the loop's end.  A
     weighted scene, and a flat 8x8 one with symmetric depots, whose integer
     hop costs tie exactly."""
     rng = np.random.default_rng(int(capacity))
@@ -852,57 +882,22 @@ def bounded_cases(capacity):
             oracle = ExactCostModel(loop, planner.graph, depots, capacity)
             for trial in range(3):
                 keys = sorted(rng.choice(length, size=len(depots), replace=False).tolist())
-                yield model, oracle, keys[trial:] + keys[:trial], layouts is None
-            yield model, oracle, naive_partition(loop, len(depots)).keys, layouts is None
-
-
-def rejected_repricings(model, pset, size_cap, budget):
-    """``_scan_improvement`` of ``pset`` under ``model`` (its placement and
-    charge), and how many rows it re-priced with ``placement_costs`` and
-    did not take.
-
-    The scan re-prices a row whose lower bound its bar does not rule out
-    and whose eps is not 0.0; its rule takes a row whose maximum cost is
-    below the current maximum by 1e-12 and below the best row's by 1e-15.
-    Replaying that rule over the priced rows' maxima counts the rows that
-    failed it: the best it replays is never below the scan's, which may
-    also take rows priced exactly by their bounds, so none is counted
-    that the scan took."""
-    original, maxima = LoopCostModel.placement_costs, []
-
-    def placement_costs(self, keys):
-        costs, binding = original(self, keys)
-        maxima.append(max(costs))
-        return costs, binding
-
-    with mock.patch.object(LoopCostModel, "placement_costs", placement_costs):
-        found = _scan_improvement(model, pset, size_cap, budget)
-    best, rejected = max(pset.weights) - 1e-12, 0
-    for cost in maxima:
-        if cost < best:
-            best = cost - 1e-15
-        else:
-            rejected += 1
-    return found, rejected
+                yield model, oracle, keys[trial:] + keys[:trial]
+            yield model, oracle, naive_partition(loop, len(depots)).keys
 
 
 @pytest.mark.parametrize("capacity", [1.0, 2.0, 3.0, 25.0])
 def test_bounded_searches_match_the_exact_oracle(capacity):
-    """The scan, ``balanced_cut`` and ``optimize_partition`` priced from
-    bounds return the keys and weights, and spend the budget, that they
-    do on exact per-offset costs; on the flat scene exact ties leave a
-    scan's comparisons open, and the scan re-prices those rows: it prices
-    rows that are no improvement."""
-    ties = 0   # flat cases whose scans re-priced a row they did not take
-    for model, oracle, keys, flat in bounded_cases(capacity):
+    """The scan, ``balanced_cut`` and ``optimize_partition`` return the keys
+    and weights, and spend the budget, that they do on the per-offset
+    oracle's costs, on the flat scene's exact ties too."""
+    for model, oracle, keys in oracle_cases(capacity):
         weights, _ = model.placement_costs(keys)
         assert weights == oracle.placement_costs(keys)[0]
         pset = PartitionSet(keys, model.length, weights)
-        rejected = 0
         for size_cap in (model.length, 2 * int(capacity)):
             for limit in (7, 10_000):
-                (got, got_used), count = rejected_repricings(model, pset, size_cap, limit)
-                rejected += count
+                got, got_used = _scan_improvement(model, pset, size_cap, limit)
                 want, want_used = _scan_improvement(oracle, pset, size_cap, limit)
                 assert (got is None) == (want is None)
                 if want is not None:
@@ -915,8 +910,6 @@ def test_bounded_searches_match_the_exact_oracle(capacity):
                                                   model.length) for m in (model, oracle))
         assert (got[0].keys, got[0].weights, got[1]) == (want[0].keys, want[0].weights,
                                                          want[1])
-        ties += flat and rejected > 0
-    assert ties
 
 
 def memo_cases():

@@ -69,13 +69,34 @@ def test_only_graphs_calls_dijkstra():
 
 
 def test_only_partition_calls_placement_costs():
-    # the per-offset exact sum is ``balanced``'s tie-breaker; MSTC-BO and
-    # every other search price from ``segment_cost_bounds``' prefix sums
+    # ``balanced`` prices single placements with ``placement_costs`` and whole
+    # matrices of them with ``placement_cost_rows``, both exact; MSTC-BO
+    # prices from ``prefix_segment_costs``' prefix sums
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "partition.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "placement_costs"]
     assert not found, f"placement_costs called outside partition: {found}"
+
+
+def test_scan_prices_only_with_the_row_kernel():
+    # the refinement scan takes each row's costs from ``placement_cost_rows``,
+    # exact already, and re-prices none of them
+    tree = ast.parse((SOURCES[0].parent / "partition.py").read_text())
+    scan = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_scan_improvement")
+    calls = {node.func.attr for node in ast.walk(scan)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert "placement_cost_rows" in calls and "placement_costs" not in calls
+
+
+def test_partition_keeps_no_float_error_bounds():
+    # every ``balanced`` cost is exact, so no error bound, its unit roundoff
+    # or a substitution of known weights is left to reconcile them
+    tree = ast.parse((SOURCES[0].parent / "partition.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not names & {"UNIT_ROUNDOFF", "_refill_eps", "known"}
 
 
 def test_partition_compares_with_inf_only_in_the_capacity_helper():
