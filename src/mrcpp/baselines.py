@@ -30,11 +30,15 @@ def _depot_partition(loop: CoverageLoop, depots: list[Cell]
                      ) -> tuple[PartitionSet, list[int]]:
     """The partition keyed at the depots' loop positions, and its binding
     (segment index -> robot index)."""
+    if not depots:
+        raise BaselineError("the depot list is empty")
     entries = []
     for robot, depot in enumerate(depots):
         pos = loop.position(depot)
         if pos < 0:
             raise BaselineError(f"depot {depot} does not lie on the coverage loop")
+        if any(p == pos for p, _ in entries):
+            raise BaselineError(f"depot {depot} is repeated")
         entries.append((pos, robot))
     entries.sort()
     binding = [robot for _, robot in entries]
@@ -90,24 +94,6 @@ def _first_better_split(trial: np.ndarray, split: int, best: float) -> int:
     return best_t
 
 
-def _split_trials(model: LoopCostModel, keys: list[int], arc_len: list[int],
-                  splits: list[int], current: list[float], j: int) -> np.ndarray:
-    """The maximum robot cost after each split t of arc j, in O(arc).
-
-    Robot j keeps ``arc_len[j] - t`` cells and the next robot services
-    the t cells behind its depot.  MSTC-BO's cost is by definition
-    ``prefix_segment_costs``, whose refill sums are prefix-sum
-    differences; their rounding lies far below the rule's 1e-12 margin.
-    """
-    k = len(keys)
-    nxt, behind = (j + 1) % k, splits[(j - 1) % k]
-    t = np.arange(arc_len[j])
-    own = model.prefix_segment_costs(keys[j], arc_len[j] - t, j, behind=behind)
-    taker = model.prefix_segment_costs(keys[nxt], arc_len[nxt] - splits[nxt], nxt, behind=t)
-    others = max((current[i] for i in range(k) if i not in (j, nxt)), default=-math.inf)
-    return np.maximum(np.maximum(own, taker), others)
-
-
 def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
             capacity: float = math.inf) -> PlanOutcome:
     """Backtracking-optimized baseline.
@@ -115,32 +101,33 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
     Each arc's tail may be handed to the following robot, which services
     it walking backward from behind its own depot before covering its
     forward arc.  Splits are chosen by coordinate descent, accepting a
-    split only when the maximum robot cost strictly decreases.  Each scan
-    prices every split of an arc in O(arc) with ``prefix_segment_costs``.
+    split only when the maximum robot cost strictly decreases.  The costs
+    are priced once before the first sweep with ``prefix_segment_costs``,
+    MSTC-BO's cost by definition; each scan prices every split of an arc
+    in O(arc), and an accepted split copies the two costs that moved.
     """
     pset, binding = _depot_partition(loop, depots)
     k, keys, arc_len = len(binding), pset.keys, pset.sizes()
     model = LoopCostModel(loop, g, [depots[r] for r in binding], capacity)
     splits = [0] * k
-
-    def robot_costs() -> list[float]:
-        # robot j services the tail split off the arc behind it, then its own arc
-        s = np.array(splits)
-        return model.prefix_segment_costs(keys, np.subtract(arc_len, s), np.arange(k),
-                                          behind=np.roll(s, 1)).tolist()
-
     if k > 1:
-        current = robot_costs()
+        current = model.prefix_segment_costs(keys, arc_len, np.arange(k)).tolist()
         for _ in range(8):
-            changed = False
+            before = splits.copy()
             for j in range(k):
-                trial = _split_trials(model, keys, arc_len, splits, current, j)
-                best_t = _first_better_split(trial, splits[j], max(current))
+                # robot j keeps arc_len[j] - t cells; the next robot walks those t cells first
+                nxt, t = (j + 1) % k, np.arange(arc_len[j])
+                own = model.prefix_segment_costs(keys[j], arc_len[j] - t, j, behind=splits[j - 1])
+                taker = model.prefix_segment_costs(keys[nxt], arc_len[nxt] - splits[nxt], nxt,
+                                                   behind=t)
+                others = max((c for i, c in enumerate(current) if i not in (j, nxt)),
+                             default=-math.inf)
+                best_t = _first_better_split(np.maximum(np.maximum(own, taker), others),
+                                             splits[j], max(current))
                 if best_t != splits[j]:
                     splits[j] = best_t
-                    current = robot_costs()
-                    changed = True
-            if not changed:
+                    current[j], current[nxt] = float(own[best_t]), float(taker[best_t])
+            if splits == before:
                 break
     return _depot_keyed_outcome(g, loop, depots, capacity, pset, binding, splits)
 

@@ -12,7 +12,7 @@ from .baselines import format_comparison_table
 from .graphs import PlannerConfig
 from .pipeline import (ALGORITHMS, ScenePlanner, capacity_label, plan_document,
                        write_json_atomic)
-from .render import save_plan_svg
+from .render import RenderError, save_plan_svg
 from .scene import load_scene, save_scene
 
 
@@ -89,7 +89,10 @@ def cmd_compare(args) -> int:
 
 def cmd_render(args) -> int:
     scene = load_scene(args.scene)
-    doc = json.loads(Path(args.plan).read_text())
+    try:
+        doc = json.loads(args.plan.read_text())
+    except json.JSONDecodeError as exc:
+        raise RenderError(f"{args.plan}: not valid JSON ({exc})") from exc
     path = save_plan_svg(scene, doc, args.out)
     print(f"wrote {path}")
     return 0

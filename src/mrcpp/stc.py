@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
+from scipy.sparse.csgraph import depth_first_order, minimum_spanning_tree as _scipy_mst
 
 from .graphs import Block, CoveringGraph, SpanningGraph
 from .scene import Cell
@@ -115,17 +115,16 @@ def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> Covera
     first = sy * width + sx
     if not (0 <= sx < width and 0 <= sy < 2 * bh and succ[first] >= 0):
         raise StcError(f"start cell {start} is not covered by the spanning tree")
-    succ = succ.tolist()
-    order = [first]
-    here = succ[first]
-    while here != first and len(order) < 4 * n:
-        order.append(here)
-        here = succ[here]
-    if here != first or len(order) != 4 * n:
-        raise StcError(f"circumnavigation covered {len(order)} of {4 * n} cells")
+    # each covered cell has one successor, so the depth-first order from
+    # ``first`` is the walk along ``succ`` until it meets a visited cell
+    covered = succ >= 0
+    steps = csr_matrix((np.ones(4 * n), succ[covered], np.r_[0, np.cumsum(covered)]),
+                       shape=(succ.size,) * 2)
+    order = depth_first_order(steps, first, return_predecessors=False)
+    if order.size != 4 * n or succ[order[-1]] != first:
+        raise StcError(f"circumnavigation covered {order.size} of {4 * n} cells")
 
-    order.append(first)   # close the cycle
-    y, x = np.divmod(np.array(order), width)
+    y, x = np.divmod(np.append(order, first), width)   # close the cycle
     hops = g.hop_weights(x, y)
     if np.isnan(hops).any():
         i = int(np.isnan(hops).argmax())

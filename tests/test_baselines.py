@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mrcpp import graphs
+from mrcpp import baselines, graphs
 from mrcpp.baselines import (BaselineError, ComparisonReport, _first_better_split,
                              format_comparison_table, mstc_bo, mstc_nb, reduction_ratio)
 from mrcpp.partition import LoopCostModel, build_robot_plan, capacity_partition, naive_mstc
@@ -65,6 +65,24 @@ def test_depot_off_the_loop_is_named_by_the_depot_keyed_baselines():
     for algorithm in ("naive", "balanced"):
         plans = planner.plan(algorithm, 2).outcome.plans
         assert sorted(c for p in plans for c in p.segment) == sorted(loop.nodes)
+
+
+@pytest.mark.parametrize("baseline", [mstc_nb, mstc_bo], ids=["mstc-nb", "mstc-bo"])
+def test_empty_depot_list_is_named_by_the_depot_keyed_baselines(baseline):
+    # without the check both returned an outcome of no plans, whose
+    # ``max_weight`` then raised "no plans"
+    planner = ScenePlanner(generate_scene("random", seed=1, width=10, height=10))
+    with pytest.raises(BaselineError, match="the depot list is empty"):
+        baseline(planner.graph, planner.loop, [])
+
+
+@pytest.mark.parametrize("baseline", [mstc_nb, mstc_bo], ids=["mstc-nb", "mstc-bo"])
+def test_repeated_depot_is_named_by_the_depot_keyed_baselines(baseline):
+    # without the check the partition rejected its keys as not distinct
+    planner = ScenePlanner(generate_scene("random", seed=1, width=10, height=10))
+    first, second = planner.depots(2)
+    with pytest.raises(BaselineError, match=re.escape(f"depot {first} is repeated")):
+        baseline(planner.graph, planner.loop, [first, second, first])
 
 
 def test_mstc_nb_coverage_conservation():
@@ -143,21 +161,23 @@ def test_mstc_bo_coverage_conservation_with_capacity():
         assert len(plan.refills) == plan.trips - 1
 
 
-@pytest.mark.parametrize("kind, seed, size, robots, capacities", [
-    ("random", 4, 12, (2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
-    ("blocked", 3, 16, (2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
-    ("field", 1, 14, (2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
-    ("field", 3, 32, (2, 4), (2.0, 25.0)),   # arcs of hundreds of cells
+@pytest.mark.parametrize("kind, seed, size, fleet, robots, capacities", [
+    ("random", 4, 12, 4, (1, 2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
+    ("blocked", 3, 16, 4, (1, 2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
+    ("field", 1, 14, 4, (1, 2, 3, 4), (math.inf, 1.0, 2.0, 3.0, 25.0)),
+    ("field", 3, 32, 4, (2, 4), (2.0, 25.0)),   # arcs of hundreds of cells
     # flat terrain: unit hops make exact ties between splits
-    ("blocked", 4, 16, (2, 4), (1.0, 3.0, 10.0)),
-    ("blocked", 8, 16, (2, 4), (1.0, 3.0, 10.0)),
+    ("blocked", 4, 16, 4, (2, 4), (1.0, 3.0, 10.0)),
+    ("blocked", 8, 16, 4, (2, 4), (1.0, 3.0, 10.0)),
+    # many robots: each accepted split moves the costs of two of them
+    ("field", 5, 32, 16, (8, 16), (3.0, 25.0)),
 ], ids=["random-4-12", "blocked-3-16", "field-1-14", "field-3-32", "blocked-4-16",
-        "blocked-8-16"])
-def test_mstc_bo_matches_scalar_split_scan(kind, seed, size, robots, capacities):
+        "blocked-8-16", "field-5-32-16"])
+def test_mstc_bo_matches_scalar_split_scan(kind, seed, size, fleet, robots, capacities):
     """The prefix-sum split scan picks the splits the exact scalar walk
     picks, and the plans weigh exactly the same."""
     planner = ScenePlanner(generate_scene(kind, seed=seed, width=size, height=size,
-                                          robots=4, depot_style="clustered"))
+                                          robots=fleet, depot_style="clustered"))
     g, loop = planner.graph, planner.loop
     moved = 0
     for k in robots:
@@ -173,6 +193,31 @@ def test_mstc_bo_matches_scalar_split_scan(kind, seed, size, robots, capacities)
             assert [p.weight for p in bo.plans] == weights
             moved += sum(splits)
     assert moved > 0
+
+
+def test_mstc_bo_prices_each_robot_once_then_two_per_arc_scan():
+    """One ``prefix_segment_costs`` call prices every robot before the first
+    sweep and each arc scan makes two; an accepted split copies the two
+    costs that moved instead of pricing the robots again."""
+    planner = ScenePlanner(generate_scene("field", seed=3, width=32, height=32, robots=4,
+                                          depot_style="clustered"))
+    calls, scans = [], []   # the start arrays priced; (split before, split picked) per scan
+    price, pick = LoopCostModel.prefix_segment_costs, baselines._first_better_split
+
+    def counted_price(self, start, *args, **kwargs):
+        calls.append(start)
+        return price(self, start, *args, **kwargs)
+
+    def counted_pick(trial, split, best):
+        scans.append((split, pick(trial, split, best)))
+        return scans[-1][1]
+
+    with mock.patch.object(LoopCostModel, "prefix_segment_costs", counted_price), \
+         mock.patch.object(baselines, "_first_better_split", counted_pick):
+        mstc_bo(planner.graph, planner.loop, planner.depots(4), 25.0)
+    assert sum(split != t for split, t in scans) > 0
+    assert len(calls) == 1 + 2 * len(scans)
+    assert np.size(calls[0]) == 4 and all(np.size(start) == 1 for start in calls[1:])
 
 
 def recording_sources(sources: list):

@@ -238,6 +238,23 @@ def test_render_rejects_a_malformed_cell_naming_plan_field_and_value(tmp_path, c
         main(argv + ["--debug"])
 
 
+def test_render_names_a_plan_file_that_is_not_json(tmp_path, capsys):
+    """A plan file that does not parse exits 2 naming the file, as a scene
+    file that does not parse does, and writes no SVG."""
+    scene_path = save_scene(generate_scene("random", seed=4), tmp_path / "scene.json")
+    plan_path = tmp_path / "bad.json"
+    plan_path.write_text("{not json")
+    argv = ["render", "--plan", str(plan_path), "--scene", str(scene_path),
+            "--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {plan_path}: not valid JSON (Expecting property "
+                                       "name enclosed in double quotes: line 1 column 2 "
+                                       "(char 1))\n")
+    assert not (tmp_path / "x.svg").exists()
+    with pytest.raises(RenderError, match="not valid JSON"):
+        main(argv + ["--debug"])
+
+
 DELETE = object()
 
 

@@ -79,6 +79,18 @@ def test_only_partition_calls_placement_costs():
     assert not found, f"placement_costs called outside partition: {found}"
 
 
+def test_only_mstc_bo_calls_prefix_segment_costs():
+    # MSTC-BO prices its robots once, then two per arc scan, and keeps the
+    # costs it priced; no helper prices them a second time
+    callers = [f"{path.name}:{func.name}" for path in SOURCES
+               for func in ast.walk(ast.parse(path.read_text()))
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "prefix_segment_costs"]
+    assert callers and set(callers) == {"baselines.py:mstc_bo"}
+
+
 def test_scan_prices_only_with_the_row_kernel():
     # the refinement scan takes each row's costs from ``placement_cost_rows``,
     # exact already, and re-prices none of them
