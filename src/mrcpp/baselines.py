@@ -5,9 +5,9 @@ forward from its own depot until the next robot's depot.  MSTC-BO lets
 each robot additionally backtrack over a tail of the arc behind its
 depot; the backtracked tail sizes start at zero (identical to NB) and
 are improved by coordinate descent on the maximum robot cost, so BO is
-never worse than NB.  The backtracking rule is our rendering of the
-baseline's informal description: per-arc splits, accepted only when the
-fleet-wide maximum cost decreases.
+never worse than NB.  This renders the baseline's informal rule as
+per-arc splits, each arc taking its split of lowest maximum cost when
+that beats the current maximum by more than ``REL_TIE``.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CoveringGraph
-from .partition import LoopCostModel, PartitionSet, PlanOutcome, build_robot_plan
+from .partition import REL_TIE, LoopCostModel, PartitionSet, PlanOutcome, build_robot_plan
 from .scene import Cell
 from .stc import CoverageLoop
 
@@ -68,30 +68,14 @@ def mstc_nb(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
 
 
 def _first_better_split(trial: np.ndarray, split: int, best: float) -> int:
-    """The split t that the first-strictly-better rule picks: walking
-    t = 0, 1, ... past ``split``, it takes each t whose trial maximum is
-    below the best so far (``best`` at first) minus 1e-12.
-
-    - The best so far is ``best`` or a taken trial, so it is never below
-      the running minimum of the trials; a t more than 1e-12 under that
-      minimum is surely taken, and the walk restarts after the last such t.
-    - After it, a taken t lies below every trial passed since, so the walk
-      visits only the running minima below the restart's best - 1e-12.
-    """
+    """The first split t within ``REL_TIE`` of the lowest trial maximum off
+    ``split``, if that lowest beats ``best`` by over ``REL_TIE``; else ``split``."""
     trial = trial.copy()
-    trial[split] = np.inf   # the walk passes over the current split
-    floor = np.minimum.accumulate(np.concatenate(([best], trial[:-1])))
-    sure = (trial < floor - 1e-12).nonzero()[0]
-    best_t, begin = split, 0
-    if sure.size:
-        best_t, begin = int(sure[-1]), int(sure[-1]) + 1
-        best = float(trial[best_t])
-    rest = trial[begin:]
-    bound = np.minimum.accumulate(np.concatenate(([best - 1e-12], rest[:-1])))
-    for t in (begin + (rest < bound).nonzero()[0]).tolist():
-        if trial[t] < best - 1e-12:
-            best_t, best = t, float(trial[t])
-    return best_t
+    trial[split] = np.inf   # the current split is no candidate
+    low = trial.min()
+    if not low < best * (1 - REL_TIE):
+        return split
+    return int(np.argmax(trial <= low * (1 + REL_TIE)))
 
 
 def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
@@ -100,11 +84,11 @@ def mstc_bo(g: CoveringGraph, loop: CoverageLoop, depots: list[Cell],
 
     Each arc's tail may be handed to the following robot, which services
     it walking backward from behind its own depot before covering its
-    forward arc.  Splits are chosen by coordinate descent, accepting a
-    split only when the maximum robot cost strictly decreases.  The costs
-    are priced once before the first sweep with ``prefix_segment_costs``,
-    MSTC-BO's cost by definition; each scan prices every split of an arc
-    in O(arc), and an accepted split copies the two costs that moved.
+    forward arc.  Splits are chosen by coordinate descent, each arc's by
+    ``_first_better_split``.  The costs are priced once before the first
+    sweep with ``prefix_segment_costs``, MSTC-BO's cost by definition;
+    each scan prices every split of an arc in O(arc), and an accepted
+    split copies the two costs that moved.
     """
     pset, binding = _depot_partition(loop, depots)
     k, keys, arc_len = len(binding), pset.keys, pset.sizes()

@@ -34,7 +34,10 @@ from .graphs import CoveringGraph
 from .scene import Cell
 from .stc import CoverageLoop
 
-REL_IMPROVEMENT_EPS = 1e-9
+# costs closer than this relative gap tie: it is just above the <= 6.7e-14 gap
+# of MSTC-BO's prefix-sum costs to exact sums.  Every decision is a plain ``<``
+# or scales with REL_TIE, so scaling the costs by 2**j leaves every plan as is
+REL_TIE = 1e-13
 
 
 class PartitionError(ValueError):
@@ -465,7 +468,7 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     while left < right:
         mid = (left + right) // 2
         keys, costs = probe(mid - ref)
-        if max(costs) < max(best) - 1e-15:
+        if max(costs) < max(best):
             best_keys, best = keys, costs
         if costs[min_idx] < costs[max_idx]:
             left = mid + 1
@@ -481,7 +484,7 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
     while iterations < max_iters and len(current.keys) > 1:
         weights = current.weights
         cur_max, cur_min = max(weights), min(weights)
-        if cur_max - cur_min <= REL_IMPROVEMENT_EPS * max(cur_max, 1.0):
+        if not cur_max - cur_min > REL_TIE * cur_max:   # nan when every cost is inf
             break
         candidate = balanced_cut(current, weights.index(cur_min),
                                  weights.index(cur_max), model, size_cap)
@@ -489,7 +492,7 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
         new_max = max(candidate.weights)
         if new_max <= cur_max:
             current = candidate
-        if cur_max - new_max <= REL_IMPROVEMENT_EPS * max(cur_max, 1.0):
+        if cur_max - new_max <= REL_TIE * cur_max:
             break
     return current, iterations
 
@@ -565,15 +568,15 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
     keys and doubles per call, or the next group alone, in chunks of at
     most ``SCAN_CHUNK_KEYS`` keys.  Replaying the rows in order keeps the
     result independent of the chunking; rows past the budget are never
-    built.  The bar is the current maximum cost less 1e-12, or once a row
-    is taken the best row's maximum less 1e-15, and a row is taken when
-    the maximum of its exact costs is below the bar.  A cost is a sum of
-    non-negative terms, so with a bar of 0.0 or less nothing is scanned.
+    built.  A row's maximum exact cost must beat the current maximum by a
+    ``REL_TIE`` gap for the first row taken, and the best row's by any gap
+    after it.  A cost is a sum of non-negative terms, so at a current
+    maximum of 0.0 nothing is scanned.
     """
     k, length = len(current.keys), current.loop_length
     base = np.array(current.keys)
     cur_max = max(current.weights)
-    if cur_max <= 1e-12:
+    if cur_max <= 0.0:
         return None, 0
     chunk = max(1, SCAN_CHUNK_KEYS // k)
     best = None   # the keys, costs and maximum cost of the best row
@@ -607,13 +610,13 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
             keys = (base + moves[chain[begin:end]] * t[begin:end, None]) % length
             costs, _ = model.placement_cost_rows(keys)
             top = costs.max(axis=1)
-            for i in np.flatnonzero(top < cur_max - 1e-12).tolist():
+            for i in np.flatnonzero(top < cur_max * (1 - REL_TIE)).tolist():
                 if begin + i >= stop:
                     break
-                if not top[i] < (cur_max - 1e-12 if best is None else best[2] - 1e-15):
-                    continue
                 if best is None:   # the scan ends with this group
                     stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
+                elif not top[i] < best[2]:
+                    continue
                 best = keys[i].tolist(), costs[i].tolist(), top[i]
             begin = end
         charged += stop
@@ -686,7 +689,7 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
         # polish-only restarts: the greedy pass would funnel most rotated
         # starts into the same basin, defeating the restart diversity
         cand, budget = _refine(model, cand, size_cap, budget, memo)
-        if max(cand.weights) < max(best.weights) - 1e-15:
+        if max(cand.weights) < max(best.weights):
             best = cand
     return best, iterations
 

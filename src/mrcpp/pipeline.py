@@ -76,8 +76,14 @@ class ScenePlanner:
         self.spanning: SpanningGraph = h_full.component(root)
         self.tree: SpanningTree = minimum_spanning_tree(self.spanning, root)
         self.loop: CoverageLoop = spiral_stc_loop(self.graph, self.tree, start)
+        self._check_finite("the coverage loop's total weight", self.loop.total_weight)
         covered, free = 4 * len(self.spanning), len(self.graph)
         self.coverage = {"covered_cells": covered, "free_cells": free, "ratio": covered / free}
+
+    def _check_finite(self, what: str, weight: float) -> None:
+        if not math.isfinite(weight):
+            raise PlanningError(f"{what} is {weight}: costs overflow at alpha="
+                                f"{self.config.alpha!r}, beta={self.config.beta!r}")
 
     def depots(self, k: int) -> list:
         if len(self.scene.depots) < k:
@@ -102,6 +108,7 @@ class ScenePlanner:
         module, name = STRATEGIES[algorithm]
         outcome = getattr(module, name)(self.graph, self.loop, self.depots(robots),
                                         capacity)
+        self._check_finite("the plan's total weight", outcome.total_weight)
         return PlanResult(algorithm=algorithm, robots=robots, capacity=capacity,
                           outcome=outcome, coverage=self.coverage, config=self.config)
 

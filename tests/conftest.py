@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from mrcpp.graphs import CoveringGraph, GraphError, SpanningGraph, edge_weight
-from mrcpp.partition import (LoopCostModel, PartitionError, PartitionSet, RefillTrip, RobotPlan,
-                             _greedy_pass, _refill_offsets, _scan_improvement)
+from mrcpp.partition import (REL_TIE, LoopCostModel, PartitionError, PartitionSet, RefillTrip,
+                             RobotPlan, _greedy_pass, _refill_offsets, _scan_improvement)
 from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
@@ -328,13 +328,13 @@ def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
                 own = robot_cost(j, arc_len[j] - ts, splits[(j - 1) % k])
                 taker = robot_cost(nxt, arc_len[nxt] - splits[nxt], ts)
                 others = [current[i] for i in range(k) if i not in (j, nxt)]
-                best_t, best_max = splits[j], max(current)
-                for t in range(arc_len[j]):
-                    if t == splits[j]:
-                        continue
-                    trial_max = max(own[t], taker[t], *others)
-                    if trial_max < best_max - 1e-12:
-                        best_t, best_max = t, trial_max
+                trial = [math.inf if t == splits[j] else max(own[t], taker[t], *others)
+                         for t in range(arc_len[j])]
+                # the first split tied with the lowest trial, if that beats
+                # the current maximum by more than a tie
+                low, best_t = min(trial), splits[j]
+                if low < max(current) * (1 - REL_TIE):
+                    best_t = next(t for t, m in enumerate(trial) if m <= low * (1 + REL_TIE))
                 if best_t != splits[j]:
                     splits[j] = best_t
                     current = [robot_cost(i, arc_len[i] - splits[i], splits[(i - 1) % k])
@@ -547,10 +547,11 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
 
     Segment pairs by cost gap, then every shift of both key chains of a
     pair, charging one evaluation per shift, up to ``budget``, and skipping
-    colliding keys; with no improving shift, every rotation.  No cost is
-    below 0.0, so with a current maximum of at most 1e-12 it charges
-    nothing.  The oracle the tests hold the batched ``_scan_improvement``
-    to.
+    colliding keys; with no improving shift, every rotation.  The first
+    placement taken beats the current maximum by more than ``REL_TIE``,
+    and a later one is below the best so far.  No cost is below 0.0, so
+    with a current maximum of 0.0 it charges nothing.  The oracle the
+    tests hold the batched ``_scan_improvement`` to.
     """
     k = len(current.keys)
     length = current.loop_length
@@ -558,7 +559,7 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
     sizes = current.sizes()
     weights = current.weights
     cur_max = max(weights)
-    if cur_max <= 1e-12:
+    if cur_max <= 0.0:
         return None, 0
     best, used = None, 0
     for mn, mx in sorted_pair_order(weights):
@@ -579,7 +580,7 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
                     continue
                 costs, _ = reference_placement_costs(model, keys)
                 m = max(costs)
-                if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
+                if m < cur_max * (1 - REL_TIE) and (best is None or m < best[0]):
                     best = (m, keys, costs)
         if best is not None:
             break
@@ -592,7 +593,7 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
             keys = [(p + rot) % length for p in base]
             costs, _ = reference_placement_costs(model, keys)
             m = max(costs)
-            if m < cur_max - 1e-12 and (best is None or m < best[0] - 1e-15):
+            if m < cur_max * (1 - REL_TIE) and (best is None or m < best[0]):
                 best = (m, keys, costs)
     if best is None:
         return None, used
@@ -636,7 +637,7 @@ def memo_free_optimize_partition(model: LoopCostModel, initial: PartitionSet, si
         used += k
         cand = refine(PartitionSet(keys=keys, loop_length=length,
                                    weights=model.placement_costs(keys)[0]))
-        if max(cand.weights) < max(best.weights) - 1e-15:
+        if max(cand.weights) < max(best.weights):
             best = cand
     return best, iterations, used
 

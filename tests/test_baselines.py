@@ -9,7 +9,8 @@ import pytest
 from mrcpp import baselines, graphs
 from mrcpp.baselines import (BaselineError, ComparisonReport, _first_better_split,
                              format_comparison_table, mstc_bo, mstc_nb, reduction_ratio)
-from mrcpp.partition import LoopCostModel, build_robot_plan, capacity_partition, naive_mstc
+from mrcpp.partition import (REL_TIE, LoopCostModel, build_robot_plan, capacity_partition,
+                             naive_mstc)
 from mrcpp.pipeline import ALGORITHMS, ScenePlanner
 from mrcpp.graphs import PlannerConfig
 from mrcpp.scenegen import generate_scene
@@ -275,32 +276,35 @@ def test_mstc_bo_tail_joins_the_depot_from_the_depot_solve():
 
 
 def full_split_walk(trial, split: int, best: float) -> int:
-    """The first-strictly-better rule over every split, one by one."""
-    best_t = split
-    for t, value in enumerate(trial.tolist()):
-        if t != split and value < best - 1e-12:
-            best_t, best = t, value
-    return best_t
+    """The tie rule over every split, one by one: the lowest trial other
+    than at ``split``, if it beats ``best`` by more than ``REL_TIE``, gives
+    way to the first split tied with it within ``REL_TIE``."""
+    values = trial.tolist()
+    low = min((v for t, v in enumerate(values) if t != split), default=math.inf)
+    if not low < best * (1 - REL_TIE):
+        return split
+    return next(t for t, v in enumerate(values) if t != split and v <= low * (1 + REL_TIE))
 
 
 def test_split_filter_replays_the_full_walk():
     """``_first_better_split`` picks what the full walk picks, on near-ties
-    that the rule's 1e-12 margin decides too, and leaves its input as it
+    that the rule's ``REL_TIE`` gap decides too, and leaves its input as it
     was."""
     rng = np.random.default_rng(11)
     checked_ties = 0
     for _ in range(600):
         n = int(rng.integers(1, 50))
-        # steps near 1e-12 make near-ties that the rule's margin decides
-        step = rng.choice([4e-13, 1e-12, 1.5e-12, 0.25, 2.0])
+        # steps near 1e-11, 1e-13 of the trials near 100, make near-ties that
+        # the rule's gap decides
+        step = rng.choice([4e-12, 1e-11, 1.5e-11, 0.25, 2.0])
         shape = rng.integers(0, 8, n) if rng.random() < 0.5 else abs(np.arange(n) - n // 3)
         trial = 100.0 + shape * step
         split = int(rng.integers(0, n))
-        best = float(rng.choice([trial.max(), trial.max() + 1e-12, trial[split], 99.0]))
+        best = float(rng.choice([trial.max(), trial.max() + 1e-11, trial[split], 99.0]))
         before = trial.copy()
         assert _first_better_split(trial, split, best) == full_split_walk(trial, split, best)
         assert (trial == before).all()
-        checked_ties += step < 2e-12
+        checked_ties += step < 2e-11
     assert checked_ties > 100
 
 

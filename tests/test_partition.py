@@ -806,7 +806,8 @@ def scan_cases():
     rng = np.random.default_rng(5)
     weighted = loop_instance(5, 4, width=8, height=8)
     loop, length = weighted.loop, len(weighted.loop)
-    # hops of 0.1 give costs equal to within an ulp, below the 1e-15 margin
+    # hops of 0.1 give costs equal to within an ulp: ties for the first row's
+    # REL_TIE bar, which a later row's plain < tells apart
     fine = fake_loop(30, 0.1)
     models = [LoopCostModel(loop, weighted.graph, weighted.depots(2)),
               LoopCostModel(loop, weighted.graph, weighted.depots(3), 3.0),

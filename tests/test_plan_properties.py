@@ -1,14 +1,17 @@
 """End-to-end properties of every strategy's plans on generated scenes."""
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrcpp.graphs import PlannerConfig
 from mrcpp.pipeline import (STRATEGIES, PlanningError, ScenePlanner, plan_document,
                             write_json_atomic)
 from mrcpp.scene import SceneError, load_scene, save_scene
@@ -141,3 +144,66 @@ def test_refill_legs_are_shortest_walks_from_the_depot(request):
                     assert np.isfinite(hops).all(), algorithm
                     assert math.isclose(math.fsum(hops), t.cost / 2, rel_tol=1e-9), algorithm
                     assert t.outbound.tolist() == inbound[::-1], algorithm
+
+
+def _scaled(fields: tuple, j: int) -> tuple:
+    """``plan_fields`` with the plan weight and refill costs times 2**j."""
+    runs, trips, weight, refills = fields
+    return runs, trips, math.ldexp(weight, j), [
+        (index, cell, math.ldexp(cost, j), outbound, inbound)
+        for index, cell, cost, outbound, inbound in refills]
+
+
+@pytest.mark.parametrize("kind, size, seed", [
+    ("random", 10, 0), ("blocked", 16, 8), ("blocked", 16, 12),
+    ("field", 32, 0), ("field", 32, 1), ("field", 32, 2)])
+def test_plans_do_not_depend_on_the_unit_of_cost(kind, size, seed):
+    """Scaling alpha and beta by 2**j scales every edge weight, distance
+    and cost exactly, so every strategy keeps its keys, binding, runs,
+    trips and legs, and every weight and refill cost is 2**j times the
+    unscaled one, bit for bit."""
+    scene = generate_scene(kind, seed, width=size, height=size)
+    unit = PlannerConfig()
+    planners = {j: ScenePlanner(scene, PlannerConfig(alpha=math.ldexp(unit.alpha, j),
+                                                     beta=math.ldexp(unit.beta, j),
+                                                     slope_threshold=unit.slope_threshold))
+                for j in (-20, 0, 20)}
+    k = min(4, len(scene.depots))
+    for algorithm in STRATEGIES:
+        for capacity in (math.inf, 3, 25):
+            want = planners[0].plan(algorithm, k, capacity).outcome
+            for j in (-20, 20):
+                got = planners[j].plan(algorithm, k, capacity).outcome
+                case = (algorithm, capacity, j)
+                assert got.partition.keys == want.partition.keys, case
+                assert got.binding == want.binding, case
+                assert got.partition.weights == [math.ldexp(w, j)
+                                                 for w in want.partition.weights], case
+                assert [plan_fields(p) for p in got.plans] == \
+                    [_scaled(plan_fields(p), j) for p in want.plans], case
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e307, 0.0), (1e308, 1e308)])
+def test_a_loop_whose_weight_overflows_is_refused_at_set_up(alpha, beta):
+    """A finite alpha and beta can still overflow the loop's total weight
+    to inf, and the planner refuses it, naming both, before any request."""
+    scene = generate_scene("random", 1, width=10, height=10)
+    with np.errstate(over="ignore"), \
+            pytest.raises(PlanningError, match=re.escape(f"alpha={alpha!r}, beta={beta!r}")):
+        ScenePlanner(scene, PlannerConfig(alpha=alpha, beta=beta))
+
+
+@pytest.mark.parametrize("alpha", [1e306, 3e306])
+def test_a_plan_whose_weight_overflows_is_refused(alpha):
+    """At these alphas the loop's weight is finite, but at capacity 1 the
+    refill legs overflow the plans' total weight, and at 3e306 the cost
+    of every ``balanced`` segment; every strategy's request is refused,
+    naming alpha and beta, before a document could be written that JSON
+    cannot hold."""
+    planner = ScenePlanner(generate_scene("random", 1, width=10, height=10),
+                           PlannerConfig(alpha=alpha))
+    assert math.isfinite(planner.loop.total_weight)
+    for algorithm in STRATEGIES:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PlanningError, match=re.escape(f"alpha={alpha!r}, beta=")):
+            planner.plan(algorithm, 4, 1)

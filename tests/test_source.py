@@ -123,3 +123,26 @@ def test_partition_compares_with_inf_only_in_the_capacity_helper():
              and any(re.fullmatch(r"-?(math|np|numpy)\.inf|float\('-?inf'\)", ast.unparse(op))
                      for op in [node.left, *node.comparators])]
     assert not found, f"partition.py compares with inf on lines {found}"
+
+
+def test_one_relative_tie_rule_decides_every_cost_comparison():
+    # an absolute margin such as 1e-12 rejects real gains at small costs and
+    # is below one ulp at large ones, so plans would depend on the unit of
+    # cost; ``REL_TIE``, defined once in partition.py, is the only tolerance
+    found = []
+    for name in ("partition.py", "baselines.py"):
+        tree = ast.parse((SOURCES[0].parent / name).read_text())
+        defined = {id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                   and [ast.unparse(t) for t in node.targets] == ["REL_TIE"]}
+        assert defined if name == "partition.py" else not defined
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0 < abs(node.value) < 1e-6 and id(node) not in defined]
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "REL_IMPROVEMENT_EPS"]
+    assert not found, f"cost margins other than REL_TIE: {found}"
+    tree = ast.parse((SOURCES[0].parent / "baselines.py").read_text())
+    split = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_first_better_split")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(split) if isinstance(node, loops)]
