@@ -266,14 +266,13 @@ class SpanningGraph:
         return (bx, by) if 0 <= bx < bw and 0 <= by < bh and self.intact[by, bx] else None
 
     def labels(self) -> np.ndarray:
-        """Component label of every block ``[by, bx]``; one not intact is alone."""
-        a, b, _ = grid_edges(self.east, self.north)
-        return component_labels(self.intact.size, a, b).reshape(self.intact.shape)
+        """Component label of every block ``[by, bx]``, from 1; one not intact has 0."""
+        return component_labels(self.intact, self.east, self.north)
 
     def component(self, block: Block) -> SpanningGraph:
-        """H masked to the connected component that holds ``block``."""
-        labels = self.labels()
-        keep = self.intact & (labels == labels[block[1], block[0]])
+        """H masked to the connected component that holds ``block``, if it is a spanning node."""
+        (bh, bw), (x, y), labels = self.intact.shape, block, self.labels()
+        keep = self.intact & (labels == (labels[y, x] if 0 <= x < bw and 0 <= y < bh else 0))
         return SpanningGraph(keep, np.where(keep[:, :-1], self.east, np.nan),
                              np.where(keep[:-1, :], self.north, np.nan))
 

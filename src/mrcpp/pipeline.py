@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import baselines, jsontext, partition
 from .graphs import (CoveringGraph, PlannerConfig, SpanningGraph,
                      build_covering_graph, build_spanning_graph)
@@ -59,6 +61,7 @@ class PlanResult:
 class ScenePlanner:
     """Shared pipeline state for one scene and one weighting config."""
 
+    @np.errstate(over="ignore")   # overflowing costs are refused below, with no warning
     def __init__(self, scene: Scene, config: PlannerConfig | None = None):
         self.scene = scene
         self.config = config or PlannerConfig()
@@ -92,6 +95,7 @@ class ScenePlanner:
             )
         return self.scene.depots[:k]
 
+    @np.errstate(over="ignore", invalid="ignore")   # also inf - inf in overflowed costs
     def plan(self, algorithm: str, robots: int,
              capacity: float = math.inf) -> PlanResult:
         if algorithm not in STRATEGIES:

@@ -12,6 +12,9 @@ import numpy as np
 
 _ASC_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
+# a mask grid's digits, and whitespace as str.split() reads it
+_MASK_BYTES = np.frombuffer(b"01 \t\n\v\f\r\x1c\x1d\x1e\x1f", dtype=np.uint8)
+
 
 def read_esri_ascii(path) -> tuple[np.ndarray, np.ndarray, float]:
     """Read an ESRI ASCII grid.
@@ -69,22 +72,20 @@ def read_mask_grid(path) -> np.ndarray:
 
     The first text row is the northmost row, mirroring the .asc layout.
     """
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split()
-            if any(c not in ("0", "1") for c in cells):
-                raise ValueError(f"{path}: mask entries must be 0 or 1")
-            rows.append([c == "1" for c in cells])
-    if not rows:
+        text = fh.read()   # every line end read as "\n"
+    if not text.isascii():   # Unicode spaces separate tokens, as str.split() reads them
+        text = "\n".join(" ".join(line.split()) for line in text.split("\n"))
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    digit = chars >= ord("0")   # every other byte allowed is whitespace
+    if not np.isin(chars, _MASK_BYTES).all() or (digit[1:] & digit[:-1]).any():
+        raise ValueError(f"{path}: mask entries must be 0 or 1")   # or two in one token
+    widths = np.unique(np.cumsum(chars == ord("\n"))[digit], return_counts=True)[1]
+    if not widths.size:
         raise ValueError(f"{path}: empty mask grid")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if (widths != widths[0]).any():
         raise ValueError(f"{path}: ragged mask grid rows")
-    return np.array(rows[::-1], dtype=bool)
+    return (chars[digit] == ord("1")).reshape(widths.size, widths[0])[::-1]
 
 
 def write_mask_grid(path, mask: np.ndarray) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 from scipy.sparse.csgraph import depth_first_order, minimum_spanning_tree as _scipy_mst
 
 from .graphs import Block, CoveringGraph, SpanningGraph
@@ -107,7 +107,7 @@ def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> Covera
         (corner + width + 1, north[by + 1, bx + 1], width, -1),
         (corner + width, east[by + 1, bx], -1, -width),
     )
-    succ = np.full(width * 2 * bh, -1)
+    succ = np.full(width * 2 * bh, -1, dtype=np.int32)   # int32 spares the CSR a cast
     for here, crossing, across, around in rules:
         succ[here] = here + np.where(crossing, across, around)
 
@@ -118,8 +118,8 @@ def spiral_stc_loop(g: CoveringGraph, tree: SpanningTree, start: Cell) -> Covera
     # each covered cell has one successor, so the depth-first order from
     # ``first`` is the walk along ``succ`` until it meets a visited cell
     covered = succ >= 0
-    steps = csr_matrix((np.ones(4 * n), succ[covered], np.r_[0, np.cumsum(covered)]),
-                       shape=(succ.size,) * 2)
+    indptr = np.cumsum(np.r_[False, covered], dtype=np.int32)
+    steps = csr_array((np.ones(4 * n), succ[covered], indptr), shape=(succ.size,) * 2)
     order = depth_first_order(steps, first, return_predecessors=False)
     if order.size != 4 * n or succ[order[-1]] != first:
         raise StcError(f"circumnavigation covered {order.size} of {4 * n} cells")

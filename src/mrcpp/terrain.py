@@ -9,12 +9,12 @@ retained slope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.ndimage import label
 
 from .scene import Cell, Scene, SceneError
 
@@ -91,9 +91,10 @@ def compute_edge_slope(scene: Scene, a: Cell, b: Cell) -> float:
     return math.degrees(math.atan2(rise, run))
 
 
-# math.atan2 elementwise: np.arctan2 may differ from it in the last bit,
-# and compute_edge_slope is the reference every edge must equal
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
+def _atan2(rise: np.ndarray, run: float) -> np.ndarray:
+    # math.atan2, as compute_edge_slope reads it: np.arctan2 may differ in the last bit
+    return np.fromiter(map(math.atan2, rise.ravel().tolist(), repeat(run)), float,
+                       rise.size).reshape(rise.shape)
 
 
 def _free_edges(free: np.ndarray, slope_x: np.ndarray,
@@ -103,10 +104,16 @@ def _free_edges(free: np.ndarray, slope_x: np.ndarray,
             np.where(free[:-1, :] & free[1:, :], slope_y, np.nan))
 
 
-def component_labels(n: int, rows, cols) -> np.ndarray:
-    """Connected-component label of each of ``n`` nodes joined by edges rows[k]-cols[k]."""
-    adjacency = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
-    return connected_components(adjacency, directed=False)[1]
+def component_labels(nodes: np.ndarray, along_x: np.ndarray, along_y: np.ndarray) -> np.ndarray:
+    """Component label ``[y, x]`` of each node of a bool raster, from 1 (0 off the graph).
+    One 4-connected labelling reads node (x, y) at [2y, 2x] and its edges east and north,
+    as in :func:`grid_edges`, at [2y, 2x + 1] and [2y + 1, 2x]: an edge touches only its
+    two ends, so one to a cell off the graph joins nothing."""
+    grid = np.zeros(np.multiply(nodes.shape, 2), dtype=bool)   # last row and column empty
+    grid[::2, ::2] = nodes
+    grid[::2, 1:-1:2] = ~np.isnan(along_x)
+    grid[1:-1:2, ::2] = ~np.isnan(along_y)
+    return label(grid)[0][::2, ::2]
 
 
 def steepness_filter(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -> TraversabilityMap:
@@ -123,7 +130,7 @@ def steepness_filter(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -
     slopes = []
     for axis in (1, 0):  # slope_x, then slope_y
         rise = np.abs(np.diff(elevation, axis=axis))
-        s = np.degrees(_atan2(rise, scene.cell_size).astype(float))
+        s = np.degrees(_atan2(rise, scene.cell_size))
         slopes.append(np.where(s <= threshold, s, np.nan))
     free = ~scene.blocked
     tmap = TraversabilityMap(free, *_free_edges(free, *slopes),
@@ -142,8 +149,7 @@ def remove_isolated(tmap: TraversabilityMap, depots: list[Cell]) -> Traversabili
     for d in depots:
         if not tmap.is_free(d):
             raise TerrainError(f"depot {d} is not free in the traversability map")
-    a, b, _ = grid_edges(tmap.slope_x, tmap.slope_y)
-    labels = component_labels(tmap.free.size, a, b).reshape(tmap.free.shape)
+    labels = component_labels(tmap.free, tmap.slope_x, tmap.slope_y)
     free = np.isin(labels, [labels[y, x] for x, y in depots])
     return TraversabilityMap(free, *_free_edges(free, tmap.slope_x, tmap.slope_y),
                              slope_bounds=tmap.slope_bounds)

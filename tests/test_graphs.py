@@ -282,6 +282,29 @@ def test_components_match_bfs_oracle(seed):
         cell for b in groups[0] for cell in h.block_cells(b)]
 
 
+@pytest.mark.parametrize("width, height", [(6, 1), (1, 6), (1, 1)])
+def test_spanning_graph_with_no_block_rows_or_columns_has_no_components(width, height):
+    # a one-row (or one-column) scene has no intact 2x2 block, so H's rasters
+    # have zero rows (or columns)
+    h = build_spanning_graph(steepness_filter(flat_scene(width, height, depots=[(0, 0)]),
+                                              25.0), PAPER_CFG)
+    assert h.intact.shape == (height // 2, width // 2) and len(h) == 0
+    assert h.labels().shape == h.intact.shape
+    for block in ((0, 0), (1, 0), (-1, 0)):
+        part = h.component(block)
+        assert part.intact.shape == h.intact.shape and not part.blocks and not part.edges
+
+
+def test_component_of_a_block_that_is_not_a_spanning_node_is_empty():
+    scene = flat_scene(6, 4, depots=[(0, 0)], blocked_cells=[(2, 0)])
+    h = build_spanning_graph(steepness_filter(scene, 25.0), PAPER_CFG)
+    labels = h.labels()
+    assert labels[0, 1] == 0 and labels[h.intact].min() >= 1
+    for block in ((1, 0), (3, 0), (0, 2), (-1, 0), (0, -1)):
+        assert not h.component(block).blocks, block
+    assert h.component((0, 0)).blocks == h.blocks
+
+
 def test_spanning_graph_matches_brute_force_block_scan():
     # odd sizes leave a trailing row or column uncovered; steep and blocked
     # cells drop the lanes that would join two blocks

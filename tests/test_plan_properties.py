@@ -188,8 +188,7 @@ def test_a_loop_whose_weight_overflows_is_refused_at_set_up(alpha, beta):
     """A finite alpha and beta can still overflow the loop's total weight
     to inf, and the planner refuses it, naming both, before any request."""
     scene = generate_scene("random", 1, width=10, height=10)
-    with np.errstate(over="ignore"), \
-            pytest.raises(PlanningError, match=re.escape(f"alpha={alpha!r}, beta={beta!r}")):
+    with pytest.raises(PlanningError, match=re.escape(f"alpha={alpha!r}, beta={beta!r}")):
         ScenePlanner(scene, PlannerConfig(alpha=alpha, beta=beta))
 
 
@@ -204,6 +203,5 @@ def test_a_plan_whose_weight_overflows_is_refused(alpha):
                            PlannerConfig(alpha=alpha))
     assert math.isfinite(planner.loop.total_weight)
     for algorithm in STRATEGIES:
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(PlanningError, match=re.escape(f"alpha={alpha!r}, beta=")):
+        with pytest.raises(PlanningError, match=re.escape(f"alpha={alpha!r}, beta=")):
             planner.plan(algorithm, 4, 1)

@@ -48,6 +48,51 @@ def test_mask_grid_rejects_bad_entries(tmp_path):
         read_mask_grid(path)
 
 
+@pytest.mark.parametrize("text", ["0 01\n1 0\n", "0 1\n1 10\n", "00\n", "0 1.0\n",
+                                  "0 -1\n", "0 x\n", "0,1\n", "0 1\n1 2 0\n",
+                                  "0 1\n1\n0 a\n", "1 0\n0\xa0\x001\n"])
+def test_mask_grid_entries_must_each_be_0_or_1(tmp_path, text):
+    # a token such as ``01`` is two digits, not one; a bad token is named
+    # before a ragged row, wherever in the file it lies
+    path = tmp_path / "mask.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"mask\.txt: mask entries must be 0 or 1"):
+        read_mask_grid(path)
+
+
+@pytest.mark.parametrize("text", ["0 1\n1\n", "0\n1 1\n", "1 0 1\n0 1\n\n1 1 1\n"])
+def test_mask_grid_rejects_ragged_rows(tmp_path, text):
+    path = tmp_path / "mask.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"mask\.txt: ragged mask grid rows"):
+        read_mask_grid(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \n\t\n", "\r\n\r\n"])
+def test_mask_grid_rejects_an_empty_file(tmp_path, text):
+    path = tmp_path / "mask.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=r"mask\.txt: empty mask grid"):
+        read_mask_grid(path)
+
+
+@pytest.mark.parametrize("text", [
+    "1 0 0\n0 1 1\n",
+    "\n\n1 0 0\n   \n0 1 1\n\n",          # blank and space-only lines are skipped
+    "1 0 0\r\n0 1 1\r\n",                # CRLF
+    "1 0 0\r0 1 1\r",                    # CR alone ends a line too
+    "  1\t0  0 \n\t0 1\x0c1\n",          # any whitespace between and around tokens
+    "1 0 0\n0 1 1",                      # no newline at the end
+    "1\xa00 0\n0 1\u20031\n",          # Unicode spaces separate tokens too
+])
+def test_mask_grid_reads_rows_north_first_past_blank_lines_and_line_ends(tmp_path, text):
+    path = tmp_path / "mask.txt"
+    path.write_bytes(text.encode())
+    got = read_mask_grid(path)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, [[False, True, True], [True, False, False]])
+
+
 def test_load_scene_flat_4x4(tmp_path):
     doc = {"width": 4, "height": 4, "cell_size": 1.0, "depots": [[0, 0]]}
     path = tmp_path / "scene.json"

@@ -146,3 +146,15 @@ def test_one_relative_tie_rule_decides_every_cost_comparison():
                  if isinstance(node, ast.FunctionDef) and node.name == "_first_better_split")
     loops = (ast.For, ast.While, ast.comprehension)
     assert not [node for node in ast.walk(split) if isinstance(node, loops)]
+
+
+def test_set_up_builds_no_sparse_graph_for_components_and_no_object_arrays():
+    # connected regions are labelled on the rasters with ``scipy.ndimage``,
+    # and slopes come from ``math.atan2`` over a list, not an object array
+    banned = {"connected_components", "frompyfunc"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+             and {getattr(node, key, None) for key in ("id", "attr", "name")} & banned]
+    assert not found, f"connected_components or np.frompyfunc in mrcpp: {found}"

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrcpp.scene import Scene
-from mrcpp.terrain import (TerrainError, build_traversability, compute_edge_slope,
-                           merge_masks, remove_isolated, steepness_filter)
+from mrcpp.terrain import (TerrainError, TraversabilityMap, build_traversability,
+                           component_labels, compute_edge_slope, merge_masks, remove_isolated,
+                           steepness_filter)
 
 from conftest import flat_scene, free_cells
 
@@ -178,19 +179,56 @@ def test_remove_isolated_rejects_nonfree_depot():
         remove_isolated(tmap, [(3, 3)])
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([(20, 20)] + SHAPES))
-def test_remove_isolated_matches_flood_fill(seed, shape):
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([(20, 20), (5, 7)] + SHAPES),
+       st.floats(2.0, 30.0), st.booleans())
+def test_remove_isolated_matches_flood_fill(seed, shape, threshold, masked):
+    # slopes drop random edges, and a land-class mask, when there is one, random cells
     rng = np.random.default_rng(seed)
     scene = random_scene(seed, *shape, block_p=0.3)
-    tmap = steepness_filter(scene, 25.0)
+    tmap = steepness_filter(scene, threshold)
+    edges = brute_force_edges(scene, threshold)
+    if masked:
+        mask = rng.random(shape[::-1]) < 0.75
+        tmap = merge_masks(tmap, mask)
+        edges = [e for e in edges if all(mask[y, x] for x, y in e)]
     cells = free_cells(tmap)
     if not cells:
         return
     depots = [cells[int(rng.integers(len(cells)))] for _ in range(3)]
     pruned = remove_isolated(tmap, depots)
-    expected = flood_fill(brute_force_edges(scene, 25.0), depots)
+    expected = flood_fill(edges, depots)
     assert set(free_cells(pruned)) == expected
+    assert pruned.edge_slopes == {e: v for e, v in tmap.edge_slopes.items() if e[0] in expected}
+
+
+def test_remove_isolated_walks_edges_beside_cells_that_are_not_free():
+    # a blocked centre: the ring around it stays one component, and the
+    # edges beside it join the cells on either side only around the ring
+    scene = flat_scene(3, 3, depots=[(0, 0)], blocked_cells=[(1, 1)])
+    tmap = steepness_filter(scene, 25.0)
+    pruned = remove_isolated(tmap, [(0, 0)])
+    assert set(free_cells(pruned)) == set(free_cells(tmap)) == flood_fill(
+        brute_force_edges(scene, 25.0), [(0, 0)])
+    # a slope left in the raster beside a cell that is not free joins nothing
+    free = np.array([[True, False, True]])
+    tmap = TraversabilityMap(free, np.zeros((1, 2)), np.zeros((0, 3)), (0.0, 25.0))
+    assert remove_isolated(tmap, [(0, 0)]).free.tolist() == [[True, False, False]]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1), (1, 4), (4, 1)])
+def test_component_labels_give_0_off_the_graph_and_from_1_on_it(shape):
+    h, w = shape
+    nodes = np.ones(shape, dtype=bool)
+    labels = component_labels(nodes, np.zeros((h, max(w - 1, 0))),
+                              np.zeros((max(h - 1, 0), w)))
+    assert labels.shape == shape
+    assert (labels == 1).all()   # every node joined
+    nodes[::2, ::2] = False   # on a line, every node left is alone
+    labels = component_labels(nodes, np.zeros((h, max(w - 1, 0))),
+                              np.zeros((max(h - 1, 0), w)))
+    assert not labels[~nodes].any() and labels[nodes].min(initial=1) >= 1
+    assert len(set(labels[nodes].tolist())) == np.count_nonzero(nodes)
 
 
 def test_merge_masks_identity():
