@@ -12,8 +12,7 @@ from .scene import Scene, SceneError, load_scene, save_scene
 from .scenegen import generate_scene
 from .stc import (CoverageLoop, SpanningTree, minimum_spanning_tree,
                   spiral_stc_loop)
-from .terrain import (TraversabilityMap, build_traversability,
-                      compute_edge_slope, merge_masks, remove_isolated,
-                      steepness_filter)
+from .terrain import (TraversabilityMap, build_traversability, merge_masks,
+                      remove_isolated, steepness_filter)
 
 __version__ = "0.1.0"

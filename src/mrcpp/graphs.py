@@ -98,8 +98,8 @@ class CoveringGraph:
     @property
     def cells(self) -> list[Cell]:
         """Nodes in row-major order; this view and the two below are rebuilt on each access."""
-        ys, xs = np.nonzero(self.node >= 0)
-        return list(zip(xs.tolist(), ys.tolist()))
+        x, y = self._xy.T.tolist()
+        return list(zip(x, y))
 
     @property
     def index(self) -> dict[Cell, int]:
@@ -112,7 +112,7 @@ class CoveringGraph:
 
     def hop_weights(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Weights of the hops between consecutive cells ``(x[i], y[i])``: nan where two
-        are not joined by an edge, a cell off the grid included; ``weight`` reads one."""
+        are not joined by an edge, a cell off the grid included."""
         h, w = self.node.shape
         dx, dy, on = x[1:] - x[:-1], y[1:] - y[:-1], (x >= 0) & (x < w) & (y >= 0) & (y < h)
         edge = on[:-1] & on[1:] & (np.maximum(abs(dx), abs(dy)) == 1)   # 8-neighbours
@@ -120,12 +120,6 @@ class CoveringGraph:
         # % keeps the lower-left corner on the grid; it is read only where edge holds
         lx, ly = np.minimum(x[:-1], x[1:]) % w, np.minimum(y[:-1], y[1:]) % h
         return np.where(edge, self.steps[kind, ly, lx], np.nan)
-
-    def weight(self, a: Cell, b: Cell) -> float:
-        return float(self.hop_weights(*np.array((a, b)).T)[0])
-
-    def has_edge(self, a: Cell, b: Cell) -> bool:
-        return not math.isnan(self.weight(a, b))
 
     def node_of(self, cell: Cell) -> int:
         (h, w), (x, y) = self.node.shape, cell
@@ -246,19 +240,6 @@ class SpanningGraph:
     def edges(self) -> dict[tuple[Block, Block], float]:
         """Edges keyed by their row-major ends, rebuilt from the rasters on each access."""
         return edge_dict(self.east, self.north)
-
-    def has_edge(self, a: Block, b: Block) -> bool:
-        """Whether blocks ``a`` and ``b`` are joined; a block off the raster joins none."""
-        x, y, dx, dy = min(a[0], b[0]), min(a[1], b[1]), abs(a[0] - b[0]), abs(a[1] - b[1])
-        if dx + dy != 1:
-            return False
-        raster = self.east if dx else self.north   # indexed by the lower-left end
-        return (0 <= x < raster.shape[1] and 0 <= y < raster.shape[0]
-                and not math.isnan(raster[y, x]))
-
-    def block_cells(self, block: Block) -> list[Cell]:
-        x, y = 2 * block[0], 2 * block[1]
-        return [(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)]
 
     def block_of(self, cell: Cell) -> Block | None:
         """The spanning node whose four cells include ``cell``, or None."""

@@ -67,10 +67,9 @@ class PartitionSet:
         return len(self.keys)
 
     def sizes(self) -> list[int]:
+        # (next - key - 1) mod L + 1 is L for one key, the whole loop
         k, length = len(self.keys), self.loop_length
-        if k == 1:
-            return [length]
-        return [(self.keys[(i + 1) % k] - self.keys[i]) % length for i in range(k)]
+        return [(self.keys[(i + 1) % k] - self.keys[i] - 1) % length + 1 for i in range(k)]
 
 
 @dataclass
@@ -320,22 +319,19 @@ class LoopCostModel:
     def placement_costs(self, keys: list[int]) -> tuple[list[float], list[int] | None]:
         """The exact costs of one placement of k keys, segment i from
         ``keys[i]`` up to ``keys[(i + 1) % k]``, and its greedy depot
-        binding (None without depots).  A cost adds the approach leg, the
+        binding (None without depots, where the costs are
+        ``placement_cost_rows``' one row).  A cost adds the approach leg, the
         coverage and the return leg, then its refill terms one by one:
         ``np.cumsum`` runs along each row of the zero-padded terms left to
         right, and adding 0.0 changes no sum."""
-        k, length = len(keys), self.length
         if self.depots is None:
-            # coverage only: one prefix-sum difference per segment
-            ring = np.array(keys + keys[:1])
-            starts = ring[:-1]
-            sizes = (ring[1:] - starts) % length if k > 1 else length
-            return (self.prefix[starts + sizes - 1] - self.prefix[starts]).tolist(), None
+            return self.placement_cost_rows(np.array([keys]))[0][0].tolist(), None
+        k, length = len(keys), self.length
         binding = self.greedy_binding(keys)
         c = self.capacity
         costs, refills = [], []
         for i, (start, robot) in enumerate(zip(keys, binding)):
-            size = (keys[(i + 1) % k] - start) % length or length   # k = 1: the whole loop
+            size = (keys[(i + 1) % k] - start - 1) % length + 1
             d = self._depot_dist[robot]
             costs.append(d[start] + self.coverage_cost(start, size)
                          + d[(start + size - 1) % length])
@@ -366,11 +362,10 @@ class LoopCostModel:
         """
         rows, k = keys.shape
         length, prefix = self.length, self.prefix
-        if k == 1:
-            sizes = np.full_like(keys, length)
-        else:
-            sizes = (keys[:, list(range(1, k)) + [0]] - keys) % length
-        coverage = prefix[keys + sizes - 1] - prefix[keys]
+        # a segment's last cell lies its size less one, (next - key - 1) mod L, past its key
+        span = (keys[:, [*range(1, k), 0]] - keys - 1) % length
+        last = keys + span
+        coverage = prefix[last] - prefix[keys]
         if self.depots is None:
             return coverage, None
         pairs = self.depot_dist[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
@@ -385,8 +380,8 @@ class LoopCostModel:
                 pairs[every, :, segment] = np.inf
         d, c = self.depot_dist, self.capacity
         costs = d[binding, keys] + coverage
-        costs += d[binding, (keys + sizes - 1) % length]
-        refills = ((sizes - 1) // c).ravel()
+        costs += d[binding, last % length]
+        refills = (span // c).ravel()
         most = int(refills.max())
         if not most:
             return costs, binding
@@ -481,7 +476,7 @@ def _greedy_pass(model: LoopCostModel, current: PartitionSet, max_iters: int,
                  size_cap: int) -> tuple[PartitionSet, int]:
     """The outer greedy loop: rebalance the heaviest/lightest pair until stuck."""
     iterations = 0
-    while iterations < max_iters and len(current.keys) > 1:
+    while iterations < max_iters:
         weights = current.weights
         cur_max, cur_min = max(weights), min(weights)
         if not cur_max - cur_min > REL_TIE * cur_max:   # nan when every cost is inf
@@ -635,7 +630,7 @@ def _refine(model: LoopCostModel, current: PartitionSet, size_cap: int,
     None.  Such a scan runs the same from any budget that covers its
     charge, so it is replayed when one does.
     """
-    while budget > 0 and len(current.keys) > 1:
+    while budget > 0:
         start = tuple(current.keys)
         charged, found = memo.get(start, (math.inf, None))
         if charged > budget:

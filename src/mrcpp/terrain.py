@@ -77,22 +77,9 @@ class TraversabilityMap:
         return bool(self.free[y, x])
 
 
-def compute_edge_slope(scene: Scene, a: Cell, b: Cell) -> float:
-    """Slope of the edge between two 4-adjacent cells, in degrees.
-
-    Flat (no elevation raster) scenes have zero slope everywhere.
-    """
-    if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-        raise TerrainError(f"cells {a} and {b} are not 4-adjacent")
-    if scene.elevation is None:
-        return 0.0
-    rise = abs(float(scene.elevation[a[1], a[0]]) - float(scene.elevation[b[1], b[0]]))
-    run = scene.cell_size  # planar distance of one cell edge
-    return math.degrees(math.atan2(rise, run))
-
-
 def _atan2(rise: np.ndarray, run: float) -> np.ndarray:
-    # math.atan2, as compute_edge_slope reads it: np.arctan2 may differ in the last bit
+    # math.atan2 per rise, so each slope is the scalar formula's bit for bit:
+    # np.arctan2 may differ from it in the last bit
     return np.fromiter(map(math.atan2, rise.ravel().tolist(), repeat(run)), float,
                        rise.size).reshape(rise.shape)
 

@@ -18,6 +18,7 @@ from mrcpp.pipeline import ScenePlanner
 from mrcpp.scene import Scene
 from mrcpp.scenegen import generate_scene
 from mrcpp.stc import SpanningTree
+from mrcpp.terrain import TerrainError
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,6 +49,25 @@ def free_cells(tmap) -> list:
     """The free cells of a traversability map, row-major."""
     ys, xs = np.nonzero(tmap.free)
     return list(zip(xs.tolist(), ys.tolist()))
+
+
+def compute_edge_slope(scene: Scene, a, b) -> float:
+    """Slope of the edge between two 4-adjacent cells, in degrees, by the
+    scalar formula: the reference ``steepness_filter``'s slopes are held to
+    bit for bit.  Flat (no elevation raster) scenes have zero slope everywhere.
+    """
+    if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
+        raise TerrainError(f"cells {a} and {b} are not 4-adjacent")
+    if scene.elevation is None:
+        return 0.0
+    rise = abs(float(scene.elevation[a[1], a[0]]) - float(scene.elevation[b[1], b[0]]))
+    return math.degrees(math.atan2(rise, scene.cell_size))
+
+
+def hop_weight(g: CoveringGraph, a, b) -> float:
+    """The weight of G's edge between cells ``a`` and ``b``, nan for none: one hop
+    of ``g.hop_weights``."""
+    return float(g.hop_weights(*np.array((a, b)).T)[0])
 
 
 def shortest_path(g: CoveringGraph, start, goal) -> tuple[list, float]:
@@ -187,6 +207,74 @@ def spanning_tree(blocks, edges: dict, shape=None) -> SpanningTree:
     return SpanningTree(h.intact, h.east, h.north, total)
 
 
+def block_edge(h: SpanningGraph, a, b) -> bool:
+    """Whether blocks ``a`` and ``b`` are joined in H or a tree, read from its
+    ``east`` and ``north`` rasters; a block off the raster joins none."""
+    x, y, dx, dy = min(a[0], b[0]), min(a[1], b[1]), abs(a[0] - b[0]), abs(a[1] - b[1])
+    if dx + dy != 1:
+        return False
+    raster = h.east if dx else h.north   # indexed by the lower-left end
+    return 0 <= x < raster.shape[1] and 0 <= y < raster.shape[0] and not math.isnan(raster[y, x])
+
+
+def random_spanning_graph(seed: int) -> SpanningGraph:
+    """Connected H over a 4x3 block grid, edges weighted at random in [0.5, 3):
+    of the blocks kept with probability 0.85, (0, 0) always, the largest
+    component, the first found on ties.  The one random H of the MST tests."""
+    rng = np.random.default_rng(seed)
+    keep = {(x, y) for x in range(4) for y in range(3) if rng.random() < 0.85}
+    keep.add((0, 0))
+
+    largest, left = set(), set(keep)
+    while left:   # each component from its least block; a tie keeps the first
+        comp, stack = {min(left)}, [min(left)]
+        while stack:
+            b = stack.pop()
+            for nbr in ((b[0] + 1, b[1]), (b[0] - 1, b[1]), (b[0], b[1] + 1), (b[0], b[1] - 1)):
+                if nbr in left and nbr not in comp:
+                    comp.add(nbr)
+                    stack.append(nbr)
+        left -= comp
+        largest = comp if len(comp) > len(largest) else largest
+    blocks = sorted(largest, key=lambda b: (b[1], b[0]))
+    edges = {}
+    for b in blocks:
+        for nbr in ((b[0] + 1, b[1]), (b[0], b[1] + 1)):
+            if nbr in blocks:
+                edges[canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
+    return spanning_graph(blocks, edges)
+
+
+def exhaustive_mst_weight(h: SpanningGraph) -> float:
+    """The least weight of a spanning tree of H, by trying every set of
+    ``len(h) - 1`` edges with union-find: the oracle ``minimum_spanning_tree``'s
+    weight is held to."""
+    n = len(h.blocks)
+    best = math.inf
+    items = list(h.edges.items())
+    for combo in itertools.combinations(range(len(items)), n - 1):
+        parent = {b: b for b in h.blocks}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        total, ok = 0.0, True
+        for idx in combo:
+            (a, b), w = items[idx]
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                ok = False
+                break
+            parent[ra] = rb
+            total += w
+        if ok:
+            best = min(best, total)
+    return best
+
+
 def neighbours(h: SpanningGraph) -> dict:
     """Each block of H with its neighbours in row-major order, from ``h.edges``."""
     adjacency = {b: [] for b in h.blocks}
@@ -269,13 +357,13 @@ def reference_stc_loop(g: CoveringGraph, tree: SpanningTree, start) -> tuple[lis
     def step_allowed(u, v):
         bu, bv = covered[u], covered[v]
         if bu != bv:
-            return tree.has_edge(bu, bv)
+            return block_edge(tree, bu, bv)
         bx, by = bu
         if u[1] == v[1]:
             side = (bx, by - 1) if u[1] == 2 * by else (bx, by + 1)
         else:
             side = (bx - 1, by) if u[0] == 2 * bx else (bx + 1, by)
-        return not tree.has_edge(bu, side)
+        return not block_edge(tree, bu, side)
 
     moves = {}
     for cell in covered:
@@ -294,7 +382,7 @@ def reference_stc_loop(g: CoveringGraph, tree: SpanningTree, start) -> tuple[lis
     area = sum(x * ny - nx * y for (x, y), (nx, ny) in zip(cycle, cycle[1:] + cycle[:1]))
     if area < 0:
         cycle = [cycle[0]] + cycle[:0:-1]
-    return cycle, [g.weight(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return cycle, [hop_weight(g, a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
 
 
 def scalar_mstc_bo(g: CoveringGraph, loop, depots, capacity=math.inf):
@@ -484,7 +572,7 @@ def reference_robot_plan(robot: int, depot, cell_runs, capacity: float,
                        else g.distance(prev_cell, run[0]))
         for i, cell in enumerate(run):
             if i:
-                hop = g.weight(run[i - 1], cell)
+                hop = hop_weight(g, run[i - 1], cell)
                 if math.isnan(hop):
                     raise GraphError(f"run hop {run[i - 1]} -> {cell} is not an edge of G")
                 weight += hop

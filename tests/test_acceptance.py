@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line (visible with ``pytest -s``); a
 failing criterion fails its test.  Expected values come from independent
-oracles computed inside this module: exhaustive enumeration, brute-force
+oracles, here or in ``conftest.py``: exhaustive enumeration, brute-force
 scans, flood fill, and event-by-event cost simulation.
 """
 import hashlib
@@ -14,8 +14,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from mrcpp.graphs import (PlannerConfig, SpanningGraph, build_covering_graph,
-                          build_spanning_graph, edge_weight)
+from mrcpp.graphs import PlannerConfig, edge_weight
 from mrcpp.partition import capacity_partition, naive_mstc
 from mrcpp.baselines import mstc_nb
 from mrcpp.pipeline import ScenePlanner, plan_document, write_json_atomic
@@ -24,8 +23,8 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import remove_isolated, steepness_filter
 
-from conftest import (canon, free_cells, loop_instance, shortest_path, spanning_graph,
-                      tiny_loop_instances)
+from conftest import (exhaustive_mst_weight, free_cells, hop_weight, loop_instance,
+                      random_spanning_graph, shortest_path, tiny_loop_instances)
 
 PAPER_CFG = PlannerConfig(alpha=1 / 3, beta=2 / 3, slope_threshold=25.0)
 
@@ -58,8 +57,8 @@ def test_criterion_1_coverage_completeness():
         assert elapsed < 1.0, f"scene {seed}: pipeline took {elapsed:.2f}s"
         assert len(loop) == 4 * len(planner.tree)
         assert len(set(loop.nodes)) == len(loop)
-        covered = {c for b in planner.tree.blocks
-                   for c in planner.spanning.block_cells(b)}
+        covered = {(2 * bx + dx, 2 * by + dy) for bx, by in planner.tree.blocks
+                   for dx in (0, 1) for dy in (0, 1)}
         assert set(loop.nodes) == covered
         for i, cell in enumerate(loop.nodes):
             nxt = loop.nodes[(i + 1) % len(loop)]
@@ -71,72 +70,15 @@ def test_criterion_1_coverage_completeness():
 
 # --- criterion 2: MST oracle ------------------------------------------------
 
-def _random_h(seed: int) -> SpanningGraph:
-    rng = np.random.default_rng(seed)
-    cols, rows = 4, 3
-    keep = {(x, y) for x in range(cols) for y in range(rows) if rng.random() < 0.85}
-    keep.add((0, 0))
-    comp, stack = {(0, 0)}, [(0, 0)]
-    while stack:
-        b = stack.pop()
-        for nbr in ((b[0] + 1, b[1]), (b[0] - 1, b[1]), (b[0], b[1] + 1), (b[0], b[1] - 1)):
-            if nbr in keep and nbr not in comp:
-                comp.add(nbr)
-                stack.append(nbr)
-    blocks = sorted(comp, key=lambda b: (b[1], b[0]))[:12]
-    anchor, comp2, stack = blocks[0], {blocks[0]}, [blocks[0]]
-    while stack:
-        b = stack.pop()
-        for nbr in ((b[0] + 1, b[1]), (b[0] - 1, b[1]), (b[0], b[1] + 1), (b[0], b[1] - 1)):
-            if nbr in blocks and nbr not in comp2:
-                comp2.add(nbr)
-                stack.append(nbr)
-    blocks = sorted(comp2, key=lambda b: (b[1], b[0]))
-    edges = {}
-    for b in blocks:
-        for nbr in ((b[0] + 1, b[1]), (b[0], b[1] + 1)):
-            if nbr in blocks:
-                edges[canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
-    return spanning_graph(blocks, edges)
-
-
-def _exhaustive_mst(h: SpanningGraph) -> float:
-    n = len(h.blocks)
-    items = list(h.edges.items())
-    best = math.inf
-    for combo in itertools.combinations(range(len(items)), n - 1):
-        parent = {b: b for b in h.blocks}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        total, ok = 0.0, True
-        for idx in combo:
-            (a, b), w = items[idx]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent[ra] = rb
-            total += w
-        if ok and total < best:
-            best = total
-    return best
-
-
 def test_criterion_2_mst_matches_exhaustive_optimum():
-    checked = 0
-    seed = 0
+    checked = seed = 0
     while checked < 100:
+        h = random_spanning_graph(seed)
         seed += 1
-        h = _random_h(seed)
         if len(h.blocks) < 2:
             continue
         tree = minimum_spanning_tree(h, h.blocks[0])
-        assert tree.total_weight == pytest.approx(_exhaustive_mst(h), abs=1e-9)
+        assert tree.total_weight == pytest.approx(exhaustive_mst_weight(h), abs=1e-9)
         checked += 1
     _ok(2, "100 spanning graphs <= 12 nodes: MST weight equals exhaustive optimum")
 
@@ -192,7 +134,7 @@ def _simulate_plan(plan, g):
             cost += shortest_path(g, prev, run[0])[1]
         for i, cell in enumerate(run):
             if i > 0:
-                cost += g.weight(run[i - 1], cell)
+                cost += hop_weight(g, run[i - 1], cell)
             serviced += 1
             hit = [t for t in plan.refills if t.serviced_index == serviced - 1]
             if hit:

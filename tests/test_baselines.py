@@ -15,7 +15,8 @@ from mrcpp.pipeline import ALGORITHMS, ScenePlanner
 from mrcpp.graphs import PlannerConfig
 from mrcpp.scenegen import generate_scene
 
-from conftest import flat_scene, loop_cells, loop_instance, reference_robot_plan, scalar_mstc_bo
+from conftest import (flat_scene, hop_weight, loop_cells, loop_instance, reference_robot_plan,
+                      scalar_mstc_bo)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 
@@ -259,10 +260,10 @@ def test_mstc_bo_tail_joins_the_depot_from_the_depot_solve():
     def walk(join):   # the plan's terms, added in walk order
         weight = g.distance(plan.depot, tail[0])
         for a, b in zip(tail, tail[1:]):
-            weight += g.weight(a, b)
+            weight += hop_weight(g, a, b)
         weight += join
         for a, b in zip(ahead, ahead[1:]):
-            weight += g.weight(a, b)
+            weight += hop_weight(g, a, b)
         return weight + g.distance(plan.depot, ahead[-1])
 
     assert plan.weight == walk(g.distance(plan.depot, tail[-1]))

@@ -17,7 +17,7 @@ from mrcpp.render import RenderError, render_plan_svg
 from mrcpp.scene import SceneError, load_scene, save_scene
 from mrcpp.scenegen import generate_scene
 
-from conftest import flat_scene, loop_instance, shortest_path
+from conftest import flat_scene, hop_weight, loop_instance, shortest_path
 
 
 def test_gen_scene_kinds_are_loadable(tmp_path):
@@ -84,7 +84,7 @@ def test_plan_metrics_match_recomputation(tmp_path):
     depot = tuple(plan["depot"])
     path = [tuple(c) for c in plan["path"]]
     cost = shortest_path(g, depot, path[0])[1]
-    cost += sum(g.weight(a, b) for a, b in zip(path, path[1:]))
+    cost += sum(hop_weight(g, a, b) for a, b in zip(path, path[1:]))
     cost += shortest_path(g, path[-1], depot)[1]
     assert plan["weight"] == pytest.approx(cost)
 

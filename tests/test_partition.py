@@ -24,11 +24,11 @@ from mrcpp.scenegen import generate_scene
 from mrcpp.stc import CoverageLoop, minimum_spanning_tree, spiral_stc_loop
 from mrcpp.terrain import build_traversability, steepness_filter
 
-from conftest import (ExactCostModel, chain_directions, flat_scene, loop_cells, loop_instance,
-                      memo_free_optimize_partition, plan_fields, reference_placement_cost_rows,
-                      reference_placement_costs, reference_robot_plan, scalar_scan_improvement,
-                      segment_costs, shortest_path, sorted_pair_order, tiny_loop_instances,
-                      tuple_sort_binding)
+from conftest import (ExactCostModel, chain_directions, flat_scene, hop_weight, loop_cells,
+                      loop_instance, memo_free_optimize_partition, plan_fields,
+                      reference_placement_cost_rows, reference_placement_costs,
+                      reference_robot_plan, scalar_scan_improvement, segment_costs,
+                      shortest_path, sorted_pair_order, tiny_loop_instances, tuple_sort_binding)
 
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
 STRATEGIES = {"naive": naive_mstc, "balanced": capacity_partition,
@@ -54,7 +54,7 @@ def simulate_segment(segment, depot, capacity, g):
     since_refill = 0
     for i, cell in enumerate(segment):
         if i > 0:
-            cost += g.weight(segment[i - 1], cell)
+            cost += hop_weight(g, segment[i - 1], cell)
         since_refill += 1
         if capacity != math.inf and since_refill == capacity and i < len(segment) - 1:
             cost += shortest_path(g, cell, depot)[1]
@@ -86,7 +86,7 @@ def test_segment_cost_unbounded_is_approach_coverage_return(small_planner):
     segment = loop.nodes[3:8]
     depot = (0, 0)
     expected = shortest_path(g, depot, segment[0])[1]
-    expected += sum(g.weight(a, b) for a, b in zip(segment, segment[1:]))
+    expected += sum(hop_weight(g, a, b) for a, b in zip(segment, segment[1:]))
     expected += shortest_path(g, segment[-1], depot)[1]
     plan = checked_plan(depot, loop, [(3, 5, 1)], math.inf, g)
     assert plan.runs == [segment]

@@ -15,8 +15,9 @@ from mrcpp.stc import (CoverageLoop, SpanningTree, StcError,
                        minimum_spanning_tree, spiral_stc_loop)
 from mrcpp.terrain import build_traversability
 
-from conftest import (bfs_components, canon, flat_scene, kruskal_tree, neighbours,
-                      reference_stc_loop, spanning_graph, spanning_tree)
+from conftest import (bfs_components, block_edge, canon, flat_scene, hop_weight, kruskal_tree,
+                      neighbours, random_spanning_graph, reference_stc_loop, spanning_graph,
+                      spanning_tree)
 
 SQRT2 = math.sqrt(2.0)
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
@@ -27,73 +28,6 @@ def build_pipeline(scene, config=UNWEIGHTED):
     g = build_covering_graph(tmap, config)
     h = build_spanning_graph(tmap, config)
     return g, h
-
-
-def random_spanning_graph(seed: int, max_nodes: int = 12) -> SpanningGraph:
-    """Connected block-grid graph with random edge weights."""
-    rng = np.random.default_rng(seed)
-    cols, rows = 4, 3
-    keep = {(x, y) for x in range(cols) for y in range(rows)
-            if rng.random() < 0.85}
-    keep.add((0, 0))
-    # largest connected component, trimmed to max_nodes
-    comps = []
-    left = set(keep)
-    while left:
-        start = min(left)
-        comp, stack = {start}, [start]
-        while stack:
-            b = stack.pop()
-            for nbr in ((b[0] + 1, b[1]), (b[0] - 1, b[1]), (b[0], b[1] + 1), (b[0], b[1] - 1)):
-                if nbr in left and nbr not in comp:
-                    comp.add(nbr)
-                    stack.append(nbr)
-        left -= comp
-        comps.append(comp)
-    blocks = sorted(max(comps, key=len), key=lambda b: (b[1], b[0]))[:max_nodes]
-    # re-trim to stay connected after the cut
-    anchor = blocks[0]
-    comp, stack = {anchor}, [anchor]
-    while stack:
-        b = stack.pop()
-        for nbr in ((b[0] + 1, b[1]), (b[0] - 1, b[1]), (b[0], b[1] + 1), (b[0], b[1] - 1)):
-            if nbr in blocks and nbr not in comp:
-                comp.add(nbr)
-                stack.append(nbr)
-    blocks = sorted(comp, key=lambda b: (b[1], b[0]))
-    edges = {}
-    for b in blocks:
-        for nbr in ((b[0] + 1, b[1]), (b[0], b[1] + 1)):
-            if nbr in blocks:
-                edges[canon(b, nbr)] = float(rng.uniform(0.5, 3.0))
-    return spanning_graph(blocks, edges)
-
-
-def exhaustive_mst_weight(h: SpanningGraph) -> float:
-    n = len(h.blocks)
-    best = math.inf
-    edge_items = list(h.edges.items())
-    for combo in itertools.combinations(range(len(edge_items)), n - 1):
-        parent = {b: b for b in h.blocks}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        total, ok = 0.0, True
-        for idx in combo:
-            (a, b), w = edge_items[idx]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent[ra] = rb
-            total += w
-        if ok:
-            best = min(best, total)
-    return best
 
 
 def dfs_tree(h: SpanningGraph, root) -> SpanningTree:
@@ -129,17 +63,8 @@ def test_mst_excludes_heavy_edge():
     }
     h = spanning_graph(blocks, edges)
     tree = minimum_spanning_tree(h, (0, 0))
-    assert not tree.has_edge((0, 1), (1, 1))
+    assert not block_edge(tree, (0, 1), (1, 1))
     assert tree.total_weight == pytest.approx(3.0)
-
-
-def test_mst_matches_exhaustive_enumeration():
-    for seed in range(25):
-        h = random_spanning_graph(seed)
-        if len(h.blocks) < 2:
-            continue
-        tree = minimum_spanning_tree(h, h.blocks[0])
-        assert tree.total_weight == pytest.approx(exhaustive_mst_weight(h))
 
 
 def test_mst_rejects_disconnected_graph():
@@ -202,7 +127,7 @@ def test_has_edge_matches_edge_views():
         blocks = list(itertools.product(range(-1, bw + 1), range(-1, bh + 1)))
         for a, b in itertools.product(blocks, blocks):
             if abs(a[0] - b[0]) <= 2 and abs(a[1] - b[1]) <= 2:
-                assert graph.has_edge(a, b) == (canon(a, b) in edges), (a, b)
+                assert block_edge(graph, a, b) == (canon(a, b) in edges), (a, b)
 
 
 def test_loop_order_matches_cell_by_cell_reference():
@@ -289,7 +214,8 @@ def test_loop_node_set_equals_covered_cells():
         except Exception:
             continue
         loop = spiral_stc_loop(g, tree, (0, 0))
-        expected = {cell for b in tree.blocks for cell in h.block_cells(b)}
+        expected = {(2 * bx + dx, 2 * by + dy) for bx, by in tree.blocks
+                    for dx in (0, 1) for dy in (0, 1)}
         assert set(loop.nodes) == expected
         assert len(loop) == len(expected)
 
@@ -302,7 +228,7 @@ def test_loop_hops_are_graph_edges_at_chebyshev_distance_one():
     for i, cell in enumerate(loop.nodes):
         nxt = loop.nodes[(i + 1) % len(loop)]
         assert max(abs(cell[0] - nxt[0]), abs(cell[1] - nxt[1])) == 1
-        assert g.has_edge(cell, nxt)
+        assert not math.isnan(hop_weight(g, cell, nxt))
 
 
 def test_loop_reversal_preserves_node_set():
@@ -341,7 +267,7 @@ def test_loop_weight_hand_built_corner_cut_loop():
     # domino with a bow-tie wrap at the right block: 6 unit + 2 diagonal hops
     g, h = build_pipeline(flat_scene(4, 2, depots=[(0, 0)]))
     nodes = [(0, 0), (1, 0), (2, 0), (3, 1), (3, 0), (2, 1), (1, 1), (0, 1)]
-    weights = np.array([g.weight(a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])])
+    weights = np.array([hop_weight(g, a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])])
     x, y = np.array(nodes).T
     loop = CoverageLoop(x, y, weights, float(np.cumsum(weights)[-1]))
     assert loop.nodes == nodes

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from mrcpp.scene import Scene
 from mrcpp.terrain import (TerrainError, TraversabilityMap, build_traversability,
-                           component_labels, compute_edge_slope, merge_masks, remove_isolated,
-                           steepness_filter)
+                           component_labels, merge_masks, remove_isolated, steepness_filter)
 
-from conftest import flat_scene, free_cells
+from conftest import compute_edge_slope, flat_scene, free_cells
 
 
 def random_scene(seed: int, width=12, height=12, block_p=0.15, with_elevation=True):
