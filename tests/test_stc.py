@@ -15,9 +15,9 @@ from mrcpp.stc import (CoverageLoop, SpanningTree, StcError,
                        minimum_spanning_tree, spiral_stc_loop)
 from mrcpp.terrain import build_traversability
 
-from conftest import (bfs_components, block_edge, canon, flat_scene, hop_weight, kruskal_tree,
-                      neighbours, random_spanning_graph, reference_stc_loop, spanning_graph,
-                      spanning_tree)
+from conftest import (bfs_components, block_edge, canon, exhaustive_mst_weight, flat_scene,
+                      hop_weight, kruskal_tree, neighbours, random_spanning_graph,
+                      reference_stc_loop, spanning_graph, spanning_tree)
 
 SQRT2 = math.sqrt(2.0)
 UNWEIGHTED = PlannerConfig(alpha=1.0, beta=0.0)
@@ -65,6 +65,15 @@ def test_mst_excludes_heavy_edge():
     tree = minimum_spanning_tree(h, (0, 0))
     assert not block_edge(tree, (0, 1), (1, 1))
     assert tree.total_weight == pytest.approx(3.0)
+
+
+def test_mst_matches_exhaustive_enumeration():
+    for seed in range(25):
+        h = random_spanning_graph(seed)
+        if len(h.blocks) < 2:
+            continue
+        tree = minimum_spanning_tree(h, h.blocks[0])
+        assert tree.total_weight == pytest.approx(exhaustive_mst_weight(h))
 
 
 def test_mst_rejects_disconnected_graph():
