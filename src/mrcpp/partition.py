@@ -304,16 +304,18 @@ class LoopCostModel:
         """Assign robots to segments greedily by cheapest approach leg.
 
         The k * k approach distances, flattened in (robot, segment) order,
-        are sorted once by value; the sort is stable, so ties go to the
-        lower robot, then the lower segment.
+        are sorted once by value, until k segments are bound; the sort is
+        stable, so ties go to the lower robot, then the lower segment.
         """
         k = len(starts)
-        flat = [dist[s] for dist in self._depot_dist[:k] for s in starts]
-        binding, free = [-1] * k, [True] * k
-        for i in sorted(range(k * k), key=flat.__getitem__):
+        binding, free, left = [-1] * k, [True] * k, k
+        flat = self.depot_dist[:k].take(starts, axis=1)   # [robot, segment]
+        for i in np.argsort(flat, axis=None, kind="stable").tolist():
             r, j = divmod(i, k)
             if free[r] and binding[j] < 0:
-                binding[j], free[r] = r, False
+                binding[j], free[r], left = r, False, left - 1
+                if not left:
+                    break
         return binding
 
     def placement_costs(self, keys: list[int]) -> tuple[list[float], list[int] | None]:
@@ -347,6 +349,28 @@ class LoopCostModel:
             row[1:n + 1] = self.refill_terms[robot, start + c - 1:start + n * c:c]
         return np.cumsum(terms, axis=1)[:, -1].tolist(), binding
 
+    def _segment_spans(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each segment's size less one, unwrapped last position and coverage."""
+        k = keys.shape[1]
+        # a segment's last cell lies its size less one, (next - key - 1) mod L, past its key
+        span = (keys[:, np.arange(1, k + 1) % k] - keys - 1) % self.length
+        last = keys + span
+        return span, last, self.prefix[last] - self.prefix[keys]
+
+    @cached_property
+    def depot_floor(self) -> np.ndarray:
+        """``[p]`` is the least depot distance to loop position p % L, p below 2L."""
+        return np.tile(self.depot_dist.min(axis=0), 2)
+
+    def placement_floor_rows(self, keys: np.ndarray) -> np.ndarray:
+        """A floor under every cost of ``placement_cost_rows(keys)``: the
+        kernel's first two additions with each leg the least over the
+        depots.  Rounding is monotone and refill terms are >= 0, so each
+        floor is <= the exact cost, bit for bit, at any capacity."""
+        _, last, coverage = self._segment_spans(keys)
+        low = self.depot_floor
+        return low[keys] + coverage + low[last]
+
     def placement_cost_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """``placement_costs`` of every row of a (T, k) key matrix, bit for
         bit, as ``(costs, binding)`` arrays, binding None without depots.
@@ -361,11 +385,8 @@ class LoopCostModel:
         more than j, a prefix that shrinks, from ``refill_terms``.
         """
         rows, k = keys.shape
-        length, prefix = self.length, self.prefix
-        # a segment's last cell lies its size less one, (next - key - 1) mod L, past its key
-        span = (keys[:, [*range(1, k), 0]] - keys - 1) % length
-        last = keys + span
-        coverage = prefix[last] - prefix[keys]
+        length = self.length
+        span, last, coverage = self._segment_spans(keys)
         if self.depots is None:
             return coverage, None
         pairs = self.depot_dist[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
@@ -558,20 +579,22 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
     the evaluations charged.  The scan ends with the first group that has
     a strictly better row.
 
-    One loop prices every group: ``placement_cost_rows`` takes whole
-    groups per call, up to a row count that starts at ``SCAN_FIRST_KEYS``
-    keys and doubles per call, or the next group alone, in chunks of at
-    most ``SCAN_CHUNK_KEYS`` keys.  Replaying the rows in order keeps the
-    result independent of the chunking; rows past the budget are never
-    built.  A row's maximum exact cost must beat the current maximum by a
-    ``REL_TIE`` gap for the first row taken, and the best row's by any gap
-    after it.  A cost is a sum of non-negative terms, so at a current
-    maximum of 0.0 nothing is scanned.
+    One loop prices every group: each call takes whole groups, up to a row
+    count that starts at ``SCAN_FIRST_KEYS`` keys and doubles per call, or
+    the next group alone, in chunks of at most ``SCAN_CHUNK_KEYS`` keys;
+    its shifts are one ragged ``arange``, cut at the budget.  Replaying the
+    rows in order keeps the result independent of the chunking.  A row's
+    maximum exact cost must be below the bar, the current maximum less a
+    ``REL_TIE`` gap, for the first row taken, and the best row's after it.
+    With depots, only rows whose ``placement_floor_rows`` are all below
+    the bar reach ``placement_cost_rows``: each floor is <= its exact cost,
+    bit for bit, so a row it drops could never be taken.  Costs are sums
+    of non-negative terms, so at a current maximum of 0.0 nothing is scanned.
     """
     k, length = len(current.keys), current.loop_length
     base = np.array(current.keys)
-    cur_max = max(current.weights)
-    if cur_max <= 0.0:
+    bar = max(current.weights) * (1 - REL_TIE)
+    if bar <= 0.0:
         return None, 0
     chunk = max(1, SCAN_CHUNK_KEYS // k)
     best = None   # the keys, costs and maximum cost of the best row
@@ -579,41 +602,47 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
     groups = _scan_groups(current, size_cap)
     group, target = next(groups), max(1, SCAN_FIRST_KEYS // k)
     while group is not None and best is None and charged < budget:
-        # row i moves the keys by t[i] along chains[chain[i]]; ends[j + 1] is
-        # where group j's rows end, the rows past the budget counted
-        chains, chain, t, ends, left = [], [], [], [0], budget - charged
-        while group is not None and len(t) < left:
+        # range j holds the shifts from start[j] on, size[j] of them, along
+        # chains[j // 2] (its below and above ranges); ends[g + 1] is where
+        # group g's rows end, the rows past the budget counted
+        chains, start, size, ends, left = [], [], [], [0], budget - charged
+        while group is not None and ends[-1] < left:
             group_chains, below, above = group
             n = len(group_chains) * (len(below) + len(above))
             if len(ends) > 1 and ends[-1] + n > target:
                 break
             for move in group_chains:
-                room = left - len(t)
-                shifts = [*below[:room], *above[:max(0, room - len(below))]]
-                chain += [len(chains)] * len(shifts)
                 chains.append(move)
-                t += shifts
+                start += [below.start, above.start]
+                size += [len(below), len(above)]
             ends.append(ends[-1] + n)
             group = next(groups, None)
         target = min(2 * target, chunk)
         first, count, sign = np.array(chains).T
         moves = np.where((np.arange(k) - first[:, None]) % k < count[:, None], sign[:, None], 0)
-        chain, t = np.array(chain), np.array(t)
-        begin, stop = 0, len(t)
-        while begin < stop:
-            end = min(begin + chunk, stop)
+        size, stop = np.array(size), min(ends[-1], left)
+        chain = np.repeat(np.arange(len(size)) // 2, size)[:stop]
+        t = (np.arange(ends[-1]) - np.repeat(np.cumsum(size) - size - start, size))[:stop]
+        end = 0
+        while end < stop:
+            begin, end = end, min(end + chunk, stop)
+            rows = np.arange(begin, end)
             keys = (base + moves[chain[begin:end]] * t[begin:end, None]) % length
+            if model.depots is not None:
+                live = model.placement_floor_rows(keys).max(axis=1) < bar
+                rows, keys = rows[live], keys[live]
+                if not len(rows):
+                    continue
             costs, _ = model.placement_cost_rows(keys)
             top = costs.max(axis=1)
-            for i in np.flatnonzero(top < cur_max * (1 - REL_TIE)).tolist():
-                if begin + i >= stop:
+            for i in np.flatnonzero(top < bar).tolist():
+                if rows[i] >= stop:
                     break
                 if best is None:   # the scan ends with this group
-                    stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
+                    stop = min(stop, ends[bisect.bisect_right(ends, rows[i])])
                 elif not top[i] < best[2]:
                     continue
                 best = keys[i].tolist(), costs[i].tolist(), top[i]
-            begin = end
         charged += stop
     if best is None:
         return None, charged

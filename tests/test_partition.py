@@ -719,6 +719,32 @@ def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
     assert (wrapped > 0) == (capacity != math.inf)
 
 
+@pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0, 25.0])
+def test_placement_floor_rows_never_exceed_the_exact_costs(capacity):
+    """Every ``placement_floor_rows`` cost is <= the exact
+    ``placement_cost_rows`` cost of its row and segment, bit for bit, for
+    k in {2, 4, 16}: on generated scenes, and on the flat 8x8 scene with
+    symmetric depots, whose integer costs tie exactly, on rows in loop
+    order and rows that are not.  Some floors equal their costs."""
+    rng = np.random.default_rng(int(min(capacity, 99)))
+    planners = [ScenePlanner(generate_scene(kind, seed=seed, width=16, height=16, robots=16))
+                for kind, seed in (("random", 2), ("blocked", 1), ("field", 3))]
+    equal = 0
+    for planner in [*planners, uniform_planner(8, 8, [0, 16, 32, 48])]:
+        loop, length = planner.loop, len(planner.loop)
+        for k in (2, 4, 16):
+            if k > len(planner.scene.depots):
+                continue
+            model = LoopCostModel(loop, planner.graph, planner.depots(k), capacity)
+            keys = np.array([rng.choice(length, size=k, replace=False) for _ in range(200)])
+            keys[:100].sort(axis=1)
+            floor = model.placement_floor_rows(keys)
+            costs, _ = model.placement_cost_rows(keys)
+            assert floor.shape == costs.shape and (floor <= costs).all()
+            equal += int((floor == costs).sum())
+    assert equal > 0
+
+
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0])
 def test_placement_costs_equal_the_per_offset_oracle(capacity):
     """``placement_costs`` equals the per-offset oracle bit for bit, costs
@@ -831,9 +857,30 @@ def scan_cases():
                 keys = [(key + rot) % model.length for key in naive_partition(model.loop, n).keys]
                 weights, _ = model.placement_costs(keys)
                 yield model, PartitionSet(keys, model.length, weights), size_cap
+    for model, pset, size_cap, _, _ in floor_cases():
+        yield model, pset, size_cap
 
 
-@pytest.mark.parametrize("limit", [1, 2, 7, 13, 29, 50, 111, 10_000])
+def floor_cases():
+    """Scan cases at the edges of the floor, as (model, partition, size_cap,
+    budget, situation), on the weighted 8x8 loop (L = 32).  With three
+    depots, from the naive keys one cell on, rows pass the floor on both
+    sides of the end of the group that ends the scan, and one past it
+    costs less than the best row before it.  With two depots, from the
+    naive keys three cells on, the floor prunes the first call, both
+    pairs' 120 rows, and a rotation improves; a budget of 130 runs out
+    inside the 31 rotations, and the floor prunes all 10 it reaches."""
+    weighted = loop_instance(5, 4, width=8, height=8)
+    loop, length = weighted.loop, len(weighted.loop)
+    for k, rot, budget, situation in ((3, 1, 10_000, "straddled"), (2, 3, 10_000, "pruned"),
+                                      (2, 3, 130, "budget in pruned")):
+        model = LoopCostModel(loop, weighted.graph, weighted.depots(k))
+        keys = sorted((key + rot) % length for key in naive_partition(loop, k).keys)
+        yield model, PartitionSet(keys, length, model.placement_costs(keys)[0]), length, \
+            budget, situation
+
+
+@pytest.mark.parametrize("limit", [1, 2, 7, 13, 29, 50, 111, 130, 10_000])
 def test_batched_scan_matches_scalar_scan(limit):
     """The batched refinement scan returns the scalar scan's placement and
     spends the same budget, also when the budget runs out mid-matrix or
@@ -845,6 +892,35 @@ def test_batched_scan_matches_scalar_scan(limit):
         if want is not None:
             assert (got.keys, got.weights) == (want.keys, want.weights)
         assert batched_used == scalar_used
+
+
+def test_scan_floor_cases_reach_their_situations():
+    """Each ``floor_cases`` case reaches its situation at its budget: a
+    whole call pruned before a later one prices rows; rows that pass the
+    floor on both sides of the end of the group that ends the scan; the
+    budget running out inside a call whose rows the floor all prunes.
+    ``test_batched_scan_matches_scalar_scan`` checks these cases' results
+    and budgets against the scalar scan, at limits 130 and 10,000 among
+    others."""
+    floor = LoopCostModel.placement_floor_rows
+    for model, pset, size_cap, budget, situation in floor_cases():
+        bar = max(pset.weights) * (1 - partition.REL_TIE)
+        passed = []   # per call, whether each row's floor is below the bar
+
+        def traced(self, keys):
+            rows = floor(self, keys)
+            passed.append(rows.max(axis=1) < bar)
+            return rows
+
+        with mock.patch.object(LoopCostModel, "placement_floor_rows", traced):
+            got, used = _scan_improvement(model, pset, size_cap, budget)
+        # the rows of the last call that pass the floor, numbered from the scan's first
+        last = np.flatnonzero(passed[-1]) + sum(map(len, passed[:-1]))
+        reached = {"straddled": (last < used).any() and (last >= used).any(),
+                   "pruned": not passed[0].any() and last.size > 0 and got is not None,
+                   "budget in pruned": used == budget and not passed[-1].any()
+                   and len(passed) > 1}
+        assert reached[situation], situation
 
 
 def test_scan_skips_pairs_with_no_feasible_shift():
