@@ -203,11 +203,11 @@ class LoopCostModel:
 
     ``placement_costs`` prices one placement of k keys exactly, adding
     each segment's refill terms one by one, and ``placement_cost_rows`` a
-    whole matrix of placements the same way, bit for bit, so every
-    ``balanced`` decision is taken from exact costs.  MSTC-BO alone prices
-    with ``prefix_segment_costs``, O(1) per segment over arrays, a
-    backtracked tail included, each refill sum a difference of the
-    stride-c prefix sums ``refill_prefix``.  The scalar code reads the
+    whole matrix of placements the same way, bit for bit, each row that can
+    beat a bar, so every ``balanced`` decision is taken from exact costs.
+    MSTC-BO alone prices with ``prefix_segment_costs``, O(1) per segment
+    over arrays, a backtracked tail included, each refill sum a difference
+    of the stride-c prefix sums ``refill_prefix``.  The scalar code reads the
     arrays through memoryviews, which share their memory and index to
     Python floats: numpy scalars, which indexing the arrays gives, make
     the scalar arithmetic several times slower.
@@ -318,16 +318,15 @@ class LoopCostModel:
                     break
         return binding
 
-    def placement_costs(self, keys: list[int]) -> tuple[list[float], list[int] | None]:
+    def placement_costs(self, keys: list[int]) -> list[float]:
         """The exact costs of one placement of k keys, segment i from
-        ``keys[i]`` up to ``keys[(i + 1) % k]``, and its greedy depot
-        binding (None without depots, where the costs are
-        ``placement_cost_rows``' one row).  A cost adds the approach leg, the
-        coverage and the return leg, then its refill terms one by one:
-        ``np.cumsum`` runs along each row of the zero-padded terms left to
-        right, and adding 0.0 changes no sum."""
+        ``keys[i]`` up to ``keys[(i + 1) % k]``, against its greedy depot
+        binding (without depots ``placement_cost_rows``' one row).  A cost
+        adds the approach leg, the coverage and the return leg, then its
+        refill terms one by one: ``np.cumsum`` runs along each row of the
+        zero-padded terms left to right, and adding 0.0 changes no sum."""
         if self.depots is None:
-            return self.placement_cost_rows(np.array([keys]))[0][0].tolist(), None
+            return self.placement_cost_rows(np.array([keys]), math.inf)[0].tolist()
         k, length = len(keys), self.length
         binding = self.greedy_binding(keys)
         c = self.capacity
@@ -339,7 +338,7 @@ class LoopCostModel:
                          + d[(start + size - 1) % length])
             refills.append((size - 1) // c)
         if not any(refills):
-            return costs, binding
+            return costs
         # row i: the cost so far, then the refill terms of the breaks at
         # keys[i] + c - 1, keys[i] + 2c - 1, ..., one strided slice of
         # ``refill_terms``, then zeros
@@ -347,34 +346,25 @@ class LoopCostModel:
         terms[:, 0] = costs
         for row, start, robot, n in zip(terms, keys, binding, refills):
             row[1:n + 1] = self.refill_terms[robot, start + c - 1:start + n * c:c]
-        return np.cumsum(terms, axis=1)[:, -1].tolist(), binding
-
-    def _segment_spans(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each segment's size less one, unwrapped last position and coverage."""
-        k = keys.shape[1]
-        # a segment's last cell lies its size less one, (next - key - 1) mod L, past its key
-        span = (keys[:, np.arange(1, k + 1) % k] - keys - 1) % self.length
-        last = keys + span
-        return span, last, self.prefix[last] - self.prefix[keys]
+        return np.cumsum(terms, axis=1)[:, -1].tolist()
 
     @cached_property
     def depot_floor(self) -> np.ndarray:
         """``[p]`` is the least depot distance to loop position p % L, p below 2L."""
         return np.tile(self.depot_dist.min(axis=0), 2)
 
-    def placement_floor_rows(self, keys: np.ndarray) -> np.ndarray:
-        """A floor under every cost of ``placement_cost_rows(keys)``: the
-        kernel's first two additions with each leg the least over the
-        depots.  Rounding is monotone and refill terms are >= 0, so each
-        floor is <= the exact cost, bit for bit, at any capacity."""
-        _, last, coverage = self._segment_spans(keys)
-        low = self.depot_floor
-        return low[keys] + coverage + low[last]
+    def placement_cost_rows(self, keys: np.ndarray, bar: float) -> np.ndarray:
+        """The costs of every row of a (T, k) key matrix: each row whose
+        floors are all below ``bar`` priced exactly, as ``placement_costs``
+        prices it, bit for bit (every row at ``bar = inf``), and every other
+        row its floors, so a row's maximum is below ``bar`` exactly when its
+        exact maximum is.
 
-    def placement_cost_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """``placement_costs`` of every row of a (T, k) key matrix, bit for
-        bit, as ``(costs, binding)`` arrays, binding None without depots.
-
+        A segment's floor is ``(depot_floor[key] + coverage) +
+        depot_floor[last]``, the kernel's own first two additions with
+        addends no larger than the bound robot's: rounding is monotone and
+        refill terms are >= 0, so it is <= the exact cost, bit for bit, at
+        any capacity.  Without depots the floor is the coverage, exact.
         The greedy binding is k rounds of ``argmin`` over each row's k * k
         depot distances flattened in (robot, segment) order, so ties go
         the way ``greedy_binding``'s stable sort of that order breaks them;
@@ -384,15 +374,23 @@ class LoopCostModel:
         count, most first, step j adds the j-th term of each segment with
         more than j, a prefix that shrinks, from ``refill_terms``.
         """
-        rows, k = keys.shape
-        length = self.length
-        span, last, coverage = self._segment_spans(keys)
+        k, length = keys.shape[1], self.length
+        # a segment's last cell lies its size less one, (next - key - 1) mod L, past its key
+        span = (keys[:, np.arange(1, k + 1) % k] - keys - 1) % length
+        last = keys + span
+        coverage = self.prefix[last] - self.prefix[keys]
         if self.depots is None:
-            return coverage, None
+            return coverage
+        low = self.depot_floor
+        floor = low[keys] + coverage + low[last]
+        live = np.flatnonzero((floor < bar).all(axis=1))
+        if not live.size:
+            return floor
+        keys, span, last, coverage = keys[live], span[live], last[live], coverage[live]
         pairs = self.depot_dist[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
-        flat = pairs.reshape(rows, k * k)
+        flat = pairs.reshape(len(live), k * k)
         binding = np.empty_like(keys)
-        every = np.arange(rows)
+        every = np.arange(len(live))
         for r in range(k):
             robot, segment = np.divmod(flat.argmin(axis=1), k)
             binding[every, segment] = robot
@@ -404,20 +402,19 @@ class LoopCostModel:
         costs += d[binding, last % length]
         refills = (span // c).ravel()
         most = int(refills.max())
-        if not most:
-            return costs, binding
-        order = np.argsort(-refills, kind="stable")
-        acc = costs.ravel()[order]
-        at = (binding * (2 * length) + keys + (c - 1)).ravel()[order]
-        terms = self.refill_terms.ravel()
-        # the counts descend, so searching their negations for -j counts the
-        # segments with more than j refills
-        for m in np.searchsorted(-refills[order], -np.arange(most)).tolist():
-            acc[:m] += terms[at[:m]]
-            at[:m] += c
-        costs = np.empty_like(acc)
-        costs[order] = acc
-        return costs.reshape(rows, k), binding
+        if most:
+            order = np.argsort(-refills, kind="stable")
+            acc = costs.ravel()[order]
+            at = (binding * (2 * length) + keys + (c - 1)).ravel()[order]
+            terms = self.refill_terms.ravel()
+            # the counts descend, so searching their negations for -j counts the
+            # segments with more than j refills
+            for m in np.searchsorted(-refills[order], -np.arange(most)).tolist():
+                acc[:m] += terms[at[:m]]
+                at[:m] += c
+            costs.ravel()[order] = acc
+        floor[live] = costs
+        return floor
 
 
 def naive_partition(loop: CoverageLoop, k: int) -> PartitionSet:
@@ -451,15 +448,15 @@ def _shift_bounds(min_size: int, max_size: int, size_cap: int) -> tuple[int, int
 
 
 def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
-                 model: LoopCostModel, size_cap: int | None = None) -> PartitionSet:
+                 model: LoopCostModel, size_cap: int) -> PartitionSet:
     """Shift key nodes between the lightest and heaviest segments.
 
     Binary search on the cumulative shift: nodes move out of the heaviest
     segment through the in-between chain into the lightest, in-between
-    node counts unchanged, sizes within ``size_cap`` (by default the loop
-    length, which binds nothing).  Returns the probed placement with the
-    smallest maximum segment cost, never worse than the input, each probe
-    priced exactly by ``placement_costs``.
+    node counts unchanged, sizes within ``size_cap`` (the loop length binds
+    nothing).  Returns the probed placement with the smallest maximum
+    segment cost, never worse than the input, each probe priced exactly by
+    ``placement_costs``.
     """
     if min_idx == max_idx:
         raise PartitionError("min and max segments must differ")
@@ -469,14 +466,14 @@ def balanced_cut(pset: PartitionSet, min_idx: int, max_idx: int,
     k = len(base)
     first, count, sign = _chain(k, min_idx, max_idx)
     moving = [(first + j) % k for j in range(count)]
-    lo, hi = _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap or length)
+    lo, hi = _shift_bounds(sizes[min_idx], sizes[max_idx], size_cap)
 
     def probe(shift: int) -> tuple[list[int], list[float]]:
         shift = min(max(shift, lo), hi)
         keys = list(base)
         for idx in moving:
             keys[idx] = (base[idx] + sign * shift) % length
-        return keys, model.placement_costs(keys)[0]
+        return keys, model.placement_costs(keys)
 
     best_keys, best = probe(0)
     left, right = 0, sizes[min_idx] + sizes[max_idx]
@@ -585,11 +582,10 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
     its shifts are one ragged ``arange``, cut at the budget.  Replaying the
     rows in order keeps the result independent of the chunking.  A row's
     maximum exact cost must be below the bar, the current maximum less a
-    ``REL_TIE`` gap, for the first row taken, and the best row's after it.
-    With depots, only rows whose ``placement_floor_rows`` are all below
-    the bar reach ``placement_cost_rows``: each floor is <= its exact cost,
-    bit for bit, so a row it drops could never be taken.  Costs are sums
-    of non-negative terms, so at a current maximum of 0.0 nothing is scanned.
+    ``REL_TIE`` gap, for the first row taken, and the best row's after it;
+    ``placement_cost_rows`` prices exactly only the rows that can be below
+    it.  Costs are sums of non-negative terms, so at a current maximum of
+    0.0 nothing is scanned.
     """
     k, length = len(current.keys), current.loop_length
     base = np.array(current.keys)
@@ -626,20 +622,14 @@ def _scan_improvement(model: LoopCostModel, current: PartitionSet, size_cap: int
         end = 0
         while end < stop:
             begin, end = end, min(end + chunk, stop)
-            rows = np.arange(begin, end)
             keys = (base + moves[chain[begin:end]] * t[begin:end, None]) % length
-            if model.depots is not None:
-                live = model.placement_floor_rows(keys).max(axis=1) < bar
-                rows, keys = rows[live], keys[live]
-                if not len(rows):
-                    continue
-            costs, _ = model.placement_cost_rows(keys)
+            costs = model.placement_cost_rows(keys, bar)
             top = costs.max(axis=1)
             for i in np.flatnonzero(top < bar).tolist():
-                if rows[i] >= stop:
+                if begin + i >= stop:
                     break
                 if best is None:   # the scan ends with this group
-                    stop = min(stop, ends[bisect.bisect_right(ends, rows[i])])
+                    stop = min(stop, ends[bisect.bisect_right(ends, begin + i)])
                 elif not top[i] < best[2]:
                     continue
                 best = keys[i].tolist(), costs[i].tolist(), top[i]
@@ -695,7 +685,7 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
     """
     k = len(initial.keys)
     length = initial.loop_length
-    costs, _ = model.placement_costs(initial.keys)
+    costs = model.placement_costs(initial.keys)
     current = PartitionSet(keys=list(initial.keys), loop_length=length, weights=costs)
     if k == 1:
         return current, 0
@@ -708,7 +698,7 @@ def optimize_partition(model: LoopCostModel, initial: PartitionSet,
             break
         keys = [(p + rot) % length for p in initial.keys]
         budget -= k
-        rc, _ = model.placement_costs(keys)
+        rc = model.placement_costs(keys)
         cand = PartitionSet(keys=keys, loop_length=length, weights=rc)
         # polish-only restarts: the greedy pass would funnel most rotated
         # starts into the same basin, defeating the restart diversity

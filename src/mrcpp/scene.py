@@ -47,27 +47,28 @@ class Scene:
             raise SceneError("scene dimensions must be positive")
         if not 0 < self.cell_size < math.inf:   # nan too
             raise SceneError(f"cell_size must be positive and finite, got {self.cell_size!r}")
-        if self.blocked.shape != (self.height, self.width):
-            raise SceneError("blocked raster size mismatch")
-        if self.elevation is not None and self.elevation.shape != (self.height, self.width):
-            raise SceneError(
-                f"elevation raster size mismatch: expected "
-                f"{self.height}x{self.width}, got {self.elevation.shape[0]}x{self.elevation.shape[1]}"
-            )
-        if self.landclass is not None and self.landclass.shape != (self.height, self.width):
-            raise SceneError("land-class raster size mismatch")
+        for name in ("blocked", "elevation", "landclass"):
+            raster = getattr(self, name)
+            shape = getattr(raster, "shape", None)
+            if raster is not None and shape != (self.height, self.width):
+                got = type(raster).__name__ if shape is None else "x".join(map(str, shape))
+                raise SceneError(f"{name} raster size mismatch: expected a "
+                                 f"{self.height}x{self.width} array, got {got}")
         if not self.depots:
             raise SceneError("scene needs at least one depot")
-        if len(set(self.depots)) != len(self.depots):
-            raise SceneError("depot cells must be distinct")
         for d in self.depots:
+            x, y = d if isinstance(d, tuple) and len(d) == 2 else (None, None)
+            if not (isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer))) \
+                    or isinstance(x, bool) or isinstance(y, bool):
+                raise SceneError(f"depot {d!r} is not a pair of integers")
             if not self.in_bounds(d):
                 raise SceneError(f"depot {d} outside the grid")
-            x, y = d
             if self.blocked[y, x]:
                 raise SceneError(f"depot {d} lies on a blocked cell")
             if self.landclass is not None and not self.landclass[y, x]:
                 raise SceneError(f"depot {d} lies in a non-working region")
+        if len(set(self.depots)) != len(self.depots):
+            raise SceneError("depot cells must be distinct")
 
 
 def _positive(path: Path, key: str, value, kind: str):

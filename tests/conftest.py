@@ -469,32 +469,31 @@ def segment_costs(model: LoopCostModel, start: int, size, depot_idx: int,
     return cost
 
 
-def reference_placement_costs(model: LoopCostModel, keys: list[int]
-                              ) -> tuple[list[float], list[int] | None]:
+def reference_placement_costs(model: LoopCostModel, keys: list[int]) -> list[float]:
     """``model.placement_costs`` with every segment priced by the per-offset
-    oracle ``segment_costs``, for any k keys, in loop order or not: the
-    exact costs ``placement_costs`` and ``placement_cost_rows`` are held
-    to."""
+    oracle ``segment_costs`` against ``greedy_binding``, for any k keys, in
+    loop order or not: the exact costs ``placement_costs`` and
+    ``placement_cost_rows`` are held to."""
     k, length = len(keys), model.length
     sizes = [(keys[(i + 1) % k] - key) % length or length for i, key in enumerate(keys)]
     if model.depots is None:
-        return [model.coverage_cost(start, size) for start, size in zip(keys, sizes)], None
+        return [model.coverage_cost(start, size) for start, size in zip(keys, sizes)]
     binding = model.greedy_binding(keys)
     return [float(segment_costs(model, start, size, robot))
-            for start, size, robot in zip(keys, sizes, binding)], binding
+            for start, size, robot in zip(keys, sizes, binding)]
 
 
-def reference_placement_cost_rows(model: LoopCostModel, keys: np.ndarray):
-    """Exact ``placement_costs`` for every row of a (T, k) key matrix, with
-    the binding: the greedy binding as k rounds of ``argmin``, then one
-    masked (T, k) refill term per offset, added in ``segment_costs``'
-    order.  The full-matrix oracle ``placement_cost_rows`` is held to."""
+def reference_placement_cost_rows(model: LoopCostModel, keys: np.ndarray) -> np.ndarray:
+    """Exact ``placement_costs`` for every row of a (T, k) key matrix: the
+    greedy binding as k rounds of ``argmin``, then one masked (T, k) refill
+    term per offset, added in ``segment_costs``' order.  The full-matrix
+    oracle ``placement_cost_rows`` is held to."""
     rows, k = keys.shape
     length, prefix = model.length, model.prefix
     sizes = np.full_like(keys, length) if k == 1 else (np.roll(keys, -1, axis=1) - keys) % length
     coverage = prefix[keys + sizes - 1] - prefix[keys]
     if model.depots is None:
-        return coverage, None
+        return coverage
     d = model.depot_dist
     pairs = d[:k, keys].transpose(1, 0, 2).copy()   # [t, robot, segment]
     flat = pairs.reshape(rows, k * k)
@@ -509,18 +508,20 @@ def reference_placement_cost_rows(model: LoopCostModel, keys: np.ndarray):
     cost = cost + d[binding, (keys + sizes - 1) % length]
     for off in _refill_offsets(int(sizes.max()), model.capacity):
         cost = cost + np.where(off < sizes - 1, 2.0 * d[binding, (keys + off) % length], 0.0)
-    return cost, binding
+    return cost
 
 
 class ExactCostModel(LoopCostModel):
     """A cost model that prices every placement, single or a matrix of them,
     with the per-offset oracle, so the searches run on it take every
-    decision from the oracle's costs: what the searches are held to."""
+    decision from the oracle's costs: what the searches are held to.  Its
+    rows are exact whatever the bar, which keeps the row kernel's contract:
+    a row's maximum is below the bar exactly when its exact maximum is."""
 
     def placement_costs(self, keys):
         return reference_placement_costs(self, keys)
 
-    def placement_cost_rows(self, keys):
+    def placement_cost_rows(self, keys, bar):
         return reference_placement_cost_rows(self, keys)
 
 
@@ -666,7 +667,7 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
                     keys[idx] = (base[idx] + sign * t) % length
                 if len(set(keys)) != k:
                     continue
-                costs, _ = reference_placement_costs(model, keys)
+                costs = reference_placement_costs(model, keys)
                 m = max(costs)
                 if m < cur_max * (1 - REL_TIE) and (best is None or m < best[0]):
                     best = (m, keys, costs)
@@ -679,7 +680,7 @@ def scalar_scan_improvement(model: LoopCostModel, current: PartitionSet,
                 break
             used += 1
             keys = [(p + rot) % length for p in base]
-            costs, _ = reference_placement_costs(model, keys)
+            costs = reference_placement_costs(model, keys)
             m = max(costs)
             if m < cur_max * (1 - REL_TIE) and (best is None or m < best[0]):
                 best = (m, keys, costs)
@@ -698,7 +699,7 @@ def memo_free_optimize_partition(model: LoopCostModel, initial: PartitionSet, si
     before, evaluations charged after).
     """
     k, length = len(initial.keys), initial.loop_length
-    costs, _ = model.placement_costs(initial.keys)
+    costs = model.placement_costs(initial.keys)
     current = PartitionSet(keys=list(initial.keys), loop_length=length, weights=costs)
     if k == 1:
         return current, 0, 0
@@ -724,7 +725,7 @@ def memo_free_optimize_partition(model: LoopCostModel, initial: PartitionSet, si
         keys = [(p + rot) % length for p in initial.keys]
         used += k
         cand = refine(PartitionSet(keys=keys, loop_length=length,
-                                   weights=model.placement_costs(keys)[0]))
+                                   weights=model.placement_costs(keys)))
         if max(cand.weights) < max(best.weights):
             best = cand
     return best, iterations, used

@@ -111,7 +111,7 @@ def test_criterion_4_near_optimal_on_small_loops():
     for planner, k in tiny_loop_instances(200):
         outcome = capacity_partition(planner.graph, planner.loop, planner.depots(k))
         model = LoopCostModel(planner.loop, planner.graph, planner.scene.depots[:k])
-        best = min(max(model.placement_costs(list(combo))[0])
+        best = min(max(model.placement_costs(list(combo)))
                    for combo in itertools.combinations(range(len(planner.loop)), k))
         ratio = max(outcome.partition.weights) / best
         worst = max(worst, ratio)

@@ -217,8 +217,8 @@ def test_balanced_cut_already_balanced_returns_input():
     loop = fake_loop(8)
     model = LoopCostModel(loop)
     pset = PartitionSet(keys=[0, 4], loop_length=8)
-    pset.weights, _ = model.placement_costs(pset.keys)
-    out = balanced_cut(pset, 0, 1, model)
+    pset.weights = model.placement_costs(pset.keys)
+    out = balanced_cut(pset, 0, 1, model, pset.loop_length)
     assert out.keys == [0, 4]
 
 
@@ -226,10 +226,10 @@ def test_balanced_cut_uniform_two_segments_matches_exhaustive():
     loop = fake_loop(8)
     model = LoopCostModel(loop)
     pset = PartitionSet(keys=[0, 2], loop_length=8)
-    pset.weights, _ = model.placement_costs(pset.keys)
-    out = balanced_cut(pset, 0, 1, model)   # segment 0 has 2 nodes, segment 1 has 6
+    pset.weights = model.placement_costs(pset.keys)
+    out = balanced_cut(pset, 0, 1, model, pset.loop_length)   # segment 0 has 2 nodes, 1 has 6
     assert sorted(out.sizes()) == [4, 4]
-    best = min(max(model.placement_costs([a, b])[0])
+    best = min(max(model.placement_costs([a, b]))
                for a in range(8) for b in range(8) if a != b)
     assert max(out.weights) == pytest.approx(best)
 
@@ -238,8 +238,8 @@ def test_balanced_cut_adjacent_pair_moves_shared_boundary_only():
     planner = loop_instance(9, 4)
     model = LoopCostModel(planner.loop)
     pset = naive_partition(planner.loop, 4)
-    pset.weights, _ = model.placement_costs(pset.keys)
-    out = balanced_cut(pset, 2, 1, model)   # min and max are adjacent
+    pset.weights = model.placement_costs(pset.keys)
+    out = balanced_cut(pset, 2, 1, model, pset.loop_length)   # min and max are adjacent
     assert out.keys[0] == pset.keys[0]
     assert out.keys[1] == pset.keys[1]
     assert out.keys[3] == pset.keys[3]
@@ -249,14 +249,14 @@ def test_balanced_cut_never_worse_and_conserves_nodes():
     planner = loop_instance(11, 4)
     model = LoopCostModel(planner.loop, planner.graph, planner.scene.depots[:4])
     pset = naive_partition(planner.loop, 4)
-    pset.weights, _ = model.placement_costs(pset.keys)
+    pset.weights = model.placement_costs(pset.keys)
     current = pset
     for _ in range(6):
         weights = current.weights
         mn, mx = weights.index(min(weights)), weights.index(max(weights))
         if mn == mx:
             break
-        nxt = balanced_cut(current, mn, mx, model)
+        nxt = balanced_cut(current, mn, mx, model, current.loop_length)
         assert max(nxt.weights) <= max(current.weights) + 1e-12
         assert sum(nxt.sizes()) == len(planner.loop)
         current = nxt
@@ -285,7 +285,7 @@ def test_balanced_mstc_near_optimal_on_tiny_loops():
     for planner, k in tiny_loop_instances(20):
         outcome = capacity_partition(planner.graph, planner.loop, planner.depots(k))
         model = LoopCostModel(planner.loop, planner.graph, planner.scene.depots[:k])
-        best = min(max(model.placement_costs(list(combo))[0])
+        best = min(max(model.placement_costs(list(combo)))
                    for combo in itertools.combinations(range(len(planner.loop)), k))
         assert max(outcome.partition.weights) <= best * 1.10 + 1e-12
 
@@ -413,14 +413,13 @@ def test_capacity_of_the_loop_length_or_more_plans_as_inf(kind, seed, side, k):
     rng = np.random.default_rng(seed)
     keys = np.sort([rng.choice(length, size=k, replace=False) for _ in range(30)], axis=1)
     inf = LoopCostModel(loop, g, depots)
-    want_costs, want_binding = inf.placement_cost_rows(keys)
+    want = inf.placement_cost_rows(keys, math.inf)
     for capacity in capacities:
         model = LoopCostModel(loop, g, depots, capacity)
         assert model.capacity == inf.capacity == length
         for row in keys.tolist():
             assert model.placement_costs(row) == inf.placement_costs(row)
-        costs, binding = model.placement_cost_rows(keys)
-        assert (costs == want_costs).all() and (binding == want_binding).all()
+        assert (model.placement_cost_rows(keys, math.inf) == want).all()
 
 
 def test_max_weight():
@@ -612,9 +611,8 @@ def test_virtual_placement_costs_equal_prefix_differences():
             keys = sorted(rng.choice(length, size=k, replace=False).tolist())
             keys = keys[k // 2:] + keys[:k // 2]   # segments may wrap past 0
             sizes = PartitionSet(keys=keys, loop_length=length).sizes()
-            costs, binding = model.placement_costs(keys)
-            assert binding is None
-            assert costs == [model.coverage_cost(keys[i], sizes[i]) for i in range(k)]
+            assert model.placement_costs(keys) == [model.coverage_cost(keys[i], sizes[i])
+                                                   for i in range(k)]
 
 
 @st.composite
@@ -671,14 +669,15 @@ def test_chains_match_the_key_lists():
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0, "L - 1"])
 def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
-    """``placement_cost_rows`` equals the full-matrix oracle bit for bit, costs
-    and depot binding, and so does ``placement_costs`` of each row's keys,
-    for k in {1, 2, 3, 5, 16} and c up to L - 1: on a weighted scene, and
+    """``placement_cost_rows`` equals the full-matrix oracle bit for bit, and
+    so does ``placement_costs`` of each row's keys, for k in
+    {1, 2, 3, 5, 16} and c up to L - 1: on a weighted scene, and
     on a flat walled scene where many depot distances tie; on rows in loop
     order, rows that are not, and rows of segments of c - 1 to 2c + 1
     cells, laid from starts near the loop's end.  Below c = L - 1 rows hold
     segments of unlike refill counts, and at finite c breaks lie past the
-    loop's end.  Without a refill no ``refill_terms`` are built."""
+    loop's end.  Without a refill no ``refill_terms`` are built.  Without
+    depots the costs are the coverage, whatever the bar."""
     rng = np.random.default_rng(11)
     unlike = wrapped = 0
     for planner in (loop_instance(5, 1), ScenePlanner(generate_scene("blocked", seed=1))):
@@ -694,13 +693,10 @@ def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
                                 1, length // k)
                 starts = length - 1 - rng.integers(0, model.capacity, (20, 1))
                 keys = np.vstack([keys, (starts + np.cumsum(sizes, axis=1) - sizes) % length])
-            costs, binding = model.placement_cost_rows(keys)
-            want_costs, want_binding = reference_placement_cost_rows(model, keys)
-            assert costs.tolist() == want_costs.tolist()
-            assert (binding == want_binding).all()
-            for row, cost_row, binding_row in zip(keys.tolist(), costs.tolist(),
-                                                  binding.tolist()):
-                assert (cost_row, binding_row) == model.placement_costs(row)
+            costs = model.placement_cost_rows(keys, math.inf)
+            assert costs.tolist() == reference_placement_cost_rows(model, keys).tolist()
+            for row, cost_row in zip(keys.tolist(), costs.tolist()):
+                assert cost_row == model.placement_costs(row)
             sizes = ((np.roll(keys, -1, axis=1) - keys) % length if k > 1
                      else np.full_like(keys, length))
             refills = (sizes - 1) // model.capacity
@@ -709,46 +705,55 @@ def test_placement_cost_rows_equal_scalar_placements_bit_for_bit(capacity):
             wrapped += int((keys + refills * model.capacity - 1 >= length)[refills > 0].sum())
         virtual = LoopCostModel(loop)
         keys = np.array([rng.choice(length, size=7, replace=False) for _ in range(20)])
-        costs, binding = reference_placement_cost_rows(virtual, keys)
-        assert binding is None
-        assert costs.tolist() == [virtual.placement_costs(row)[0] for row in keys.tolist()]
-        got, binding = virtual.placement_cost_rows(keys)
-        assert binding is None and got.tolist() == costs.tolist()
+        costs = reference_placement_cost_rows(virtual, keys)
+        assert costs.tolist() == [virtual.placement_costs(row) for row in keys.tolist()]
+        for bar in (math.inf, 0.0):
+            assert virtual.placement_cost_rows(keys, bar).tolist() == costs.tolist()
     # at c = L - 1 only the whole loop, k = 1, refills
     assert (unlike > 0) == (capacity not in (math.inf, "L - 1"))
     assert (wrapped > 0) == (capacity != math.inf)
 
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 3.0, 25.0])
-def test_placement_floor_rows_never_exceed_the_exact_costs(capacity):
-    """Every ``placement_floor_rows`` cost is <= the exact
-    ``placement_cost_rows`` cost of its row and segment, bit for bit, for
-    k in {2, 4, 16}: on generated scenes, and on the flat 8x8 scene with
-    symmetric depots, whose integer costs tie exactly, on rows in loop
-    order and rows that are not.  Some floors equal their costs."""
+def test_placement_cost_rows_price_exactly_every_row_below_the_bar(capacity):
+    """With the bar at each row's exact maximum, then one ulp above it, a
+    ``placement_cost_rows`` row has its maximum below the bar exactly when
+    the oracle's row has, such a row equals the oracle's bit for bit, and
+    no cost exceeds the oracle's, for k in {2, 4, 16}: on generated scenes,
+    and on the flat 8x8 scene with symmetric depots, whose integer costs
+    tie exactly, on rows in loop order and rows that are not.  The same
+    holds with the bar at each row's least exact cost.  Some rows keep
+    their floor."""
     rng = np.random.default_rng(int(min(capacity, 99)))
     planners = [ScenePlanner(generate_scene(kind, seed=seed, width=16, height=16, robots=16))
                 for kind, seed in (("random", 2), ("blocked", 1), ("field", 3))]
-    equal = 0
+    floored = 0
     for planner in [*planners, uniform_planner(8, 8, [0, 16, 32, 48])]:
         loop, length = planner.loop, len(planner.loop)
         for k in (2, 4, 16):
             if k > len(planner.scene.depots):
                 continue
             model = LoopCostModel(loop, planner.graph, planner.depots(k), capacity)
-            keys = np.array([rng.choice(length, size=k, replace=False) for _ in range(200)])
-            keys[:100].sort(axis=1)
-            floor = model.placement_floor_rows(keys)
-            costs, _ = model.placement_cost_rows(keys)
-            assert floor.shape == costs.shape and (floor <= costs).all()
-            equal += int((floor == costs).sum())
-    assert equal > 0
+            keys = np.array([rng.choice(length, size=k, replace=False) for _ in range(40)])
+            keys[:20].sort(axis=1)
+            want = reference_placement_cost_rows(model, keys)
+            top = want.max(axis=1)
+            # and at each row's least exact cost, below many floors at c = 1
+            for bar in [*top.tolist(), *np.nextafter(top, math.inf).tolist(),
+                        *want.min(axis=1).tolist()]:
+                got = model.placement_cost_rows(keys, bar)
+                below = got.max(axis=1) < bar
+                assert below.tolist() == (top < bar).tolist()
+                assert got[below].tolist() == want[below].tolist()
+                assert (got <= want).all()
+                floored += int((got != want).any(axis=1).sum())
+    assert floored > 0
 
 
 @pytest.mark.parametrize("capacity", [math.inf, 1.0, 2.0, 3.0, 25.0])
 def test_placement_costs_equal_the_per_offset_oracle(capacity):
-    """``placement_costs`` equals the per-offset oracle bit for bit, costs
-    and binding, for k in {1, 2, 3, 5, 16}: on keys in loop order that
+    """``placement_costs`` equals the per-offset oracle bit for bit, for k
+    in {1, 2, 3, 5, 16}: on keys in loop order that
     wrap past the loop's end, and at finite c on segments of exactly c and
     c + 1 cells, whose last break falls on their last cell or just before
     it, laid from starts near the loop's end."""
@@ -818,7 +823,7 @@ def test_scan_charges_nothing_when_no_cost_can_beat_its_bar():
     loop, length = planner.loop, len(planner.loop)
     model = LoopCostModel(loop)
     pset = naive_partition(loop, length)
-    pset.weights = model.placement_costs(pset.keys)[0]
+    pset.weights = model.placement_costs(pset.keys)
     assert max(pset.weights) == 0.0
     for budget in (1, 7, 10_000):
         assert _scan_improvement(model, pset, 1, budget) == (None, 0)
@@ -846,7 +851,7 @@ def scan_cases():
             if trial % 2 == 0:
                 keys = keys[trial // 2 + 1:] + keys[:trial // 2 + 1]
             for size_cap in (model.length, 2, 5):
-                weights, _ = model.placement_costs(keys)
+                weights = model.placement_costs(keys)
                 yield model, PartitionSet(keys, model.length, weights), size_cap
     # coverage only, n * c at or just above L: all segments but a few at the cap,
     # so pairs are few, of a few shifts each, and a call prices several
@@ -855,7 +860,7 @@ def scan_cases():
             n = -(-model.length // size_cap)
             for rot in range(4):
                 keys = [(key + rot) % model.length for key in naive_partition(model.loop, n).keys]
-                weights, _ = model.placement_costs(keys)
+                weights = model.placement_costs(keys)
                 yield model, PartitionSet(keys, model.length, weights), size_cap
     for model, pset, size_cap, _, _ in floor_cases():
         yield model, pset, size_cap
@@ -876,7 +881,7 @@ def floor_cases():
                                       (2, 3, 130, "budget in pruned")):
         model = LoopCostModel(loop, weighted.graph, weighted.depots(k))
         keys = sorted((key + rot) % length for key in naive_partition(loop, k).keys)
-        yield model, PartitionSet(keys, length, model.placement_costs(keys)[0]), length, \
+        yield model, PartitionSet(keys, length, model.placement_costs(keys)), length, \
             budget, situation
 
 
@@ -901,18 +906,22 @@ def test_scan_floor_cases_reach_their_situations():
     budget running out inside a call whose rows the floor all prunes.
     ``test_batched_scan_matches_scalar_scan`` checks these cases' results
     and budgets against the scalar scan, at limits 130 and 10,000 among
-    others."""
-    floor = LoopCostModel.placement_floor_rows
+    others.  A row passes the floor when its segments' ``(depot_floor[key]
+    + coverage) + depot_floor[last]`` are all below the scan's bar."""
+    price = LoopCostModel.placement_cost_rows
     for model, pset, size_cap, budget, situation in floor_cases():
         bar = max(pset.weights) * (1 - partition.REL_TIE)
         passed = []   # per call, whether each row's floor is below the bar
 
-        def traced(self, keys):
-            rows = floor(self, keys)
-            passed.append(rows.max(axis=1) < bar)
-            return rows
+        def traced(self, keys, call_bar):
+            assert call_bar == bar
+            low, prefix = self.depot_floor, self.prefix
+            last = keys + (np.roll(keys, -1, axis=1) - keys - 1) % self.length
+            passed.append((low[keys] + (prefix[last] - prefix[keys]) + low[last]).max(axis=1)
+                          < bar)
+            return price(self, keys, call_bar)
 
-        with mock.patch.object(LoopCostModel, "placement_floor_rows", traced):
+        with mock.patch.object(LoopCostModel, "placement_cost_rows", traced):
             got, used = _scan_improvement(model, pset, size_cap, budget)
         # the rows of the last call that pass the floor, numbered from the scan's first
         last = np.flatnonzero(passed[-1]) + sum(map(len, passed[:-1]))
@@ -931,7 +940,7 @@ def test_scan_skips_pairs_with_no_feasible_shift():
     cap = next(c for c in range(3, length) if length % c == 0)
     model = LoopCostModel(planner.loop)
     keys = list(range(0, length, cap))
-    weights, _ = model.placement_costs(keys)
+    weights = model.placement_costs(keys)
     sizes = np.full(len(keys), cap)
     assert list(_pairs_by_gap(weights, sizes, cap)) == []
     got, used = _scan_improvement(model, PartitionSet(keys, length, weights), cap, 10_000)
@@ -969,8 +978,8 @@ def test_bounded_searches_match_the_exact_oracle(capacity):
     and weights, and spend the budget, that they do on the per-offset
     oracle's costs, on the flat scene's exact ties too."""
     for model, oracle, keys in oracle_cases(capacity):
-        weights, _ = model.placement_costs(keys)
-        assert weights == oracle.placement_costs(keys)[0]
+        weights = model.placement_costs(keys)
+        assert weights == oracle.placement_costs(keys)
         pset = PartitionSet(keys, model.length, weights)
         for size_cap in (model.length, 2 * int(capacity)):
             for limit in (7, 10_000):
@@ -981,7 +990,7 @@ def test_bounded_searches_match_the_exact_oracle(capacity):
                     assert (got.keys, got.weights) == (want.keys, want.weights)
                 assert got_used == want_used
         for mn, mx in itertools.permutations(range(len(keys)), 2):
-            got, want = (balanced_cut(pset, mn, mx, m) for m in (model, oracle))
+            got, want = (balanced_cut(pset, mn, mx, m, model.length) for m in (model, oracle))
             assert (got.keys, got.weights) == (want.keys, want.weights)
         got, want = (partition.optimize_partition(m, PartitionSet(keys, model.length),
                                                   model.length) for m in (model, oracle))
@@ -1058,7 +1067,7 @@ def test_memo_holds_no_scan_the_budget_cut_short():
     that budget replays nothing it should not."""
     for model, start, size_cap in list(memo_cases())[-6:]:
         pset = PartitionSet(list(start.keys), start.loop_length,
-                            model.placement_costs(start.keys)[0])
+                            model.placement_costs(start.keys))
         memo = {}
         partition._refine(model, pset, size_cap, 3, memo)
         got, got_left = partition._refine(model, pset, size_cap, 10_000, memo)
@@ -1074,7 +1083,7 @@ def test_scan_memory_is_not_quadratic_in_the_segments(size_cap):
     loop = fake_loop(75_000)
     model = LoopCostModel(loop)
     pset = naive_partition(loop, 3_000)
-    pset.weights, _ = model.placement_costs(pset.keys)
+    pset.weights = model.placement_costs(pset.keys)
     tracemalloc.start()
     try:
         _scan_improvement(model, pset, size_cap, 2_000)

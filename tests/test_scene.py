@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,25 @@ def test_load_scene_rejects_an_elevation_cellsize_unlike_the_scene(tmp_path, doc
 def test_scene_validate_out_of_bounds_depot():
     with pytest.raises(SceneError, match="outside"):
         flat_scene(4, 4, depots=[(5, 0)]).validate()
+
+
+@pytest.mark.parametrize("name, raster, got", [
+    ("elevation", [[0] * 4] * 4, "list"), ("blocked", [[False] * 4] * 4, "list"),
+    ("landclass", np.ones((3, 4), dtype=bool), "3x4"), ("elevation", np.zeros(16), "16")])
+def test_scene_validate_names_a_raster_that_is_not_an_array_of_the_grid(name, raster, got):
+    # a list raster had raised AttributeError, and a 1-D elevation IndexError
+    scene = Scene(4, 4, depots=[(0, 0)], **{name: raster})
+    with pytest.raises(SceneError, match=f"{name} raster size mismatch: expected a 4x4 array, "
+                                         f"got {got}"):
+        ScenePlanner(scene)
+
+
+@pytest.mark.parametrize("depot", [(0.0, 0.0), (1, 0.5), (True, 0), (0, 0, 0)])
+def test_scene_validate_names_a_depot_that_is_not_two_integers(depot):
+    # a float depot had raised numpy's IndexError
+    with pytest.raises(SceneError, match=re.escape(f"depot {depot!r} is not a pair of integers")):
+        ScenePlanner(Scene(4, 4, depots=[depot]))
+    assert Scene(4, 4, depots=[(np.int64(1), 2)]).validate() is None
 
 
 @pytest.mark.parametrize("kind", ["random", "blocked", "field"])

@@ -96,13 +96,18 @@ def test_only_mstc_bo_calls_prefix_segment_costs():
 
 def test_scan_prices_only_with_the_row_kernel():
     # the refinement scan takes each row's costs from ``placement_cost_rows``,
-    # exact already, and re-prices none of them
+    # which applies the depot floor itself, one call per chunk, and asks the
+    # cost model nothing else; the separate floor and span helpers are gone
     tree = ast.parse((SOURCES[0].parent / "partition.py").read_text())
-    scan = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_scan_improvement")
-    calls = {node.func.attr for node in ast.walk(scan)
+    top = {node.name: node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    methods = {node.name for node in top["LoopCostModel"].body
+               if isinstance(node, ast.FunctionDef)}
+    calls = {node.func.attr for node in ast.walk(top["_scan_improvement"])
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
-    assert "placement_cost_rows" in calls and "placement_costs" not in calls
+    assert calls & methods == {"placement_cost_rows"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"placement_floor_rows", "_segment_spans"}
 
 
 def test_partition_keeps_no_float_error_bounds():
