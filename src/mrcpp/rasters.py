@@ -8,6 +8,8 @@ south, so rows are flipped on read/write).
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 _ASC_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -21,7 +23,10 @@ def read_esri_ascii(path) -> tuple[np.ndarray, np.ndarray, float]:
 
     Returns ``(values, nodata_mask, cellsize)`` where ``values`` is a float64
     array of shape (nrows, ncols) indexed [y, x] with y=0 the southmost row,
-    and ``nodata_mask`` is True where the cell held the NODATA value.
+    and ``nodata_mask`` is True where the cell held the NODATA value.  The body
+    after the six header lines is read as one stream of whitespace-separated
+    samples, ``nrows * ncols`` of them in all, row after row from the north;
+    where a line ends does not matter.
     """
     header = {}
     with open(path) as fh:
@@ -39,13 +44,19 @@ def read_esri_ascii(path) -> tuple[np.ndarray, np.ndarray, float]:
                 raise ValueError(f"{path}: .asc {key} must be a positive integer, got {size!r}")
         ncols, nrows = int(ncols), int(nrows)
         nodata = header["nodata_value"]
-        body = fh.read().split()
-    if len(body) != ncols * nrows:
+        start = fh.tell()
+        try:   # numpy's C parser, for bodies of rows of equal length
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # a body of no samples
+                values = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:   # rows of unequal length, or a token loadtxt cannot read
+            fh.seek(start)
+            values = np.array(fh.read().split(), dtype=np.float64)
+    if values.size != ncols * nrows:
         raise ValueError(
-            f"{path}: expected {ncols * nrows} samples, found {len(body)}"
+            f"{path}: expected {ncols * nrows} samples, found {values.size}"
         )
-    values = np.array(body, dtype=np.float64).reshape(nrows, ncols)
-    values = values[::-1]  # first file row is the northmost
+    values = values.reshape(nrows, ncols)[::-1]  # first file row is the northmost
     mask = values == nodata
     return values, mask, header["cellsize"]
 

@@ -18,6 +18,8 @@ from . import jsontext, rasters
 
 Cell = tuple[int, int]
 
+MAX_CELLS = 2**24   # the largest width x height a scene may have: 16x a 1024x1024 grid
+
 
 class SceneError(ValueError):
     """Raised for malformed or inconsistent scene inputs."""
@@ -34,17 +36,21 @@ class Scene:
     depots: list[Cell] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.blocked is None:
+        # what cannot be normalised here is left for validate to name
+        if self.blocked is None and _size_fault(self.width, self.height) is None:
             self.blocked = np.zeros((self.height, self.width), dtype=bool)
-        self.depots = [tuple(d) for d in self.depots]
+        if isinstance(self.depots, (list, tuple, np.ndarray)):
+            self.depots = [tuple(d) if isinstance(d, (tuple, list, np.ndarray)) else d
+                           for d in self.depots]
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
     def validate(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise SceneError("scene dimensions must be positive")
+        fault = _size_fault(self.width, self.height)
+        if fault:
+            raise SceneError(fault)
         if not 0 < self.cell_size < math.inf:   # nan too
             raise SceneError(f"cell_size must be positive and finite, got {self.cell_size!r}")
         for name in ("blocked", "elevation", "landclass"):
@@ -54,6 +60,9 @@ class Scene:
                 got = type(raster).__name__ if shape is None else "x".join(map(str, shape))
                 raise SceneError(f"{name} raster size mismatch: expected a "
                                  f"{self.height}x{self.width} array, got {got}")
+        if not isinstance(self.depots, list):
+            raise SceneError(f"depots must be a list, tuple or array of (x, y) cells, "
+                             f"got {self.depots!r}")
         if not self.depots:
             raise SceneError("scene needs at least one depot")
         for d in self.depots:
@@ -71,11 +80,21 @@ class Scene:
             raise SceneError("depot cells must be distinct")
 
 
-def _positive(path: Path, key: str, value, kind: str):
-    """A positive ``integer`` or finite ``number`` field of a scene document."""
-    types = int if kind == "integer" else (int, float)
-    if isinstance(value, bool) or not isinstance(value, types) or not 0 < value < math.inf:
-        raise SceneError(f"{path}: '{key}' must be a positive {kind}, got {value!r}")
+def _size_fault(width, height) -> str | None:
+    """Why ``width`` x ``height`` is not the size of a scene, or None if it is."""
+    for key, value in (("width", width), ("height", height)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            return f"'{key}' must be a positive integer, got {value!r}"
+    if int(width) * int(height) > MAX_CELLS:
+        return (f"'width' x 'height' is {width} x {height}, past the limit of "
+                f"{MAX_CELLS} cells")
+    return None
+
+
+def _positive(path: Path, key: str, value):
+    """A positive finite number field of a scene document."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise SceneError(f"{path}: '{key}' must be a positive number, got {value!r}")
     return value
 
 
@@ -122,9 +141,11 @@ def load_scene(path) -> Scene:
         if key not in doc:
             raise SceneError(f"{path}: missing required field '{key}'")
 
-    width = _positive(path, "width", doc["width"], "integer")
-    height = _positive(path, "height", doc["height"], "integer")
-    cell_size = float(_positive(path, "cell_size", doc.get("cell_size", 1.0), "number"))
+    width, height = doc["width"], doc["height"]
+    fault = _size_fault(width, height)   # before any raster is allocated
+    if fault:
+        raise SceneError(f"{path}: {fault}")
+    cell_size = float(_positive(path, "cell_size", doc.get("cell_size", 1.0)))
     blocked = np.zeros((height, width), dtype=bool)
     for x, y in _cells(path, doc, "blocked"):
         if not (0 <= x < width and 0 <= y < height):

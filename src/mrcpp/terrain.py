@@ -122,12 +122,16 @@ def steepness_filter(scene: Scene, threshold: float = DEFAULT_SLOPE_THRESHOLD) -
     free = ~scene.blocked
     tmap = TraversabilityMap(free, *_free_edges(free, *slopes),
                              slope_bounds=(0.0, float(threshold)))
-    a, b, retained = grid_edges(tmap.slope_x, tmap.slope_y)
-    has_edge = np.zeros(free.size, dtype=bool)
-    has_edge[a] = has_edge[b] = True
-    tmap.free = free & has_edge.reshape(free.shape)
-    if retained.size:
-        tmap.slope_bounds = (float(retained.min()), float(threshold))
+    kx, ky = ~np.isnan(tmap.slope_x), ~np.isnan(tmap.slope_y)
+    has_edge = np.zeros(free.shape, dtype=bool)   # an edge's two ends, per raster
+    has_edge[:, :-1] |= kx
+    has_edge[:, 1:] |= kx
+    has_edge[:-1, :] |= ky
+    has_edge[1:, :] |= ky
+    tmap.free = free & has_edge
+    least = min(tmap.slope_x[kx].min(initial=np.inf), tmap.slope_y[ky].min(initial=np.inf))
+    if least < np.inf:
+        tmap.slope_bounds = (float(least), float(threshold))
     return tmap
 
 
@@ -137,7 +141,9 @@ def remove_isolated(tmap: TraversabilityMap, depots: list[Cell]) -> Traversabili
         if not tmap.is_free(d):
             raise TerrainError(f"depot {d} is not free in the traversability map")
     labels = component_labels(tmap.free, tmap.slope_x, tmap.slope_y)
-    free = np.isin(labels, [labels[y, x] for x, y in depots])
+    kept = np.zeros(labels.max() + 1, dtype=bool)   # by label; 0, off the graph, is not
+    kept[[labels[y, x] for x, y in depots]] = True
+    free = kept[labels]
     return TraversabilityMap(free, *_free_edges(free, tmap.slope_x, tmap.slope_y),
                              slope_bounds=tmap.slope_bounds)
 

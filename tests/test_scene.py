@@ -1,5 +1,7 @@
 import json
 import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from mrcpp.rasters import (read_esri_ascii, read_mask_grid, write_esri_ascii,
                            write_mask_grid)
 from mrcpp.pipeline import ScenePlanner
-from mrcpp.scene import Scene, SceneError, load_scene, save_scene
+from mrcpp.scene import MAX_CELLS, Scene, SceneError, load_scene, save_scene
 from mrcpp.scenegen import generate_scene
 
 from conftest import flat_scene
@@ -176,14 +178,24 @@ ASC_HEADER = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_val
     ("elevation_file", "e.asc", ASC_HEADER + "1 2\n-inf 4\n"),
     ("landclass_file", "m.txt", "1 2\n0 1\n"),                          # not 0/1
     ("landclass_file", "m.txt", "\n"),
+    # an .asc body is nrows * ncols samples, however its lines break
+    ("elevation_file", "e.asc", ASC_HEADER + "1 2\n3 4\n5 6\n"),         # a row too many
+    ("elevation_file", "e.asc", ASC_HEADER + "1 2 3\n"),                 # a sample short
+    ("elevation_file", "e.asc", ASC_HEADER + "1 2 3\n4 5\n"),            # ragged, one too many
+    ("elevation_file", "e.asc", ASC_HEADER + "1 2\n3 4 #5\n"),           # a comment mark
+    ("elevation_file", "e.asc", ASC_HEADER + "1 2\n# 0\n3 4\n"),
+    ("elevation_file", "e.asc", ASC_HEADER),                            # no body
+    ("elevation_file", "e.asc", ASC_HEADER + "\n \n\t\n"),
 ])
 def test_load_scene_rejects_bad_raster_file(tmp_path, key, name, text):
     if text is not None:
         (tmp_path / name).write_text(text)
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"width": 2, "height": 2, "depots": [[0, 0]], key: name}))
-    with pytest.raises(SceneError, match=f"'{key}'.*{name}"):
-        load_scene(path)
+    with warnings.catch_warnings():   # and no numpy warning on the way
+        warnings.simplefilter("error")
+        with pytest.raises(SceneError, match=f"'{key}'.*{name}"):
+            load_scene(path)
 
 
 @pytest.mark.parametrize("key, value", [("ncols", "3.5"), ("ncols", "-3"), ("nrows", "-2"),
@@ -200,6 +212,50 @@ def test_load_scene_rejects_asc_sizes_that_are_not_positive_integers(tmp_path, k
                                 "elevation_file": "e.asc"}))
     with pytest.raises(SceneError, match=f"'elevation_file'.*{key} must be a positive integer"):
         load_scene(path)
+
+
+def test_esri_ascii_samples_equal_float_of_their_tokens(tmp_path):
+    """Each sample of a written field grid is ``float(token)`` bit for bit,
+    the first file row the northmost."""
+    save_scene(generate_scene("field", seed=3, width=64, height=64), tmp_path / "s.json")
+    path = tmp_path / "s_elevation.asc"
+    rows = path.read_text().splitlines()[6:]
+    values, _, _ = read_esri_ascii(path)
+    assert values.shape == (64, 64) and len(rows) == 64
+    bits = [struct.pack("<d", float(t)) for row in reversed(rows) for t in row.split()]
+    assert values.astype("<f8").tobytes() == b"".join(bits)
+
+
+@pytest.mark.parametrize("body", ["1 2\n3 4\n", "\n 1\t2 \n\n3 4", "1 2 3\n4\n",
+                                  "1 2 3 4\n", "1\n2\n3\n4", "1 2 3\n4 ", "1_0 2\n3 4\n"])
+def test_asc_body_is_one_stream_of_samples_wherever_its_lines_break(tmp_path, body):
+    """ncols, not the line breaks, decides where a row begins: every layout
+    gives the grid of the body's whitespace-separated tokens, north first."""
+    (tmp_path / "e.asc").write_text(ASC_HEADER + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, _, _ = read_esri_ascii(tmp_path / "e.asc")
+    stream = np.array([float(t) for t in body.split()]).reshape(2, 2)[::-1]
+    assert values.shape == (2, 2)
+    assert values.tobytes() == stream.tobytes()
+
+
+@pytest.mark.parametrize("width, height", [(10**20, 4), (4, 10**20), (MAX_CELLS + 1, 1),
+                                           (4097, 4096)])
+def test_load_scene_refuses_a_grid_past_the_cell_limit(tmp_path, width, height):
+    """The size is refused before the blocked raster is allocated, so 10**20
+    is no untyped numpy error and a huge document allocates nothing."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"width": width, "height": height, "depots": [[0, 0]]}))
+    with pytest.raises(SceneError, match=f"'width' x 'height' is {width} x {height}, "
+                                         f"past the limit of {MAX_CELLS} cells"):
+        load_scene(path)
+    with pytest.raises(SceneError, match="past the limit"):
+        Scene(width, height, depots=[(0, 0)]).validate()
+
+
+def test_scene_at_the_cell_limit_is_valid():
+    Scene(MAX_CELLS, 1, depots=[(0, 0)]).validate()
 
 
 def test_load_scene_rejects_non_object_document(tmp_path):
@@ -283,12 +339,37 @@ def test_scene_validate_names_a_raster_that_is_not_an_array_of_the_grid(name, ra
         ScenePlanner(scene)
 
 
-@pytest.mark.parametrize("depot", [(0.0, 0.0), (1, 0.5), (True, 0), (0, 0, 0)])
+@pytest.mark.parametrize("depot", [(0.0, 0.0), (1, 0.5), (True, 0), (0, 0, 0), 3, None])
 def test_scene_validate_names_a_depot_that_is_not_two_integers(depot):
-    # a float depot had raised numpy's IndexError
+    # a float depot had raised numpy's IndexError, and 3 a TypeError in __post_init__
     with pytest.raises(SceneError, match=re.escape(f"depot {depot!r} is not a pair of integers")):
         ScenePlanner(Scene(4, 4, depots=[depot]))
     assert Scene(4, 4, depots=[(np.int64(1), 2)]).validate() is None
+
+
+@pytest.mark.parametrize("depots", [3, None, {(0, 0)}])
+def test_scene_validate_names_depots_that_are_not_a_sequence(depots):
+    with pytest.raises(SceneError, match=re.escape(f"depots must be a list, tuple or array "
+                                                   f"of (x, y) cells, got {depots!r}")):
+        ScenePlanner(Scene(4, 4, depots=depots))
+
+
+@pytest.mark.parametrize("depots", [[(0, 0), (1, 2)], ((0, 0), [1, 2]),
+                                    np.array([[0, 0], [1, 2]])])
+def test_scene_takes_depots_as_a_list_tuple_or_array(depots):
+    scene = Scene(4, 4, depots=depots)
+    assert scene.depots == [(0, 0), (1, 2)]
+    assert scene.validate() is None
+
+
+@pytest.mark.parametrize("width, height, key", [(4.5, 4, "width"), (4, "4", "height"),
+                                                (0, 4, "width"), (4, -1, "height"),
+                                                (True, 4, "width")])
+def test_scene_validate_names_a_size_that_is_not_a_positive_integer(width, height, key):
+    # 4.5 had raised numpy's TypeError in __post_init__
+    value = width if key == "width" else height
+    with pytest.raises(SceneError, match=f"'{key}' must be a positive integer, got {value!r}"):
+        ScenePlanner(Scene(width, height, depots=[(0, 0)]))
 
 
 @pytest.mark.parametrize("kind", ["random", "blocked", "field"])
